@@ -19,12 +19,12 @@ test:
 vet:
 	$(GO) vet ./...
 
-# Race-detector pass over the whole tree; exercises the checkerboard-parallel
-# solver and the experiment worker pool under -race.
+# Race-detector pass over the whole tree; exercises the checkerboard tile
+# engine and the experiment worker pool under -race.
 race:
 	$(GO) test -race ./...
 
-# Focused race pass over the solver runtime (persistent worker pool,
+# Focused race pass over the solver runtime (tile-engine executor pool,
 # cancellation, panic-to-error, run log), repeated to shake out
 # scheduling-dependent interleavings (DESIGN.md §9).
 race-runtime:

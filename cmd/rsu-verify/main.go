@@ -156,7 +156,7 @@ func main() {
 
 	// The sharding-equivalence gates (DESIGN.md §15): the degenerate 1x1
 	// tiling must reproduce the serial goldens byte-for-byte; multi-tile
-	// geometries must match the monolithic checkerboard solver in
+	// geometries must match a whole-grid checkerboard loop in
 	// distribution (per-pixel two-sample chi-square, Bonferroni-corrected);
 	// and a sharded run interrupted mid-schedule must resume bit-exactly
 	// through the version-2 snapshot container.

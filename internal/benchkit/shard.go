@@ -26,7 +26,7 @@ const shardSweepScale = 4
 const shardSweepSweeps = 12
 
 // shardSweepGeometries are the tilings the sweep measures against the
-// monolithic baseline: a row split (north/south halos only), a square
+// worker-count baseline: a row split (north/south halos only), a square
 // split, and an over-decomposed 4x2.
 func shardSweepGeometries() []shard.Geometry {
 	return []shard.Geometry{
@@ -36,13 +36,13 @@ func shardSweepGeometries() []shard.Geometry {
 	}
 }
 
-// ShardSweep benchmarks the tile-sharded solver on an out-of-cache grid:
-// one stereo solve of the scale-4 poster scene per op, first by the
-// monolithic checkerboard-parallel solver and then by the sharded solver
-// at each geometry. Result.NsOpBefore is the shared monolithic baseline,
-// NsOpAfter the sharded time, so Speedup > 1 means the tiling won at that
-// geometry. workers selects the baseline's checkerboard worker count
-// (0 = GOMAXPROCS); the sharded arms use one goroutine per tile.
+// ShardSweep benchmarks tile geometries on an out-of-cache grid: one stereo
+// solve of the scale-4 poster scene per op, first at the worker-count
+// default (Workers = workers, i.e. workers×1 row-band tiles) and then at
+// each explicit geometry. Result.NsOpBefore is the shared row-band
+// baseline, NsOpAfter the geometry's time, so Speedup > 1 means that
+// geometry won. workers selects the baseline's worker count (0 =
+// GOMAXPROCS).
 func ShardSweep(workers int) Report {
 	w := mrf.ResolveWorkers(workers)
 	prob := stereo.BuildProblem(synth.Poster(shardSweepScale), stereo.DefaultParams())

@@ -20,11 +20,12 @@
 //     the four applications (stereo, flow, segment, ising) at 1, 2 and 4
 //     solver workers, with the final label map and per-sweep energy trace
 //     checked byte-exactly against files under testdata/golden. Worker
-//     count 1 is the serial solver; each worker count has its own golden
-//     because parallel workers own independent RNG streams, and the files
-//     lock in the solver's fixed-(seed, workers) bit-reproducibility
-//     guarantee. Regenerate with `go test ./internal/conformance
-//     -run TestGolden -update-golden` or `rsu-verify -update-golden`.
+//     count 1 is the serial solver and n > 1 the tile engine on n row bands;
+//     each worker count has its own golden because tiles own independent
+//     RNG streams, and the files lock in the solver's fixed-(seed, workers)
+//     bit-reproducibility guarantee. Regenerate with `go test
+//     ./internal/conformance -run TestGolden -update-golden` or
+//     `rsu-verify -update-golden`.
 //
 //  3. Property and fuzz layer (fuzz_test.go, property_test.go): native Go
 //     fuzz targets for Unit.Sample and the energy-to-lambda conversion (no

@@ -82,9 +82,9 @@ func (g MarginalGrid) states() int {
 }
 
 // siteOrder returns the per-sweep site update order: the raster scan of the
-// serial solver, or the checkerboard color order of the parallel solver
-// (color 0 then color 1, each in raster order — within a color no two sites
-// neighbor, so any sequentialization has the parallel solver's distribution).
+// serial solver, or the checkerboard color order of the tile engine (color 0
+// then color 1, each in raster order — within a color no two sites neighbor,
+// so any sequentialization has the tile engine's distribution).
 func (g MarginalGrid) siteOrder(checkerboard bool) []int {
 	if !checkerboard {
 		order := make([]int, g.sites())
@@ -317,9 +317,9 @@ type MarginalOptions struct {
 }
 
 // marginalSolvers are the solver × kernel combinations each cell runs:
-// the serial raster solver with fast and legacy kernels, and the
-// checkerboard-parallel solver (two workers, so the color order is really
-// exercised) with fast kernels.
+// the serial raster solver with fast and legacy kernels, and the tile engine
+// at two workers (two tiles, so the color order is really exercised) with
+// fast kernels.
 var marginalSolvers = []struct {
 	name         string
 	checkerboard bool
@@ -390,14 +390,10 @@ func RunMarginalBattery(grids []MarginalGrid, points []MarginalPoint, o Marginal
 					return nil, fmt.Errorf("conformance: marginals %s/%s: %w", pt.Name, g.Name, err)
 				}
 				col := &jointCollector{acc: acc, burnIn: g.Sweeps - 1, labels: g.Labels, joint: make([]float64, g.states())}
-				opts := mrf.SolveOptions{Init: img.NewLabels(g.W, g.H), Collector: col}
+				opts := mrf.SolveOptions{Init: img.NewLabels(g.W, g.H), Collector: col, Workers: workers}
+				factory := func(w int) core.LabelSampler { return samplers[w] }
 				for ri := 0; ri < o.Replicates; ri++ {
-					if sv.checkerboard {
-						_, err = mrf.SolveParallel(prob, samplers, sched, opts)
-					} else {
-						_, err = mrf.Solve(prob, samplers[0], sched, opts)
-					}
-					if err != nil {
+					if _, err := mrf.SolveAuto(prob, factory, sched, opts); err != nil {
 						return nil, fmt.Errorf("conformance: marginals %s/%s/%s: %w", pt.Name, g.Name, sv.name, err)
 					}
 				}

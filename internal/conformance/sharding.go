@@ -25,10 +25,10 @@ import (
 //     per-sweep energies, no statistical slack.
 //  2. RunShardBattery — for genuinely multi-tile geometries the sharded
 //     sweep is the checkerboard sweep with a different RNG-stream
-//     assignment, so its labeling distribution at ANY sweep count equals the
-//     parallel checkerboard solver's. The battery runs replicate chains of
-//     both arms and two-sample chi-squares every pixel's label histogram,
-//     Bonferroni-correcting across all tests.
+//     assignment, so its labeling distribution at ANY sweep count equals
+//     that of a plain whole-grid checkerboard loop. The battery runs
+//     replicate chains of both arms and two-sample chi-squares every pixel's
+//     label histogram, Bonferroni-correcting across all tests.
 //  3. VerifyShardedCheckpointResume — a sharded run interrupted at the
 //     schedule midpoint and resumed through a full version-2 container
 //     round trip must splice bit-exactly into an uninterrupted sharded run.
@@ -197,9 +197,38 @@ func streamCachingFactory(seed uint64, next *int) func(stream int) core.LabelSam
 	}
 }
 
+// checkerboardChain runs one chain of the whole-grid checkerboard sweep pixel
+// by pixel — color 0 then color 1, each in raster order, all on one sampler —
+// from the all-zero labeling, with energies from the direct evaluator. It is
+// the sharding battery's reference arm: the tile engine's transition kernel
+// written without tiles, halos, batching or the energy LUT, so the battery
+// compares the tile engine against code it does not share.
+func checkerboardChain(prob *mrf.Problem, singles []float64, s core.LabelSampler, sched mrf.Schedule) (*img.Labels, error) {
+	lab := img.NewLabels(prob.W, prob.H)
+	vec := make([]float64, prob.Labels)
+	for k := 0; k < sched.Iterations; k++ {
+		if err := s.SetTemperature(sched.Temperature(k)); err != nil {
+			return nil, err
+		}
+		for color := 0; color < 2; color++ {
+			for y := 0; y < prob.H; y++ {
+				for x := (y + color) % 2; x < prob.W; x += 2 {
+					prob.LabelEnergies(vec, singles, lab, x, y)
+					next, err := s.Sample(vec, lab.At(x, y))
+					if err != nil {
+						return nil, err
+					}
+					lab.Set(x, y, next)
+				}
+			}
+		}
+	}
+	return lab, nil
+}
+
 // RunShardBattery runs the differential sharding-equivalence battery: for
-// each design it runs Replicates chains of the monolithic checkerboard
-// solver (two workers) and of the sharded solver (the design's geometry),
+// each design it runs Replicates chains of the whole-grid checkerboard
+// reference (checkerboardChain) and of the tile engine (the design's geometry),
 // pools each arm's final labelings into per-pixel label histograms, and
 // two-sample chi-squares every pixel. The two arms execute the identical
 // checkerboard transition kernel — only the RNG-stream-to-pixel assignment
@@ -230,29 +259,27 @@ func RunShardBattery(designs []ShardDesign, o ShardOptions) (*ShardReport, error
 		prob := d.Problem()
 		sched := mrf.Schedule{T0: d.T, Alpha: 1, Iterations: d.Sweeps}
 		n := d.W * d.H * d.Labels
-		histMono := make([]float64, n)
+		histRef := make([]float64, n)
 		histShard := make([]float64, n)
 
-		// Monolithic arm: the checkerboard-parallel solver at two workers.
-		samplers := make([]core.LabelSampler, 2)
-		for w := range samplers {
-			samplers[w] = core.MustUnit(core.NewRSUG(), rng.NewXoshiro256(core.StreamSeed(o.Seed, stream)), true)
-			stream++
-		}
+		// Reference arm: the whole-grid checkerboard loop on one stream.
+		ref := core.MustUnit(core.NewRSUG(), rng.NewXoshiro256(core.StreamSeed(o.Seed, stream)), true)
+		stream++
+		singles := prob.BuildTables().Singles
 		for ri := 0; ri < o.Replicates; ri++ {
-			lab, err := mrf.SolveParallel(prob, samplers, sched, mrf.SolveOptions{Init: img.NewLabels(d.W, d.H)})
+			lab, err := checkerboardChain(prob, singles, ref, sched)
 			if err != nil {
-				return nil, fmt.Errorf("conformance: sharding %s monolithic: %w", d.Name, err)
+				return nil, fmt.Errorf("conformance: sharding %s reference: %w", d.Name, err)
 			}
 			for i, l := range lab.L {
-				histMono[i*d.Labels+l]++
+				histRef[i*d.Labels+l]++
 			}
 		}
 
 		// Sharded arm: same kernel, tile-decomposed, one stream per tile.
 		factory := streamCachingFactory(o.Seed, &stream)
 		for ri := 0; ri < o.Replicates; ri++ {
-			lab, err := mrf.SolveSharded(prob, factory, sched, mrf.SolveOptions{
+			lab, err := mrf.SolveAuto(prob, factory, sched, mrf.SolveOptions{
 				Init:   img.NewLabels(d.W, d.H),
 				Shards: d.Geom,
 			})
@@ -265,7 +292,7 @@ func RunShardBattery(designs []ShardDesign, o ShardOptions) (*ShardReport, error
 		}
 
 		for site := 0; site < d.W*d.H; site++ {
-			a := histMono[site*d.Labels : (site+1)*d.Labels]
+			a := histRef[site*d.Labels : (site+1)*d.Labels]
 			b := histShard[site*d.Labels : (site+1)*d.Labels]
 			res, err := stats.ChiSquareTwoSample(a, b)
 			if err != nil {

@@ -37,7 +37,7 @@ func TestShardBattery(t *testing.T) {
 		t.Fatalf("battery ran %d tests, want %d", len(rep.Checks), wantTests)
 	}
 	for _, f := range rep.Failures() {
-		t.Errorf("sharded vs monolithic marginals diverge: %s %s p=%.3g < %.3g (n=%d per arm)",
+		t.Errorf("sharded vs whole-grid checkerboard marginals diverge: %s %s p=%.3g < %.3g (n=%d per arm)",
 			f.Design, f.Pixel, f.P, rep.Threshold, f.N)
 	}
 	t.Logf("sharding battery: %d tests, min p = %.4g, threshold %.3g", len(rep.Checks), rep.MinP(), rep.Threshold)

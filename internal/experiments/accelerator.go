@@ -76,12 +76,11 @@ func Accelerator(o Options) (*AcceleratorResult, error) {
 	}
 	res.SequentialBP = sr.BP
 
-	samplers := make([]core.LabelSampler, 4)
-	for i := range samplers {
-		samplers[i] = core.MustUnit(core.NewRSUG(), rng.NewXoshiro256(o.subSeed(fmt.Sprintf("acc-par%d", i))), true)
+	factory := func(w int) core.LabelSampler {
+		return core.MustUnit(core.NewRSUG(), rng.NewXoshiro256(o.subSeed(fmt.Sprintf("acc-par%d", w))), true)
 	}
 	prob := stereo.BuildProblem(pair, p)
-	lab, err := mrf.SolveParallel(prob, samplers, p.Schedule, mrf.SolveOptions{})
+	lab, err := mrf.SolveAuto(prob, factory, p.Schedule, mrf.SolveOptions{Workers: 4})
 	if err != nil {
 		return nil, err
 	}

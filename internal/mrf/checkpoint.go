@@ -7,6 +7,7 @@ import (
 
 	"rsu/internal/core"
 	"rsu/internal/img"
+	"rsu/internal/shard"
 )
 
 // StatefulCollector is a Collector whose accumulated observations can be
@@ -30,7 +31,7 @@ type StatefulCollector interface {
 //
 //   - Grid is the labeling after sweep NextSweep-1; sweeps only read and
 //     write the grid.
-//   - Samplers holds each worker's RNG words and counters. All conversion,
+//   - Samplers holds each stream's RNG words and counters. All conversion,
 //     survival and guide tables are deterministic functions of (config,
 //     temperature) rebuilt identically on resume; the solver re-issues
 //     SetTemperature at the top of every sweep.
@@ -38,18 +39,18 @@ type StatefulCollector interface {
 //     iterator is a pure fold (t *= alpha, pinned at the floor), so seeding
 //     it with the captured product continues the exact float sequence.
 //   - Energy is the incremental accumulator (initial TotalEnergy plus every
-//     accepted FlipDelta in worker order). Recomputing TotalEnergy on the
+//     accepted FlipDelta in tile order). Recomputing TotalEnergy on the
 //     restored grid would agree only to rounding; restoring the accumulator
 //     keeps run logs byte-identical.
-//   - Faults and Collector are the opaque states of the per-worker fault
+//   - Faults and Collector are the opaque states of the per-stream fault
 //     models and the attached collector, captured through their own
 //     CaptureState methods.
 type SolverState struct {
 	// W, H, Labels pin the problem shape the snapshot belongs to.
 	W, H, Labels int
-	// Workers is the logical worker count (1 for the serial solver). The
-	// executor count is NOT part of solver state: any executor count replays
-	// the same logical workers bit-identically.
+	// Workers is the RNG stream count: 1 for the serial engine, the tile
+	// count for the tile engine. The executor count is NOT part of solver
+	// state: any executor count replays the same tiles bit-identically.
 	Workers int
 	// NextSweep is the index of the first sweep that has not run yet; it
 	// equals Schedule.Iterations when the run finished.
@@ -64,9 +65,11 @@ type SolverState struct {
 	// EnergyTracked records whether the captured run maintained the
 	// incremental energy (OnSweep was set).
 	EnergyTracked bool
-	// ShardRows, ShardCols record the tile geometry of a sharded run; both
-	// are zero for serial and checkerboard-parallel runs. When set, Workers
-	// equals ShardRows*ShardCols (one sampler per tile) and Halos carries the
+	// ShardRows, ShardCols record the tile geometry of a tile-engine run;
+	// both are zero for serial runs and for the version-1 snapshots the
+	// retired checkerboard worker pool wrote (Workers > 1, no halos), which
+	// resume on workerGeometry(Workers, W, H). When set, Workers equals
+	// ShardRows*ShardCols (one sampler per tile) and Halos carries the
 	// per-tile halo buffers.
 	ShardRows, ShardCols int
 	// Halos holds, per tile in tile-index order, the labels of every
@@ -74,11 +77,11 @@ type SolverState struct {
 	// corners, extended-rect row-major — shard.TileGrid.HaloSnapshot's
 	// order). The halos after sweep NextSweep-1's final exchange are part of
 	// solver state: sweep NextSweep's first color phase reads them before any
-	// exchange runs. nil for unsharded runs.
+	// exchange runs. nil for serial runs and version-1 worker snapshots.
 	Halos [][]int
-	// Samplers holds one state per logical worker, in worker order.
+	// Samplers holds one state per stream, in stream (tile) order.
 	Samplers []core.SamplerState
-	// Faults holds one opaque fault-model state per logical worker when the
+	// Faults holds one opaque fault-model state per stream when the
 	// run had fault injection configured; nil otherwise.
 	Faults [][]byte
 	// Collector is the attached collector's opaque state; nil when the run
@@ -88,9 +91,11 @@ type SolverState struct {
 
 // captureState snapshots the complete solver state between sweeps.
 // nextSweep/nextT name the first un-run sweep and its temperature; energy is
-// the incremental accumulator (meaningful when track).
-func captureState(p *Problem, lab *img.Labels, samplers []core.LabelSampler, opts SolveOptions,
-	nextSweep int, nextT float64, energy float64, track bool) (*SolverState, error) {
+// the incremental accumulator (meaningful when track). grids, non-nil for the
+// tile engine, adds the lattice and every tile's halos; the caller must have
+// gathered the tiles into lab first.
+func captureState(p *Problem, lab *img.Labels, samplers []core.LabelSampler, grids []*shard.TileGrid,
+	opts SolveOptions, nextSweep int, nextT float64, energy float64, track bool) (*SolverState, error) {
 	st := &SolverState{
 		W: p.W, H: p.H, Labels: p.Labels,
 		Workers:       len(samplers),
@@ -103,6 +108,14 @@ func captureState(p *Problem, lab *img.Labels, samplers []core.LabelSampler, opt
 	}
 	if !track {
 		st.Energy = 0
+	}
+	if len(grids) > 0 {
+		last := grids[len(grids)-1].Tile
+		st.ShardRows, st.ShardCols = last.R+1, last.C+1
+		st.Halos = make([][]int, len(grids))
+		for i, g := range grids {
+			st.Halos[i] = g.HaloSnapshot()
+		}
 	}
 	for i, s := range samplers {
 		c, ok := s.(core.Checkpointable)
@@ -192,23 +205,35 @@ func applyResume(st *SolverState, sched Schedule, samplers []core.LabelSampler, 
 	return nil
 }
 
-// checkResumeShards rejects a snapshot whose shard geometry differs from the
-// resuming run's. The worker-count check in applyResume cannot catch every
-// mismatch on its own (a 2×2-sharded snapshot and a 4-worker parallel run
-// both say Workers = 4, yet their draw sequences differ), so each solver path
-// states its geometry explicitly: (0, 0) for serial/parallel, the tile
-// lattice for the sharded solver.
-func checkResumeShards(st *SolverState, rows, cols int) error {
-	if st.ShardRows == rows && st.ShardCols == cols {
+// snapshotGeometry returns the tile lattice a snapshot was captured on: the
+// recorded geometry of a tile-engine run, workerGeometry(Workers, W, H) for a
+// version-1 snapshot of the retired worker pool (whose row bands and streams
+// that geometry reproduces), and the zero geometry for a serial run.
+func snapshotGeometry(st *SolverState) shard.Geometry {
+	if st.ShardRows != 0 || st.ShardCols != 0 {
+		return shard.Geometry{Rows: st.ShardRows, Cols: st.ShardCols}
+	}
+	if st.Workers > 1 {
+		return workerGeometry(st.Workers, st.W, st.H)
+	}
+	return shard.Geometry{}
+}
+
+// checkResumeShards rejects a snapshot whose tile lattice differs from the
+// resuming run's (the zero geometry for the serial engine). The stream-count
+// check in applyResume cannot catch every mismatch on its own (2×2 and 4×1
+// tiles both say Workers = 4, yet their draw sequences differ).
+func checkResumeShards(st *SolverState, geom shard.Geometry) error {
+	got := snapshotGeometry(st)
+	switch {
+	case got == geom:
 		return nil
+	case got.IsZero():
+		return fmt.Errorf("mrf: snapshot captured a serial run, resuming with %s tiles", geom)
+	case geom.IsZero():
+		return fmt.Errorf("mrf: snapshot captured a %s-tile run — resume it with SolveAuto", got)
 	}
-	if st.ShardRows == 0 && st.ShardCols == 0 {
-		return fmt.Errorf("mrf: snapshot captured an unsharded run, resuming with %dx%d tiles", rows, cols)
-	}
-	if rows == 0 && cols == 0 {
-		return fmt.Errorf("mrf: snapshot captured a %dx%d-sharded run — resume it with SolveOptions.Shards", st.ShardRows, st.ShardCols)
-	}
-	return fmt.Errorf("mrf: snapshot captured %dx%d tiles, resuming with %dx%d", st.ShardRows, st.ShardCols, rows, cols)
+	return fmt.Errorf("mrf: snapshot captured %s tiles, resuming with %s", got, geom)
 }
 
 // resumeIter rebuilds the running-product temperature iterator at the
@@ -219,21 +244,25 @@ func resumeIter(st *SolverState, sched Schedule) tempIter {
 	return tempIter{t: st.NextT, alpha: sched.Alpha, floor: sched.floor()}
 }
 
-// periodicCheckpoint fires the OnCheckpoint hook after sweep k when the
-// periodic cadence hits. It never fires for the final sweep — the run is
-// about to return its result, so there is nothing left worth resuming. A
-// capture or hook failure aborts the solve: the caller asked for durability,
-// and silently continuing without it would turn a full-disk into lost work
-// discovered only after the next crash.
-func periodicCheckpoint(p *Problem, lab *img.Labels, samplers []core.LabelSampler, opts SolveOptions,
-	k int, ti tempIter, energy float64, track bool, iterations int) error {
-	if opts.OnCheckpoint == nil || opts.CheckpointEvery <= 0 {
+// checkpointDue reports whether the periodic cadence captures after sweep k.
+// It never fires for the final sweep — the run is about to return its
+// result, so there is nothing left worth resuming.
+func checkpointDue(opts SolveOptions, k, iterations int) bool {
+	return opts.OnCheckpoint != nil && opts.CheckpointEvery > 0 &&
+		(k+1)%opts.CheckpointEvery == 0 && k+1 < iterations
+}
+
+// periodicCheckpoint fires the OnCheckpoint hook after sweep k when
+// checkpointDue says so. A capture or hook failure aborts the solve: the
+// caller asked for durability, and silently continuing without it would turn
+// a full-disk into lost work discovered only after the next crash. grids is
+// as for captureState.
+func periodicCheckpoint(p *Problem, lab *img.Labels, samplers []core.LabelSampler, grids []*shard.TileGrid,
+	opts SolveOptions, k int, ti tempIter, energy float64, track bool, iterations int) error {
+	if !checkpointDue(opts, k, iterations) {
 		return nil
 	}
-	if (k+1)%opts.CheckpointEvery != 0 || k+1 >= iterations {
-		return nil
-	}
-	st, err := captureState(p, lab, samplers, opts, k+1, ti.t, energy, track)
+	st, err := captureState(p, lab, samplers, grids, opts, k+1, ti.t, energy, track)
 	if err != nil {
 		return fmt.Errorf("mrf: sweep %d checkpoint: %w", k, err)
 	}
@@ -247,13 +276,14 @@ func periodicCheckpoint(p *Problem, lab *img.Labels, samplers []core.LabelSample
 // in-flight work survives the cancellation (the serving layer's drain path
 // and the CLI's -timeout both rely on this). The snapshot resumes at sweep
 // k — the sweep the cancellation pre-empted. Capture or hook errors are
-// joined onto the cancellation cause rather than replacing it.
-func cancelCheckpoint(cause error, p *Problem, lab *img.Labels, samplers []core.LabelSampler, opts SolveOptions,
-	k int, ti tempIter, energy float64, track bool) error {
+// joined onto the cancellation cause rather than replacing it. grids is as
+// for captureState.
+func cancelCheckpoint(cause error, p *Problem, lab *img.Labels, samplers []core.LabelSampler, grids []*shard.TileGrid,
+	opts SolveOptions, k int, ti tempIter, energy float64, track bool) error {
 	if opts.OnCheckpoint == nil {
 		return cause
 	}
-	st, err := captureState(p, lab, samplers, opts, k, ti.t, energy, track)
+	st, err := captureState(p, lab, samplers, grids, opts, k, ti.t, energy, track)
 	if err != nil {
 		return errors.Join(cause, fmt.Errorf("mrf: cancellation checkpoint: %w", err))
 	}

@@ -16,10 +16,10 @@ import (
 // sweepRec is one OnSweep observation; exact float equality across runs is
 // the "byte-identical run logs" half of the resume guarantee.
 type sweepRec struct {
-	Sweep int
-	T     float64
+	Sweep  int
+	T      float64
 	Energy float64
-	Flips int
+	Flips  int
 }
 
 func recordInto(recs *[]sweepRec) func(int, *img.Labels, SolveStats) {
@@ -99,8 +99,8 @@ func TestCheckpointResumeBitExactSerial(t *testing.T) {
 	}
 }
 
-// TestCheckpointResumeBitExactParallel runs the pooled solver with RSU-G
-// units, fault injection and a UQ collector — every stateful component at
+// TestCheckpointResumeBitExactParallel runs the 3-worker tile engine with
+// RSU-G units, fault injection and a UQ collector — every stateful component at
 // once — and verifies labels, run logs, fault counters and posterior
 // marginals all survive a mid-run snapshot + resume bit-exactly.
 func TestCheckpointResumeBitExactParallel(t *testing.T) {
@@ -137,7 +137,7 @@ func TestCheckpointResumeBitExactParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := SolveParallel(p, makeSamplers(), sched, SolveOptions{
+	full, err := solveSamplers(context.Background(), p, makeSamplers(), sched, SolveOptions{
 		OnSweep: recordInto(&fullRecs), Collector: fullAcc, Faults: fullInj,
 	})
 	if err != nil {
@@ -152,7 +152,7 @@ func TestCheckpointResumeBitExactParallel(t *testing.T) {
 		t.Fatal(err)
 	}
 	headAcc := makeAcc()
-	headLab, err := SolveParallel(p, makeSamplers(), sched, SolveOptions{
+	headLab, err := solveSamplers(context.Background(), p, makeSamplers(), sched, SolveOptions{
 		OnSweep: func(int, *img.Labels, SolveStats) {}, Collector: headAcc, Faults: headInj,
 		CheckpointEvery: 8,
 		OnCheckpoint: func(st *SolverState) error {
@@ -185,7 +185,7 @@ func TestCheckpointResumeBitExactParallel(t *testing.T) {
 		t.Fatal(err)
 	}
 	tailAcc := makeAcc()
-	got, err := SolveParallel(p, makeSamplers(), sched, SolveOptions{
+	got, err := solveSamplers(context.Background(), p, makeSamplers(), sched, SolveOptions{
 		OnSweep: recordInto(&tailRecs), Collector: tailAcc, Faults: tailInj,
 		Resume: snap,
 	})
@@ -316,7 +316,7 @@ func TestCheckpointValidation(t *testing.T) {
 		run  func() error
 	}{
 		{"worker mismatch", func() error {
-			_, err := SolveParallel(p, []core.LabelSampler{
+			_, err := solveSamplers(context.Background(), p, []core.LabelSampler{
 				core.NewSoftwareSampler(rng.NewXoshiro256(1)),
 				core.NewSoftwareSampler(rng.NewXoshiro256(2)),
 			}, sched, SolveOptions{Resume: snap})

@@ -1,6 +1,7 @@
 package mrf
 
 import (
+	"context"
 	"testing"
 
 	"rsu/internal/core"
@@ -65,11 +66,11 @@ func TestFaultZeroRateBitIdentical(t *testing.T) {
 		t.Error("serial: zero-rate injection changed the labeling")
 	}
 
-	pbare, err := SolveParallel(p, mkUnits(4, 5), faultTestSched, SolveOptions{})
+	pbare, err := solveSamplers(context.Background(), p, mkUnits(4, 5), faultTestSched, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pfaulted, err := SolveParallel(p, mkUnits(4, 5), faultTestSched, SolveOptions{
+	pfaulted, err := solveSamplers(context.Background(), p, mkUnits(4, 5), faultTestSched, SolveOptions{
 		Faults: mustInjection(t, fault.Config{}),
 	})
 	if err != nil {
@@ -111,17 +112,17 @@ func TestFaultSolveReproducible(t *testing.T) {
 }
 
 // TestFaultExecutorInvariance pins the executor bit-invariance guarantee
-// with faults enabled: logical worker w hosts fault stream w regardless of
-// how many executor goroutines schedule the workers, so the labeling is
-// byte-identical at every executor count.
+// with faults enabled: tile w hosts fault stream w regardless of how many
+// executor goroutines schedule the tiles, so the labeling is byte-identical
+// at every executor count.
 func TestFaultExecutorInvariance(t *testing.T) {
 	p := twoRegionProblem(16, 12)
 	cfg := fault.Config{DarkCountPerBin: 0.02, BleedThrough: 0.1, Drift: 0.001, Seed: 3}
 
 	var want []int
 	for _, execs := range []int{1, 2, 4} {
-		lab, err := SolveParallel(p, mkUnits(4, 7), faultTestSched, SolveOptions{
-			Executors: execs,
+		lab, err := solveSamplers(context.Background(), p, mkUnits(4, 7), faultTestSched, SolveOptions{
+			executors: execs,
 			Faults:    mustInjection(t, cfg),
 		})
 		if err != nil {
@@ -154,7 +155,7 @@ func TestFaultDetached(t *testing.T) {
 	}
 
 	units := mkUnits(4, 5)
-	if _, err := SolveParallel(p, units, faultTestSched, SolveOptions{
+	if _, err := solveSamplers(context.Background(), p, units, faultTestSched, SolveOptions{
 		Faults: mustInjection(t, fault.Config{DarkCountPerBin: 0.01}),
 	}); err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package mrf
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -153,17 +154,25 @@ func TestIncrementalEnergyMatchesRecompute(t *testing.T) {
 
 // referenceSolve is the pre-fusion solver loop (per-pixel gather + Sample,
 // per-sweep closed-form temperature), kept as the behavioral oracle for the
-// fused engine: for identical seeds the fused solvers must reproduce it
-// label for label.
+// fused engines: for identical seeds the serial engine (workers == 1) and the
+// tile engine at Workers = workers must reproduce it label for label. The
+// parallel branch emulates workerGeometry pixel by pixel without the tile
+// machinery: the grid splits into n row bands when it has at least n rows,
+// otherwise into min(n, W) column bands, with the even split w*i/n, and band
+// i draws from samplers[i].
 func referenceSolve(t *testing.T, p *Problem, samplers []core.LabelSampler, sched Schedule, init *img.Labels, workers int) *img.Labels {
 	t.Helper()
 	tab := p.BuildTables()
 	lab := init.Clone()
 	energies := make([]float64, p.Labels)
-	cells := checkerCells(p.W, p.H)
-	var shards [2][][]int32
-	for color := 0; color < 2; color++ {
-		shards[color] = shardCells(cells[color], workers)
+	draw := func(s core.LabelSampler, x, y int) {
+		tab.LabelEnergies(energies, lab, x, y)
+		lab.Set(x, y, core.MustSample(s, energies, lab.At(x, y)))
+	}
+	rowBands := workers <= p.H
+	bands := workers
+	if !rowBands {
+		bands = min(workers, p.W)
 	}
 	for k := 0; k < sched.Iterations; k++ {
 		T := sched.Temperature(k)
@@ -173,20 +182,25 @@ func referenceSolve(t *testing.T, p *Problem, samplers []core.LabelSampler, sche
 		if workers == 1 {
 			for y := 0; y < p.H; y++ {
 				for x := 0; x < p.W; x++ {
-					tab.LabelEnergies(energies, lab, x, y)
-					lab.Set(x, y, core.MustSample(samplers[0], energies, lab.At(x, y)))
+					draw(samplers[0], x, y)
 				}
 			}
 			continue
 		}
-		// Workers write disjoint same-color cells and read only other-color
-		// neighbors, so emulating them sequentially is exact.
+		// Bands write disjoint same-color cells and read only other-color
+		// neighbors, so emulating them one after another is exact.
 		for color := 0; color < 2; color++ {
-			for w := 0; w < workers; w++ {
-				for _, c := range shards[color][w] {
-					x, y := int(c)%p.W, int(c)/p.W
-					tab.LabelEnergies(energies, lab, x, y)
-					lab.Set(x, y, core.MustSample(samplers[w], energies, lab.At(x, y)))
+			for b := 0; b < bands; b++ {
+				x0, x1, y0, y1 := 0, p.W, p.H*b/bands, p.H*(b+1)/bands
+				if !rowBands {
+					x0, x1, y0, y1 = p.W*b/bands, p.W*(b+1)/bands, 0, p.H
+				}
+				for y := y0; y < y1; y++ {
+					for x := x0; x < x1; x++ {
+						if (x+y)%2 == color {
+							draw(samplers[b], x, y)
+						}
+					}
 				}
 			}
 		}
@@ -194,10 +208,11 @@ func referenceSolve(t *testing.T, p *Problem, samplers []core.LabelSampler, sche
 	return lab
 }
 
-// TestFusedSolversMatchReference races the fused serial and parallel solvers
-// against the pre-fusion reference loop on random problems with identically
-// seeded RSU-G units. Any divergence — a stale row-block slot, a mis-split
-// segment, a temperature-iterator draw shift — shows up as a label mismatch.
+// TestFusedSolversMatchReference races the fused serial engine and the tile
+// engine at Workers = 2, 3 against the pre-fusion reference loop on random
+// problems with identically seeded RSU-G units. Any divergence — a stale
+// row-block slot, a mis-split segment, a temperature-iterator draw shift —
+// shows up as a label mismatch.
 func TestFusedSolversMatchReference(t *testing.T) {
 	r := rand.New(rand.NewSource(64))
 	for trial := 0; trial < 10; trial++ {
@@ -214,13 +229,7 @@ func TestFusedSolversMatchReference(t *testing.T) {
 				return s
 			}
 			want := referenceSolve(t, p, mk(), sched, init, workers)
-			var got *img.Labels
-			var err error
-			if workers == 1 {
-				got, err = Solve(p, mk()[0], sched, SolveOptions{Init: init})
-			} else {
-				got, err = SolveParallel(p, mk(), sched, SolveOptions{Init: init})
-			}
+			got, err := solveSamplers(context.Background(), p, mk(), sched, SolveOptions{Init: init})
 			if err != nil {
 				t.Fatalf("trial %d workers %d: %v", trial, workers, err)
 			}
@@ -231,6 +240,66 @@ func TestFusedSolversMatchReference(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestWorkerGeometryMatchesReference is the randomized property test of the
+// Workers → tile-geometry mapping: SolveAuto{Workers: n} must reproduce the
+// band-by-band reference pixel for pixel on random grids, including H % n ≠ 0
+// (uneven row bands), n == H (one-row bands) and n > H (column bands). The seed is fixed and logged,
+// so a failing configuration replays exactly.
+func TestWorkerGeometryMatchesReference(t *testing.T) {
+	const seed = 20261017
+	t.Logf("seed %d", seed)
+	r := rand.New(rand.NewSource(seed))
+	// setup randomizes one configuration.
+	setup := func() (p *Problem, n int, init *img.Labels, sched Schedule, executors int) {
+		// w, h ∈ [1, 30]: from single pixels to grids with ragged bands.
+		w, h := 1+r.Intn(30), 1+r.Intn(30)
+		// n ∈ [2, 6] workers; any n > h selects column bands.
+		n = 2 + r.Intn(5)
+		// labels ∈ [2, 5].
+		labels := 2 + r.Intn(4)
+		p = randomShardProblem(r, w, h, labels)
+		init = randomLabeling(r, w, h, labels)
+		// 2-7 sweeps, from fixed-temperature sampling to a fast anneal.
+		sched = Schedule{T0: 1 + r.Float64()*15, Alpha: 0.8 + r.Float64()*0.2, Iterations: 2 + r.Intn(6)}
+		// executors ∈ [0, 4], 0 = the default rule; never changes the output.
+		executors = r.Intn(5)
+		return p, n, init, sched, executors
+	}
+	uneven, short, exact := 0, 0, 0
+	for trial := 0; trial < 200; trial++ {
+		p, n, init, sched, executors := setup()
+		switch {
+		case n > p.H:
+			short++
+		case n == p.H:
+			exact++
+		case p.H%n != 0:
+			uneven++
+		}
+		mk := func() []core.LabelSampler {
+			s := make([]core.LabelSampler, n)
+			for w := range s {
+				s[w] = core.MustUnit(core.NewRSUG(), rng.NewXoshiro256(core.StreamSeed(seed+uint64(trial), w)), true)
+			}
+			return s
+		}
+		want := referenceSolve(t, p, mk(), sched, init, n)
+		got, err := solveSamplers(context.Background(), p, mk(), sched, SolveOptions{Init: init, executors: executors})
+		if err != nil {
+			t.Fatalf("trial %d (%dx%d, n=%d): %v", trial, p.W, p.H, n, err)
+		}
+		for i := range got.L {
+			if got.L[i] != want.L[i] {
+				t.Fatalf("trial %d (%dx%d, n=%d, %d labels): label[%d] = %d, reference %d",
+					trial, p.W, p.H, n, p.Labels, i, got.L[i], want.L[i])
+			}
+		}
+	}
+	if uneven == 0 || short == 0 || exact == 0 {
+		t.Fatalf("configurations exercised %d uneven-band, %d n > H and %d n == H cases, want all three", uneven, short, exact)
 	}
 }
 
@@ -287,12 +356,12 @@ func TestSerialSweepSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestSolveParallelExecutorInvariance pins the executors/workers split:
-// logical workers (samplers, shards, RNG streams) fix the output, executors
-// only schedule them, so every executor count — including the clamped and
-// auto-resolved ones — must produce the bit-identical labeling. Running the
-// full executor range also drives the cross-goroutine phase barrier under
-// the race detector regardless of the host's core count.
+// TestSolveParallelExecutorInvariance pins the executors/workers split at
+// Workers = 4: tiles (samplers, owned cells, RNG streams) fix the output,
+// executors only schedule them, so every executor count — including the
+// clamped and auto-resolved ones — must produce the bit-identical labeling.
+// Running the full executor range also drives the cross-goroutine barriers
+// under the race detector regardless of the host's core count.
 func TestSolveParallelExecutorInvariance(t *testing.T) {
 	r := rand.New(rand.NewSource(4096))
 	for trial := 0; trial < 4; trial++ {
@@ -309,7 +378,7 @@ func TestSolveParallelExecutorInvariance(t *testing.T) {
 		}
 		var want *img.Labels
 		for _, executors := range []int{1, 2, 3, 4, 7, 0} {
-			got, err := SolveParallel(p, mk(), sched, SolveOptions{Init: init, Executors: executors})
+			got, err := solveSamplers(context.Background(), p, mk(), sched, SolveOptions{Init: init, executors: executors})
 			if err != nil {
 				t.Fatalf("trial %d executors %d: %v", trial, executors, err)
 			}

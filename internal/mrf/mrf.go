@@ -313,8 +313,8 @@ func (t *Tables) LabelEnergiesRow(dst []float64, lab *img.Labels, y int) {
 }
 
 // TileView returns a Tables restricted to the sub-rectangle [x0,x1)×[y0,y1)
-// of the problem grid: the singleton rows are copied (re-based so the view's
-// pixel (x, y) is the problem's (x0+x, y0+y)) and the pairwise LUT is shared.
+// of the problem grid: the singleton rows are re-based so the view's pixel
+// (x, y) is the problem's (x0+x, y0+y), and the pairwise LUT is shared.
 // The view is a complete, standalone Tables over a (x1-x0)×(y1-y0) problem —
 // the sharded solver builds one per tile's extended rectangle so every fused
 // kernel (LabelEnergiesSeg, FlipDelta, TotalEnergy) runs unchanged on
@@ -331,10 +331,16 @@ func (t *Tables) TileView(x0, y0, x1, y1 int) (*Tables, error) {
 	}
 	w, h := x1-x0, y1-y0
 	L := p.Labels
-	singles := make([]float64, w*h*L)
-	for y := 0; y < h; y++ {
-		src := ((y0+y)*p.W + x0) * L
-		copy(singles[y*w*L:(y+1)*w*L], t.Singles[src:src+w*L])
+	// A full-width view's rows are already contiguous in the parent table,
+	// so it aliases them (tables are read-only); narrower views copy their
+	// rows into a compact tile-local table.
+	singles := t.Singles[y0*p.W*L : y1*p.W*L : y1*p.W*L]
+	if w < p.W {
+		singles = make([]float64, w*h*L)
+		for y := 0; y < h; y++ {
+			src := ((y0+y)*p.W + x0) * L
+			copy(singles[y*w*L:(y+1)*w*L], t.Singles[src:src+w*L])
+		}
 	}
 	view := &Problem{
 		W: w, H: h, Labels: L,

@@ -1,12 +1,21 @@
 package mrf
 
 import (
+	"context"
 	"testing"
 
 	"rsu/internal/core"
 	"rsu/internal/img"
 	"rsu/internal/rng"
 )
+
+// solveSamplers runs SolveAutoCtx at Workers = len(ss) with factory(w) =
+// ss[w] — the sampler-slice form the worker-parallel tests drive the tile
+// engine through.
+func solveSamplers(ctx context.Context, p *Problem, ss []core.LabelSampler, sched Schedule, opts SolveOptions) (*img.Labels, error) {
+	opts.Workers = len(ss)
+	return SolveAutoCtx(ctx, p, func(w int) core.LabelSampler { return ss[w] }, sched, opts)
+}
 
 func mkSamplers(n int, seed uint64) []core.LabelSampler {
 	ss := make([]core.LabelSampler, n)
@@ -18,7 +27,7 @@ func mkSamplers(n int, seed uint64) []core.LabelSampler {
 
 func TestSolveParallelRecoversTwoRegions(t *testing.T) {
 	p := twoRegionProblem(16, 12)
-	lab, err := SolveParallel(p, mkSamplers(4, 1), Schedule{T0: 4, Alpha: 0.85, Iterations: 40}, SolveOptions{})
+	lab, err := solveSamplers(context.Background(), p, mkSamplers(4, 1), Schedule{T0: 4, Alpha: 0.85, Iterations: 40}, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +55,7 @@ func TestSolveParallelMatchesSequentialQuality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := SolveParallel(p, mkSamplers(3, 3), sched, SolveOptions{})
+	par, err := solveSamplers(context.Background(), p, mkSamplers(3, 3), sched, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +72,7 @@ func TestSolveParallelWithRSUGUnits(t *testing.T) {
 		core.MustUnit(core.NewRSUG(), rng.NewXoshiro256(4), true),
 		core.MustUnit(core.NewRSUG(), rng.NewXoshiro256(5), true),
 	}
-	lab, err := SolveParallel(p, samplers, Schedule{T0: 4, Alpha: 0.85, Iterations: 40}, SolveOptions{})
+	lab, err := solveSamplers(context.Background(), p, samplers, Schedule{T0: 4, Alpha: 0.85, Iterations: 40}, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,23 +96,23 @@ func TestSolveParallelWithRSUGUnits(t *testing.T) {
 func TestSolveParallelErrors(t *testing.T) {
 	p := twoRegionProblem(6, 6)
 	sched := Schedule{T0: 2, Alpha: 0.9, Iterations: 2}
-	if _, err := SolveParallel(p, nil, sched, SolveOptions{}); err == nil {
-		t.Error("empty samplers must error")
+	if _, err := SolveAuto(p, nil, sched, SolveOptions{Workers: 2}); err == nil {
+		t.Error("nil factory must error")
 	}
-	if _, err := SolveParallel(p, []core.LabelSampler{nil}, sched, SolveOptions{}); err == nil {
+	if _, err := solveSamplers(context.Background(), p, []core.LabelSampler{mkSamplers(1, 9)[0], nil}, sched, SolveOptions{}); err == nil {
 		t.Error("nil sampler must error")
 	}
-	if _, err := SolveParallel(p, mkSamplers(2, 9), Schedule{}, SolveOptions{}); err == nil {
+	if _, err := solveSamplers(context.Background(), p, mkSamplers(2, 9), Schedule{}, SolveOptions{}); err == nil {
 		t.Error("bad schedule must error")
 	}
-	if _, err := SolveParallel(p, mkSamplers(2, 9), sched, SolveOptions{Init: img.NewLabels(2, 2)}); err == nil {
+	if _, err := solveSamplers(context.Background(), p, mkSamplers(2, 9), sched, SolveOptions{Init: img.NewLabels(2, 2)}); err == nil {
 		t.Error("mismatched init must error")
 	}
 }
 
 func TestSolveParallelMoreWorkersThanRows(t *testing.T) {
 	p := twoRegionProblem(8, 3)
-	if _, err := SolveParallel(p, mkSamplers(8, 11), Schedule{T0: 2, Alpha: 0.9, Iterations: 3}, SolveOptions{}); err != nil {
+	if _, err := solveSamplers(context.Background(), p, mkSamplers(8, 11), Schedule{T0: 2, Alpha: 0.9, Iterations: 3}, SolveOptions{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -111,12 +120,12 @@ func TestSolveParallelMoreWorkersThanRows(t *testing.T) {
 func TestSolveParallelDoesNotMutateInit(t *testing.T) {
 	p := twoRegionProblem(8, 6)
 	init := img.NewLabels(8, 6).Fill(1)
-	if _, err := SolveParallel(p, mkSamplers(2, 12), Schedule{T0: 2, Alpha: 0.9, Iterations: 2}, SolveOptions{Init: init}); err != nil {
+	if _, err := solveSamplers(context.Background(), p, mkSamplers(2, 12), Schedule{T0: 2, Alpha: 0.9, Iterations: 2}, SolveOptions{Init: init}); err != nil {
 		t.Fatal(err)
 	}
 	for _, l := range init.L {
 		if l != 1 {
-			t.Fatal("SolveParallel mutated the caller's init labeling")
+			t.Fatal("the tile engine mutated the caller's init labeling")
 		}
 	}
 }

@@ -94,14 +94,14 @@ func TestSolveCtxCancelReturnsPartialLabels(t *testing.T) {
 	}
 }
 
-// TestSolveParallelCtxCancelStopsPool is the parallel counterpart, and also
-// the goroutine-leak check: after a cancelled parallel solve returns, the
-// pool's worker goroutines must all have exited.
+// TestSolveParallelCtxCancelStopsPool is the worker-parallel counterpart, and
+// also the goroutine-leak check: after a cancelled tile-engine solve returns,
+// the pool's executor goroutines must all have exited.
 func TestSolveParallelCtxCancelStopsPool(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	p := twoRegionProblem(12, 10)
 	ctx, cancel := context.WithCancel(context.Background())
-	lab, err := SolveParallelCtx(ctx, p, mkSamplers(4, 21),
+	lab, err := solveSamplers(ctx, p, mkSamplers(4, 21),
 		Schedule{T0: 4, Alpha: 0.9, Iterations: 100000}, SolveOptions{
 			OnSweep: func(iter int, lab *img.Labels, st SolveStats) {
 				if iter == 1 {
@@ -118,20 +118,20 @@ func TestSolveParallelCtxCancelStopsPool(t *testing.T) {
 	waitForGoroutines(t, baseline)
 }
 
-// TestSolveParallelNoGoroutineLeak runs complete and erroring parallel solves
+// TestSolveParallelNoGoroutineLeak runs complete and erroring worker solves
 // and requires the goroutine count back at baseline afterwards: the pool's
 // stop path must run on every exit.
 func TestSolveParallelNoGoroutineLeak(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	p := twoRegionProblem(10, 8)
 	sched := Schedule{T0: 2, Alpha: 0.9, Iterations: 5}
-	if _, err := SolveParallel(p, mkSamplers(6, 31), sched, SolveOptions{}); err != nil {
+	if _, err := solveSamplers(context.Background(), p, mkSamplers(6, 31), sched, SolveOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	// Erroring run: a failing sampler aborts the solve mid-schedule.
 	samplers := mkSamplers(3, 32)
 	samplers[1] = &failingSampler{inner: samplers[1], n: 10}
-	if _, err := SolveParallel(p, samplers, sched, SolveOptions{}); err == nil {
+	if _, err := solveSamplers(context.Background(), p, samplers, sched, SolveOptions{}); err == nil {
 		t.Fatal("failing sampler must abort the solve")
 	}
 	waitForGoroutines(t, baseline)
@@ -181,19 +181,19 @@ func TestSolveSamplerErrorAborts(t *testing.T) {
 }
 
 // TestSolveParallelWorkerPanicBecomesError is the panic-to-error hardening
-// check: a panicking sampler inside a pool worker must fail the solve with an
-// error naming the worker — not crash the process — and leak no goroutines.
+// check: a panicking sampler inside a tile must fail the solve with an error
+// naming the tile — not crash the process — and leak no goroutines.
 func TestSolveParallelWorkerPanicBecomesError(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	p := twoRegionProblem(10, 8)
 	samplers := mkSamplers(3, 41)
 	samplers[2] = &panickySampler{inner: samplers[2], n: 7}
-	lab, err := SolveParallel(p, samplers, Schedule{T0: 2, Alpha: 0.9, Iterations: 10}, SolveOptions{})
+	lab, err := solveSamplers(context.Background(), p, samplers, Schedule{T0: 2, Alpha: 0.9, Iterations: 10}, SolveOptions{})
 	if err == nil || !strings.Contains(err.Error(), "panicked") {
 		t.Fatalf("err = %v, want worker panic surfaced as error", err)
 	}
-	if !strings.Contains(err.Error(), "worker 2") {
-		t.Fatalf("err = %v, want the panicking worker identified", err)
+	if !strings.Contains(err.Error(), "tile 2") {
+		t.Fatalf("err = %v, want the panicking tile identified", err)
 	}
 	if lab == nil {
 		t.Fatal("panicking solve must still return the partial labeling")
@@ -325,7 +325,7 @@ func TestSolveParallelCtxCancelMidSweepUnblocks(t *testing.T) {
 	samplers := []core.LabelSampler{bs, core.NewSoftwareSampler(rng.NewXoshiro256(62))}
 	done := make(chan error, 1)
 	go func() {
-		_, err := SolveParallelCtx(ctx, p, samplers,
+		_, err := solveSamplers(ctx, p, samplers,
 			Schedule{T0: 2, Alpha: 0.9, Iterations: 100000}, SolveOptions{})
 		done <- err
 	}()

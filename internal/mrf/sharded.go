@@ -2,8 +2,8 @@ package mrf
 
 import (
 	"context"
-	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 
@@ -13,8 +13,8 @@ import (
 )
 
 // AutoShardPixels is the grid size (W*H) at or above which SolveAuto picks
-// the tile-sharded solver when the caller left both Shards and Workers unset:
-// past this point the monolithic grid plus its W×H×Labels singleton table no
+// shard.Auto's tile geometry when the caller left both Shards and Workers
+// unset: past this point the grid plus its W×H×Labels singleton table no
 // longer fits any reasonable last-level cache, and tiling wins back locality.
 // Explicit Workers or an explicit geometry always override the heuristic.
 const AutoShardPixels = 1 << 18
@@ -72,11 +72,15 @@ func newShardTile(t shard.Tile, g *shard.TileGrid, view *Tables, sampler core.La
 	return st
 }
 
-// compute runs one color phase over the tile's owned cells, exactly like
-// solverPool.shard: maximal same-row stride-2 segments are gathered with one
-// LabelEnergiesSeg call on the tile view and drawn with one SampleBatch call.
-// Halo cells are read (they are the other color) but never written. Returns
-// the tile's flips and, when track, accumulates the energy delta.
+// compute runs one color phase over the tile's owned cells: maximal same-row
+// stride-2 segments are gathered with one LabelEnergiesSeg call on the tile
+// view and drawn with one SampleBatch call. Within a color phase no cell's
+// neighbors change (they are all the other color), so batch-gathering a whole
+// segment before drawing it yields exactly the energies — and therefore the
+// RNG draws — of a per-pixel loop. Halo cells are read but never written. A
+// sampler panic becomes the tile's error, so a faulty sampler fails the solve
+// instead of killing the process. Returns the tile's flips and, when track,
+// accumulates the energy delta.
 func (ts *shardTile) compute(color int, track bool) (flips int, edelta float64, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -122,9 +126,11 @@ func (ts *shardTile) compute(color int, track bool) (flips int, edelta float64, 
 	return flips, edelta, nil
 }
 
-// shardPool schedules the tiles over a fixed set of executor goroutines with
-// the same inline-executor-0 barrier protocol as solverPool, but with four
-// stages per sweep instead of two: compute color 0, exchange halos, compute
+// shardPool schedules the tiles over a fixed set of long-lived executor
+// goroutines: executor 0 is the goroutine driving sweep() itself (parking it
+// at the barrier while another thread is woken to do its work would be pure
+// scheduler churn), executors 1..E-1 park on unbuffered command channels.
+// Each sweep has four stages: compute color 0, exchange halos, compute
 // color 1, exchange halos. Compute stages write only owned cells; exchange
 // stages write only the running tile's own halo and read only neighbors'
 // owned cells — each barrier separates the two access patterns, so the sweep
@@ -158,6 +164,18 @@ const (
 	stageCompute1
 	stageExchange1
 )
+
+// resolveExecutors maps the SolveOptions.executors seam onto a concrete
+// executor count for the given tile count: <= 0 means min(tiles, NumCPU,
+// GOMAXPROCS) — more OS threads than cores buy no parallelism, only scheduler
+// churn at the barriers — and any request is clamped to [1, tiles].
+func resolveExecutors(requested, tiles int) int {
+	e := requested
+	if e <= 0 {
+		e = min(runtime.NumCPU(), runtime.GOMAXPROCS(0))
+	}
+	return max(min(e, tiles), 1)
+}
 
 func newShardPool(plan *shard.Plan, tiles []*shardTile, grids []*shard.TileGrid, track bool, nexec int) *shardPool {
 	pool := &shardPool{
@@ -262,25 +280,13 @@ func (pool *shardPool) stop() {
 	pool.exit.Wait()
 }
 
-// SolveSharded runs the tile-sharded checkerboard solver with the geometry in
-// opts.Shards (1×1 when unset), constructing one independently-seeded sampler
-// per tile through factory (called once per tile index, row-major over the
-// lattice). See SolveOptions.Shards for the equivalence and reproducibility
-// contract.
-func SolveSharded(p *Problem, factory func(tile int) core.LabelSampler, sched Schedule, opts SolveOptions) (*img.Labels, error) {
-	return SolveShardedCtx(context.Background(), p, factory, sched, opts)
-}
-
-// SolveShardedCtx is SolveSharded under a context; see SolveCtx for the
-// cancellation contract.
-func SolveShardedCtx(ctx context.Context, p *Problem, factory func(tile int) core.LabelSampler, sched Schedule, opts SolveOptions) (*img.Labels, error) {
-	if factory == nil {
-		return nil, fmt.Errorf("mrf: nil sampler factory")
-	}
+// solveShardedCtx is the tile engine behind SolveAutoCtx: the checkerboard
+// sweep on the geometry in opts.Shards, with one
+// independently-seeded sampler per tile from factory (called once per tile
+// index, row-major over the lattice). See SolveOptions.Shards for the
+// equivalence and reproducibility contract and SolveCtx for cancellation.
+func solveShardedCtx(ctx context.Context, p *Problem, factory func(tile int) core.LabelSampler, sched Schedule, opts SolveOptions) (*img.Labels, error) {
 	geom := opts.Shards
-	if geom.IsZero() {
-		geom = shard.Geometry{Rows: 1, Cols: 1}
-	}
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -311,10 +317,12 @@ func SolveShardedCtx(ctx context.Context, p *Problem, factory func(tile int) cor
 			return nil, fmt.Errorf("mrf: nil sampler for tile %d", i)
 		}
 	}
-	// Tile i hosts fault stream i — the sharded analogue of worker w hosting
-	// stream w, fixed for a given geometry at every executor count.
+	// Tile i hosts fault stream i, fixed for a given geometry at every
+	// executor count.
 	defer attachFaults(opts, samplers...)()
 
+	// Scatter seeds every tile's extended rect — halos included — from the
+	// initial (or restored) grid.
 	grids := shard.NewTileGrids(plan)
 	for _, g := range grids {
 		g.Scatter(lab.L, p.W)
@@ -336,24 +344,26 @@ func SolveShardedCtx(ctx context.Context, p *Problem, factory func(tile int) cor
 	first := 0
 	ti := sched.iter()
 	if st := opts.Resume; st != nil {
-		if err := checkResumeShards(st, geom.Rows, geom.Cols); err != nil {
+		if err := checkResumeShards(st, geom); err != nil {
 			return nil, err
 		}
 		if err := applyResume(st, sched, samplers, opts); err != nil {
 			return nil, err
 		}
-		if len(st.Halos) != ntiles {
-			return nil, fmt.Errorf("mrf: snapshot has %d halo buffers for %d tiles", len(st.Halos), ntiles)
-		}
-		// prepare already scattered the snapshot grid into lab (and Scatter
-		// above into the tiles); the halos must come from the snapshot, not
-		// from the neighbors' current labels — they are the state of the last
-		// exchange before capture, which for edge-adjacent cells is the same
-		// thing, but corners were never exchanged and must round-trip
-		// verbatim for later checkpoints to stay byte-identical.
-		for i, g := range grids {
-			if err := g.RestoreHalos(st.Halos[i]); err != nil {
-				return nil, fmt.Errorf("mrf: %w", err)
+		// A version-1 worker snapshot carries no halos: at a sweep boundary
+		// every edge halo equals the neighbor's owned cell, which Scatter
+		// already copied from the snapshot grid. A tile-engine snapshot's
+		// halos must come from the snapshot instead — for edge cells that is
+		// the same thing, but corners were never exchanged and must
+		// round-trip verbatim for later checkpoints to stay byte-identical.
+		if st.ShardRows != 0 {
+			if len(st.Halos) != ntiles {
+				return nil, fmt.Errorf("mrf: snapshot has %d halo buffers for %d tiles", len(st.Halos), ntiles)
+			}
+			for i, g := range grids {
+				if err := g.RestoreHalos(st.Halos[i]); err != nil {
+					return nil, fmt.Errorf("mrf: %w", err)
+				}
 			}
 		}
 		first = st.NextSweep
@@ -363,18 +373,20 @@ func SolveShardedCtx(ctx context.Context, p *Problem, factory func(tile int) cor
 		}
 	}
 
-	pool := newShardPool(plan, tiles, grids, track, resolveExecutors(opts.Executors, ntiles))
+	pool := newShardPool(plan, tiles, grids, track, resolveExecutors(opts.executors, ntiles))
 	defer pool.stop()
 
 	// gather reassembles the global labeling from the tiles' owned rects. It
 	// runs only when an observer needs the full grid (hook, collector,
-	// checkpoint, cancellation, final return) — steady sharded sweeps touch
-	// only tile-local memory.
+	// checkpoint, cancellation) and, deferred, on every return — so even an
+	// aborted solve hands back the partial labeling of its last full sweep.
+	// Steady sweeps touch only tile-local memory.
 	gather := func() {
 		for _, g := range grids {
 			g.GatherInto(lab.L, p.W)
 		}
 	}
+	defer gather()
 	if opts.shardPhaseHook != nil {
 		sweepIdx := first
 		pool.hook = func(color int) {
@@ -389,7 +401,7 @@ func SolveShardedCtx(ctx context.Context, p *Problem, factory func(tile int) cor
 	for k := first; k < sched.Iterations; k++ {
 		if err := ctx.Err(); err != nil {
 			gather()
-			return lab, cancelShardCheckpoint(err, p, lab, samplers, grids, geom, opts, k, ti, energy, track)
+			return lab, cancelCheckpoint(err, p, lab, samplers, grids, opts, k, ti, energy, track)
 		}
 		start := time.Now()
 		T := ti.next()
@@ -400,15 +412,12 @@ func SolveShardedCtx(ctx context.Context, p *Problem, factory func(tile int) cor
 		}
 		flips, delta, err := pool.sweep()
 		if err != nil {
-			gather()
 			return lab, err
 		}
 		if track {
 			energy += delta
 		}
-		due := opts.OnCheckpoint != nil && opts.CheckpointEvery > 0 &&
-			(k+1)%opts.CheckpointEvery == 0 && k+1 < sched.Iterations
-		if track || opts.Collector != nil || due || k+1 == sched.Iterations {
+		if track || opts.Collector != nil || checkpointDue(opts, k, sched.Iterations) {
 			gather()
 		}
 		if track {
@@ -417,48 +426,9 @@ func SolveShardedCtx(ctx context.Context, p *Problem, factory func(tile int) cor
 		if opts.Collector != nil {
 			opts.Collector.Collect(k, lab)
 		}
-		if due {
-			st, err := captureShardState(p, lab, samplers, grids, geom, opts, k+1, ti.t, energy, track)
-			if err != nil {
-				return lab, fmt.Errorf("mrf: sweep %d checkpoint: %w", k, err)
-			}
-			if err := opts.OnCheckpoint(st); err != nil {
-				return lab, fmt.Errorf("mrf: sweep %d checkpoint: %w", k, err)
-			}
+		if err := periodicCheckpoint(p, lab, samplers, grids, opts, k, ti, energy, track, sched.Iterations); err != nil {
+			return lab, err
 		}
 	}
 	return lab, nil
-}
-
-// captureShardState is captureState plus the sharded extras: the geometry and
-// every tile's halo snapshot. The caller must have gathered the tiles into
-// lab first.
-func captureShardState(p *Problem, lab *img.Labels, samplers []core.LabelSampler, grids []*shard.TileGrid,
-	geom shard.Geometry, opts SolveOptions, nextSweep int, nextT, energy float64, track bool) (*SolverState, error) {
-	st, err := captureState(p, lab, samplers, opts, nextSweep, nextT, energy, track)
-	if err != nil {
-		return nil, err
-	}
-	st.ShardRows, st.ShardCols = geom.Rows, geom.Cols
-	st.Halos = make([][]int, len(grids))
-	for i, g := range grids {
-		st.Halos[i] = g.HaloSnapshot()
-	}
-	return st, nil
-}
-
-// cancelShardCheckpoint mirrors cancelCheckpoint for the sharded solver.
-func cancelShardCheckpoint(cause error, p *Problem, lab *img.Labels, samplers []core.LabelSampler,
-	grids []*shard.TileGrid, geom shard.Geometry, opts SolveOptions, k int, ti tempIter, energy float64, track bool) error {
-	if opts.OnCheckpoint == nil {
-		return cause
-	}
-	st, err := captureShardState(p, lab, samplers, grids, geom, opts, k, ti.t, energy, track)
-	if err != nil {
-		return errors.Join(cause, fmt.Errorf("mrf: cancellation checkpoint: %w", err))
-	}
-	if err := opts.OnCheckpoint(st); err != nil {
-		return errors.Join(cause, fmt.Errorf("mrf: cancellation checkpoint: %w", err))
-	}
-	return cause
 }

@@ -2,8 +2,10 @@ package mrf
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"rsu/internal/core"
@@ -104,12 +106,12 @@ func TestShardedMatchesCheckerboardAtEveryBarrier(t *testing.T) {
 			want = append(want, snap{sweep, color, append([]int(nil), lab.L...)})
 		})
 		got := 0
-		_, err := SolveSharded(p, func(int) core.LabelSampler { return argminSampler{} },
+		_, err := solveSharded(p, func(int) core.LabelSampler { return argminSampler{} },
 			Schedule{T0: 1, Alpha: 1, Iterations: sweeps},
 			SolveOptions{
 				Init:      init,
 				Shards:    geom,
-				Executors: 1 + r.Intn(4),
+				executors: 1 + r.Intn(4),
 				shardPhaseHook: func(sweep, color int, lab *img.Labels) {
 					if got >= len(want) {
 						t.Fatalf("iter %d: more phases than the reference produced", iter)
@@ -134,6 +136,11 @@ func TestShardedMatchesCheckerboardAtEveryBarrier(t *testing.T) {
 			t.Fatalf("iter %d: observed %d phases, want %d", iter, got, len(want))
 		}
 	}
+}
+
+// solveSharded runs the tile engine directly on opts.Shards.
+func solveSharded(p *Problem, factory func(int) core.LabelSampler, sched Schedule, opts SolveOptions) (*img.Labels, error) {
+	return solveShardedCtx(context.Background(), p, factory, sched, opts)
 }
 
 func rsugFactory(seed uint64) func(int) core.LabelSampler {
@@ -163,9 +170,9 @@ func TestShardedExecutorInvariance(t *testing.T) {
 	geom := shard.Geometry{Rows: 2, Cols: 3}
 	run := func(executors int) ([]int, []float64) {
 		var energies []float64
-		lab, err := SolveSharded(p, rsugFactory(99), sched, SolveOptions{
+		lab, err := solveSharded(p, rsugFactory(99), sched, SolveOptions{
 			Shards:    geom,
-			Executors: executors,
+			executors: executors,
 			OnSweep: func(iter int, lab *img.Labels, st SolveStats) {
 				energies = append(energies, st.Energy)
 			},
@@ -200,7 +207,7 @@ func TestSharded1x1MatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := SolveSharded(p, rsugFactory(7), sched, SolveOptions{Shards: shard.Geometry{Rows: 1, Cols: 1}})
+	got, err := solveSharded(p, rsugFactory(7), sched, SolveOptions{Shards: shard.Geometry{Rows: 1, Cols: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,11 +227,11 @@ func TestShardedReproducible(t *testing.T) {
 	p := shardTestProblem(24, 18, 5)
 	sched := Schedule{T0: 8, Alpha: 0.9, Iterations: 5}
 	opts := SolveOptions{Shards: shard.Geometry{Rows: 2, Cols: 2}}
-	a, err := SolveSharded(p, rsugFactory(5), sched, opts)
+	a, err := solveSharded(p, rsugFactory(5), sched, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SolveSharded(p, rsugFactory(5), sched, opts)
+	b, err := solveSharded(p, rsugFactory(5), sched, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,13 +241,13 @@ func TestShardedReproducible(t *testing.T) {
 }
 
 // TestSolveAutoShardDispatch covers the dispatch rules: an explicit geometry
-// selects the sharded solver regardless of Workers, and the sharded result
-// matches calling SolveSharded directly.
+// selects the tile engine regardless of Workers, and the result matches
+// running the tile engine directly.
 func TestSolveAutoShardDispatch(t *testing.T) {
 	p := shardTestProblem(20, 14, 4)
 	sched := Schedule{T0: 6, Alpha: 0.9, Iterations: 4}
 	geom := shard.Geometry{Rows: 2, Cols: 2}
-	want, err := SolveSharded(p, rsugFactory(11), sched, SolveOptions{Shards: geom})
+	want, err := solveSharded(p, rsugFactory(11), sched, SolveOptions{Shards: geom})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +257,7 @@ func TestSolveAutoShardDispatch(t *testing.T) {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if !bytes.Equal(encodeLabels(got), encodeLabels(want)) {
-			t.Fatalf("workers=%d: SolveAuto with Shards diverges from SolveSharded", workers)
+			t.Fatalf("workers=%d: SolveAuto with Shards diverges from the tile engine", workers)
 		}
 	}
 }
@@ -265,7 +272,7 @@ func TestShardedCheckpointResume(t *testing.T) {
 	geom := shard.Geometry{Rows: 2, Cols: 2}
 
 	var refEnergy []float64
-	want, err := SolveSharded(p, rsugFactory(3), sched, SolveOptions{
+	want, err := solveSharded(p, rsugFactory(3), sched, SolveOptions{
 		Shards: geom,
 		OnSweep: func(iter int, lab *img.Labels, st SolveStats) {
 			refEnergy = append(refEnergy, st.Energy)
@@ -278,7 +285,7 @@ func TestShardedCheckpointResume(t *testing.T) {
 	const mid = 4
 	var snap *SolverState
 	var headEnergy []float64
-	_, err = SolveSharded(p, rsugFactory(3), sched, SolveOptions{
+	_, err = solveSharded(p, rsugFactory(3), sched, SolveOptions{
 		Shards:          geom,
 		CheckpointEvery: mid,
 		OnCheckpoint: func(st *SolverState) error {
@@ -330,14 +337,14 @@ func TestShardedCheckpointResume(t *testing.T) {
 }
 
 // TestResumeShardMismatch pins the cross-mode rejections: sharded snapshots
-// cannot resume on serial/parallel paths with a mismatched geometry, and
-// unsharded snapshots cannot resume sharded.
+// cannot resume on the serial engine or on a different lattice, and serial
+// snapshots cannot resume sharded.
 func TestResumeShardMismatch(t *testing.T) {
 	p := shardTestProblem(16, 12, 4)
 	sched := Schedule{T0: 8, Alpha: 0.9, Iterations: 6}
 	geom := shard.Geometry{Rows: 2, Cols: 2}
 	var shardSnap, serialSnap *SolverState
-	if _, err := SolveSharded(p, rsugFactory(1), sched, SolveOptions{
+	if _, err := solveSharded(p, rsugFactory(1), sched, SolveOptions{
 		Shards: geom, CheckpointEvery: 3,
 		OnCheckpoint: func(st *SolverState) error { shardSnap = st; return nil },
 	}); err != nil {
@@ -345,36 +352,34 @@ func TestResumeShardMismatch(t *testing.T) {
 	}
 	if _, err := Solve(p, rsugFactory(1)(0), sched, SolveOptions{
 		CheckpointEvery: 3,
-		OnCheckpoint: func(st *SolverState) error { serialSnap = st; return nil },
+		OnCheckpoint:    func(st *SolverState) error { serialSnap = st; return nil },
 	}); err != nil {
 		t.Fatal(err)
 	}
 
-	// A 2×2-sharded snapshot says Workers=4; a 4-worker parallel resume must
-	// still be rejected — the draw sequences differ.
-	samplers := make([]core.LabelSampler, 4)
-	for i := range samplers {
-		samplers[i] = rsugFactory(1)(i)
-	}
-	if _, err := SolveParallel(p, samplers, sched, SolveOptions{Resume: shardSnap}); err == nil {
-		t.Fatal("parallel solver accepted a sharded snapshot")
+	// A 2×2-sharded snapshot says Workers=4; resuming it on the 4×1 lattice
+	// of Workers=4 must still be rejected — the draw sequences differ.
+	if _, err := solveSharded(p, rsugFactory(1), sched, SolveOptions{
+		Shards: workerGeometry(4, p.W, p.H), Resume: shardSnap,
+	}); err == nil {
+		t.Fatal("4x1 tiles accepted a 2x2 snapshot")
 	}
 	if _, err := Solve(p, rsugFactory(1)(0), sched, SolveOptions{Resume: shardSnap}); err == nil {
 		t.Fatal("serial solver accepted a sharded snapshot")
 	}
-	if _, err := SolveSharded(p, rsugFactory(1), sched, SolveOptions{Shards: geom, Resume: serialSnap}); err == nil {
+	if _, err := solveSharded(p, rsugFactory(1), sched, SolveOptions{Shards: geom, Resume: serialSnap}); err == nil {
 		t.Fatal("sharded solver accepted an unsharded snapshot")
 	}
-	if _, err := SolveSharded(p, rsugFactory(1), sched, SolveOptions{
+	if _, err := solveSharded(p, rsugFactory(1), sched, SolveOptions{
 		Shards: shard.Geometry{Rows: 2, Cols: 3}, Resume: shardSnap,
 	}); err == nil {
 		t.Fatal("sharded solver accepted a snapshot with a different geometry")
 	}
 }
 
-// TestShardsRejectedWithoutFactory pins the guard on the sampler entry
-// points: a multi-tile geometry without a per-tile factory is an error, not a
-// silent fallback.
+// TestShardsRejectedWithoutFactory pins the guard on the single-sampler entry
+// point: a multi-tile geometry without a per-tile factory is an error, not a
+// silent fallback — and an invalid geometry is an error too.
 func TestShardsRejectedWithoutFactory(t *testing.T) {
 	p := shardTestProblem(10, 8, 3)
 	sched := Schedule{T0: 4, Alpha: 1, Iterations: 2}
@@ -382,10 +387,62 @@ func TestShardsRejectedWithoutFactory(t *testing.T) {
 	if _, err := Solve(p, rsugFactory(1)(0), sched, SolveOptions{Shards: geom}); err == nil {
 		t.Fatal("Solve accepted a multi-tile geometry")
 	}
-	if _, err := SolveParallel(p, []core.LabelSampler{rsugFactory(1)(0), rsugFactory(1)(1)}, sched, SolveOptions{Shards: geom}); err == nil {
-		t.Fatal("SolveParallel accepted a multi-tile geometry")
+	if _, err := solveSharded(p, rsugFactory(1), sched, SolveOptions{Shards: shard.Geometry{Rows: 20, Cols: 1}}); err == nil {
+		t.Fatal("the tile engine accepted a geometry with more tile rows than grid rows")
 	}
-	if _, err := SolveSharded(p, rsugFactory(1), sched, SolveOptions{Shards: shard.Geometry{Rows: 20, Cols: 1}}); err == nil {
-		t.Fatal("SolveSharded accepted a geometry with more tile rows than grid rows")
+}
+
+// tempFailSampler fails its SetTemperature call for sweep failAt (counting
+// from 0); every other call passes through.
+type tempFailSampler struct {
+	core.LabelSampler
+	failAt, calls int
+}
+
+func (f *tempFailSampler) SetTemperature(T float64) error {
+	f.calls++
+	if f.calls-1 == f.failAt {
+		return fmt.Errorf("injected SetTemperature failure")
+	}
+	return f.LabelSampler.SetTemperature(T)
+}
+
+// TestSetTemperatureFailureReturnsPartialLabels pins the SolveCtx contract
+// on the tile engine, for a worker count and an explicit lattice: a sampler
+// that fails SetTemperature at sweep 3 aborts the solve with the labeling of
+// the three completed sweeps — gathered from the tiles, not a stale
+// observer copy.
+func TestSetTemperatureFailureReturnsPartialLabels(t *testing.T) {
+	p := shardTestProblem(14, 10, 4)
+	sched := Schedule{T0: 8, Alpha: 0.9, Iterations: 8}
+	factory := func(failAt int) func(int) core.LabelSampler {
+		return func(w int) core.LabelSampler {
+			f := &tempFailSampler{LabelSampler: rsugFactory(17)(w), failAt: -1}
+			if w == 0 {
+				f.failAt = failAt
+			}
+			return f
+		}
+	}
+	for _, opts := range []SolveOptions{{Workers: 2}, {Shards: shard.Geometry{Rows: 2, Cols: 2}}} {
+		// The reference is the labeling an OnSweep hook sees after sweep 2
+		// of an unfailing run, so it does not depend on the return path.
+		var want *img.Labels
+		ref := opts
+		ref.OnSweep = func(iter int, lab *img.Labels, _ SolveStats) {
+			if iter == 2 {
+				want = lab.Clone()
+			}
+		}
+		if _, err := SolveAuto(p, factory(-1), sched, ref); err != nil {
+			t.Fatal(err)
+		}
+		got, err := SolveAuto(p, factory(3), sched, opts)
+		if err == nil || !strings.Contains(err.Error(), "injected SetTemperature failure") {
+			t.Fatalf("workers %d shards %s: err = %v, want the injected SetTemperature failure", opts.Workers, opts.Shards, err)
+		}
+		if !bytes.Equal(encodeLabels(got), encodeLabels(want)) {
+			t.Fatalf("workers %d shards %s: aborted solve did not return the labels of its three completed sweeps", opts.Workers, opts.Shards)
+		}
 	}
 }

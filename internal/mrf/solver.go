@@ -116,13 +116,13 @@ type SolveStats struct {
 
 // Collector receives the labeling after every completed sweep — the hook the
 // uncertainty-quantification subsystem (internal/uq) accumulates posterior
-// samples through. The contract is identical under Solve, SolveParallel and
-// the persistent worker pool:
+// samples through. The contract is identical on the serial engine and the
+// tile engine, at every worker count and tile geometry:
 //
 //   - Collect runs on the goroutine driving the solve, after the sweep's
-//     label writes are published (the phase barrier in the parallel solver)
-//     and after the OnSweep hook, so its cost is never charged to
-//     SolveStats.Elapsed.
+//     label writes are published (the tile engine's last halo-exchange
+//     barrier, then a gather of the tiles into the full grid) and after the
+//     OnSweep hook, so its cost is never charged to SolveStats.Elapsed.
 //   - The *img.Labels argument is the solver's reused working buffer, exactly
 //     as for OnSweep: a collector that retains labels beyond the call must
 //     copy them. Collectors that only fold the labeling into an aggregate
@@ -141,28 +141,25 @@ type SolveOptions struct {
 	// OnSweep, if non-nil, is called after each sweep with the sweep index,
 	// the current labeling, and the sweep's SolveStats record.
 	//
-	// The *img.Labels argument is the solver's working buffer: every solver
-	// (serial and parallel) reuses the same storage across sweeps and keeps
+	// The *img.Labels argument is the solver's working buffer: both engines
+	// (serial and tile) reuse the same storage across sweeps and keep
 	// mutating it after the hook returns. Callers that retain the labeling
 	// beyond the hook invocation MUST take a copy (lab.Clone()); retaining
 	// the pointer observes later sweeps' mutations. The SolveStats value is
 	// safe to retain.
 	OnSweep func(iter int, lab *img.Labels, st SolveStats)
-	// Workers selects the solver parallelism for entry points that can
-	// construct one sampler per worker (SolveAuto and the application
-	// drivers): 0 = GOMAXPROCS, 1 = the exact serial Solve behavior,
-	// n > 1 = n checkerboard-parallel workers. Solve and SolveParallel
-	// themselves ignore it — their sampler arguments fix the worker count.
+	// Workers selects the solver parallelism for the factory entry points
+	// (SolveAuto and the application drivers): 0 = GOMAXPROCS, 1 = the exact
+	// serial Solve behavior, n > 1 = the tile engine on n row bands (n×1
+	// tiles, one sampler each), or on one band of min(n, W) columns when the
+	// grid has fewer than n rows. Solve ignores it — its single sampler fixes
+	// the parallelism.
 	Workers int
-	// Executors caps how many goroutines actually run the logical worker
-	// shards of the parallel solver. Logical workers fix the output — each
-	// owns one sampler (RNG stream) and one shard per color — while
-	// executors merely schedule them, so every executor count yields a
-	// bit-identical labeling. 0 = min(workers, NumCPU, GOMAXPROCS): running
-	// more OS threads than physical cores buys no parallelism and only adds
-	// scheduler churn at the color-phase barriers. Values above the worker
-	// count are clamped to it.
-	Executors int
+	// executors caps how many goroutines run the tile engine's tiles; 0 =
+	// min(tiles, NumCPU, GOMAXPROCS). Tiles fix the output and executors only
+	// schedule them, so every count yields a bit-identical labeling — an
+	// in-package test seam, like shardPhaseHook.
+	executors int
 	// Tables, when non-nil, supplies precomputed lookup tables for the
 	// problem (see Problem.BuildTables), letting multi-restart callers
 	// amortize table construction across solves. Must have been built
@@ -194,34 +191,33 @@ type SolveOptions struct {
 	// Checkpointing requires every sampler (and the Collector, if any) to be
 	// checkpointable; the first capture reports a violation as an error.
 	OnCheckpoint func(*SolverState) error
-	// Shards selects the tile-sharded solver geometry for the factory entry
-	// points (SolveAuto and the application drivers): the grid is split into
-	// Shards.Rows × Shards.Cols tiles with 1-pixel halos exchanged at every
-	// checkerboard color-phase barrier, each tile drawing from its own RNG
-	// stream (factory(tileIndex)). The zero value — the default — means not
-	// sharded; SolveAuto may still shard automatically for grids of
-	// AutoShardPixels pixels or more. A 1×1 geometry delegates to the serial
-	// solver and is byte-identical to it. Multi-tile output differs from the
-	// monolithic solvers only through RNG stream assignment — the transition
-	// kernel (and so the stationary distribution) is identical, which
-	// rsu-verify's sharding-equivalence battery gates. For a fixed geometry
-	// and seed the result is bit-exactly reproducible at any Executors count.
-	// Workers is ignored when sharding: the tile lattice fixes the
-	// parallelism.
+	// Shards selects the tile geometry for the factory entry points (SolveAuto
+	// and the application drivers): the grid is split into Shards.Rows ×
+	// Shards.Cols tiles with 1-pixel halos exchanged at every checkerboard
+	// color-phase barrier, each tile drawing from its own RNG stream
+	// (factory(tileIndex)). The zero value — the default — leaves the
+	// geometry to Workers; SolveAuto may also shard automatically for grids
+	// of AutoShardPixels pixels or more. A 1×1 geometry delegates to the
+	// serial solver and is byte-identical to it. Multi-tile output differs
+	// from the serial solver only through the sweep order and RNG stream
+	// assignment — the stationary distribution is identical, which
+	// rsu-verify's marginal and sharding-equivalence batteries gate. For a
+	// fixed geometry and seed the result is bit-exactly reproducible at any
+	// executor count. Workers is ignored when Shards is set.
 	Shards shard.Geometry
 	// shardPhaseHook, when non-nil, observes the full gathered labeling after
-	// every color-phase halo exchange of the sharded solver — a test-only
-	// seam the halo-exchange property tests use to compare against the
-	// monolithic checkerboard reference at each barrier.
+	// every color-phase halo exchange of the tile engine — a test-only seam
+	// the halo-exchange property tests use to compare against a whole-grid
+	// checkerboard reference at each barrier.
 	shardPhaseHook func(sweep, color int, lab *img.Labels)
 	// Resume, when non-nil, restores a previously captured snapshot instead
-	// of starting fresh: the grid, every worker's RNG stream and counters,
+	// of starting fresh: the grid, every stream's RNG state and counters,
 	// the schedule position, the incremental energy, and the fault/collector
 	// state. The run configuration must match the capturing run (problem
-	// shape, worker count, schedule, fault and collector presence); Init is
-	// ignored. A resumed run is bit-identical to the uninterrupted one — the
-	// guarantee rsu-verify's checkpoint gate enforces against all golden
-	// traces.
+	// shape, worker count or tile geometry, schedule, fault and collector
+	// presence); Init is ignored. A resumed run is bit-identical to the
+	// uninterrupted one — the guarantee rsu-verify's checkpoint gate
+	// enforces against all golden traces.
 	Resume *SolverState
 }
 
@@ -256,7 +252,7 @@ func ResolveWorkers(n int) int {
 
 // prepare validates the problem and schedule, clones or allocates the
 // initial labeling, and resolves the lookup tables — the entry sequence
-// shared by Solve and SolveParallel.
+// shared by both sweep engines.
 func prepare(p *Problem, sched Schedule, opts SolveOptions) (*img.Labels, *Tables, error) {
 	if err := p.Validate(); err != nil {
 		return nil, nil, err
@@ -397,7 +393,7 @@ func SolveCtx(ctx context.Context, p *Problem, sampler core.LabelSampler, sched 
 		return nil, fmt.Errorf("mrf: nil sampler")
 	}
 	if opts.Shards.Tiles() > 1 {
-		return nil, fmt.Errorf("mrf: SolveOptions.Shards %s needs one sampler per tile — use SolveAuto or SolveSharded with a factory", opts.Shards)
+		return nil, fmt.Errorf("mrf: SolveOptions.Shards %s needs one sampler per tile — use SolveAuto with a factory", opts.Shards)
 	}
 	lab, tab, err := prepare(p, sched, opts)
 	if err != nil {
@@ -409,7 +405,7 @@ func SolveCtx(ctx context.Context, p *Problem, sampler core.LabelSampler, sched 
 	first := 0
 	ti := sched.iter()
 	if st := opts.Resume; st != nil {
-		if err := checkResumeShards(st, 0, 0); err != nil {
+		if err := checkResumeShards(st, shard.Geometry{}); err != nil {
 			return nil, err
 		}
 		if err := applyResume(st, sched, samplers, opts); err != nil {
@@ -426,7 +422,7 @@ func SolveCtx(ctx context.Context, p *Problem, sampler core.LabelSampler, sched 
 	}
 	for k := first; k < sched.Iterations; k++ {
 		if err := ctx.Err(); err != nil {
-			return lab, cancelCheckpoint(err, p, lab, samplers, opts, k, ti, sw.energy, sw.track)
+			return lab, cancelCheckpoint(err, p, lab, samplers, nil, opts, k, ti, sw.energy, sw.track)
 		}
 		start := time.Now()
 		T := ti.next()
@@ -443,23 +439,18 @@ func SolveCtx(ctx context.Context, p *Problem, sampler core.LabelSampler, sched 
 		if opts.Collector != nil {
 			opts.Collector.Collect(k, lab)
 		}
-		if err := periodicCheckpoint(p, lab, samplers, opts, k, ti, sw.energy, sw.track, sched.Iterations); err != nil {
+		if err := periodicCheckpoint(p, lab, samplers, nil, opts, k, ti, sw.energy, sw.track, sched.Iterations); err != nil {
 			return lab, err
 		}
 	}
 	return lab, nil
 }
 
-// SolveWith is the dispatch every application driver shares: a non-nil
-// factory selects the worker-parallel path (SolveAuto, honoring
-// opts.Workers) and overrides sampler; otherwise the serial Solve runs with
-// the given sampler, preserving the app's original behavior exactly.
-func SolveWith(p *Problem, sampler core.LabelSampler, factory func(worker int) core.LabelSampler, sched Schedule, opts SolveOptions) (*img.Labels, error) {
-	return SolveWithCtx(context.Background(), p, sampler, factory, sched, opts)
-}
-
-// SolveWithCtx is SolveWith under a context; see SolveCtx for the
-// cancellation contract.
+// SolveWithCtx is the dispatch every application driver shares: a non-nil
+// factory selects SolveAutoCtx (honoring opts.Workers and opts.Shards) and
+// overrides sampler; otherwise the serial SolveCtx runs with the given
+// sampler, preserving the app's original behavior exactly. See SolveCtx for
+// the cancellation contract.
 func SolveWithCtx(ctx context.Context, p *Problem, sampler core.LabelSampler, factory func(worker int) core.LabelSampler, sched Schedule, opts SolveOptions) (*img.Labels, error) {
 	if factory != nil {
 		return SolveAutoCtx(ctx, p, factory, sched, opts)
@@ -467,11 +458,13 @@ func SolveWithCtx(ctx context.Context, p *Problem, sampler core.LabelSampler, fa
 	return SolveCtx(ctx, p, sampler, sched, opts)
 }
 
-// SolveAuto dispatches between Solve and SolveParallel according to
-// opts.Workers, constructing one independently-seeded sampler per worker
-// through factory (called once for each worker index in [0, workers)).
-// Workers = 1 reproduces Solve with factory(0) exactly; any other value
-// runs the checkerboard-parallel solver.
+// SolveAuto picks the sweep engine and constructs one independently-seeded
+// sampler per stream through factory (called once for each stream index,
+// row-major over the tile lattice). Workers = 1 reproduces Solve with
+// factory(0) exactly; Workers = n > 1 runs the tile engine on
+// workerGeometry(n, W, H); an explicit Shards geometry, a sharded Resume
+// snapshot, or a grid of AutoShardPixels or more with Workers left at 0
+// select that geometry instead.
 func SolveAuto(p *Problem, factory func(worker int) core.LabelSampler, sched Schedule, opts SolveOptions) (*img.Labels, error) {
 	return SolveAutoCtx(context.Background(), p, factory, sched, opts)
 }
@@ -482,33 +475,40 @@ func SolveAutoCtx(ctx context.Context, p *Problem, factory func(worker int) core
 	if factory == nil {
 		return nil, fmt.Errorf("mrf: nil sampler factory")
 	}
-	if !opts.Shards.IsZero() {
-		return SolveShardedCtx(ctx, p, factory, sched, opts)
-	}
-	if st := opts.Resume; st != nil && st.ShardRows*st.ShardCols > 1 {
-		// A sharded snapshot fixes the solver mode: resume it sharded with
-		// the captured geometry, whatever Workers says.
-		o := opts
-		o.Shards = shard.Geometry{Rows: st.ShardRows, Cols: st.ShardCols}
-		return SolveShardedCtx(ctx, p, factory, sched, o)
-	}
-	if opts.Workers == 0 && opts.Resume == nil && p.W*p.H >= AutoShardPixels {
-		// Out-of-cache grid with the worker count left to us: shard it. The
-		// geometry is a pure function of the grid shape (shard.Auto), so the
-		// result stays reproducible and resumable.
-		if g := shard.Auto(p.W, p.H); g.Tiles() > 1 {
-			o := opts
-			o.Shards = g
-			return SolveShardedCtx(ctx, p, factory, sched, o)
+	geom := opts.Shards
+	if st := opts.Resume; geom.IsZero() {
+		switch {
+		case st != nil && st.ShardRows*st.ShardCols > 1:
+			// A sharded snapshot fixes the geometry: resume it with the
+			// captured lattice, whatever Workers says.
+			geom = shard.Geometry{Rows: st.ShardRows, Cols: st.ShardCols}
+		case opts.Workers == 0 && st == nil && p.W*p.H >= AutoShardPixels:
+			// Out-of-cache grid with the worker count left to us: shard it.
+			// The geometry is a pure function of the grid shape
+			// (shard.Auto), so the result stays reproducible and resumable.
+			geom = shard.Auto(p.W, p.H)
+		default:
+			if n := ResolveWorkers(opts.Workers); n > 1 {
+				geom = workerGeometry(n, p.W, p.H)
+			}
 		}
 	}
-	workers := ResolveWorkers(opts.Workers)
-	if workers == 1 {
+	if geom.IsZero() {
 		return SolveCtx(ctx, p, factory(0), sched, opts)
 	}
-	samplers := make([]core.LabelSampler, workers)
-	for w := range samplers {
-		samplers[w] = factory(w)
+	opts.Shards = geom
+	return solveShardedCtx(ctx, p, factory, sched, opts)
+}
+
+// workerGeometry maps a Workers = n > 1 request onto the tile lattice that
+// runs it: n row bands (n×1) when the grid has at least n rows, otherwise one
+// band of min(n, W) columns, so short grids (the 1×2 marginal-battery grid
+// among them) still run a genuinely multi-tile checkerboard. A pure function
+// of (n, W, H): the same request on the same grid always draws the same
+// streams in the same order, on any host.
+func workerGeometry(n, w, h int) shard.Geometry {
+	if n <= h {
+		return shard.Geometry{Rows: n, Cols: 1}
 	}
-	return SolveParallelCtx(ctx, p, samplers, sched, opts)
+	return shard.Geometry{Rows: 1, Cols: min(n, w)}
 }

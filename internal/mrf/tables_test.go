@@ -7,6 +7,7 @@ import (
 	"rsu/internal/core"
 	"rsu/internal/img"
 	"rsu/internal/rng"
+	"rsu/internal/shard"
 )
 
 // TestTemperatureMatchesLoop pins the closed-form schedule to the O(k)
@@ -79,31 +80,34 @@ func TestTablesLabelEnergiesMatchDirect(t *testing.T) {
 	}
 }
 
-// TestShardCellsBalanced checks the short-and-wide fix: with H < workers,
-// every worker still receives cells, shards are disjoint, and together they
-// cover the whole color class.
-func TestShardCellsBalanced(t *testing.T) {
-	const w, h, workers = 40, 2, 8
-	cells := checkerCells(w, h)
-	for color := 0; color < 2; color++ {
-		shards := shardCells(cells[color], workers)
-		seen := map[int32]bool{}
-		for wi, shard := range shards {
-			if len(shard) == 0 {
-				t.Fatalf("color %d worker %d got an empty shard (H < workers imbalance)", color, wi)
-			}
-			if d := len(shard) - len(cells[color])/workers; d < 0 || d > 1 {
-				t.Fatalf("color %d worker %d shard size %d not balanced", color, wi, len(shard))
-			}
-			for _, c := range shard {
-				if seen[c] {
-					t.Fatalf("cell %d assigned twice", c)
-				}
-				seen[c] = true
-			}
+// TestWorkerGeometry pins the Workers → tile-lattice mapping: n row bands
+// whenever the grid has at least n rows, otherwise one band of min(n, W)
+// columns. Short-and-wide grids (H < workers) therefore keep every stream
+// busy: each of the 8 tiles of a 40×2 grid owns cells of both colors.
+func TestWorkerGeometry(t *testing.T) {
+	cases := []struct {
+		n, w, h int
+		want    shard.Geometry
+	}{
+		{2, 64, 48, shard.Geometry{Rows: 2, Cols: 1}},
+		{4, 20, 14, shard.Geometry{Rows: 4, Cols: 1}},
+		{3, 5, 3, shard.Geometry{Rows: 3, Cols: 1}},
+		{8, 40, 2, shard.Geometry{Rows: 1, Cols: 8}},
+		{2, 2, 1, shard.Geometry{Rows: 1, Cols: 2}},
+		{6, 3, 2, shard.Geometry{Rows: 1, Cols: 3}},
+	}
+	for _, c := range cases {
+		if got := workerGeometry(c.n, c.w, c.h); got != c.want {
+			t.Errorf("workerGeometry(%d, %d, %d) = %s, want %s", c.n, c.w, c.h, got, c.want)
 		}
-		if len(seen) != len(cells[color]) {
-			t.Fatalf("color %d: shards cover %d cells, class has %d", color, len(seen), len(cells[color]))
+	}
+	plan, err := shard.NewPlan(workerGeometry(8, 40, 2), 40, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tile := range plan.Tiles {
+		if tile.W() != 5 || tile.H() != 2 {
+			t.Errorf("tile %d owns %dx%d cells, want 5x2", tile.Index, tile.W(), tile.H())
 		}
 	}
 }

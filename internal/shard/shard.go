@@ -147,10 +147,9 @@ type Plan struct {
 	Tiles []Tile
 }
 
-// NewPlan decomposes a w×h grid into the geometry's tiles using the same
-// even-split arithmetic as the parallel solver's shardCells (tile column c
-// owns [w*c/Cols, w*(c+1)/Cols)), so tile sizes differ by at most one pixel
-// per axis. Validate runs first; a valid geometry always yields tiles that
+// NewPlan decomposes a w×h grid into the geometry's tiles with an even split
+// (tile column c owns [w*c/Cols, w*(c+1)/Cols)), so tile sizes differ by at
+// most one pixel per axis. Validate runs first; a valid geometry always yields tiles that
 // own at least one pixel.
 func NewPlan(g Geometry, w, h int) (*Plan, error) {
 	if err := g.Validate(w, h); err != nil {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"rsu/internal/core"
@@ -35,7 +36,7 @@ func factory(seed uint64) func(int) core.LabelSampler {
 }
 
 // solveWithUQ runs one solve with collection and returns the estimates.
-func solveWithUQ(t *testing.T, w, h, workers, executors int, seed uint64, o uq.Options) *uq.Result {
+func solveWithUQ(t *testing.T, w, h, workers int, seed uint64, o uq.Options) *uq.Result {
 	t.Helper()
 	prob := testProblem(w, h)
 	sched := mrf.Schedule{T0: 8, Alpha: 1, Iterations: 40}
@@ -44,7 +45,7 @@ func solveWithUQ(t *testing.T, w, h, workers, executors int, seed uint64, o uq.O
 		t.Fatal(err)
 	}
 	_, err = mrf.SolveAuto(prob, factory(seed), sched, mrf.SolveOptions{
-		Workers: workers, Executors: executors, Collector: acc,
+		Workers: workers, Collector: acc,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +61,7 @@ func solveWithUQ(t *testing.T, w, h, workers, executors int, seed uint64, o uq.O
 // distribution, across serial and parallel solves.
 func TestMarginalsSumToOne(t *testing.T) {
 	for _, workers := range []int{1, 3} {
-		res := solveWithUQ(t, 9, 5, workers, 0, 1, uq.Options{BurnIn: 10})
+		res := solveWithUQ(t, 9, 5, workers, 1, uq.Options{BurnIn: 10})
 		for y := 0; y < res.H; y++ {
 			for x := 0; x < res.W; x++ {
 				var sum float64
@@ -84,9 +85,9 @@ func TestMarginalsSumToOne(t *testing.T) {
 // TestDeterministicPerSeed: identical (seed, workers) runs produce identical
 // marginals; a different seed produces different ones.
 func TestDeterministicPerSeed(t *testing.T) {
-	a := solveWithUQ(t, 8, 6, 2, 0, 7, uq.Options{BurnIn: 8})
-	b := solveWithUQ(t, 8, 6, 2, 0, 7, uq.Options{BurnIn: 8})
-	c := solveWithUQ(t, 8, 6, 2, 0, 8, uq.Options{BurnIn: 8})
+	a := solveWithUQ(t, 8, 6, 2, 7, uq.Options{BurnIn: 8})
+	b := solveWithUQ(t, 8, 6, 2, 7, uq.Options{BurnIn: 8})
+	c := solveWithUQ(t, 8, 6, 2, 8, uq.Options{BurnIn: 8})
 	if len(a.Marginals) != len(b.Marginals) {
 		t.Fatal("marginal shapes differ")
 	}
@@ -104,15 +105,18 @@ func TestDeterministicPerSeed(t *testing.T) {
 	}
 }
 
-// TestExecutorInvariance: executors only schedule the logical workers, so
-// any executor count yields bit-identical histograms at a fixed worker count.
+// TestExecutorInvariance: executor goroutines only schedule the tiles, so
+// any GOMAXPROCS — and with it the default executor count — yields
+// bit-identical histograms at a fixed worker count.
 func TestExecutorInvariance(t *testing.T) {
-	base := solveWithUQ(t, 10, 4, 4, 1, 3, uq.Options{BurnIn: 5})
-	for _, execs := range []int{2, 4} {
-		got := solveWithUQ(t, 10, 4, 4, execs, 3, uq.Options{BurnIn: 5})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	base := solveWithUQ(t, 10, 4, 4, 3, uq.Options{BurnIn: 5})
+	for _, procs := range []int{2, 4} {
+		runtime.GOMAXPROCS(procs)
+		got := solveWithUQ(t, 10, 4, 4, 3, uq.Options{BurnIn: 5})
 		for i := range base.Marginals {
 			if base.Marginals[i] != got.Marginals[i] {
-				t.Fatalf("executors=%d diverges at marginal index %d", execs, i)
+				t.Fatalf("GOMAXPROCS=%d diverges at marginal index %d", procs, i)
 			}
 		}
 	}
@@ -140,19 +144,16 @@ func TestWorkerConsistency(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// One sampler per stream, reused across replicates so consecutive
+		// chains continue the same streams.
 		f := factory(seed)
 		samplers := make([]core.LabelSampler, workers)
 		for i := range samplers {
 			samplers[i] = f(i)
 		}
+		reuse := func(i int) core.LabelSampler { return samplers[i] }
 		for r := 0; r < replicates; r++ {
-			var err error
-			if workers == 1 {
-				_, err = mrf.Solve(prob, samplers[0], sched, mrf.SolveOptions{Collector: acc})
-			} else {
-				_, err = mrf.SolveParallel(prob, samplers, sched, mrf.SolveOptions{Collector: acc})
-			}
-			if err != nil {
+			if _, err := mrf.SolveAuto(prob, reuse, sched, mrf.SolveOptions{Workers: workers, Collector: acc}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -313,7 +314,7 @@ func TestEstimatorMath(t *testing.T) {
 // TestWriteArtifacts checks the CLI output contract: two PGMs plus a JSON
 // summary that round-trips.
 func TestWriteArtifacts(t *testing.T) {
-	res := solveWithUQ(t, 6, 4, 1, 0, 5, uq.Options{BurnIn: 20})
+	res := solveWithUQ(t, 6, 4, 1, 5, uq.Options{BurnIn: 20})
 	dir := t.TempDir()
 	paths, err := res.WriteArtifacts(dir, "probe", nil)
 	if err != nil {
