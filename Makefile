@@ -6,7 +6,7 @@ FUZZTIME ?= 30s
 # Coverage floor for the uncertainty-quantification estimators (DESIGN.md §12).
 UQ_COVER_MIN ?= 85
 
-.PHONY: all build test vet race race-runtime verify shard-verify fault-sweep checkpoint-smoke fuzz fuzz-smoke check cover bench bench-once perf perf-check shard-sweep profile
+.PHONY: all build test vet race race-runtime perfbench-test verify shard-verify fault-sweep checkpoint-smoke fuzz fuzz-smoke check cover bench bench-once perf perf-check shard-sweep profile
 
 all: check
 
@@ -29,6 +29,12 @@ race:
 # scheduling-dependent interleavings (DESIGN.md §9).
 race-runtime:
 	$(GO) test -race -count=3 -run 'TestSolve|TestRunLog|TestOnSweep|TestSchedule' ./internal/mrf ./internal/runopt
+
+# The benchmark harness is its own module (perfbench/go.mod), so the root
+# build and test never compile it; vet and test it here so an internal API
+# change that breaks the benchmark fails CI.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Statistical conformance battery + golden-trace regression (DESIGN.md §8).
 # Fails on any distribution non-conformance or golden drift.
@@ -84,7 +90,7 @@ fuzz:
 fuzz-smoke:
 	$(MAKE) fuzz FUZZTIME=10s
 
-check: build vet test race verify
+check: build vet test race perfbench-test verify
 
 bench:
 	$(GO) test -bench=. -benchmem .

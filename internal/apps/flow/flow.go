@@ -7,16 +7,14 @@
 package flow
 
 import (
-	"context"
 	"math"
 
-	"rsu/internal/checkpoint"
+	"rsu/internal/apps"
 	"rsu/internal/core"
 	"rsu/internal/fault"
 	"rsu/internal/img"
 	"rsu/internal/metrics"
 	"rsu/internal/mrf"
-	"rsu/internal/shard"
 	"rsu/internal/synth"
 	"rsu/internal/uq"
 )
@@ -37,59 +35,12 @@ type Params struct {
 	BorderCost float64
 	// Schedule is the simulated-annealing schedule.
 	Schedule mrf.Schedule
-	// SamplerFactory, when non-nil, builds one sampler per RNG stream and
-	// switches the solvers to the checkerboard-parallel path (the sampler /
-	// newSampler arguments are then ignored). The pyramid solver assigns
-	// level l, worker w the stream l*workers + w so every level draws from
-	// fresh streams. See core.StreamFactory.
-	SamplerFactory func(stream int) core.LabelSampler
-	// Workers selects the parallel solver's worker count when
-	// SamplerFactory is set: 0 = GOMAXPROCS, 1 = exact serial behavior.
-	Workers int
-	// Shards, when non-zero, splits the grid into Rows x Cols tiles and runs
-	// the domain-decomposed sharded solver (requires SamplerFactory; one RNG
-	// stream per tile — see mrf.SolveOptions.Shards and DESIGN.md §15). The
-	// pyramid solver ignores it (its per-level grids are small).
-	Shards shard.Geometry
-	// Ctx, when non-nil, bounds the solve: cancellation or deadline expiry
-	// aborts between sweeps with the context's error. nil means no bound.
-	Ctx context.Context
-	// OnSweep, when non-nil, receives every sweep's labeling and SolveStats
-	// record (see mrf.SolveOptions.OnSweep for the retention contract). The
-	// pyramid solver invokes it per level.
-	OnSweep func(iter int, lab *img.Labels, st mrf.SolveStats)
-	// PairLUT, when non-nil, supplies a prebuilt pairwise smoothness LUT for
-	// Solve, shared across solves over the same search window and smoothness
-	// weights (see mrf.BuildTablesShared). The pyramid solver ignores it
-	// (its per-level problems differ). The serving layer's artifact cache
-	// populates this.
-	PairLUT *mrf.PairLUT
-	// UQ, when non-nil, enables posterior sample collection in Solve:
-	// per-pixel label histograms accumulate after the configured burn-in and
-	// the Result carries the marginal / confidence estimates. Collection
-	// never perturbs the solve (see mrf.Collector). The pyramid solver
-	// ignores it — its per-level problems have different shapes, so a single
-	// accumulator cannot span the run.
-	UQ *uq.Options
-	// Faults, when non-nil, injects the device-fault model into the
-	// hardware samplers in Solve (see fault.Config); the Result then
-	// carries a fault.Report with the UQ-based degradation verdict when UQ
-	// also ran. The pyramid solver ignores it for the same reason as UQ.
-	Faults *fault.Config
-	// Checkpoint, when non-nil, wires snapshot persistence into Solve:
-	// periodic (and on-cancel) state capture plus resume from an existing
-	// snapshot (see package checkpoint). The pyramid solver ignores it —
-	// its per-level problems have different shapes, so one snapshot cannot
-	// span the run.
-	Checkpoint *checkpoint.Plan
-}
-
-// ctx resolves the solve context.
-func (p Params) ctx() context.Context {
-	if p.Ctx != nil {
-		return p.Ctx
-	}
-	return context.Background()
+	// Options are the run options every app shares (see apps.Options).
+	// SolvePyramid honors only SamplerFactory, Workers and Ctx: its
+	// per-level problems differ in shape, so one LUT, accumulator, fault
+	// report or snapshot cannot span the run. It gives level l, worker w
+	// the stream l*workers + w, so every level draws from fresh streams.
+	apps.Options
 }
 
 // DefaultParams returns the tuned parameter set shared by all samplers.
@@ -154,47 +105,11 @@ type Result struct {
 // scores the result with the Middlebury average end-point error.
 func Solve(pair *synth.FlowPair, sampler core.LabelSampler, p Params) (*Result, error) {
 	prob := BuildProblem(pair, p)
-	opts := mrf.SolveOptions{
-		Init:    initialLabels(pair),
-		Workers: p.Workers,
-		Shards:  p.Shards,
-		OnSweep: p.OnSweep,
-	}
-	if p.PairLUT != nil {
-		tab, err := prob.BuildTablesShared(p.PairLUT)
-		if err != nil {
-			return nil, err
-		}
-		opts.Tables = tab
-	}
-	var acc *uq.Accumulator
-	if p.UQ != nil {
-		var err error
-		acc, err = uq.NewForRun(*p.UQ, prob.W, prob.H, prob.Labels, p.Schedule.Iterations)
-		if err != nil {
-			return nil, err
-		}
-		opts.Collector = acc
-	}
-	inj, err := fault.New(p.Faults)
+	run, err := apps.Solve(p.Options, prob, sampler, p.Schedule, mrf.SolveOptions{Init: initialLabels(pair)})
 	if err != nil {
 		return nil, err
 	}
-	opts.Faults = inj
-	if p.Checkpoint != nil {
-		if err := p.Checkpoint.Attach(&opts, p.Schedule); err != nil {
-			return nil, err
-		}
-	}
-	lab, err := mrf.SolveWithCtx(p.ctx(), prob, sampler, p.SamplerFactory, p.Schedule, opts)
-	if err != nil {
-		return nil, err
-	}
-	if p.Checkpoint != nil {
-		if err := p.Checkpoint.Finish(); err != nil {
-			return nil, err
-		}
-	}
+	lab := run.Labels
 	n := pair.Frame0.W * pair.Frame0.H
 	pu := make([]float64, n)
 	pv := make([]float64, n)
@@ -205,20 +120,10 @@ func Solve(pair *synth.FlowPair, sampler core.LabelSampler, p Params) (*Result, 
 		pu[i], pv[i] = float64(u), float64(v)
 		gu[i], gv[i] = float64(pair.GTU[i]), float64(pair.GTV[i])
 	}
-	res := &Result{Pair: pair, Labels: lab, EPE: metrics.EndPointError(pu, pv, gu, gv)}
-	if acc != nil {
-		if res.UQ, err = acc.Estimate(); err != nil {
-			return nil, err
-		}
-	}
-	if inj != nil {
-		if res.UQ != nil {
-			res.Faults = inj.Report(res.UQ.MeanConfidence(), true)
-		} else {
-			res.Faults = inj.Report(0, false)
-		}
-	}
-	return res, nil
+	return &Result{
+		Pair: pair, Labels: lab, EPE: metrics.EndPointError(pu, pv, gu, gv),
+		UQ: run.UQ, Faults: run.Faults,
+	}, nil
 }
 
 // initialLabels starts every pixel at the zero-motion label, a neutral

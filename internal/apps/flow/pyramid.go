@@ -3,6 +3,7 @@ package flow
 import (
 	"fmt"
 
+	"rsu/internal/apps"
 	"rsu/internal/core"
 	"rsu/internal/img"
 	"rsu/internal/metrics"
@@ -143,29 +144,26 @@ func SolvePyramid(pair *synth.FlowPair, newSampler func(level int) core.LabelSam
 		}
 		prob := buildResidualProblem(f0, f1, base, radius, p)
 		zero := img.NewLabels(f0.W, f0.H).Fill(synth.VectorToLabel(0, 0, radius))
-		var lab *img.Labels
-		var err error
+		// Only the factory, worker count and context carry over (see Params).
+		lo := apps.Options{Ctx: p.Ctx}
+		var s core.LabelSampler
 		if p.SamplerFactory != nil {
 			// One fresh stream per (level, worker) pair: levels run in
 			// sequence, so reusing worker streams across levels would
 			// correlate them.
 			level, workers := l, mrf.ResolveWorkers(p.Workers)
-			factory := func(w int) core.LabelSampler {
+			lo.Workers = workers
+			lo.SamplerFactory = func(w int) core.LabelSampler {
 				return p.SamplerFactory(level*workers + w)
 			}
-			lab, err = mrf.SolveAuto(prob, factory, p.Schedule,
-				mrf.SolveOptions{Init: zero, Workers: workers})
-		} else {
-			s := newSampler(l)
-			if s == nil {
-				return nil, fmt.Errorf("flow: nil sampler for level %d", l)
-			}
-			lab, err = mrf.Solve(prob, s, p.Schedule, mrf.SolveOptions{Init: zero})
+		} else if s = newSampler(l); s == nil {
+			return nil, fmt.Errorf("flow: nil sampler for level %d", l)
 		}
+		run, err := apps.Solve(lo, prob, s, p.Schedule, mrf.SolveOptions{Init: zero})
 		if err != nil {
 			return nil, err
 		}
-		for i, lv := range lab.L {
+		for i, lv := range run.Labels.L {
 			du, dv := synth.LabelToVector(lv, radius)
 			base.U[i] += du
 			base.V[i] += dv

@@ -1,6 +1,8 @@
 package flow
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"rsu/internal/core"
@@ -123,5 +125,27 @@ func TestPyramidErrors(t *testing.T) {
 	}
 	if _, err := SolvePyramid(pair, func(int) core.LabelSampler { return nil }, p, 3, 1); err == nil {
 		t.Error("nil sampler must error")
+	}
+}
+
+func TestPyramidHonorsCancelledContext(t *testing.T) {
+	pair := synth.LargeMotion(1)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	newSampler := func(int) core.LabelSampler {
+		return core.NewSoftwareSampler(rng.NewXoshiro256(1))
+	}
+	for _, factory := range []bool{false, true} {
+		p := pyramidParams()
+		p.Ctx = ctx
+		if factory {
+			p.SamplerFactory = core.StreamFactory(1, func(src rng.Source) core.LabelSampler {
+				return core.NewSoftwareSampler(src)
+			})
+			p.Workers = 2
+		}
+		if _, err := SolvePyramid(pair, newSampler, p, 3, 2); !errors.Is(err, context.Canceled) {
+			t.Fatalf("factory=%v: err = %v, want context.Canceled", factory, err)
+		}
 	}
 }

@@ -8,17 +8,15 @@
 package ising
 
 import (
-	"context"
 	"fmt"
 	"math"
 
-	"rsu/internal/checkpoint"
+	"rsu/internal/apps"
 	"rsu/internal/core"
 	"rsu/internal/fault"
 	"rsu/internal/img"
 	"rsu/internal/mrf"
 	"rsu/internal/rng"
-	"rsu/internal/shard"
 	"rsu/internal/wire"
 )
 
@@ -39,44 +37,14 @@ type Model struct {
 	J float64
 	// H is the external field in the same units.
 	H float64
-	// SamplerFactory, when non-nil, builds one sampler per RNG stream and
-	// switches Run to the checkerboard-parallel solver (the sampler
-	// argument is then ignored). Checkerboard sweeps are the classic
-	// parallel heat-bath dynamics for the Ising model: one color class has
-	// no couplings within itself, so the stationary distribution is
-	// untouched. See core.StreamFactory.
-	SamplerFactory func(stream int) core.LabelSampler
-	// Workers selects the parallel solver's worker count when
-	// SamplerFactory is set: 0 = GOMAXPROCS, 1 = exact serial behavior.
-	Workers int
-	// Shards, when non-zero, splits the lattice into Rows x Cols tiles and
-	// runs the domain-decomposed sharded solver (requires SamplerFactory; one
-	// RNG stream per tile — see mrf.SolveOptions.Shards and DESIGN.md §15).
-	// Sharded checkerboard sweeps keep the heat-bath stationary distribution:
-	// halos exchange at every color-phase barrier.
-	Shards shard.Geometry
-	// Ctx, when non-nil, bounds Run: cancellation or deadline expiry aborts
-	// between sweeps with the context's error. nil means no bound.
-	Ctx context.Context
-	// OnSweep, when non-nil, additionally receives every sweep's labeling
-	// and SolveStats record (see mrf.SolveOptions.OnSweep for the retention
-	// contract) after the model's own measurement hook runs.
-	OnSweep func(iter int, lab *img.Labels, st mrf.SolveStats)
-	// PairLUT, when non-nil, supplies a prebuilt coupling LUT shared across
-	// runs with the same J (see mrf.BuildTablesShared). The serving layer's
-	// artifact cache populates this.
-	PairLUT *mrf.PairLUT
-	// Faults, when non-nil, injects the device-fault model into the
-	// hardware samplers (see fault.Config); Observables then carry a
-	// fault.Report. Ising has no labeling posterior, so the report never
-	// sets the UQ-based Degraded flag.
-	Faults *fault.Config
-	// Checkpoint, when non-nil, wires snapshot persistence into Run:
-	// periodic (and on-cancel) state capture plus resume from an existing
-	// snapshot (see package checkpoint). The measurement accumulator is part
-	// of the captured state, so resumed observables match an uninterrupted
-	// run exactly.
-	Checkpoint *checkpoint.Plan
+	// Options are the run options every app shares (see apps.Options).
+	// Checkerboard sweeps are the classic parallel heat-bath dynamics for
+	// the Ising model: one color class has no couplings within itself, so
+	// the stationary distribution is untouched, and sharded sweeps keep it
+	// by exchanging halos at every color-phase barrier. Run measures its
+	// observables through its own collector, so it rejects UQ; its fault
+	// report never sets the UQ-based Degraded flag.
+	apps.Options
 }
 
 // DefaultModel returns a 32x32 lattice with J = 16, h = 0.
@@ -159,56 +127,20 @@ func (m Model) Run(s core.LabelSampler, T float64, burn, measure int, seed uint6
 	for i := 0; i < m.N; i++ {
 		init.L[int(src.Uint64()%uint64(m.N*m.N))] = 0
 	}
-	ctx := m.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	// Measurement runs as a stateful collector so a checkpointed run carries
 	// its partial sums: a resume continues the observable accumulation
 	// exactly where the snapshot left it.
 	acc := &measureAcc{model: m, burn: burn}
-	opts := mrf.SolveOptions{
-		Init:      init,
-		Workers:   m.Workers,
-		Shards:    m.Shards,
-		OnSweep:   m.OnSweep,
-		Collector: acc,
-	}
-	inj, err := fault.New(m.Faults)
-	if err != nil {
-		return Observables{}, err
-	}
-	opts.Faults = inj
-	if m.PairLUT != nil {
-		tab, err := prob.BuildTablesShared(m.PairLUT)
-		if err != nil {
-			return Observables{}, err
-		}
-		opts.Tables = tab
-	}
 	sched := mrf.Schedule{T0: T * m.J, Alpha: 1, Iterations: burn + measure}
-	if m.Checkpoint != nil {
-		if err := m.Checkpoint.Attach(&opts, sched); err != nil {
-			return Observables{}, err
-		}
-	}
-	_, err = mrf.SolveWithCtx(ctx, prob, s, m.SamplerFactory, sched, opts)
+	run, err := apps.Solve(m.Options, prob, s, sched, mrf.SolveOptions{Init: init, Collector: acc})
 	if err != nil {
 		return Observables{}, err
 	}
-	if m.Checkpoint != nil {
-		if err := m.Checkpoint.Finish(); err != nil {
-			return Observables{}, err
-		}
-	}
-	obs := Observables{
+	return Observables{
 		Magnetization: acc.mag / float64(acc.count),
 		Energy:        acc.energy / float64(acc.count),
-	}
-	if inj != nil {
-		obs.Faults = inj.Report(0, false)
-	}
-	return obs, nil
+		Faults:        run.Faults,
+	}, nil
 }
 
 // measureAcc accumulates the post-burn-in observables as an mrf collector.

@@ -6,17 +6,16 @@
 package segment
 
 import (
-	"context"
+	"fmt"
 	"math"
 	"sort"
 
-	"rsu/internal/checkpoint"
+	"rsu/internal/apps"
 	"rsu/internal/core"
 	"rsu/internal/fault"
 	"rsu/internal/img"
 	"rsu/internal/metrics"
 	"rsu/internal/mrf"
-	"rsu/internal/shard"
 	"rsu/internal/synth"
 	"rsu/internal/uq"
 )
@@ -36,50 +35,8 @@ type Params struct {
 	Temperature float64
 	// KMeansIters bounds the Lloyd iterations used to fit segment means.
 	KMeansIters int
-	// SamplerFactory, when non-nil, builds one sampler per RNG stream and
-	// switches Solve to the checkerboard-parallel solver (the sampler
-	// argument is then ignored). See core.StreamFactory.
-	SamplerFactory func(stream int) core.LabelSampler
-	// Workers selects the parallel solver's worker count when
-	// SamplerFactory is set: 0 = GOMAXPROCS, 1 = exact serial behavior.
-	Workers int
-	// Shards, when non-zero, splits the grid into Rows x Cols tiles and runs
-	// the domain-decomposed sharded solver (requires SamplerFactory; one RNG
-	// stream per tile — see mrf.SolveOptions.Shards and DESIGN.md §15).
-	Shards shard.Geometry
-	// Ctx, when non-nil, bounds the solve: cancellation or deadline expiry
-	// aborts between sweeps with the context's error. nil means no bound.
-	Ctx context.Context
-	// OnSweep, when non-nil, receives every sweep's labeling and SolveStats
-	// record (see mrf.SolveOptions.OnSweep for the retention contract).
-	OnSweep func(iter int, lab *img.Labels, st mrf.SolveStats)
-	// PairLUT, when non-nil, supplies a prebuilt Potts smoothness LUT shared
-	// across solves with the same segment count and smoothness weight (see
-	// mrf.BuildTablesShared). The serving layer's artifact cache populates
-	// this.
-	PairLUT *mrf.PairLUT
-	// UQ, when non-nil, enables posterior sample collection: per-pixel label
-	// histograms accumulate after the configured burn-in and the Result
-	// carries the marginal / confidence estimates. Collection never perturbs
-	// the solve (see mrf.Collector).
-	UQ *uq.Options
-	// Faults, when non-nil, injects the device-fault model into the
-	// hardware samplers (see fault.Config); the Result then carries a
-	// fault.Report with the UQ-based degradation verdict when UQ also ran.
-	Faults *fault.Config
-	// Checkpoint, when non-nil, wires snapshot persistence into the solve:
-	// periodic (and on-cancel) state capture plus resume from an existing
-	// snapshot (see package checkpoint). The plan's snapshot is removed
-	// after a successful solve.
-	Checkpoint *checkpoint.Plan
-}
-
-// ctx resolves the solve context.
-func (p Params) ctx() context.Context {
-	if p.Ctx != nil {
-		return p.Ctx
-	}
-	return context.Background()
+	// Options are the run options every app shares (see apps.Options).
+	apps.Options
 }
 
 // DefaultParams returns the tuned parameter set shared by all samplers.
@@ -179,6 +136,9 @@ type Result struct {
 // given sampler and scores the result against ground truth with the four
 // BISIP metrics.
 func Solve(scene *synth.SegScene, sampler core.LabelSampler, p Params) (*Result, error) {
+	if scene.Segments < 2 {
+		return nil, fmt.Errorf("segment: need at least 2 segments, got %d", scene.Segments)
+	}
 	means := FitMeans(scene.Image, scene.Segments, p.KMeansIters)
 	prob := BuildProblem(scene.Image, means, p)
 	// Initialize from the pointwise nearest mean, as common practice (and
@@ -195,59 +155,16 @@ func Solve(scene *synth.SegScene, sampler core.LabelSampler, p Params) (*Result,
 		}
 		init.L[i] = best
 	}
-	opts := mrf.SolveOptions{Init: init, Workers: p.Workers, Shards: p.Shards, OnSweep: p.OnSweep}
-	if p.PairLUT != nil {
-		tab, err := prob.BuildTablesShared(p.PairLUT)
-		if err != nil {
-			return nil, err
-		}
-		opts.Tables = tab
-	}
-	var acc *uq.Accumulator
-	if p.UQ != nil {
-		var err error
-		acc, err = uq.NewForRun(*p.UQ, prob.W, prob.H, prob.Labels, p.Iterations)
-		if err != nil {
-			return nil, err
-		}
-		opts.Collector = acc
-	}
-	inj, err := fault.New(p.Faults)
-	if err != nil {
-		return nil, err
-	}
-	opts.Faults = inj
 	sched := mrf.Schedule{T0: p.Temperature, Alpha: 1, Iterations: p.Iterations}
-	if p.Checkpoint != nil {
-		if err := p.Checkpoint.Attach(&opts, sched); err != nil {
-			return nil, err
-		}
-	}
-	lab, err := mrf.SolveWithCtx(p.ctx(), prob, sampler, p.SamplerFactory, sched, opts)
+	run, err := apps.Solve(p.Options, prob, sampler, sched, mrf.SolveOptions{Init: init})
 	if err != nil {
 		return nil, err
 	}
-	if p.Checkpoint != nil {
-		if err := p.Checkpoint.Finish(); err != nil {
-			return nil, err
-		}
-	}
-	res := &Result{
+	return &Result{
 		Scene:    scene,
-		Labeling: lab,
-		Scores:   metrics.EvaluateSegmentation(lab, scene.GT),
-	}
-	if acc != nil {
-		if res.UQ, err = acc.Estimate(); err != nil {
-			return nil, err
-		}
-	}
-	if inj != nil {
-		if res.UQ != nil {
-			res.Faults = inj.Report(res.UQ.MeanConfidence(), true)
-		} else {
-			res.Faults = inj.Report(0, false)
-		}
-	}
-	return res, nil
+		Labeling: run.Labels,
+		Scores:   metrics.EvaluateSegmentation(run.Labels, scene.GT),
+		UQ:       run.UQ,
+		Faults:   run.Faults,
+	}, nil
 }

@@ -188,3 +188,14 @@ func TestGaussianModelHandlesHeteroscedasticScene(t *testing.T) {
 		t.Fatalf("Gaussian model mislabeled %.1f%% of a heteroscedastic scene", 100*frac)
 	}
 }
+
+func TestSolveRejectsFewerThanTwoSegments(t *testing.T) {
+	sc := synth.BSDLike(0, 4, 1)
+	for _, k := range []int{1, 0} {
+		bad := *sc
+		bad.Segments = k
+		if _, err := Solve(&bad, core.NewSoftwareSampler(rng.NewXoshiro256(1)), DefaultParams()); err == nil {
+			t.Fatalf("Segments = %d: want an error", k)
+		}
+	}
+}

@@ -6,16 +6,14 @@
 package stereo
 
 import (
-	"context"
 	"math"
 
-	"rsu/internal/checkpoint"
+	"rsu/internal/apps"
 	"rsu/internal/core"
 	"rsu/internal/fault"
 	"rsu/internal/img"
 	"rsu/internal/metrics"
 	"rsu/internal/mrf"
-	"rsu/internal/shard"
 	"rsu/internal/synth"
 	"rsu/internal/uq"
 )
@@ -37,52 +35,8 @@ type Params struct {
 	OcclusionCost float64
 	// Schedule is the simulated-annealing schedule.
 	Schedule mrf.Schedule
-	// SamplerFactory, when non-nil, builds one sampler per RNG stream and
-	// switches Solve to the checkerboard-parallel solver (the sampler
-	// argument is then ignored). See core.StreamFactory.
-	SamplerFactory func(stream int) core.LabelSampler
-	// Workers selects the parallel solver's worker count when
-	// SamplerFactory is set: 0 = GOMAXPROCS, 1 = exact serial behavior.
-	Workers int
-	// Shards, when non-zero, splits the grid into Rows x Cols tiles and runs
-	// the domain-decomposed sharded solver (requires SamplerFactory; one RNG
-	// stream per tile — see mrf.SolveOptions.Shards and DESIGN.md §15).
-	Shards shard.Geometry
-	// Ctx, when non-nil, bounds the solve: cancellation or deadline expiry
-	// aborts between sweeps with the context's error. nil means no bound.
-	Ctx context.Context
-	// OnSweep, when non-nil, receives every sweep's labeling and SolveStats
-	// record (see mrf.SolveOptions.OnSweep for the retention contract).
-	OnSweep func(iter int, lab *img.Labels, st mrf.SolveStats)
-	// PairLUT, when non-nil, supplies a prebuilt pairwise smoothness LUT
-	// shared across solves at the same design point (it must match the
-	// problem's label count and smoothness model — see mrf.BuildTablesShared).
-	// The serving layer's artifact cache populates this.
-	PairLUT *mrf.PairLUT
-	// UQ, when non-nil, enables posterior sample collection: per-pixel label
-	// histograms accumulate after the configured burn-in and the Result
-	// carries the marginal / confidence estimates. Collection never perturbs
-	// the solve (see mrf.Collector).
-	UQ *uq.Options
-	// Faults, when non-nil, injects the device-fault model into the
-	// hardware samplers (see fault.Config). The Result then carries a
-	// fault.Report; when UQ is also enabled, a confidence collapse below
-	// fault.DegradedConfidence marks the run Degraded. nil — or all-zero
-	// rates — leaves the solve byte-identical to the ideal device.
-	Faults *fault.Config
-	// Checkpoint, when non-nil, wires snapshot persistence into the solve:
-	// periodic (and on-cancel) state capture plus resume from an existing
-	// snapshot, with the bit-exact guarantee documented in package
-	// checkpoint. The plan's snapshot is removed after a successful solve.
-	Checkpoint *checkpoint.Plan
-}
-
-// ctx resolves the solve context.
-func (p Params) ctx() context.Context {
-	if p.Ctx != nil {
-		return p.Ctx
-	}
-	return context.Background()
+	// Options are the run options every app shares (see apps.Options).
+	apps.Options
 }
 
 // DefaultParams returns the tuned parameter set used across the experiments.
@@ -151,60 +105,18 @@ const texturelessVarianceCutoff = 40
 // scores the result against ground truth using the paper's metrics.
 func Solve(pair *synth.StereoPair, sampler core.LabelSampler, p Params) (*Result, error) {
 	prob := BuildProblem(pair, p)
-	opts := mrf.SolveOptions{Workers: p.Workers, Shards: p.Shards, OnSweep: p.OnSweep}
-	if p.PairLUT != nil {
-		tab, err := prob.BuildTablesShared(p.PairLUT)
-		if err != nil {
-			return nil, err
-		}
-		opts.Tables = tab
-	}
-	var acc *uq.Accumulator
-	if p.UQ != nil {
-		var err error
-		acc, err = uq.NewForRun(*p.UQ, prob.W, prob.H, prob.Labels, p.Schedule.Iterations)
-		if err != nil {
-			return nil, err
-		}
-		opts.Collector = acc
-	}
-	inj, err := fault.New(p.Faults)
+	run, err := apps.Solve(p.Options, prob, sampler, p.Schedule, mrf.SolveOptions{})
 	if err != nil {
 		return nil, err
 	}
-	opts.Faults = inj
-	if p.Checkpoint != nil {
-		if err := p.Checkpoint.Attach(&opts, p.Schedule); err != nil {
-			return nil, err
-		}
-	}
-	lab, err := mrf.SolveWithCtx(p.ctx(), prob, sampler, p.SamplerFactory, p.Schedule, opts)
-	if err != nil {
-		return nil, err
-	}
-	if p.Checkpoint != nil {
-		if err := p.Checkpoint.Finish(); err != nil {
-			return nil, err
-		}
-	}
-	res := &Result{
+	lab := run.Labels
+	return &Result{
 		Pair:       pair,
 		Disparity:  lab,
 		BP:         metrics.BadPixelPct(lab, pair.GT, 1, pair.Mask),
 		RMS:        metrics.RMSError(lab, pair.GT, pair.Mask),
 		Subregions: metrics.EvaluateSubregions(lab, pair.GT, pair.Mask, pair.Left, 1, texturelessVarianceCutoff),
-	}
-	if acc != nil {
-		if res.UQ, err = acc.Estimate(); err != nil {
-			return nil, err
-		}
-	}
-	if inj != nil {
-		if res.UQ != nil {
-			res.Faults = inj.Report(res.UQ.MeanConfidence(), true)
-		} else {
-			res.Faults = inj.Report(0, false)
-		}
-	}
-	return res, nil
+		UQ:         run.UQ,
+		Faults:     run.Faults,
+	}, nil
 }

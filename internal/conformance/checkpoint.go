@@ -38,7 +38,7 @@ func (s Scenario) RunCheckpointResume() (*Trace, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var containers [][]byte
-	_, err = mrf.SolveWithCtx(ctx, prob, nil, factory, sched, mrf.SolveOptions{
+	_, err = mrf.SolveAutoCtx(ctx, prob, factory, sched, mrf.SolveOptions{
 		Init:    init,
 		Workers: s.Workers,
 		OnSweep: func(iter int, lab *img.Labels, st mrf.SolveStats) {
@@ -80,7 +80,7 @@ func (s Scenario) RunCheckpointResume() (*Trace, error) {
 	if snap.State.NextSweep != mid {
 		return nil, fmt.Errorf("conformance: checkpoint %s: snapshot resumes at sweep %d, want %d", s.File(), snap.State.NextSweep, mid)
 	}
-	lab, err := mrf.SolveWithCtx(context.Background(), prob, nil, factory, sched, mrf.SolveOptions{
+	lab, err := mrf.SolveAutoCtx(context.Background(), prob, factory, sched, mrf.SolveOptions{
 		Init:    init,
 		Workers: s.Workers,
 		Resume:  &snap.State,

@@ -34,6 +34,9 @@ func AblateTieBreak(o Options) (*TieBreakResult, error) {
 		RandomBP:   make([]float64, len(pairs)),
 		FirstBP:    make([]float64, len(pairs)),
 	}
+	for i, pair := range pairs {
+		res.Datasets[i] = pair.Name
+	}
 	// One design point per (dataset, policy) pair.
 	policies := []struct {
 		cfg *core.Config
@@ -46,7 +49,6 @@ func AblateTieBreak(o Options) (*TieBreakResult, error) {
 	}
 	err := o.forEach(len(pairs)*len(policies), func(i int) error {
 		pair, pol := pairs[i/len(policies)], policies[i%len(policies)]
-		res.Datasets[i/len(policies)] = pair.Name
 		r, err := runStereoWith(o, pair, pol.cfg, pol.tag)
 		if err != nil {
 			return err

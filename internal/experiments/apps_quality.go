@@ -25,6 +25,7 @@ func Fig9c(o Options) (*Fig9cResult, error) {
 	res := &Fig9cResult{}
 	p := flow.DefaultParams()
 	p.Schedule = o.schedule(p.Schedule)
+	p.Ctx = o.Ctx
 	for _, pair := range synth.FlowPresets(o.scale()) {
 		sw, err := flow.Solve(pair, core.NewSoftwareSampler(rng.NewXoshiro256(o.subSeed("fig9c-sw-"+pair.Name))), p)
 		if err != nil {
@@ -73,6 +74,7 @@ func segQuality(o Options) (*SegQualityResult, error) {
 	res := &SegQualityResult{SegmentCounts: []int{2, 4, 6, 8}, Images: 30}
 	p := segment.DefaultParams()
 	p.Iterations = o.iters(p.Iterations)
+	p.Ctx = o.Ctx
 	for _, k := range res.SegmentCounts {
 		var swV, nuV, swP, nuP []float64
 		for i := 0; i < res.Images; i++ {

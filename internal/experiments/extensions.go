@@ -161,6 +161,7 @@ func Pyramid(o Options) (*PyramidFlowResult, error) {
 	pair := synth.LargeMotion(o.scale())
 	p := flow.DefaultParams()
 	p.Schedule = o.schedule(p.Schedule)
+	p.Ctx = o.Ctx
 	res := &PyramidFlowResult{MaxMotion: 6, LevelsUsed: 2, LabelsPerLevel: 49}
 
 	single, err := flow.SolvePyramid(pair, func(int) core.LabelSampler {

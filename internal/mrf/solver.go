@@ -446,18 +446,6 @@ func SolveCtx(ctx context.Context, p *Problem, sampler core.LabelSampler, sched 
 	return lab, nil
 }
 
-// SolveWithCtx is the dispatch every application driver shares: a non-nil
-// factory selects SolveAutoCtx (honoring opts.Workers and opts.Shards) and
-// overrides sampler; otherwise the serial SolveCtx runs with the given
-// sampler, preserving the app's original behavior exactly. See SolveCtx for
-// the cancellation contract.
-func SolveWithCtx(ctx context.Context, p *Problem, sampler core.LabelSampler, factory func(worker int) core.LabelSampler, sched Schedule, opts SolveOptions) (*img.Labels, error) {
-	if factory != nil {
-		return SolveAutoCtx(ctx, p, factory, sched, opts)
-	}
-	return SolveCtx(ctx, p, sampler, sched, opts)
-}
-
 // SolveAuto picks the sweep engine and constructs one independently-seeded
 // sampler per stream through factory (called once for each stream index,
 // row-major over the tile lattice). Workers = 1 reproduces Solve with

@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 
+	"rsu/internal/apps"
 	"rsu/internal/apps/flow"
 	"rsu/internal/apps/ising"
 	"rsu/internal/apps/segment"
@@ -179,7 +180,7 @@ func bsdIndex(name string) (int, error) {
 // dataset and pairwise LUT from the artifact cache, build the per-stream
 // samplers with the shared conversion-table cache attached, and drive the
 // app's solver under the job context. The context bounds the whole solve
-// (mrf.SolveWithCtx checks it between sweeps).
+// (the solver checks it between sweeps).
 func runJob(ctx context.Context, id string, spec JobSpec, cache *ArtifactCache, metrics *Metrics, solverWorkers int, plan *checkpoint.Plan) (*JobResult, error) {
 	s := spec.withDefaults()
 	res := &JobResult{
@@ -233,6 +234,11 @@ func runJob(ctx context.Context, id string, spec JobSpec, cache *ArtifactCache, 
 		onSweep = runlog.Hook(id, onSweep)
 	}
 
+	// The options every app shares; each case adds its cached pair LUT.
+	shared := apps.Options{
+		SamplerFactory: factory, Workers: workers, Shards: shards, Ctx: ctx, OnSweep: onSweep,
+		UQ: s.uqOptions(), Faults: s.faultConfig(), Checkpoint: plan,
+	}
 	switch s.App {
 	case AppStereo:
 		pair := ds.(*synth.StereoPair)
@@ -240,10 +246,7 @@ func runJob(ctx context.Context, id string, spec JobSpec, cache *ArtifactCache, 
 		if s.Iterations > 0 {
 			p.Schedule.Iterations = s.Iterations
 		}
-		p.SamplerFactory, p.Workers, p.Shards, p.Ctx, p.OnSweep = factory, workers, shards, ctx, onSweep
-		p.UQ = s.uqOptions()
-		p.Faults = s.faultConfig()
-		p.Checkpoint = plan
+		p.Options = shared
 		prob := stereo.BuildProblem(pair, p)
 		key := fmt.Sprintf("stereo/L%d/w%g/c%g", prob.Labels, p.SmoothWeight, p.SmoothCap)
 		p.PairLUT, res.PairLUTHit, err = cache.pairLUT(key, prob)
@@ -266,10 +269,7 @@ func runJob(ctx context.Context, id string, spec JobSpec, cache *ArtifactCache, 
 		if s.Iterations > 0 {
 			p.Schedule.Iterations = s.Iterations
 		}
-		p.SamplerFactory, p.Workers, p.Shards, p.Ctx, p.OnSweep = factory, workers, shards, ctx, onSweep
-		p.UQ = s.uqOptions()
-		p.Faults = s.faultConfig()
-		p.Checkpoint = plan
+		p.Options = shared
 		prob := flow.BuildProblem(pair, p)
 		key := fmt.Sprintf("flow/r%d/w%g/c%g", pair.Radius, p.SmoothWeight, p.SmoothCap)
 		p.PairLUT, res.PairLUTHit, err = cache.pairLUT(key, prob)
@@ -291,10 +291,7 @@ func runJob(ctx context.Context, id string, spec JobSpec, cache *ArtifactCache, 
 		if s.Iterations > 0 {
 			p.Iterations = s.Iterations
 		}
-		p.SamplerFactory, p.Workers, p.Shards, p.Ctx, p.OnSweep = factory, workers, shards, ctx, onSweep
-		p.UQ = s.uqOptions()
-		p.Faults = s.faultConfig()
-		p.Checkpoint = plan
+		p.Options = shared
 		// The Potts LUT depends only on the segment count and smoothness
 		// weight; dummy means of the right length give the same table.
 		prob := segment.BuildProblem(scene.Image, make([]float64, scene.Segments), p)
@@ -318,9 +315,7 @@ func runJob(ctx context.Context, id string, spec JobSpec, cache *ArtifactCache, 
 	case AppIsing:
 		m := ising.DefaultModel()
 		m.N = s.N
-		m.SamplerFactory, m.Workers, m.Shards, m.Ctx, m.OnSweep = factory, workers, shards, ctx, onSweep
-		m.Faults = s.faultConfig()
-		m.Checkpoint = plan
+		m.Options = shared
 		prob := m.Problem()
 		key := fmt.Sprintf("ising/J%g/H%g", m.J, m.H)
 		m.PairLUT, res.PairLUTHit, err = cache.pairLUT(key, prob)

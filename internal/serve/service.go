@@ -106,9 +106,9 @@ func (j *Job) finish(res *JobResult, status JobStatus, err error) {
 
 // Service is the embeddable batched-inference engine: a bounded queue in
 // front of a fixed pool of persistent worker goroutines, each draining jobs
-// through runJob (which drives mrf.SolveWithCtx and, per job, the pooled
-// checkerboard solver). All precomputation shared between jobs lives in the
-// ArtifactCache.
+// through runJob (which drives the app's solver through apps.Solve, on the
+// checkerboard tile engine when a job asks for workers or shards). All
+// precomputation shared between jobs lives in the ArtifactCache.
 type Service struct {
 	cfg     Config
 	cache   *ArtifactCache

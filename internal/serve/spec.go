@@ -2,14 +2,14 @@
 // one-shot CLI solvers into a system that takes traffic: an embeddable job
 // service that accepts stereo / flow / segment / ising inference jobs,
 // queues them with backpressure, and schedules them onto a bounded pool of
-// persistent solver workers driving mrf.SolveWithCtx. Concurrent jobs at
-// the same design point share read-only precomputation — pairwise
-// smoothness LUTs (mrf.PairLUT), synthetic datasets, and energy-to-lambda
-// conversion tables (core.ConverterCache) — through a shared-artifact
-// cache, mirroring how many RSU columns would share one temperature-update
-// bus and energy pipeline. cmd/rsu-serve wraps the service in an HTTP/JSON
-// daemon; internal/serve/loadtest drives it with concurrent mixed-app
-// traffic.
+// persistent solver workers driving the apps' shared solve path
+// (apps.Solve). Concurrent jobs at the same design point share read-only
+// precomputation — pairwise smoothness LUTs (mrf.PairLUT), synthetic
+// datasets, and energy-to-lambda conversion tables (core.ConverterCache) —
+// through a shared-artifact cache, mirroring how many RSU columns would
+// share one temperature-update bus and energy pipeline. cmd/rsu-serve wraps
+// the service in an HTTP/JSON daemon; internal/serve/loadtest drives it
+// with concurrent mixed-app traffic.
 package serve
 
 import (
