@@ -76,12 +76,14 @@ cover:
 	awk -v p="$$pct" -v min="$(UQ_COVER_MIN)" 'BEGIN { exit (p+0 >= min+0 ? 0 : 1) }' || \
 	{ echo "internal/uq coverage $$pct% is below the $(UQ_COVER_MIN)% floor"; exit 1; }
 
-# Native Go fuzzing of the sampling pipeline, the lambda converter, the
+# Native Go fuzzing of the sampling pipeline, the cut-off-aware sampling
+# kernel against the dense pipeline (draw for draw), the lambda converter, the
 # checkpoint snapshot decoder (truncation, bit flips, version skew), and the
 # shard-plan geometry (exclusive full-grid tile coverage under arbitrary
 # dimensions). FUZZTIME sets the budget per target (default 30s above).
 fuzz:
 	$(GO) test ./internal/conformance -run '^$$' -fuzz FuzzUnitSample -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/conformance -run '^$$' -fuzz FuzzLiveKernel -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/conformance -run '^$$' -fuzz FuzzLambdaCode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/checkpoint -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/shard -run '^$$' -fuzz FuzzShardGeometry -fuzztime $(FUZZTIME)

@@ -69,8 +69,9 @@ func startProfiles(cpuPath, memPath string) (func(), error) {
 // runPerf executes the before/after performance suite and writes the
 // machine-readable report. The suite compares the seed implementation
 // (serial solver, per-call energy evaluation, legacy sampling kernels)
-// against the current defaults; the full-app pair runs the parallel solver,
-// so GOMAXPROCS is raised to at least 4 to exercise it.
+// against the current defaults; the full-app pair runs the parallel solver
+// at the host's own GOMAXPROCS, which is left as it is, and the report
+// records NumCPU beside it.
 func runPerf(path string, workers int) error {
 	// Fail on an unwritable path before spending a minute on the suite
 	// (O_CREATE without O_TRUNC leaves any existing report intact).
@@ -79,9 +80,6 @@ func runPerf(path string, workers int) error {
 		return err
 	}
 	_ = probe.Close()
-	if runtime.GOMAXPROCS(0) < 4 {
-		runtime.GOMAXPROCS(4)
-	}
 	rep := benchkit.Run(workers)
 	fmt.Print(rep.String())
 	data, err := json.MarshalIndent(rep, "", "  ")
@@ -98,17 +96,14 @@ func runPerf(path string, workers int) error {
 // runShardSweep executes the tile-sharding sweep (benchkit.ShardSweep) and
 // writes the machine-readable report — the BENCH_3.json series that tracks
 // the sharded solver against the monolithic baseline on a grid 16x the
-// micro-suite's. The sharded arms run one goroutine per tile, so GOMAXPROCS
-// is raised to at least 4 for parity with the perf suite.
+// micro-suite's. The sharded arms run one goroutine per tile on the host's
+// own GOMAXPROCS; the report records NumCPU next to it.
 func runShardSweep(path string, workers int) error {
 	probe, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE, 0o644)
 	if err != nil {
 		return err
 	}
 	_ = probe.Close()
-	if runtime.GOMAXPROCS(0) < 4 {
-		runtime.GOMAXPROCS(4)
-	}
 	rep := benchkit.ShardSweep(workers)
 	fmt.Print(rep.String())
 	data, err := json.MarshalIndent(rep, "", "  ")
@@ -136,9 +131,6 @@ func runPerfCheck(baselinePath, reportPath string, tolerance, injectSlowdown flo
 	var baseline benchkit.Report
 	if err := json.Unmarshal(data, &baseline); err != nil {
 		return fmt.Errorf("parsing baseline %s: %w", baselinePath, err)
-	}
-	if runtime.GOMAXPROCS(0) < 4 {
-		runtime.GOMAXPROCS(4)
 	}
 	current := benchkit.Run(workers)
 	if injectSlowdown > 1 {

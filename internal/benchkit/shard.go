@@ -71,7 +71,7 @@ func ShardSweep(workers int) Report {
 	// One solve per op is already seconds of work, so the nanosecond minTime
 	// pins n to 1 and measure reduces to best-of-three whole solves.
 	base := measure(time.Nanosecond, solve(shard.Geometry{}))
-	rep := Report{Schema: ShardSchema, GOMAXPROCS: runtime.GOMAXPROCS(0), Workers: w}
+	rep := Report{Schema: ShardSchema, NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0), Workers: w}
 	for _, g := range shardSweepGeometries() {
 		after := measure(time.Nanosecond, solve(g))
 		rep.Benchmarks = append(rep.Benchmarks, Result{

@@ -1,6 +1,7 @@
 package conformance
 
 import (
+	"math"
 	"testing"
 
 	"rsu/internal/core"
@@ -131,6 +132,83 @@ func FuzzLambdaCode(f *testing.F) {
 		if cl < ch {
 			t.Fatalf("cfg %s T %v: code not monotone: e %v -> %d but e %v -> %d",
 				cfg.Name, T, lo, cl, hi, ch)
+		}
+	})
+}
+
+// zeroRateInjector perturbs nothing: attached to a Unit it leaves every draw
+// ideal but routes each evaluation through the dense sampling pipeline.
+type zeroRateInjector struct{}
+
+func (zeroRateInjector) PerturbBins([]int, int) {}
+
+// FuzzLiveKernel compares the cut-off-aware binned kernel with the dense
+// pipeline draw for draw: two LUT units from the same seed, one with a
+// zero-rate fault injector (which forces the dense path), must return the
+// same label and reach the same RNG state and Stats after every call. The
+// energies, 1-64 of them, come from the raw bytes in one of three modes:
+// arbitrary float64 bit patterns (NaN, ±Inf, subnormals, negatives);
+// fine-grained values across the quantizer's range and just beyond it; or
+// the quantizer's rounding boundaries k+0.5 moved by -2..2 ulps.
+func FuzzLiveKernel(f *testing.F) {
+	f.Add(uint8(0), uint8(0), uint64(7), uint8(55), uint8(1), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.Add(uint8(1), uint8(3), uint64(1), uint8(3), uint8(0), []byte{0, 0, 0, 0, 0, 0, 0xf8, 0x7f})
+	f.Add(uint8(2), uint8(1), uint64(9), uint8(63), uint8(1), []byte{0xff, 0x10, 0x40})
+	f.Add(uint8(3), uint8(4), uint64(3), uint8(0), uint8(0), []byte{})
+	f.Add(uint8(0), uint8(3), uint64(5), uint8(4), uint8(0), []byte{0, 0, 0, 0, 0, 0, 0xf0, 0x7f}) // all +Inf
+	f.Add(uint8(0), uint8(0), uint64(2), uint8(40), uint8(2), []byte{3, 0, 0, 1, 7, 0, 0, 2, 9, 0, 0, 3})
+	f.Fuzz(func(t *testing.T, cfgSel, tSel uint8, seed uint64, nSel, mode uint8, raw []byte) {
+		var cfgs []core.Config
+		for _, c := range fuzzConfigs() {
+			if c.EnergyBits > 0 && c.LambdaBits > 0 && c.TimeBits > 0 {
+				cfgs = append(cfgs, c)
+			}
+		}
+		cfg := cfgs[int(cfgSel)%len(cfgs)]
+		T := fuzzTemps[int(tSel)%len(fuzzTemps)]
+		energies := make([]float64, 1+int(nSel)%64)
+		for i := range energies {
+			var bits uint64
+			for b := 0; b < 8 && len(raw) > 0; b++ {
+				bits |= uint64(raw[(8*i+b)%len(raw)]) << (8 * b)
+			}
+			switch mode % 3 {
+			case 0:
+				energies[i] = math.Float64frombits(bits)
+			case 1:
+				// 2^-20 steps over [-16, 300).
+				energies[i] = float64(bits%(316<<20))/(1<<20) - 16
+			default:
+				e := float64(int(bits%302)-2) + 0.5
+				for d := int(bits>>16%5) - 2; d != 0; {
+					if d > 0 {
+						e, d = math.Nextafter(e, math.Inf(1)), d-1
+					} else {
+						e, d = math.Nextafter(e, math.Inf(-1)), d+1
+					}
+				}
+				energies[i] = e
+			}
+		}
+
+		xl, xd := rng.NewXoshiro256(seed|1), rng.NewXoshiro256(seed|1)
+		live := core.MustUnit(cfg, xl, true)
+		dense := core.MustUnit(cfg, xd, true)
+		dense.SetFaultInjector(zeroRateInjector{})
+		core.MustSetTemperature(live, T)
+		core.MustSetTemperature(dense, T)
+		cur := int(seed % uint64(len(energies)))
+		for i := 0; i < 8; i++ {
+			a, errA := live.Sample(energies, cur)
+			b, errB := dense.Sample(energies, cur)
+			if errA != nil || errB != nil {
+				t.Fatalf("cfg %s T %v: Sample errors %v / %v", cfg.Name, T, errA, errB)
+			}
+			if a != b || xl.State() != xd.State() || live.Stats() != dense.Stats() {
+				t.Fatalf("cfg %s T %v draw %d energies %v: live %d dense %d, rng equal %v\nlive  %+v\ndense %+v",
+					cfg.Name, T, i, energies, a, b, xl.State() == xd.State(), live.Stats(), dense.Stats())
+			}
+			cur = a
 		}
 	})
 }

@@ -77,6 +77,12 @@ type Converter interface {
 type LUTConverter struct {
 	table []int
 	width int // lambda code width in bits, for MemoryBits
+	// cut is the probability cut-off index K: table[k] == 0 exactly for
+	// k >= cut (len(table) when no entry is 0), or -1 when the zero entries
+	// do not form a contiguous tail. With K > 0, a label whose (scaled)
+	// energy code is K or more can never fire, which lets the sampling
+	// kernel skip it without converting it (Unit.sampleLive).
+	cut int
 }
 
 // NewLUTConverter builds the table for configuration c at temperature T.
@@ -88,7 +94,24 @@ func NewLUTConverter(c Config, T float64) *LUTConverter {
 	for ecode := 0; ecode < n; ecode++ {
 		t.table[ecode] = c.lambdaCodeFloat(float64(ecode)*step, T)
 	}
+	t.cut = cutIndex(t.table)
 	return t
+}
+
+// cutIndex returns the first index of table's all-zero tail (len(table)
+// when the last entry is non-zero), or -1 when a zero entry precedes that
+// tail.
+func cutIndex(table []int) int {
+	k := len(table)
+	for k > 0 && table[k-1] == 0 {
+		k--
+	}
+	for _, c := range table[:k] {
+		if c == 0 {
+			return -1
+		}
+	}
+	return k
 }
 
 // Code returns the decay-rate code for an energy code, clamping the index to

@@ -97,10 +97,16 @@ type Unit struct {
 	// can land in, so a draw starts there and scans at most a slot's worth
 	// of bins forward.
 	guide [][]uint32
-	// lutTable aliases the LUT converter's table when that realization is
-	// active, letting the fast path index it directly instead of going
-	// through the Converter interface per label.
+	// lutTable and lutCut alias the LUT converter's table and cut index when
+	// that realization is active, letting sampleLive index the table
+	// directly instead of going through the Converter interface per label.
+	// lutCut is 0 for any other converter; only a positive cut index
+	// selects that kernel.
 	lutTable []int
+	lutCut   int
+	// liveHi[c] is the largest energy that encodes to code c or less (see
+	// liveBounds), built once for the binned quantized configurations.
+	liveHi []float64
 	// convCache, when non-nil, memoizes converter construction per
 	// (config, realization, temperature) so units at the same design point
 	// share read-only conversion tables instead of rebuilding them on every
@@ -114,11 +120,12 @@ type Unit struct {
 	fault FaultInjector
 
 	// scratch buffers reused across Sample calls (Unit is single-threaded).
-	effBuf   []float64
-	codeBuf  []int
-	ecodeBuf []int
-	rateBuf  []float64
-	binBuf   []int
+	effBuf  []float64
+	codeBuf []int
+	rateBuf []float64
+	binBuf  []int
+	tiedBuf []int
+	allLabs []int // 0, 1, ..., len-1
 }
 
 // NewUnit builds a Unit for configuration cfg driven by src. useLUT selects
@@ -139,6 +146,9 @@ func NewUnit(cfg Config, src rng.Source, useLUT bool) (*Unit, error) {
 		u.estep = u.equant.Step()
 		u.emaxCode = u.equant.MaxCode()
 		u.escale = float64(u.emaxCode) / (cfg.EnergyMax - 0)
+		if cfg.LambdaBits > 0 && cfg.TimeBits > 0 {
+			u.liveHi = liveBounds(u.escale, cfg.EnergyMax, u.emaxCode)
+		}
 	}
 	if err := u.SetTemperature(1); err != nil {
 		return nil, err
@@ -196,21 +206,17 @@ func (u *Unit) SetTemperature(T float64) error {
 	}
 	u.T = T
 	if u.cfg.EnergyBits > 0 && u.cfg.LambdaBits > 0 {
-		if u.convCache != nil {
-			conv := u.convCache.Get(u.cfg, u.useLUT, T)
-			u.conv = conv
-			if lut, ok := conv.(*LUTConverter); ok {
-				u.lutTable = lut.table
-			} else {
-				u.lutTable = nil
-			}
-		} else if u.useLUT {
-			lut := NewLUTConverter(u.cfg, T)
-			u.conv = lut
-			u.lutTable = lut.table
-		} else {
+		switch {
+		case u.convCache != nil:
+			u.conv = u.convCache.Get(u.cfg, u.useLUT, T)
+		case u.useLUT:
+			u.conv = NewLUTConverter(u.cfg, T)
+		default:
 			u.conv = NewBoundaryConverter(u.cfg, T)
-			u.lutTable = nil
+		}
+		u.lutTable, u.lutCut = nil, 0
+		if lut, ok := u.conv.(*LUTConverter); ok {
+			u.lutTable, u.lutCut = lut.table, lut.cut
 		}
 	}
 	return nil
@@ -300,9 +306,13 @@ func (u *Unit) ensureScratch(m int) {
 	if cap(u.effBuf) < m {
 		u.effBuf = make([]float64, m)
 		u.codeBuf = make([]int, m)
-		u.ecodeBuf = make([]int, m)
 		u.rateBuf = make([]float64, m)
 		u.binBuf = make([]int, m)
+		u.tiedBuf = make([]int, m)
+		u.allLabs = make([]int, m)
+		for i := range u.allLabs {
+			u.allLabs[i] = i
+		}
 	}
 }
 
@@ -319,6 +329,12 @@ func (u *Unit) sampleOne(energies []float64, current int) int {
 	if !u.legacy && u.cfg.EnergyBits > 0 && u.cfg.LambdaBits > 0 {
 		// Fully quantized pipeline: stages 1-2 stay in integer energy codes,
 		// skipping the code -> float -> code round-trip of the reference path.
+		// Binned units with a LUT whose zeros form a tail take the
+		// cut-off-aware kernel; a FaultInjector needs the dense bins (a dark
+		// count can make a cut-off label fire).
+		if u.lutCut > 0 && u.fault == nil && u.cfg.TimeBits > 0 {
+			return u.sampleLive(energies, current)
+		}
 		return u.sampleQuantized(energies, current)
 	}
 
@@ -400,7 +416,7 @@ func encodeEnergy(e, scale, emax float64, maxCode int) int {
 	return 0
 }
 
-// sampleQuantized is the integer fast path for EnergyBits > 0 and
+// sampleQuantized is the integer pipeline for EnergyBits > 0 and
 // LambdaBits > 0: encode once, subtract the minimum energy code when the mode
 // scales, and feed the integer difference straight to the converter. The
 // reference path decodes the energy code back to a float, subtracts, and
@@ -408,165 +424,193 @@ func encodeEnergy(e, scale, emax float64, maxCode int) int {
 // the quantizer step re-rounds to the code difference), so the emitted
 // decay-rate codes are identical.
 //
-// The stages are fused into the fewest passes the data dependences allow:
-// decay-rate scaling needs the global minimum energy code before any
-// conversion (one encode+min pass), after which conversion and the TTF draw
-// fuse into a single pass; without scaling the whole encode→convert→draw
-// chain is one pass. TTF draws still happen in label order and the selection
-// stage still runs after every draw, so the RNG stream is bit-identical to
-// the unfused pipeline (tie-break draws must follow all bin draws).
+// It is the dense pipeline, which sampleOne uses wherever the cut-off-aware
+// kernel (sampleLive) does not apply: the boundary-comparison converter,
+// continuous time, LUTs with interior zeros, and units with a
+// FaultInjector, whose PerturbBins needs every label's bin.
 func (u *Unit) sampleQuantized(energies []float64, current int) int {
 	m := len(energies)
 	scale, emax, maxCode := u.escale, u.cfg.EnergyMax, u.emaxCode
-	lt := u.lutTable
-	binned := u.cfg.TimeBits > 0
-
-	if !u.cfg.scalesEnergy() {
-		// No scaling: encode, convert and draw in one fused pass. The
-		// LUT-vs-converter dispatch is hoisted out of the per-label loops so
-		// the hot LUT variant indexes the table with no branch per label.
-		if binned {
-			bins := u.binBuf[:m]
-			if lt != nil {
-				for i, e := range energies {
-					c := lt[encodeEnergy(e, scale, emax, maxCode)]
-					if c == 0 {
-						u.stats.Cutoffs++
-						bins[i] = 0
-						continue
-					}
-					bins[i] = u.drawBinCode(c)
-				}
-			} else {
-				for i, e := range energies {
-					c := u.conv.Code(encodeEnergy(e, scale, emax, maxCode))
-					if c == 0 {
-						u.stats.Cutoffs++
-						bins[i] = 0
-						continue
-					}
-					bins[i] = u.drawBinCode(c)
-				}
-			}
-			return u.selectBin(bins, current)
-		}
-		rates := u.rateBuf[:m]
-		if lt != nil {
-			for i, e := range energies {
-				c := lt[encodeEnergy(e, scale, emax, maxCode)]
-				if c == 0 {
-					u.stats.Cutoffs++
-				}
-				rates[i] = float64(c)
-			}
-		} else {
-			for i, e := range energies {
-				c := u.conv.Code(encodeEnergy(e, scale, emax, maxCode))
-				if c == 0 {
-					u.stats.Cutoffs++
-				}
-				rates[i] = float64(c)
-			}
-		}
-		return u.sampleContinuousRates(rates, current)
+	codes := u.codeBuf[:m]
+	// Without scaling min stays 0 and the subtraction is a no-op.
+	min := 0
+	if u.cfg.scalesEnergy() {
+		min = maxCode
 	}
-
-	// Scaling pass: encode every label and track the minimum code.
-	ecodes := u.ecodeBuf[:m]
-	min := maxCode
 	for i, e := range energies {
 		ec := encodeEnergy(e, scale, emax, maxCode)
-		ecodes[i] = ec
+		codes[i] = ec
 		if ec < min {
 			min = ec
 		}
 	}
-
-	// Fused convert+draw pass over the scaled codes. Direct LUT indexing
-	// is safe: Encode keeps codes in [0, len(lt)-1] and the min-subtraction
-	// only lowers them, so no clamp or interface call is needed per label.
-	if binned {
-		bins := u.binBuf[:m]
-		if lt != nil && u.srcX != nil {
-			// Fully specialized stereo hot path: LUT conversion plus the
-			// binned draw inlined with a devirtualized xoshiro source. The
-			// draw body replicates drawBinCode statement for statement
-			// (same uniform construction, same guided scan), so the RNG
-			// stream and the emitted bins are bit-identical; codes outside
-			// the pre-built survival cache fall back to drawBinCode.
-			x := u.srcX
-			surv, guide := u.surv, u.guide
-			for i, ec := range ecodes {
-				c := lt[ec-min]
-				if c == 0 {
-					u.stats.Cutoffs++
-					bins[i] = 0
-					continue
-				}
-				if c >= len(surv) || surv[c] == nil {
-					bins[i] = u.drawBinCode(c)
-					continue
-				}
-				s, g := surv[c], guide[c]
-				var v float64
-				for {
-					v = float64(x.Uint64()>>11) / (1 << 53)
-					if v > 0 {
-						break
-					}
-				}
-				b := int(g[int(v*(1<<guideBits))])
-				for b < len(s) && v < s[b] {
-					b++
-				}
-				if b == len(s) {
-					u.stats.Truncated++
-					b = 0
-				}
-				bins[i] = b
-			}
-		} else if lt != nil {
-			for i, ec := range ecodes {
-				c := lt[ec-min]
-				if c == 0 {
-					u.stats.Cutoffs++
-					bins[i] = 0
-					continue
-				}
-				bins[i] = u.drawBinCode(c)
-			}
-		} else {
-			for i, ec := range ecodes {
-				c := u.conv.Code(ec - min)
-				if c == 0 {
-					u.stats.Cutoffs++
-					bins[i] = 0
-					continue
-				}
-				bins[i] = u.drawBinCode(c)
-			}
+	for i, ec := range codes {
+		c := u.conv.Code(ec - min)
+		if c == 0 {
+			u.stats.Cutoffs++
 		}
-		return u.selectBin(bins, current)
+		codes[i] = c
+	}
+	if u.cfg.TimeBits > 0 {
+		return u.sampleBinnedCodes(codes, current)
 	}
 	rates := u.rateBuf[:m]
-	if lt != nil {
-		for i, ec := range ecodes {
-			c := lt[ec-min]
-			if c == 0 {
-				u.stats.Cutoffs++
-			}
-			rates[i] = float64(c)
-		}
-	} else {
-		for i, ec := range ecodes {
-			c := u.conv.Code(ec - min)
-			if c == 0 {
-				u.stats.Cutoffs++
-			}
-			rates[i] = float64(c)
-		}
+	for i, c := range codes {
+		rates[i] = float64(c)
 	}
 	return u.sampleContinuousRates(rates, current)
+}
+
+// sampleLive is the cut-off-aware binned kernel. With the LUT's cut index K
+// (table[k] == 0 exactly for k >= K), a label fires only if its energy code
+// ec satisfies ec - min < K, where min is the minimum energy code (0 without
+// scaling): every other label's decay rate is cut off to 0. At annealing
+// temperatures below 1 that leaves 1-3 of stereo's 56 labels, so the kernel
+// converts, draws and races only those.
+//
+// It is exact, not approximate. Encoding is monotone in the energy, and NaN
+// encodes to 0 like every non-positive energy, so ec - min < K holds exactly
+// for NaN and for the energies at or below hi = liveHi[min+K-1]; the
+// !(e > hi) test admits both. For more than fewLabels labels, one pass
+// tracks the minimum and keeps as candidates the labels that pass the test
+// against the minimum so far: the bound only falls as the minimum does, so
+// every live label is a candidate. A second pass over the candidates (every
+// label, for short vectors) applies the final bound. The live labels are
+// visited in label order and each draws exactly what the dense pipeline
+// draws for it; the cut-off labels draw nothing there either. The fired
+// labels enter the race in label order, as selectBin feeds it the dense
+// bins. So the RNG stream, the chosen label and every Stats counter match
+// the dense pipeline.
+func (u *Unit) sampleLive(energies []float64, current int) int {
+	scale, emax, maxCode := u.escale, u.cfg.EnergyMax, u.emaxCode
+	cand := u.allLabs[:len(energies)]
+	var min int
+	var hi float64
+	switch {
+	case !u.cfg.scalesEnergy():
+		// The minimum is code 0 and the bound is known up front: every
+		// label is a candidate and the second pass alone filters.
+		hi = u.codeBound(0)
+	case len(energies) <= fewLabels:
+		// Find the minimum first and let the second pass filter every
+		// label. NaN, once seen, stays the minimum: nothing compares below
+		// it.
+		fmin := math.Inf(1)
+		for _, e := range energies {
+			if e < fmin || e != e {
+				fmin = e
+			}
+		}
+		min = encodeEnergy(fmin, scale, emax, maxCode)
+		hi = u.codeBound(min)
+	default:
+		// The minimum starts at +Inf, whose code maxCode puts every code
+		// within the cut. The candidates reuse codeBuf, which only the
+		// dense pipeline needs.
+		fmin := math.Inf(1)
+		min, hi = maxCode, math.Inf(1)
+		cand = u.codeBuf[:0]
+		for i, e := range energies {
+			if e > hi {
+				continue
+			}
+			if !(e >= fmin) {
+				// A new minimum, or NaN: NaN's code is 0, the floor,
+				// which -Inf pins for the rest of the pass.
+				fmin = e
+				if e != e {
+					fmin = math.Inf(-1)
+				}
+				min = encodeEnergy(fmin, scale, emax, maxCode)
+				hi = u.codeBound(min)
+			}
+			cand = append(cand, i)
+		}
+	}
+
+	lt := u.lutTable
+	x := u.srcX
+	surv, guide := u.surv, u.guide
+	r := race{bin: math.MaxInt, tied: u.tiedBuf[:0]}
+	live := 0
+	for _, i := range cand {
+		e := energies[i]
+		if e > hi {
+			continue
+		}
+		live++
+		// ec - min < K, so the LUT index is in range and the code is
+		// non-zero.
+		c := lt[encodeEnergy(e, scale, emax, maxCode)-min]
+		var b int
+		if x != nil && c < len(surv) && surv[c] != nil {
+			// drawBinCode inlined on the devirtualized xoshiro source:
+			// same uniform construction, same guided scan, same bin.
+			s, g := surv[c], guide[c]
+			var v float64
+			for {
+				v = float64(x.Uint64()>>11) / (1 << 53)
+				if v > 0 {
+					break
+				}
+			}
+			b = int(g[int(v*(1<<guideBits))])
+			for b < len(s) && v < s[b] {
+				b++
+			}
+			if b == len(s) {
+				u.stats.Truncated++
+				b = 0
+			}
+		} else {
+			b = u.drawBinCode(c)
+		}
+		if b != 0 {
+			r.fire(i, b)
+		}
+	}
+	u.stats.Cutoffs += len(energies) - live
+	return u.settle(&r, current)
+}
+
+// fewLabels is the longest energy vector for which sampleLive finds the
+// minimum in a pass of its own. Re-deriving the bound at every new minimum
+// costs an encode and a table load on the loop's critical path; with 2-16
+// labels (serve's segmentation and Ising jobs) a plain minimum pass plus a
+// compare per label is cheaper, while with stereo's 56 the candidate pass,
+// which skips most labels after one compare, is (measured on a 2-vCPU
+// host).
+const fewLabels = 16
+
+// codeBound returns the largest energy a label may have and still fire when
+// the minimum energy code is min: liveHi[min+K-1], or +Inf when every code
+// up to the quantizer's maximum is within the cut.
+func (u *Unit) codeBound(min int) float64 {
+	if limit := min + u.lutCut - 1; limit < u.emaxCode {
+		return u.liveHi[limit]
+	}
+	return math.Inf(1)
+}
+
+// liveBounds returns, for every energy code c below maxCode, the largest
+// float64 energy that encodes to c or less: the exact threshold sampleLive
+// compares energies against instead of encoding them. Each starts from the
+// real-valued rounding boundary (c+0.5)/scale and steps by ulps; encoding
+// is monotone, so the steps settle within a few ulps.
+func liveBounds(scale, emax float64, maxCode int) []float64 {
+	enc := func(e float64) int { return encodeEnergy(e, scale, emax, maxCode) }
+	hi := make([]float64, maxCode)
+	for c := range hi {
+		h := (float64(c) + 0.5) / scale
+		for enc(h) > c {
+			h = math.Nextafter(h, math.Inf(-1))
+		}
+		for next := math.Nextafter(h, math.Inf(1)); enc(next) <= c; next = math.Nextafter(h, math.Inf(1)) {
+			h = next
+		}
+		hi[c] = h
+	}
+	return hi
 }
 
 func (u *Unit) sampleContinuousFloat(eff []float64, current int) int {
@@ -764,68 +808,89 @@ func (u *Unit) drawBinCode(code int) int {
 	return b
 }
 
-// selectBin implements the selection stage: smallest bin wins; bin 0 means
-// "did not fire". Ties follow the configured policy. Every binned sampling
-// kernel (fast and legacy) funnels through here, so the fault hook sees each
-// evaluation exactly once regardless of kernel selection.
+// selectBin implements the selection stage over a dense bin vector: smallest
+// bin wins; bin 0 means "did not fire". Every dense binned kernel (fast and
+// legacy) funnels through here, so the fault hook sees each of their
+// evaluations exactly once; sampleLive, which never runs with a hook, races
+// its fired labels directly.
 func (u *Unit) selectBin(bins []int, current int) int {
 	if u.fault != nil {
 		u.fault.PerturbBins(bins, u.tmax)
 	}
-	best := -1
-	bestBin := math.MaxInt
-	tied := 1
-	sawTie := false
-	if u.cfg.Tie == TieRandom && u.srcX != nil {
-		// Devirtualized variant of the loop below: reservoir tie-breaks are
-		// frequent early in an annealing schedule (coarse bins collide), so
-		// the tie draw inlines rng.Intn's widening-multiply construction on
-		// the concrete xoshiro source — same draw, same stream.
-		x := u.srcX
-		for i, b := range bins {
-			if b == 0 {
-				continue
-			}
-			switch {
-			case b < bestBin:
-				bestBin = b
-				best = i
-				tied = 1
-			case b == bestBin:
-				sawTie = true
-				tied++
-				if int((x.Uint64()>>33)*uint64(tied)>>31) == 0 {
-					best = i
-				}
-			}
-		}
-	} else {
-		for i, b := range bins {
-			if b == 0 {
-				continue
-			}
-			switch {
-			case b < bestBin:
-				bestBin = b
-				best = i
-				tied = 1
-			case b == bestBin:
-				sawTie = true
-				if u.cfg.Tie == TieRandom {
-					tied++
-					if rng.Intn(u.src, tied) == 0 {
-						best = i
-					}
-				}
-			}
+	r := race{bin: math.MaxInt, tied: u.tiedBuf[:0]}
+	for i, b := range bins {
+		if b != 0 {
+			r.fire(i, b)
 		}
 	}
-	if best < 0 {
+	return u.settle(&r, current)
+}
+
+// race is the first-to-fire comparator fed the fired labels in label order.
+// It keeps only what the tie-break needs: the smallest bin so far, the
+// labels tied at it, and the tie events counted so far — stale holds those
+// that happened before the current smallest bin appeared.
+type race struct {
+	bin, ties, stale int
+	tied             []int
+}
+
+func (r *race) fire(label, bin int) {
+	if bin < r.bin {
+		r.bin, r.stale = bin, r.ties
+		r.tied = append(r.tied[:0], label)
+	} else if bin == r.bin {
+		r.ties++
+		r.tied = append(r.tied, label)
+	}
+}
+
+// settle resolves the race and returns the winner, or current when no label
+// fired (no SPAD pulse: the variable keeps its label). Under TieRandom the
+// comparator keeps a reservoir sample with one draw per tie event, in label
+// order and after every bin draw. A tie at a bin that a later label beat
+// only consumes its draw, and all of those come before the ties at the
+// winning bin, so settle skips r.stale draws and then runs the reservoir
+// over the labels tied at the winning bin: the same draws, in the same
+// order, as a comparator that draws as it goes.
+func (u *Unit) settle(r *race, current int) int {
+	if r.ties == 0 && len(r.tied) == 1 {
+		return r.tied[0] // the common case: one label fired first, alone
+	}
+	return u.settleTie(r, current)
+}
+
+// settleTie is settle's slow path: no label fired, or a tie.
+func (u *Unit) settleTie(r *race, current int) int {
+	if len(r.tied) == 0 {
 		u.stats.NoFire++
 		return current
 	}
-	if sawTie {
+	if r.ties > 0 {
 		u.stats.Ties++
+	}
+	best := r.tied[0]
+	if u.cfg.Tie != TieRandom {
+		return best
+	}
+	// Each tie draw is one rng.Intn: one Uint64 through a widening
+	// multiply, inlined on the devirtualized xoshiro source when there is
+	// one.
+	for k := 0; k < r.stale; k++ {
+		u.src.Uint64()
+	}
+	x := u.srcX
+	for k := 1; k < len(r.tied); k++ {
+		n := k + 1
+		var d int
+		if x != nil {
+			d = int((x.Uint64() >> 33) * uint64(n) >> 31)
+		} else {
+			d = rng.Intn(u.src, n)
+		}
+		if d == 0 {
+			best = r.tied[k]
+		}
 	}
 	return best
 }
