@@ -24,11 +24,12 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# Focused race pass over the solver runtime (tile-engine executor pool,
-# cancellation, panic-to-error, run log), repeated to shake out
+# Focused race pass over the solver runtime (the annealing driver both sweep
+# engines share, the tile-engine executor pool, cancellation, panic-to-error,
+# checkpoint and resume, run log), repeated to shake out
 # scheduling-dependent interleavings (DESIGN.md §9).
 race-runtime:
-	$(GO) test -race -count=3 -run 'TestSolve|TestRunLog|TestOnSweep|TestSchedule' ./internal/mrf ./internal/runopt
+	$(GO) test -race -count=3 -run 'TestSolve|TestRunLog|TestOnSweep|TestSchedule|TestSharded|TestCheckpoint|TestSetTemperature|TestResume' ./internal/mrf ./internal/runopt
 
 # The benchmark harness is its own module (perfbench/go.mod), so the root
 # build and test never compile it; vet and test it here so an internal API

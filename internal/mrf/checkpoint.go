@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"rsu/internal/core"
-	"rsu/internal/img"
 	"rsu/internal/shard"
 )
 
@@ -89,27 +88,25 @@ type SolverState struct {
 	Collector []byte
 }
 
-// captureState snapshots the complete solver state between sweeps.
-// nextSweep/nextT name the first un-run sweep and its temperature; energy is
-// the incremental accumulator (meaningful when track). grids, non-nil for the
-// tile engine, adds the lattice and every tile's halos; the caller must have
-// gathered the tiles into lab first.
-func captureState(p *Problem, lab *img.Labels, samplers []core.LabelSampler, grids []*shard.TileGrid,
-	opts SolveOptions, nextSweep int, nextT float64, energy float64, track bool) (*SolverState, error) {
+// captureState snapshots the complete solver state between sweeps: the
+// run's labeling (the caller must have gathered the tiles into it), the
+// first un-run sweep and its temperature, the incremental energy (zero
+// unless tracked), every stream's sampler state and, on the tile engine, the
+// lattice and every tile's halos.
+func captureState(r *run) (*SolverState, error) {
 	st := &SolverState{
-		W: p.W, H: p.H, Labels: p.Labels,
-		Workers:       len(samplers),
-		NextSweep:     nextSweep,
-		NextT:         nextT,
-		Grid:          append([]int(nil), lab.L...),
-		Energy:        energy,
-		EnergyTracked: track,
-		Samplers:      make([]core.SamplerState, len(samplers)),
+		W: r.p.W, H: r.p.H, Labels: r.p.Labels,
+		Workers:       len(r.samplers),
+		NextSweep:     r.next,
+		NextT:         r.ti.t,
+		Grid:          append([]int(nil), r.lab.L...),
+		EnergyTracked: r.track,
+		Samplers:      make([]core.SamplerState, len(r.samplers)),
 	}
-	if !track {
-		st.Energy = 0
+	if r.track {
+		st.Energy = r.energy
 	}
-	if len(grids) > 0 {
+	if grids := r.grids; len(grids) > 0 {
 		last := grids[len(grids)-1].Tile
 		st.ShardRows, st.ShardCols = last.R+1, last.C+1
 		st.Halos = make([][]int, len(grids))
@@ -117,7 +114,7 @@ func captureState(p *Problem, lab *img.Labels, samplers []core.LabelSampler, gri
 			st.Halos[i] = g.HaloSnapshot()
 		}
 	}
-	for i, s := range samplers {
+	for i, s := range r.samplers {
 		c, ok := s.(core.Checkpointable)
 		if !ok {
 			return nil, fmt.Errorf("mrf: sampler %d (%T) does not support checkpointing", i, s)
@@ -128,8 +125,9 @@ func captureState(p *Problem, lab *img.Labels, samplers []core.LabelSampler, gri
 		}
 		st.Samplers[i] = ss
 	}
+	opts := r.opts
 	if opts.Faults != nil {
-		fs, err := opts.Faults.CaptureStates(len(samplers))
+		fs, err := opts.Faults.CaptureStates(len(r.samplers))
 		if err != nil {
 			return nil, err
 		}
@@ -244,50 +242,36 @@ func resumeIter(st *SolverState, sched Schedule) tempIter {
 	return tempIter{t: st.NextT, alpha: sched.Alpha, floor: sched.floor()}
 }
 
-// checkpointDue reports whether the periodic cadence captures after sweep k.
-// It never fires for the final sweep — the run is about to return its
-// result, so there is nothing left worth resuming.
-func checkpointDue(opts SolveOptions, k, iterations int) bool {
-	return opts.OnCheckpoint != nil && opts.CheckpointEvery > 0 &&
-		(k+1)%opts.CheckpointEvery == 0 && k+1 < iterations
-}
-
-// periodicCheckpoint fires the OnCheckpoint hook after sweep k when
-// checkpointDue says so. A capture or hook failure aborts the solve: the
+// periodicCheckpoint captures the run after the sweep that just ran and
+// hands the snapshot to OnCheckpoint; the driver calls it when
+// run.checkpointDue says so. A capture or hook failure aborts the solve: the
 // caller asked for durability, and silently continuing without it would turn
-// a full-disk into lost work discovered only after the next crash. grids is
-// as for captureState.
-func periodicCheckpoint(p *Problem, lab *img.Labels, samplers []core.LabelSampler, grids []*shard.TileGrid,
-	opts SolveOptions, k int, ti tempIter, energy float64, track bool, iterations int) error {
-	if !checkpointDue(opts, k, iterations) {
-		return nil
+// a full-disk into lost work discovered only after the next crash.
+func periodicCheckpoint(r *run) error {
+	st, err := captureState(r)
+	if err == nil {
+		err = r.opts.OnCheckpoint(st)
 	}
-	st, err := captureState(p, lab, samplers, grids, opts, k+1, ti.t, energy, track)
 	if err != nil {
-		return fmt.Errorf("mrf: sweep %d checkpoint: %w", k, err)
-	}
-	if err := opts.OnCheckpoint(st); err != nil {
-		return fmt.Errorf("mrf: sweep %d checkpoint: %w", k, err)
+		return fmt.Errorf("mrf: sweep %d checkpoint: %w", r.next-1, err)
 	}
 	return nil
 }
 
 // cancelCheckpoint captures a final snapshot when a run is cancelled, so the
 // in-flight work survives the cancellation (the serving layer's drain path
-// and the CLI's -timeout both rely on this). The snapshot resumes at sweep
-// k — the sweep the cancellation pre-empted. Capture or hook errors are
-// joined onto the cancellation cause rather than replacing it. grids is as
-// for captureState.
-func cancelCheckpoint(cause error, p *Problem, lab *img.Labels, samplers []core.LabelSampler, grids []*shard.TileGrid,
-	opts SolveOptions, k int, ti tempIter, energy float64, track bool) error {
-	if opts.OnCheckpoint == nil {
+// and the CLI's -timeout both rely on this). The snapshot resumes at
+// run.next — the sweep the cancellation pre-empted. Capture or hook errors
+// are joined onto the cancellation cause rather than replacing it.
+func cancelCheckpoint(cause error, r *run) error {
+	if r.opts.OnCheckpoint == nil {
 		return cause
 	}
-	st, err := captureState(p, lab, samplers, grids, opts, k, ti.t, energy, track)
-	if err != nil {
-		return errors.Join(cause, fmt.Errorf("mrf: cancellation checkpoint: %w", err))
+	st, err := captureState(r)
+	if err == nil {
+		err = r.opts.OnCheckpoint(st)
 	}
-	if err := opts.OnCheckpoint(st); err != nil {
+	if err != nil {
 		return errors.Join(cause, fmt.Errorf("mrf: cancellation checkpoint: %w", err))
 	}
 	return cause

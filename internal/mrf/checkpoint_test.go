@@ -52,10 +52,27 @@ func recsEqual(t *testing.T, what string, a, b []sweepRec) {
 	}
 }
 
-// TestCheckpointResumeBitExactSerial checkpoints a serial software-sampler
-// run mid-flight and verifies the resumed run's final labels and per-sweep
-// records are identical to an uninterrupted run's.
-func TestCheckpointResumeBitExactSerial(t *testing.T) {
+// TestCheckpointResumeBitExactSerial checkpoints runs mid-flight on the
+// serial engine, and TestCheckpointResumeBitExactParallel on the tile
+// engines, and verify the resumed runs' final labels and per-sweep records
+// are identical to an uninterrupted run's: twenty random software-sampler
+// problems resumed from every periodic snapshot, and one RSU-G run with
+// fault injection and a UQ collector — every stateful component at once —
+// whose fault counters and posterior marginals must survive too.
+func TestCheckpointResumeBitExactSerial(t *testing.T) { checkResumeBitExact(t, serialEngines) }
+
+func TestCheckpointResumeBitExactParallel(t *testing.T) { checkResumeBitExact(t, tileEngines) }
+
+func checkResumeBitExact(t *testing.T, engines []engineCase) {
+	for _, e := range engines {
+		t.Run(e.name, func(t *testing.T) {
+			checkResumeRandomProblems(t, e)
+			checkResumeStatefulComponents(t, e)
+		})
+	}
+}
+
+func checkResumeRandomProblems(t *testing.T, e engineCase) {
 	r := rand.New(rand.NewSource(901))
 	for trial := 0; trial < 20; trial++ {
 		p := randomProblem(r)
@@ -63,7 +80,7 @@ func TestCheckpointResumeBitExactSerial(t *testing.T) {
 		seed := uint64(7000 + trial)
 
 		var fullRecs []sweepRec
-		full, err := Solve(p, core.NewSoftwareSampler(rng.NewXoshiro256(seed)), sched,
+		full, err := e.solve(context.Background(), p, sfactory(seed), sched,
 			SolveOptions{OnSweep: recordInto(&fullRecs)})
 		if err != nil {
 			t.Fatal(err)
@@ -71,7 +88,7 @@ func TestCheckpointResumeBitExactSerial(t *testing.T) {
 
 		var snaps []*SolverState
 		var headRecs []sweepRec
-		_, err = Solve(p, core.NewSoftwareSampler(rng.NewXoshiro256(seed)), sched, SolveOptions{
+		_, err = e.solve(context.Background(), p, sfactory(seed), sched, SolveOptions{
 			OnSweep:         recordInto(&headRecs),
 			CheckpointEvery: 5,
 			OnCheckpoint:    func(st *SolverState) error { snaps = append(snaps, st); return nil },
@@ -85,7 +102,7 @@ func TestCheckpointResumeBitExactSerial(t *testing.T) {
 
 		for _, st := range snaps {
 			var tailRecs []sweepRec
-			got, err := Solve(p, core.NewSoftwareSampler(rng.NewXoshiro256(seed)), sched, SolveOptions{
+			got, err := e.solve(context.Background(), p, sfactory(seed), sched, SolveOptions{
 				OnSweep: recordInto(&tailRecs),
 				Resume:  st,
 			})
@@ -99,11 +116,7 @@ func TestCheckpointResumeBitExactSerial(t *testing.T) {
 	}
 }
 
-// TestCheckpointResumeBitExactParallel runs the 3-worker tile engine with
-// RSU-G units, fault injection and a UQ collector — every stateful component at
-// once — and verifies labels, run logs, fault counters and posterior
-// marginals all survive a mid-run snapshot + resume bit-exactly.
-func TestCheckpointResumeBitExactParallel(t *testing.T) {
+func checkResumeStatefulComponents(t *testing.T, e engineCase) {
 	p := &Problem{
 		W: 9, H: 7, Labels: 4,
 		Singleton:  func(x, y, l int) float64 { return float64((x*31+y*17+l*13)%97) * 0.5 },
@@ -111,17 +124,8 @@ func TestCheckpointResumeBitExactParallel(t *testing.T) {
 		Dist:       Absolute,
 	}
 	sched := Schedule{T0: 8, Alpha: 0.9, Iterations: 14}
-	const workers = 3
 	const seed = 424242
 	fcfg := &fault.Config{BleedThrough: 0.05, DarkCountPerBin: 0.002, Drift: 0.001, Seed: 99}
-
-	makeSamplers := func() []core.LabelSampler {
-		ss := make([]core.LabelSampler, workers)
-		for w := range ss {
-			ss[w] = core.MustUnit(core.NewRSUG(), rng.NewXoshiro256(core.StreamSeed(seed, w)), true)
-		}
-		return ss
-	}
 	makeAcc := func() *uq.Accumulator {
 		acc, err := uq.NewForRun(uq.Options{BurnIn: 2, Thin: 2}, p.W, p.H, p.Labels, sched.Iterations)
 		if err != nil {
@@ -129,15 +133,18 @@ func TestCheckpointResumeBitExactParallel(t *testing.T) {
 		}
 		return acc
 	}
+	makeInj := func() *fault.Injection {
+		inj, err := fault.New(fcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return inj
+	}
 
 	// Uninterrupted reference.
 	var fullRecs []sweepRec
-	fullAcc := makeAcc()
-	fullInj, err := fault.New(fcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := solveSamplers(context.Background(), p, makeSamplers(), sched, SolveOptions{
+	fullAcc, fullInj := makeAcc(), makeInj()
+	full, err := e.solve(context.Background(), p, rsugFactory(seed), sched, SolveOptions{
 		OnSweep: recordInto(&fullRecs), Collector: fullAcc, Faults: fullInj,
 	})
 	if err != nil {
@@ -147,13 +154,8 @@ func TestCheckpointResumeBitExactParallel(t *testing.T) {
 
 	// Checkpointing run: keep only the snapshot after sweep 8.
 	var snap *SolverState
-	headInj, err := fault.New(fcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	headAcc := makeAcc()
-	headLab, err := solveSamplers(context.Background(), p, makeSamplers(), sched, SolveOptions{
-		OnSweep: func(int, *img.Labels, SolveStats) {}, Collector: headAcc, Faults: headInj,
+	headLab, err := e.solve(context.Background(), p, rsugFactory(seed), sched, SolveOptions{
+		OnSweep: func(int, *img.Labels, SolveStats) {}, Collector: makeAcc(), Faults: makeInj(),
 		CheckpointEvery: 8,
 		OnCheckpoint: func(st *SolverState) error {
 			if st.NextSweep == 8 {
@@ -169,9 +171,9 @@ func TestCheckpointResumeBitExactParallel(t *testing.T) {
 	if snap == nil {
 		t.Fatal("no snapshot captured at sweep 8")
 	}
-	if snap.Workers != workers || len(snap.Samplers) != workers || len(snap.Faults) != workers {
-		t.Fatalf("snapshot shape: workers %d, %d sampler states, %d fault states",
-			snap.Workers, len(snap.Samplers), len(snap.Faults))
+	if n := e.streams(); snap.Workers != n || len(snap.Samplers) != n || len(snap.Faults) != n {
+		t.Fatalf("snapshot shape: workers %d, %d sampler states, %d fault states, want %d each",
+			snap.Workers, len(snap.Samplers), len(snap.Faults), n)
 	}
 	if snap.Collector == nil {
 		t.Fatal("snapshot is missing the collector state")
@@ -180,12 +182,8 @@ func TestCheckpointResumeBitExactParallel(t *testing.T) {
 	// Resume into freshly built samplers / injection / accumulator, as a
 	// restarted process would.
 	var tailRecs []sweepRec
-	tailInj, err := fault.New(fcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tailAcc := makeAcc()
-	got, err := solveSamplers(context.Background(), p, makeSamplers(), sched, SolveOptions{
+	tailAcc, tailInj := makeAcc(), makeInj()
+	got, err := e.solve(context.Background(), p, rsugFactory(seed), sched, SolveOptions{
 		OnSweep: recordInto(&tailRecs), Collector: tailAcc, Faults: tailInj,
 		Resume: snap,
 	})

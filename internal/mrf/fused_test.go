@@ -340,7 +340,8 @@ func TestSerialSweepSteadyStateZeroAlloc(t *testing.T) {
 	lab := img.NewLabels(p.W, p.H)
 	u := core.MustUnit(core.NewRSUG(), rng.NewXoshiro256(9), true)
 	core.MustSetTemperature(u, 4)
-	sw := newSerialSweeper(p, tab, lab, u, true)
+	r := &run{p: p, lab: lab, samplers: []core.LabelSampler{u}, track: true, energy: tab.TotalEnergy(lab)}
+	sw := newSerialSweeper(r, tab)
 	if _, err := sw.sweep(0); err != nil {
 		t.Fatalf("warm-up sweep: %v", err)
 	}

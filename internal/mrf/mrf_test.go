@@ -1,6 +1,7 @@
 package mrf
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -72,27 +73,28 @@ func twoRegionProblem(w, h int) *Problem {
 	}
 }
 
-func TestSolveRecoversTwoRegions(t *testing.T) {
-	p := twoRegionProblem(12, 8)
-	s := core.NewSoftwareSampler(rng.NewXoshiro256(1))
-	lab, err := Solve(p, s, Schedule{T0: 4, Alpha: 0.85, Iterations: 40}, SolveOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wrong := 0
-	for y := 0; y < p.H; y++ {
-		for x := 0; x < p.W; x++ {
-			want := 0
-			if x >= p.W/2 {
-				want = 1
+// TestSolveRecoversTwoRegions anneals two-region problems on the serial
+// engine and requires nearly every pixel on its region's label;
+// TestSolveParallelRecoversTwoRegions runs the same check on the tile
+// engines.
+func TestSolveRecoversTwoRegions(t *testing.T) { checkRecoversTwoRegions(t, serialEngines) }
+
+func TestSolveParallelRecoversTwoRegions(t *testing.T) { checkRecoversTwoRegions(t, tileEngines) }
+
+func checkRecoversTwoRegions(t *testing.T, engines []engineCase) {
+	sched := Schedule{T0: 4, Alpha: 0.85, Iterations: 40}
+	for _, e := range engines {
+		for _, c := range []struct{ w, h, maxWrong int }{{12, 8, 2}, {16, 12, 3}} {
+			p := twoRegionProblem(c.w, c.h)
+			lab, err := e.solve(context.Background(), p, sfactory(1), sched, SolveOptions{})
+			if err != nil {
+				t.Fatalf("%s %dx%d: %v", e.name, c.w, c.h, err)
 			}
-			if lab.At(x, y) != want {
-				wrong++
+			if wrong := mislabeled(p, lab); wrong > c.maxWrong {
+				t.Errorf("%s %dx%d: %d/%d pixels mislabeled after annealing, want <= %d",
+					e.name, c.w, c.h, wrong, p.W*p.H, c.maxWrong)
 			}
 		}
-	}
-	if wrong > 2 {
-		t.Fatalf("%d/%d pixels mislabeled after annealing", wrong, p.W*p.H)
 	}
 }
 
@@ -104,19 +106,7 @@ func TestSolveWithRSUGUnit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wrong := 0
-	for y := 0; y < p.H; y++ {
-		for x := 0; x < p.W; x++ {
-			want := 0
-			if x >= p.W/2 {
-				want = 1
-			}
-			if lab.At(x, y) != want {
-				wrong++
-			}
-		}
-	}
-	if wrong > 3 {
+	if wrong := mislabeled(p, lab); wrong > 3 {
 		t.Fatalf("RSU-G solve mislabeled %d/%d pixels", wrong, p.W*p.H)
 	}
 }
@@ -194,35 +184,74 @@ func TestProblemValidate(t *testing.T) {
 	}
 }
 
+// TestSolveErrors pins the entry validation on the serial engine, and
+// TestSolveParallelErrors on the tile engines: a nil sampler for any
+// stream, a bad schedule, a mismatched init labeling and out-of-range init
+// labels are errors, as are a nil sampler on Solve and a nil factory on
+// SolveAuto.
 func TestSolveErrors(t *testing.T) {
-	p := twoRegionProblem(4, 4)
-	s := core.NewSoftwareSampler(rng.NewSplitMix64(4))
-	good := Schedule{T0: 1, Alpha: 0.9, Iterations: 2}
-	if _, err := Solve(p, nil, good, SolveOptions{}); err == nil {
+	p := twoRegionProblem(6, 6)
+	if _, err := Solve(p, nil, Schedule{T0: 1, Alpha: 0.9, Iterations: 2}, SolveOptions{}); err == nil {
 		t.Error("nil sampler must error")
 	}
-	if _, err := Solve(p, s, Schedule{}, SolveOptions{}); err == nil {
-		t.Error("bad schedule must error")
+	checkSolveErrors(t, p, serialEngines)
+}
+
+func TestSolveParallelErrors(t *testing.T) {
+	p := twoRegionProblem(6, 6)
+	if _, err := SolveAuto(p, nil, Schedule{T0: 1, Alpha: 0.9, Iterations: 2}, SolveOptions{Workers: 2}); err == nil {
+		t.Error("nil factory must error")
 	}
-	if _, err := Solve(p, s, good, SolveOptions{Init: img.NewLabels(3, 3)}); err == nil {
-		t.Error("mismatched init must error")
-	}
-	badInit := img.NewLabels(4, 4).Fill(9)
-	if _, err := Solve(p, s, good, SolveOptions{Init: badInit}); err == nil {
-		t.Error("out-of-range init labels must error")
+	checkSolveErrors(t, p, tileEngines)
+}
+
+func checkSolveErrors(t *testing.T, p *Problem, engines []engineCase) {
+	good := Schedule{T0: 1, Alpha: 0.9, Iterations: 2}
+	for _, e := range engines {
+		last := e.streams() - 1
+		nilLast := func(i int) core.LabelSampler {
+			if i == last {
+				return nil
+			}
+			return sfactory(4)(i)
+		}
+		cases := []struct {
+			name    string
+			factory func(int) core.LabelSampler
+			sched   Schedule
+			opts    SolveOptions
+		}{
+			{"nil sampler", nilLast, good, SolveOptions{}},
+			{"bad schedule", sfactory(4), Schedule{}, SolveOptions{}},
+			{"mismatched init", sfactory(4), good, SolveOptions{Init: img.NewLabels(3, 3)}},
+			{"out-of-range init labels", sfactory(4), good, SolveOptions{Init: img.NewLabels(6, 6).Fill(9)}},
+		}
+		for _, c := range cases {
+			if _, err := e.solve(context.Background(), p, c.factory, c.sched, c.opts); err == nil {
+				t.Errorf("%s: %s must error", e.name, c.name)
+			}
+		}
 	}
 }
 
-func TestSolveDoesNotMutateInit(t *testing.T) {
-	p := twoRegionProblem(6, 4)
-	init := img.NewLabels(6, 4).Fill(1)
-	s := core.NewSoftwareSampler(rng.NewXoshiro256(5))
-	if _, err := Solve(p, s, Schedule{T0: 2, Alpha: 0.9, Iterations: 3}, SolveOptions{Init: init}); err != nil {
-		t.Fatal(err)
-	}
-	for _, l := range init.L {
-		if l != 1 {
-			t.Fatal("Solve mutated the caller's init labeling")
+// TestSolveDoesNotMutateInit and TestSolveParallelDoesNotMutateInit: the
+// serial and the tile engines clone the caller's init labeling instead of
+// sweeping it in place.
+func TestSolveDoesNotMutateInit(t *testing.T) { checkDoesNotMutateInit(t, serialEngines) }
+
+func TestSolveParallelDoesNotMutateInit(t *testing.T) { checkDoesNotMutateInit(t, tileEngines) }
+
+func checkDoesNotMutateInit(t *testing.T, engines []engineCase) {
+	p := twoRegionProblem(8, 6)
+	for _, e := range engines {
+		init := img.NewLabels(8, 6).Fill(1)
+		if _, err := e.solve(context.Background(), p, sfactory(5), Schedule{T0: 2, Alpha: 0.9, Iterations: 3}, SolveOptions{Init: init}); err != nil {
+			t.Fatalf("%s: %v", e.name, err)
+		}
+		for _, l := range init.L {
+			if l != 1 {
+				t.Fatalf("%s: the solve mutated the caller's init labeling", e.name)
+			}
 		}
 	}
 }

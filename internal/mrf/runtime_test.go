@@ -69,13 +69,20 @@ func (p *panickySampler) Sample(energies []float64, current int) (int, error) {
 
 // TestSolveCtxCancelReturnsPartialLabels cancels a serial solve partway and
 // checks it stops within one sweep, returning the partial labeling and the
-// context's error.
-func TestSolveCtxCancelReturnsPartialLabels(t *testing.T) {
-	p := twoRegionProblem(10, 8)
-	ctx, cancel := context.WithCancel(context.Background())
-	sweeps := 0
-	lab, err := SolveCtx(ctx, p, core.NewSoftwareSampler(rng.NewXoshiro256(1)),
-		Schedule{T0: 4, Alpha: 0.9, Iterations: 10000}, SolveOptions{
+// context's error. TestSolveParallelCtxCancelStopsPool runs the same check
+// on the tile engines, and also the goroutine-leak check: the tile engine's
+// executor goroutines must all have exited afterwards.
+func TestSolveCtxCancelReturnsPartialLabels(t *testing.T) { checkCtxCancel(t, serialEngines) }
+
+func TestSolveParallelCtxCancelStopsPool(t *testing.T) { checkCtxCancel(t, tileEngines) }
+
+func checkCtxCancel(t *testing.T, engines []engineCase) {
+	p := twoRegionProblem(12, 10)
+	for _, e := range engines {
+		baseline := runtime.NumGoroutine()
+		ctx, cancel := context.WithCancel(context.Background())
+		sweeps := 0
+		lab, err := e.solve(ctx, p, sfactory(21), Schedule{T0: 4, Alpha: 0.9, Iterations: 10000}, SolveOptions{
 			OnSweep: func(iter int, lab *img.Labels, st SolveStats) {
 				sweeps++
 				if iter == 2 {
@@ -83,39 +90,17 @@ func TestSolveCtxCancelReturnsPartialLabels(t *testing.T) {
 				}
 			},
 		})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: err = %v, want context.Canceled", e.name, err)
+		}
+		if lab == nil {
+			t.Fatalf("%s: cancelled solve must return the partial labeling", e.name)
+		}
+		if sweeps != 3 {
+			t.Fatalf("%s: solver ran %d sweeps after a cancel at sweep 2, want exactly 3", e.name, sweeps)
+		}
+		waitForGoroutines(t, baseline)
 	}
-	if lab == nil {
-		t.Fatal("cancelled solve must return the partial labeling")
-	}
-	if sweeps != 3 {
-		t.Fatalf("solver ran %d sweeps after a cancel at sweep 2, want exactly 3", sweeps)
-	}
-}
-
-// TestSolveParallelCtxCancelStopsPool is the worker-parallel counterpart, and
-// also the goroutine-leak check: after a cancelled tile-engine solve returns,
-// the pool's executor goroutines must all have exited.
-func TestSolveParallelCtxCancelStopsPool(t *testing.T) {
-	baseline := runtime.NumGoroutine()
-	p := twoRegionProblem(12, 10)
-	ctx, cancel := context.WithCancel(context.Background())
-	lab, err := solveSamplers(ctx, p, mkSamplers(4, 21),
-		Schedule{T0: 4, Alpha: 0.9, Iterations: 100000}, SolveOptions{
-			OnSweep: func(iter int, lab *img.Labels, st SolveStats) {
-				if iter == 1 {
-					cancel()
-				}
-			},
-		})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if lab == nil {
-		t.Fatal("cancelled parallel solve must return the partial labeling")
-	}
-	waitForGoroutines(t, baseline)
 }
 
 // TestSolveParallelNoGoroutineLeak runs complete and erroring worker solves
@@ -181,24 +166,38 @@ func TestSolveSamplerErrorAborts(t *testing.T) {
 }
 
 // TestSolveParallelWorkerPanicBecomesError is the panic-to-error hardening
-// check: a panicking sampler inside a tile must fail the solve with an error
-// naming the tile — not crash the process — and leak no goroutines.
+// check on every engine: a sampler that panics mid-sweep must fail the solve
+// with an error locating it (the tile, or the serial engine's sweep and row)
+// — not crash the process — return the partial labeling and leak no
+// goroutines.
 func TestSolveParallelWorkerPanicBecomesError(t *testing.T) {
-	baseline := runtime.NumGoroutine()
 	p := twoRegionProblem(10, 8)
-	samplers := mkSamplers(3, 41)
-	samplers[2] = &panickySampler{inner: samplers[2], n: 7}
-	lab, err := solveSamplers(context.Background(), p, samplers, Schedule{T0: 2, Alpha: 0.9, Iterations: 10}, SolveOptions{})
-	if err == nil || !strings.Contains(err.Error(), "panicked") {
-		t.Fatalf("err = %v, want worker panic surfaced as error", err)
+	for _, e := range engineCases {
+		baseline := runtime.NumGoroutine()
+		last := e.streams() - 1
+		factory := func(i int) core.LabelSampler {
+			s := sfactory(41)(i)
+			if i == last {
+				s = &panickySampler{inner: s, n: 7}
+			}
+			return s
+		}
+		where := fmt.Sprintf("tile %d", last)
+		if e.shards.IsZero() {
+			where = "sweep 0 row 0" // the 8th draw is pixel (7,0)
+		}
+		lab, err := e.solve(context.Background(), p, factory, Schedule{T0: 2, Alpha: 0.9, Iterations: 10}, SolveOptions{})
+		if err == nil || !strings.Contains(err.Error(), "panicked") {
+			t.Fatalf("%s: err = %v, want the sampler panic surfaced as an error", e.name, err)
+		}
+		if !strings.Contains(err.Error(), where) {
+			t.Fatalf("%s: err = %v, want the panic located at %q", e.name, err, where)
+		}
+		if lab == nil {
+			t.Fatalf("%s: panicking solve must still return the partial labeling", e.name)
+		}
+		waitForGoroutines(t, baseline)
 	}
-	if !strings.Contains(err.Error(), "tile 2") {
-		t.Fatalf("err = %v, want the panicking tile identified", err)
-	}
-	if lab == nil {
-		t.Fatal("panicking solve must still return the partial labeling")
-	}
-	waitForGoroutines(t, baseline)
 }
 
 // TestSolveStatsRecords checks the SolveStats fields against independently

@@ -1,11 +1,9 @@
 package mrf
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 
 	"rsu/internal/core"
 	"rsu/internal/img"
@@ -126,21 +124,21 @@ func (ts *shardTile) compute(color int, track bool) (flips int, edelta float64, 
 	return flips, edelta, nil
 }
 
-// shardPool schedules the tiles over a fixed set of long-lived executor
-// goroutines: executor 0 is the goroutine driving sweep() itself (parking it
-// at the barrier while another thread is woken to do its work would be pure
-// scheduler churn), executors 1..E-1 park on unbuffered command channels.
-// Each sweep has four stages: compute color 0, exchange halos, compute
-// color 1, exchange halos. Compute stages write only owned cells; exchange
-// stages write only the running tile's own halo and read only neighbors'
-// owned cells — each barrier separates the two access patterns, so the sweep
-// is race-free at any executor count, and because tiles (not cells) are the
-// scheduling unit, bit-identical at any executor count too.
+// shardPool is the tile engine. It schedules the tiles over a fixed set of
+// long-lived executor goroutines: executor 0 is the goroutine driving sweep()
+// itself (parking it at the barrier while another thread is woken to do its
+// work would be pure scheduler churn), executors 1..E-1 park on unbuffered
+// command channels. Each sweep has four stages: compute color 0, exchange
+// halos, compute color 1, exchange halos. Compute stages write only owned
+// cells; exchange stages write only the running tile's own halo and read
+// only neighbors' owned cells — each barrier separates the two access
+// patterns, so the sweep is race-free at any executor count, and because
+// tiles (not cells) are the scheduling unit, bit-identical at any executor
+// count too.
 type shardPool struct {
+	r     *run
 	plan  *shard.Plan
 	tiles []*shardTile
-	grids []*shard.TileGrid
-	track bool
 	nexec int
 
 	cmds  []chan int // stage commands for executors 1..E-1
@@ -150,11 +148,6 @@ type shardPool struct {
 	errs   []error // per-tile first error; owner = whichever executor runs the tile
 	flips  []int
 	edelta []float64
-
-	// hook, when non-nil, runs after each exchange barrier with the color
-	// whose phase just completed — the solver gathers and forwards to
-	// SolveOptions.shardPhaseHook.
-	hook func(color int)
 }
 
 // Stage encoding for the command channels.
@@ -177,9 +170,49 @@ func resolveExecutors(requested, tiles int) int {
 	return max(min(e, tiles), 1)
 }
 
-func newShardPool(plan *shard.Plan, tiles []*shardTile, grids []*shard.TileGrid, track bool, nexec int) *shardPool {
+// newShardPool builds the tile engine for the run on the given geometry —
+// tile i draws from run.samplers[i] — records its grids in run.grids and
+// starts the executors.
+func newShardPool(r *run, tab *Tables, geom shard.Geometry) (*shardPool, error) {
+	plan, err := shard.NewPlan(geom, r.p.W, r.p.H)
+	if err != nil {
+		return nil, fmt.Errorf("mrf: %w", err)
+	}
+	// Scatter seeds every tile's extended rect — halos included — from the
+	// initial (or restored) grid.
+	grids := shard.NewTileGrids(plan)
+	for _, g := range grids {
+		g.Scatter(r.lab.L, r.p.W)
+	}
+	// A version-1 worker snapshot carries no halos: at a sweep boundary every
+	// edge halo equals the neighbor's owned cell, which Scatter already
+	// copied from the snapshot grid. A tile-engine snapshot's halos must come
+	// from the snapshot instead — for edge cells that is the same thing, but
+	// corners were never exchanged and must round-trip verbatim for later
+	// checkpoints to stay byte-identical.
+	if st := r.opts.Resume; st != nil && st.ShardRows != 0 {
+		if len(st.Halos) != len(grids) {
+			return nil, fmt.Errorf("mrf: snapshot has %d halo buffers for %d tiles", len(st.Halos), len(grids))
+		}
+		for i, g := range grids {
+			if err := g.RestoreHalos(st.Halos[i]); err != nil {
+				return nil, fmt.Errorf("mrf: %w", err)
+			}
+		}
+	}
+	tiles := make([]*shardTile, len(grids))
+	for i, t := range plan.Tiles {
+		view, err := tab.TileView(t.EX0, t.EY0, t.EX1, t.EY1)
+		if err != nil {
+			return nil, err
+		}
+		tiles[i] = newShardTile(t, grids[i], view, r.samplers[i])
+	}
+	r.grids = grids
+
+	nexec := resolveExecutors(r.opts.executors, len(tiles))
 	pool := &shardPool{
-		plan: plan, tiles: tiles, grids: grids, track: track, nexec: nexec,
+		r: r, plan: plan, tiles: tiles, nexec: nexec,
 		cmds:   make([]chan int, nexec-1),
 		errs:   make([]error, len(tiles)),
 		flips:  make([]int, len(tiles)),
@@ -188,15 +221,15 @@ func newShardPool(plan *shard.Plan, tiles []*shardTile, grids []*shard.TileGrid,
 	for i := range pool.cmds {
 		pool.cmds[i] = make(chan int)
 		pool.exit.Add(1)
-		go pool.run(i + 1)
+		go pool.executor(i + 1)
 	}
-	return pool
+	return pool, nil
 }
 
-// run is one executor's loop: park on the command channel, execute the
+// executor is executor e's loop: park on the command channel, execute the
 // commanded stage over this executor's contiguous tile block, signal the
 // barrier, repeat until the channel closes.
-func (pool *shardPool) run(e int) {
+func (pool *shardPool) executor(e int) {
 	defer pool.exit.Done()
 	for stage := range pool.cmds[e-1] {
 		pool.execStage(e, stage)
@@ -218,14 +251,14 @@ func (pool *shardPool) execStage(e, stage int) {
 			if stage == stageCompute1 {
 				color = 1
 			}
-			flips, edelta, err := pool.tiles[i].compute(color, pool.track)
+			flips, edelta, err := pool.tiles[i].compute(color, pool.r.track)
 			pool.flips[i] += flips
 			pool.edelta[i] += edelta
 			if err != nil {
 				pool.errs[i] = err
 			}
 		case stageExchange0, stageExchange1:
-			shard.PullHalos(pool.plan, pool.grids, i)
+			shard.PullHalos(pool.plan, pool.r.grids, i)
 		}
 	}
 }
@@ -242,19 +275,19 @@ func (pool *shardPool) barrier(stage int) {
 	pool.phase.Wait()
 }
 
-// sweep drives the four stages of one sweep and returns the sweep's flip
-// count and energy delta (summed in tile order, so the tracked energy is
-// deterministic) plus the first tile error, if any.
-func (pool *shardPool) sweep() (int, float64, error) {
-	pool.barrier(stageCompute0)
-	pool.barrier(stageExchange0)
-	if pool.hook != nil {
-		pool.hook(0)
-	}
-	pool.barrier(stageCompute1)
-	pool.barrier(stageExchange1)
-	if pool.hook != nil {
-		pool.hook(1)
+// sweep drives the four stages of sweep k, adds the sweep's energy delta
+// (summed in tile order, so the tracked energy is deterministic) to
+// run.energy and returns the flip count plus the first tile error, if any.
+// After each exchange barrier the shardPhaseHook test seam, when set, sees
+// the gathered labeling.
+func (pool *shardPool) sweep(k int) (int, error) {
+	for color, stages := range [2][2]int{{stageCompute0, stageExchange0}, {stageCompute1, stageExchange1}} {
+		pool.barrier(stages[0])
+		pool.barrier(stages[1])
+		if hook := pool.r.opts.shardPhaseHook; hook != nil {
+			pool.gather()
+			hook(k, color, pool.r.lab)
+		}
 	}
 	flips := 0
 	var delta float64
@@ -266,10 +299,23 @@ func (pool *shardPool) sweep() (int, float64, error) {
 	}
 	for _, err := range pool.errs {
 		if err != nil {
-			return flips, delta, err
+			return flips, err
 		}
 	}
-	return flips, delta, nil
+	if pool.r.track {
+		pool.r.energy += delta
+	}
+	return flips, nil
+}
+
+// gather reassembles the global labeling from the tiles' owned rects. The
+// driver runs it only when an observer needs the full grid (hook, collector,
+// checkpoint, cancellation) and on every return, so steady sweeps touch only
+// tile-local memory.
+func (pool *shardPool) gather() {
+	for _, g := range pool.r.grids {
+		g.GatherInto(pool.r.lab.L, pool.r.p.W)
+	}
 }
 
 // stop shuts the executors down and waits for every goroutine to exit.
@@ -278,157 +324,4 @@ func (pool *shardPool) stop() {
 		close(cmd)
 	}
 	pool.exit.Wait()
-}
-
-// solveShardedCtx is the tile engine behind SolveAutoCtx: the checkerboard
-// sweep on the geometry in opts.Shards, with one
-// independently-seeded sampler per tile from factory (called once per tile
-// index, row-major over the lattice). See SolveOptions.Shards for the
-// equivalence and reproducibility contract and SolveCtx for cancellation.
-func solveShardedCtx(ctx context.Context, p *Problem, factory func(tile int) core.LabelSampler, sched Schedule, opts SolveOptions) (*img.Labels, error) {
-	geom := opts.Shards
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if err := geom.Validate(p.W, p.H); err != nil {
-		return nil, fmt.Errorf("mrf: %w", err)
-	}
-	if geom.Tiles() == 1 {
-		// One tile owning the whole grid IS the serial solve: same cells,
-		// same draw order, same single RNG stream. Delegating makes the
-		// 1×1-equals-serial contract true by construction.
-		o := opts
-		o.Shards = shard.Geometry{}
-		return SolveCtx(ctx, p, factory(0), sched, o)
-	}
-
-	lab, tab, err := prepare(p, sched, opts)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := shard.NewPlan(geom, p.W, p.H)
-	if err != nil {
-		return nil, fmt.Errorf("mrf: %w", err)
-	}
-	ntiles := geom.Tiles()
-	samplers := make([]core.LabelSampler, ntiles)
-	for i := range samplers {
-		if samplers[i] = factory(i); samplers[i] == nil {
-			return nil, fmt.Errorf("mrf: nil sampler for tile %d", i)
-		}
-	}
-	// Tile i hosts fault stream i, fixed for a given geometry at every
-	// executor count.
-	defer attachFaults(opts, samplers...)()
-
-	// Scatter seeds every tile's extended rect — halos included — from the
-	// initial (or restored) grid.
-	grids := shard.NewTileGrids(plan)
-	for _, g := range grids {
-		g.Scatter(lab.L, p.W)
-	}
-	tiles := make([]*shardTile, ntiles)
-	for i, t := range plan.Tiles {
-		view, verr := tab.TileView(t.EX0, t.EY0, t.EX1, t.EY1)
-		if verr != nil {
-			return nil, verr
-		}
-		tiles[i] = newShardTile(t, grids[i], view, samplers[i])
-	}
-
-	track := opts.OnSweep != nil
-	var energy float64
-	if track {
-		energy = tab.TotalEnergy(lab)
-	}
-	first := 0
-	ti := sched.iter()
-	if st := opts.Resume; st != nil {
-		if err := checkResumeShards(st, geom); err != nil {
-			return nil, err
-		}
-		if err := applyResume(st, sched, samplers, opts); err != nil {
-			return nil, err
-		}
-		// A version-1 worker snapshot carries no halos: at a sweep boundary
-		// every edge halo equals the neighbor's owned cell, which Scatter
-		// already copied from the snapshot grid. A tile-engine snapshot's
-		// halos must come from the snapshot instead — for edge cells that is
-		// the same thing, but corners were never exchanged and must
-		// round-trip verbatim for later checkpoints to stay byte-identical.
-		if st.ShardRows != 0 {
-			if len(st.Halos) != ntiles {
-				return nil, fmt.Errorf("mrf: snapshot has %d halo buffers for %d tiles", len(st.Halos), ntiles)
-			}
-			for i, g := range grids {
-				if err := g.RestoreHalos(st.Halos[i]); err != nil {
-					return nil, fmt.Errorf("mrf: %w", err)
-				}
-			}
-		}
-		first = st.NextSweep
-		ti = resumeIter(st, sched)
-		if track && st.EnergyTracked {
-			energy = st.Energy
-		}
-	}
-
-	pool := newShardPool(plan, tiles, grids, track, resolveExecutors(opts.executors, ntiles))
-	defer pool.stop()
-
-	// gather reassembles the global labeling from the tiles' owned rects. It
-	// runs only when an observer needs the full grid (hook, collector,
-	// checkpoint, cancellation) and, deferred, on every return — so even an
-	// aborted solve hands back the partial labeling of its last full sweep.
-	// Steady sweeps touch only tile-local memory.
-	gather := func() {
-		for _, g := range grids {
-			g.GatherInto(lab.L, p.W)
-		}
-	}
-	defer gather()
-	if opts.shardPhaseHook != nil {
-		sweepIdx := first
-		pool.hook = func(color int) {
-			gather()
-			opts.shardPhaseHook(sweepIdx, color, lab)
-			if color == 1 {
-				sweepIdx++
-			}
-		}
-	}
-
-	for k := first; k < sched.Iterations; k++ {
-		if err := ctx.Err(); err != nil {
-			gather()
-			return lab, cancelCheckpoint(err, p, lab, samplers, grids, opts, k, ti, energy, track)
-		}
-		start := time.Now()
-		T := ti.next()
-		for _, s := range samplers {
-			if err := s.SetTemperature(T); err != nil {
-				return lab, fmt.Errorf("mrf: sweep %d: %w", k, err)
-			}
-		}
-		flips, delta, err := pool.sweep()
-		if err != nil {
-			return lab, err
-		}
-		if track {
-			energy += delta
-		}
-		if track || opts.Collector != nil || checkpointDue(opts, k, sched.Iterations) {
-			gather()
-		}
-		if track {
-			emitSweep(opts, lab, k, T, energy, flips, start)
-		}
-		if opts.Collector != nil {
-			opts.Collector.Collect(k, lab)
-		}
-		if err := periodicCheckpoint(p, lab, samplers, grids, opts, k, ti, energy, track, sched.Iterations); err != nil {
-			return lab, err
-		}
-	}
-	return lab, nil
 }

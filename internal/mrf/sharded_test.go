@@ -2,7 +2,6 @@ package mrf
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -138,9 +137,10 @@ func TestShardedMatchesCheckerboardAtEveryBarrier(t *testing.T) {
 	}
 }
 
-// solveSharded runs the tile engine directly on opts.Shards.
+// solveSharded runs the engine opts.Shards selects (1×1 is the serial
+// engine).
 func solveSharded(p *Problem, factory func(int) core.LabelSampler, sched Schedule, opts SolveOptions) (*img.Labels, error) {
-	return solveShardedCtx(context.Background(), p, factory, sched, opts)
+	return SolveAuto(p, factory, sched, opts)
 }
 
 func rsugFactory(seed uint64) func(int) core.LabelSampler {
@@ -241,8 +241,8 @@ func TestShardedReproducible(t *testing.T) {
 }
 
 // TestSolveAutoShardDispatch covers the dispatch rules: an explicit geometry
-// selects the tile engine regardless of Workers, and the result matches
-// running the tile engine directly.
+// selects the tile engine regardless of Workers, so every Workers value
+// yields the labeling of the geometry alone.
 func TestSolveAutoShardDispatch(t *testing.T) {
 	p := shardTestProblem(20, 14, 4)
 	sched := Schedule{T0: 6, Alpha: 0.9, Iterations: 4}

@@ -152,8 +152,8 @@ type SolveOptions struct {
 	// (SolveAuto and the application drivers): 0 = GOMAXPROCS, 1 = the exact
 	// serial Solve behavior, n > 1 = the tile engine on n row bands (n×1
 	// tiles, one sampler each), or on one band of min(n, W) columns when the
-	// grid has fewer than n rows. Solve ignores it — its single sampler fixes
-	// the parallelism.
+	// grid has fewer than n rows; negative counts are an error. Solve ignores
+	// it — its single sampler fixes the parallelism.
 	Workers int
 	// executors caps how many goroutines run the tile engine's tiles; 0 =
 	// min(tiles, NumCPU, GOMAXPROCS). Tiles fix the output and executors only
@@ -197,8 +197,8 @@ type SolveOptions struct {
 	// color-phase barrier, each tile drawing from its own RNG stream
 	// (factory(tileIndex)). The zero value — the default — leaves the
 	// geometry to Workers; SolveAuto may also shard automatically for grids
-	// of AutoShardPixels pixels or more. A 1×1 geometry delegates to the
-	// serial solver and is byte-identical to it. Multi-tile output differs
+	// of AutoShardPixels pixels or more. A 1×1 geometry runs the serial
+	// engine and is byte-identical to it. Multi-tile output differs
 	// from the serial solver only through the sweep order and RNG stream
 	// assignment — the stationary distribution is identical, which
 	// rsu-verify's marginal and sharding-equivalence batteries gate. For a
@@ -242,7 +242,9 @@ func attachFaults(opts SolveOptions, samplers ...core.LabelSampler) func() {
 }
 
 // ResolveWorkers maps the SolveOptions.Workers knob onto a concrete worker
-// count: 0 (the default) means GOMAXPROCS, anything else is used as given.
+// count: 0 (the default) means GOMAXPROCS, a positive count is used as given.
+// Negative counts also resolve to GOMAXPROCS here; SolveAuto rejects them
+// before resolving.
 func ResolveWorkers(n int) int {
 	if n <= 0 {
 		return runtime.GOMAXPROCS(0)
@@ -250,12 +252,17 @@ func ResolveWorkers(n int) int {
 	return n
 }
 
-// prepare validates the problem and schedule, clones or allocates the
-// initial labeling, and resolves the lookup tables — the entry sequence
-// shared by both sweep engines.
-func prepare(p *Problem, sched Schedule, opts SolveOptions) (*img.Labels, *Tables, error) {
+// prepare validates the problem, the tile geometry (the zero geometry is the
+// serial engine) and the schedule, clones or allocates the initial labeling,
+// and resolves the lookup tables.
+func prepare(p *Problem, sched Schedule, geom shard.Geometry, opts SolveOptions) (*img.Labels, *Tables, error) {
 	if err := p.Validate(); err != nil {
 		return nil, nil, err
+	}
+	if !geom.IsZero() {
+		if err := geom.Validate(p.W, p.H); err != nil {
+			return nil, nil, fmt.Errorf("mrf: %w", err)
+		}
 	}
 	if err := sched.Validate(); err != nil {
 		return nil, nil, err
@@ -294,19 +301,141 @@ func prepare(p *Problem, sched Schedule, opts SolveOptions) (*img.Labels, *Table
 	return lab, tab, nil
 }
 
-// emitSweep assembles the sweep's SolveStats and invokes the hook. energy is
-// the incrementally-tracked total MRF energy (initial TotalEnergy plus the
-// FlipDelta of every accepted flip), so observability costs O(flips) per
-// sweep instead of a full re-evaluation; a randomized property test pins it
-// against TotalEnergy recomputation to 1e-9 relative error.
-func emitSweep(opts SolveOptions, lab *img.Labels, k int, T, energy float64, flips int, start time.Time) {
-	opts.OnSweep(k, lab, SolveStats{
-		Sweep:   k,
-		T:       T,
-		Energy:  energy,
-		Flips:   flips,
-		Elapsed: time.Since(start),
-	})
+// run is the annealing driver's state between sweeps: what the sweep engines
+// advance and what the observers, captureState and the checkpoint hooks read.
+type run struct {
+	p     *Problem
+	opts  SolveOptions
+	iters int // Schedule.Iterations
+	// lab is the global labeling, current once the engine has gathered.
+	lab *img.Labels
+	// samplers holds one sampler per RNG stream: stream 0 on the serial
+	// engine, stream i on tile i.
+	samplers []core.LabelSampler
+	// grids holds the tile engine's per-tile grids, whose halos are part of
+	// solver state; nil on the serial engine.
+	grids []*shard.TileGrid
+	// next is the first sweep that has not run; ti.t is its temperature.
+	next int
+	ti   tempIter
+	// energy is the total MRF energy, tracked incrementally when track
+	// (OnSweep is set): the initial TotalEnergy plus the FlipDelta of every
+	// accepted flip, so observability costs O(flips) per sweep instead of a
+	// full re-evaluation. A randomized property test pins it against
+	// TotalEnergy recomputation to 1e-9 relative error.
+	energy float64
+	track  bool
+}
+
+// checkpointDue reports whether the periodic cadence captures after the sweep
+// that just ran (sweep next-1). It never fires after the final sweep — the
+// run is about to return its result, so there is nothing left worth resuming.
+func (r *run) checkpointDue() bool {
+	o := &r.opts
+	return o.OnCheckpoint != nil && o.CheckpointEvery > 0 && r.next%o.CheckpointEvery == 0 && r.next < r.iters
+}
+
+// sweepEngine runs whole sweeps for the annealing driver, which calls it once
+// per sweep. sweep runs sweep k over every variable at the temperature the
+// driver has already set on every stream, adds each accepted flip's
+// FlipDelta to run.energy when run.track, and returns the flip count. gather
+// brings run.lab up to date (the serial engine sweeps run.lab in place, so
+// its gather is empty). stop releases the engine's goroutines.
+type sweepEngine interface {
+	sweep(k int) (flips int, err error)
+	gather()
+	stop()
+}
+
+// anneal is the one annealing driver behind Solve and SolveAuto: the RSU-G's
+// protocol of setting the temperature once per iteration, sweeping every
+// variable, and moving on. It validates the run, builds one sampler per
+// stream through factory, attaches faults and restores a Resume snapshot;
+// then, per sweep, it checks ctx (capturing the cancellation snapshot), sets
+// the sweep's temperature on every stream, runs one engine sweep, and feeds
+// OnSweep, the Collector and the periodic checkpoint. geom selects the
+// engine: the zero geometry is the serial raster engine, anything else the
+// tile engine with tile i on stream i. Every return after the engine starts
+// gathers first, so an aborted solve hands back the labeling its sweeps left.
+func anneal(ctx context.Context, p *Problem, factory func(stream int) core.LabelSampler, sched Schedule, geom shard.Geometry, opts SolveOptions) (*img.Labels, error) {
+	lab, tab, err := prepare(p, sched, geom, opts)
+	if err != nil {
+		return nil, err
+	}
+	samplers := make([]core.LabelSampler, max(geom.Tiles(), 1))
+	for i := range samplers {
+		if samplers[i] = factory(i); samplers[i] == nil {
+			return nil, fmt.Errorf("mrf: nil sampler for stream %d", i)
+		}
+	}
+	// Stream i hosts fault stream i, fixed for a given geometry at every
+	// executor count.
+	defer attachFaults(opts, samplers...)()
+
+	r := &run{p: p, opts: opts, iters: sched.Iterations, lab: lab, samplers: samplers,
+		ti: sched.iter(), track: opts.OnSweep != nil}
+	if r.track {
+		r.energy = tab.TotalEnergy(lab)
+	}
+	if st := opts.Resume; st != nil {
+		if err := checkResumeShards(st, geom); err != nil {
+			return nil, err
+		}
+		if err := applyResume(st, sched, samplers, opts); err != nil {
+			return nil, err
+		}
+		r.next, r.ti = st.NextSweep, resumeIter(st, sched)
+		if r.track && st.EnergyTracked {
+			// Restore the incremental accumulator rather than keeping the
+			// TotalEnergy recomputation: the two agree only to rounding, and
+			// resumed run logs must be byte-identical.
+			r.energy = st.Energy
+		}
+	}
+
+	var eng sweepEngine
+	if geom.IsZero() {
+		eng = newSerialSweeper(r, tab)
+	} else if eng, err = newShardPool(r, tab, geom); err != nil {
+		return nil, err
+	}
+	defer eng.stop()
+	defer eng.gather()
+
+	for k := r.next; k < r.iters; k++ {
+		if err := ctx.Err(); err != nil {
+			eng.gather()
+			return lab, cancelCheckpoint(err, r)
+		}
+		start := time.Now()
+		T := r.ti.next()
+		for _, s := range samplers {
+			if err := s.SetTemperature(T); err != nil {
+				return lab, fmt.Errorf("mrf: sweep %d: %w", k, err)
+			}
+		}
+		flips, err := eng.sweep(k)
+		if err != nil {
+			return lab, err
+		}
+		r.next = k + 1
+		due := r.checkpointDue()
+		if r.track || opts.Collector != nil || due {
+			eng.gather()
+		}
+		if r.track {
+			opts.OnSweep(k, lab, SolveStats{Sweep: k, T: T, Energy: r.energy, Flips: flips, Elapsed: time.Since(start)})
+		}
+		if opts.Collector != nil {
+			opts.Collector.Collect(k, lab)
+		}
+		if due {
+			if err := periodicCheckpoint(r); err != nil {
+				return lab, err
+			}
+		}
+	}
+	return lab, nil
 }
 
 // serialSweeper is the fused serial sweep engine: per row it gathers the
@@ -318,33 +447,37 @@ func emitSweep(opts SolveOptions, lab *img.Labels, k int, T, energy float64, fli
 // vector (and therefore every RNG draw) bit-identical to the unfused loop.
 // The block is allocated once per solve; steady-state sweeps are zero-alloc.
 type serialSweeper struct {
-	p       *Problem
+	r       *run
 	tab     *Tables
-	lab     *img.Labels
 	sampler core.LabelSampler
 	block   []float64 // one row's W×Labels energy block, reused every row
-	track   bool      // maintain energy incrementally (OnSweep is set)
-	energy  float64   // running total MRF energy, valid when track
+	row     int       // the row being swept, to locate a sampler panic
 }
 
-func newSerialSweeper(p *Problem, tab *Tables, lab *img.Labels, sampler core.LabelSampler, track bool) *serialSweeper {
-	s := &serialSweeper{
-		p: p, tab: tab, lab: lab, sampler: sampler,
-		block: make([]float64, p.W*p.Labels),
-		track: track,
-	}
-	if track {
-		s.energy = tab.TotalEnergy(lab)
-	}
-	return s
+func newSerialSweeper(r *run, tab *Tables) *serialSweeper {
+	return &serialSweeper{r: r, tab: tab, sampler: r.samplers[0], block: make([]float64, r.p.W*r.p.Labels)}
 }
 
 // sweep runs one full raster-scan Gibbs sweep; k names the sweep in errors.
-func (s *serialSweeper) sweep(k int) (int, error) {
-	p, tab, lab := s.p, s.tab, s.lab
+// A sampler panic becomes a located error, as on the tile engine, so a
+// faulty sampler fails the solve instead of killing the process; the recover
+// is armed once per sweep, outside the pixel loop.
+func (s *serialSweeper) sweep(k int) (flips int, err error) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			err = fmt.Errorf("mrf: sweep %d row %d panicked: %v", k, s.row, rec)
+		}
+	}()
+	return s.raster(k)
+}
+
+func (s *serialSweeper) raster(k int) (int, error) {
+	r, tab := s.r, s.tab
+	p, lab := r.p, r.lab
 	L := p.Labels
 	flips := 0
 	for y := 0; y < p.H; y++ {
+		s.row = y
 		tab.LabelEnergiesRow(s.block, lab, y)
 		prevFlipped := false
 		for x := 0; x < p.W; x++ {
@@ -361,8 +494,8 @@ func (s *serialSweeper) sweep(k int) (int, error) {
 				return flips, fmt.Errorf("mrf: sweep %d pixel (%d,%d): %w", k, x, y, err)
 			}
 			if next != cur {
-				if s.track {
-					s.energy += tab.FlipDelta(lab, x, y, cur, next)
+				if r.track {
+					r.energy += tab.FlipDelta(lab, x, y, cur, next)
 				}
 				lab.Set(x, y, next)
 				flips++
@@ -374,6 +507,9 @@ func (s *serialSweeper) sweep(k int) (int, error) {
 	}
 	return flips, nil
 }
+
+func (s *serialSweeper) gather() {}
+func (s *serialSweeper) stop()   {}
 
 // Solve runs simulated-annealing Gibbs sampling on the problem using the
 // given label sampler, returning the final labeling. The sampler's
@@ -387,72 +523,21 @@ func Solve(p *Problem, sampler core.LabelSampler, sched Schedule, opts SolveOpti
 // between sweeps (never mid-sweep, so a finished sweep is always a
 // consistent labeling), and on cancellation or deadline expiry the partial
 // labeling computed so far is returned together with ctx.Err(). A sampler
-// error likewise aborts the run with the partial labeling.
+// error or panic likewise aborts the run with the partial labeling.
 func SolveCtx(ctx context.Context, p *Problem, sampler core.LabelSampler, sched Schedule, opts SolveOptions) (*img.Labels, error) {
-	if sampler == nil {
-		return nil, fmt.Errorf("mrf: nil sampler")
-	}
 	if opts.Shards.Tiles() > 1 {
 		return nil, fmt.Errorf("mrf: SolveOptions.Shards %s needs one sampler per tile — use SolveAuto with a factory", opts.Shards)
 	}
-	lab, tab, err := prepare(p, sched, opts)
-	if err != nil {
-		return nil, err
-	}
-	defer attachFaults(opts, sampler)()
-	samplers := []core.LabelSampler{sampler}
-	sw := newSerialSweeper(p, tab, lab, sampler, opts.OnSweep != nil)
-	first := 0
-	ti := sched.iter()
-	if st := opts.Resume; st != nil {
-		if err := checkResumeShards(st, shard.Geometry{}); err != nil {
-			return nil, err
-		}
-		if err := applyResume(st, sched, samplers, opts); err != nil {
-			return nil, err
-		}
-		first = st.NextSweep
-		ti = resumeIter(st, sched)
-		if sw.track && st.EnergyTracked {
-			// Restore the incremental accumulator rather than keeping the
-			// TotalEnergy recomputation: the two agree only to rounding, and
-			// resumed run logs must be byte-identical.
-			sw.energy = st.Energy
-		}
-	}
-	for k := first; k < sched.Iterations; k++ {
-		if err := ctx.Err(); err != nil {
-			return lab, cancelCheckpoint(err, p, lab, samplers, nil, opts, k, ti, sw.energy, sw.track)
-		}
-		start := time.Now()
-		T := ti.next()
-		if err := sampler.SetTemperature(T); err != nil {
-			return lab, fmt.Errorf("mrf: sweep %d: %w", k, err)
-		}
-		flips, err := sw.sweep(k)
-		if err != nil {
-			return lab, err
-		}
-		if opts.OnSweep != nil {
-			emitSweep(opts, lab, k, T, sw.energy, flips, start)
-		}
-		if opts.Collector != nil {
-			opts.Collector.Collect(k, lab)
-		}
-		if err := periodicCheckpoint(p, lab, samplers, nil, opts, k, ti, sw.energy, sw.track, sched.Iterations); err != nil {
-			return lab, err
-		}
-	}
-	return lab, nil
+	return anneal(ctx, p, func(int) core.LabelSampler { return sampler }, sched, shard.Geometry{}, opts)
 }
 
-// SolveAuto picks the sweep engine and constructs one independently-seeded
-// sampler per stream through factory (called once for each stream index,
-// row-major over the tile lattice). Workers = 1 reproduces Solve with
-// factory(0) exactly; Workers = n > 1 runs the tile engine on
-// workerGeometry(n, W, H); an explicit Shards geometry, a sharded Resume
-// snapshot, or a grid of AutoShardPixels or more with Workers left at 0
-// select that geometry instead.
+// SolveAuto picks the sweep engine (engineGeometry) and constructs one
+// independently-seeded sampler per stream through factory (called once for
+// each stream index, row-major over the tile lattice). Workers = 1
+// reproduces Solve with factory(0) exactly; Workers = n > 1 runs the tile
+// engine on workerGeometry(n, W, H); an explicit Shards geometry, a sharded
+// Resume snapshot, or a grid of AutoShardPixels or more with Workers left at
+// 0 select that geometry instead. Negative Workers is an error.
 func SolveAuto(p *Problem, factory func(worker int) core.LabelSampler, sched Schedule, opts SolveOptions) (*img.Labels, error) {
 	return SolveAutoCtx(context.Background(), p, factory, sched, opts)
 }
@@ -463,29 +548,43 @@ func SolveAutoCtx(ctx context.Context, p *Problem, factory func(worker int) core
 	if factory == nil {
 		return nil, fmt.Errorf("mrf: nil sampler factory")
 	}
-	geom := opts.Shards
-	if st := opts.Resume; geom.IsZero() {
-		switch {
-		case st != nil && st.ShardRows*st.ShardCols > 1:
-			// A sharded snapshot fixes the geometry: resume it with the
-			// captured lattice, whatever Workers says.
-			geom = shard.Geometry{Rows: st.ShardRows, Cols: st.ShardCols}
-		case opts.Workers == 0 && st == nil && p.W*p.H >= AutoShardPixels:
-			// Out-of-cache grid with the worker count left to us: shard it.
-			// The geometry is a pure function of the grid shape
-			// (shard.Auto), so the result stays reproducible and resumable.
-			geom = shard.Auto(p.W, p.H)
-		default:
-			if n := ResolveWorkers(opts.Workers); n > 1 {
-				geom = workerGeometry(n, p.W, p.H)
-			}
+	geom, err := engineGeometry(p, opts)
+	if err != nil {
+		return nil, err
+	}
+	return anneal(ctx, p, factory, sched, geom, opts)
+}
+
+// engineGeometry is the one place SolveAuto's sweep engine is chosen. It
+// returns the tile lattice to run, or the zero geometry for the serial raster
+// engine: an explicit Shards geometry wins; else a sharded Resume snapshot
+// fixes the lattice it was captured on, whatever Workers says; else a grid of
+// AutoShardPixels or more with Workers left at 0 gets shard.Auto (a pure
+// function of the grid shape, so the result stays reproducible and
+// resumable); else Workers = n > 1 runs workerGeometry(n, W, H). Any 1×1
+// lattice is the serial engine: one tile owning the whole grid has the
+// serial solve's cells and single RNG stream, so running the raster scan
+// makes the 1×1-equals-serial contract true by construction.
+func engineGeometry(p *Problem, opts SolveOptions) (shard.Geometry, error) {
+	if opts.Workers < 0 {
+		return shard.Geometry{}, fmt.Errorf("mrf: SolveOptions.Workers must be >= 0, got %d", opts.Workers)
+	}
+	geom, st := opts.Shards, opts.Resume
+	switch {
+	case !geom.IsZero():
+	case st != nil && st.ShardRows*st.ShardCols > 1:
+		geom = shard.Geometry{Rows: st.ShardRows, Cols: st.ShardCols}
+	case opts.Workers == 0 && st == nil && p.W*p.H >= AutoShardPixels:
+		geom = shard.Auto(p.W, p.H)
+	default:
+		if n := ResolveWorkers(opts.Workers); n > 1 {
+			geom = workerGeometry(n, p.W, p.H)
 		}
 	}
-	if geom.IsZero() {
-		return SolveCtx(ctx, p, factory(0), sched, opts)
+	if geom.Tiles() == 1 {
+		return shard.Geometry{}, nil
 	}
-	opts.Shards = geom
-	return solveShardedCtx(ctx, p, factory, sched, opts)
+	return geom, nil
 }
 
 // workerGeometry maps a Workers = n > 1 request onto the tile lattice that

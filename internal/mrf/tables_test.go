@@ -180,6 +180,9 @@ func TestSolveAutoErrors(t *testing.T) {
 	if _, err := SolveAuto(p, sfactory(1), Schedule{}, SolveOptions{Workers: 2}); err == nil {
 		t.Error("bad schedule must error through the parallel path")
 	}
+	if _, err := SolveAuto(p, sfactory(1), sched, SolveOptions{Workers: -3}); err == nil {
+		t.Error("negative Workers must error")
+	}
 }
 
 // TestSolveOptionsTablesReuse: precomputed tables produce identical results
