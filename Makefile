@@ -103,16 +103,18 @@ bench:
 bench-once:
 	$(GO) test -run '^$$' -bench=. -benchtime=1x -benchmem .
 
-# Before/after performance report (see DESIGN.md §7 for the schema).
+# Kernel micro-suite report: every kernel timed against the frozen
+# calibration loop (see DESIGN.md §7 for the schema).
 perf:
-	$(GO) run ./cmd/rsu-bench -perf BENCH_2.json
+	$(GO) run ./cmd/rsu-bench -perf BENCH_4.json
 
-# Perf-regression gate: re-run the micro suite and compare speedups against
-# the checked-in baseline with a 15% tolerance (DESIGN.md §10). Writes the
-# gate report CI uploads as an artifact. PERFCHECK_FLAGS lets the CI
-# self-test inject a slowdown (-perf-inject-slowdown 2) to prove the gate trips.
+# Perf-regression gate: re-run the micro suite and compare each kernel's
+# calibration-scaled time against the checked-in baseline with a 15%
+# tolerance (DESIGN.md §10). Writes the gate report CI uploads as an
+# artifact. PERFCHECK_FLAGS lets the CI self-test inject a slowdown
+# (-perf-inject-slowdown 2) to prove the gate trips.
 perf-check:
-	$(GO) run ./cmd/rsu-bench -perf-check BENCH_2.json -perf-report perf-check-report.json $(PERFCHECK_FLAGS)
+	$(GO) run ./cmd/rsu-bench -perf-check BENCH_4.json -perf-report perf-check-report.json $(PERFCHECK_FLAGS)
 
 # Tile-sharding sweep on an out-of-cache grid (16x the micro-suite's stereo
 # scene): monolithic checkerboard baseline vs the sharded solver per

@@ -69,10 +69,9 @@ func BenchmarkExtBleaching(b *testing.B) { runExperiment(b, "ext-bleaching", 0.3
 
 // --- microbenchmarks of the sampler hot paths ---
 
-func benchUnitSample(b *testing.B, cfg core.Config, labels int, legacy bool) {
+func benchUnitSample(b *testing.B, cfg core.Config, labels int) {
 	b.Helper()
 	u := core.MustUnit(cfg, rng.NewXoshiro256(1), true)
-	u.SetLegacyKernels(legacy)
 	u.SetTemperature(20)
 	energies := make([]float64, labels)
 	for i := range energies {
@@ -85,16 +84,9 @@ func benchUnitSample(b *testing.B, cfg core.Config, labels int, legacy bool) {
 	}
 }
 
-func BenchmarkUnitSampleNew8(b *testing.B)   { benchUnitSample(b, core.NewRSUG(), 8, false) }
-func BenchmarkUnitSampleNew56(b *testing.B)  { benchUnitSample(b, core.NewRSUG(), 56, false) }
-func BenchmarkUnitSamplePrev56(b *testing.B) { benchUnitSample(b, core.PrevRSUG(), 56, false) }
-
-// The Legacy variants run the original reference kernels (per-label -log(u)
-// exponential draws, float energy round-trip); compare against the defaults
-// above to see the fast-kernel gain.
-func BenchmarkUnitSampleLegacyNew8(b *testing.B)   { benchUnitSample(b, core.NewRSUG(), 8, true) }
-func BenchmarkUnitSampleLegacyNew56(b *testing.B)  { benchUnitSample(b, core.NewRSUG(), 56, true) }
-func BenchmarkUnitSampleLegacyPrev56(b *testing.B) { benchUnitSample(b, core.PrevRSUG(), 56, true) }
+func BenchmarkUnitSampleNew8(b *testing.B)   { benchUnitSample(b, core.NewRSUG(), 8) }
+func BenchmarkUnitSampleNew56(b *testing.B)  { benchUnitSample(b, core.NewRSUG(), 56) }
+func BenchmarkUnitSamplePrev56(b *testing.B) { benchUnitSample(b, core.PrevRSUG(), 56) }
 
 // benchLabelEnergies times the per-pixel energy stage on a stereo problem,
 // either through the precomputed pairwise LUT (tables=true, the solver

@@ -8,8 +8,8 @@
 //	rsu-bench -run fig5a
 //	rsu-bench -run all -out results/ | tee results/report.txt
 //	rsu-bench -run fig8 -iterscale 0.25   # quick pass
-//	rsu-bench -perf BENCH_1.json          # before/after performance report
-//	rsu-bench -perf-check BENCH_1.json    # regression gate vs the baseline
+//	rsu-bench -perf BENCH_4.json          # calibrated kernel micro suite report
+//	rsu-bench -perf-check BENCH_4.json    # regression gate vs the baseline
 //	rsu-bench -shard-sweep BENCH_3.json   # tile-sharding sweep on an out-of-cache grid
 package main
 
@@ -66,21 +66,20 @@ func startProfiles(cpuPath, memPath string) (func(), error) {
 	}, nil
 }
 
-// runPerf executes the before/after performance suite and writes the
-// machine-readable report. The suite compares the seed implementation
-// (serial solver, per-call energy evaluation, legacy sampling kernels)
-// against the current defaults; the full-app pair runs the parallel solver
-// at the host's own GOMAXPROCS, which is left as it is, and the report
-// records NumCPU beside it.
-func runPerf(path string, workers int) error {
-	// Fail on an unwritable path before spending a minute on the suite
+// writeReport runs a suite and writes its machine-readable report: -perf
+// runs the kernel micro suite (benchkit.Run), -shard-sweep the tile-sharding
+// sweep (benchkit.ShardSweep, the BENCH_3.json series: the sharded solver
+// against the monolithic baseline on a grid 16x the micro suite's, on the
+// host's own GOMAXPROCS, with NumCPU recorded next to it).
+func writeReport(path string, run func() fmt.Stringer) error {
+	// Fail on an unwritable path before spending time on the suite
 	// (O_CREATE without O_TRUNC leaves any existing report intact).
 	probe, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE, 0o644)
 	if err != nil {
 		return err
 	}
 	_ = probe.Close()
-	rep := benchkit.Run(workers)
+	rep := run()
 	fmt.Print(rep.String())
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
@@ -93,37 +92,13 @@ func runPerf(path string, workers int) error {
 	return nil
 }
 
-// runShardSweep executes the tile-sharding sweep (benchkit.ShardSweep) and
-// writes the machine-readable report — the BENCH_3.json series that tracks
-// the sharded solver against the monolithic baseline on a grid 16x the
-// micro-suite's. The sharded arms run one goroutine per tile on the host's
-// own GOMAXPROCS; the report records NumCPU next to it.
-func runShardSweep(path string, workers int) error {
-	probe, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE, 0o644)
-	if err != nil {
-		return err
-	}
-	_ = probe.Close()
-	rep := benchkit.ShardSweep(workers)
-	fmt.Print(rep.String())
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", path)
-	return nil
-}
-
-// runPerfCheck re-runs the micro-benchmark suite and gates it against the
-// baseline report: the current speedups must stay within the tolerance band
-// of the baseline's (see benchkit.Compare for why speedups, not raw ns/op,
-// transfer across machines). A non-nil error means the gate tripped or the
-// inputs were unusable; the gate report is written to reportPath when set,
-// regardless of the verdict, so CI can upload it as an artifact either way.
-func runPerfCheck(baselinePath, reportPath string, tolerance, injectSlowdown float64, workers int) error {
+// runPerfCheck re-runs the kernel micro suite and gates it against the
+// baseline report: each kernel's calibration-scaled time may grow at most
+// benchkit.DefaultTolerance over the baseline's. A non-nil error means the
+// gate tripped or the inputs were unusable; the gate report is written to
+// reportPath when set, regardless of the verdict, so CI can upload it as an
+// artifact either way.
+func runPerfCheck(baselinePath, reportPath string, injectSlowdown float64) error {
 	data, err := os.ReadFile(baselinePath)
 	if err != nil {
 		return err
@@ -132,12 +107,12 @@ func runPerfCheck(baselinePath, reportPath string, tolerance, injectSlowdown flo
 	if err := json.Unmarshal(data, &baseline); err != nil {
 		return fmt.Errorf("parsing baseline %s: %w", baselinePath, err)
 	}
-	current := benchkit.Run(workers)
+	current := benchkit.Run()
 	if injectSlowdown > 1 {
 		fmt.Printf("self-test: injecting a %.2gx slowdown into the current report\n", injectSlowdown)
 		current = current.WithInjectedSlowdown(injectSlowdown)
 	}
-	gate, err := benchkit.Compare(baseline, current, benchkit.MicroSet(), tolerance)
+	gate, err := benchkit.Compare(baseline, current)
 	if err != nil {
 		return err
 	}
@@ -172,11 +147,10 @@ func realMain() int {
 		scale      = flag.Int("scale", 1, "synthetic dataset scale factor")
 		iterScale  = flag.Float64("iterscale", 1, "multiplier on annealing iterations (use <1 for a quick pass)")
 		out        = flag.String("out", "", "directory for PGM outputs of figure experiments")
-		perf       = flag.String("perf", "", "run the before/after performance suite and write the JSON report to this path")
+		perf       = flag.String("perf", "", "run the kernel micro suite and write the JSON report to this path")
 		perfCheck  = flag.String("perf-check", "", "re-run the micro suite and gate it against this baseline BENCH_*.json (exit 1 on regression)")
 		perfRep    = flag.String("perf-report", "", "with -perf-check: write the gate report JSON to this path")
-		perfTol    = flag.Float64("perf-tolerance", 0, "with -perf-check: relative speedup tolerance (0 = default 15%)")
-		perfInj    = flag.Float64("perf-inject-slowdown", 1, "with -perf-check: self-test knob slowing the current after-side by this factor")
+		perfInj    = flag.Float64("perf-inject-slowdown", 1, "with -perf-check: self-test knob slowing every current kernel by this factor")
 		shardSweep = flag.String("shard-sweep", "", "run the tile-sharding sweep and write the JSON report to this path")
 		workers    = flag.Int("workers", 0, "design-point/solver workers: 0 = GOMAXPROCS, 1 = serial")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
@@ -192,7 +166,7 @@ func realMain() int {
 	defer stopProfiles()
 
 	if *perfCheck != "" {
-		if err := runPerfCheck(*perfCheck, *perfRep, *perfTol, *perfInj, *workers); err != nil {
+		if err := runPerfCheck(*perfCheck, *perfRep, *perfInj); err != nil {
 			fmt.Fprintf(os.Stderr, "perf check failed: %v\n", err)
 			return 1
 		}
@@ -200,7 +174,7 @@ func realMain() int {
 	}
 
 	if *perf != "" {
-		if err := runPerf(*perf, *workers); err != nil {
+		if err := writeReport(*perf, func() fmt.Stringer { return benchkit.Run() }); err != nil {
 			fmt.Fprintf(os.Stderr, "perf suite failed: %v\n", err)
 			return 1
 		}
@@ -208,7 +182,7 @@ func realMain() int {
 	}
 
 	if *shardSweep != "" {
-		if err := runShardSweep(*shardSweep, *workers); err != nil {
+		if err := writeReport(*shardSweep, func() fmt.Stringer { return benchkit.ShardSweep(*workers) }); err != nil {
 			fmt.Fprintf(os.Stderr, "shard sweep failed: %v\n", err)
 			return 1
 		}

@@ -65,14 +65,14 @@ func main() {
 				} else if c.P < rep.Threshold {
 					status = "FAIL"
 				}
-				fmt.Printf("%-4s %-20s %-13s %-15s energies %d  p=%.4g\n",
-					status, c.Point, c.Path, c.Kind, c.Energies, c.P)
+				fmt.Printf("%-4s %-20s %-13s energies %d  p=%.4g\n",
+					status, c.Point, c.Path, c.Energies, c.P)
 			}
 		}
 		for _, f := range rep.Failures() {
 			failed = true
-			fmt.Fprintf(os.Stderr, "rsu-verify: battery FAIL %s/%s energies %d (%s): p = %.3g < %.3g\n",
-				f.Point, f.Kind, f.Energies, f.Path, f.P, rep.Threshold)
+			fmt.Fprintf(os.Stderr, "rsu-verify: battery FAIL %s energies %d (%s): p = %.3g < %.3g\n",
+				f.Point, f.Energies, f.Path, f.P, rep.Threshold)
 		}
 		fmt.Printf("battery: %d checks, paths %v, min p = %.4g (threshold %.3g)\n",
 			len(rep.Checks), rep.Paths(), rep.MinP(), rep.Threshold)

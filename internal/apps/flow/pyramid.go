@@ -117,6 +117,11 @@ type PyramidResult struct {
 // once per level (samplers hold RNG state); it is ignored (and may be nil)
 // when p.SamplerFactory selects the parallel solver.
 func SolvePyramid(pair *synth.FlowPair, newSampler func(level int) core.LabelSampler, p Params, radius, levels int) (*PyramidResult, error) {
+	// Checked here because the factory path resolves the count itself, and
+	// mrf.ResolveWorkers maps a negative count to GOMAXPROCS.
+	if p.Workers < 0 {
+		return nil, fmt.Errorf("mrf: SolveOptions.Workers must be >= 0, got %d", p.Workers)
+	}
 	if levels < 1 {
 		return nil, fmt.Errorf("flow: need at least one pyramid level")
 	}

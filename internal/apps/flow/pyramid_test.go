@@ -3,6 +3,7 @@ package flow
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"rsu/internal/core"
@@ -146,6 +147,28 @@ func TestPyramidHonorsCancelledContext(t *testing.T) {
 		}
 		if _, err := SolvePyramid(pair, newSampler, p, 3, 2); !errors.Is(err, context.Canceled) {
 			t.Fatalf("factory=%v: err = %v, want context.Canceled", factory, err)
+		}
+	}
+}
+
+// TestPyramidRejectsNegativeWorkers: a negative worker count is an error, as
+// in every other app, on both the single-sampler and the factory path.
+func TestPyramidRejectsNegativeWorkers(t *testing.T) {
+	pair := synth.LargeMotion(1)
+	newSampler := func(int) core.LabelSampler {
+		return core.NewSoftwareSampler(rng.NewXoshiro256(1))
+	}
+	for _, factory := range []bool{false, true} {
+		p := pyramidParams()
+		p.Workers = -3
+		if factory {
+			p.SamplerFactory = core.StreamFactory(1, func(src rng.Source) core.LabelSampler {
+				return core.NewSoftwareSampler(src)
+			})
+		}
+		_, err := SolvePyramid(pair, newSampler, p, 3, 2)
+		if err == nil || !strings.Contains(err.Error(), "Workers must be >= 0") {
+			t.Fatalf("factory=%v: err = %v, want the negative-workers error", factory, err)
 		}
 	}
 }

@@ -6,46 +6,26 @@ import (
 )
 
 // GateSchema identifies the perf-regression gate report format.
-const GateSchema = "rsu-bench-perf-gate/v1"
+const GateSchema = "rsu-bench-perf-gate/v2"
 
 // DefaultTolerance is the relative slack the gate allows before declaring a
-// regression: the current speedup may fall up to 15% below the baseline's.
-// The bound is deliberately loose — the suite's best-of-three ns/op
-// measurements still wobble a few percent run-to-run on shared CI runners,
-// and 15% sits well above that noise floor while still catching any real
-// regression (an accidentally disabled fast path shows up as a ~2x drop).
+// regression: a kernel's scaled time may grow up to 15% over the
+// baseline's. On a shared 2-vCPU host a kernel's scaled time stays within a
+// few percent of its median in most runs, while an accidentally disabled
+// fast path costs 1.8x and more.
 const DefaultTolerance = 0.15
 
-// MicroSet lists the benchmarks the gate compares: the single-threaded
-// micro-benchmarks whose before/after ratio is stable across machines. The
-// stereo-full-app pair is excluded — it exercises the parallel solver, so its
-// ratio depends on the runner's core count.
-func MicroSet() []string {
-	return []string{
-		"unit-sample-new8",
-		"unit-sample-new56",
-		"unit-sample-prev56",
-		"label-energies-stereo",
-		"sweep-row-kernel",
-		"sample-batch",
-		"energy-incremental",
-		"schedule-temperature-500",
-	}
-}
-
-// Check is one benchmark's gate verdict. The gate compares speedups, not raw
-// ns/op: each report measures the frozen seed implementation ("before") and
-// the current implementation ("after") in the same process, so the ratio
-// cancels out machine speed — a baseline recorded on one machine transfers to
-// any CI runner. A regression in the optimized path lowers the current
-// speedup below the baseline's.
+// Check is one kernel's gate verdict. The gate compares scaled times —
+// kernel ns/op over calibration ns/op, measured in the same rounds — so a
+// baseline recorded on one host can gate a run on another of the same
+// architecture; raw ns/op are kept for reference.
 type Check struct {
-	Name            string  `json:"name"`
-	BaselineSpeedup float64 `json:"baseline_speedup"`
-	CurrentSpeedup  float64 `json:"current_speedup"`
-	BaselineNsOp    float64 `json:"baseline_ns_op"` // after-side, for reference
-	CurrentNsOp     float64 `json:"current_ns_op"`  // after-side, for reference
-	// Ratio is current/baseline speedup; it must stay >= Limit = 1/(1+tol).
+	Name         string  `json:"name"`
+	BaselineNsOp float64 `json:"baseline_ns_op"`
+	CurrentNsOp  float64 `json:"current_ns_op"`
+	Baseline     float64 `json:"baseline_scaled"`
+	Current      float64 `json:"current_scaled"`
+	// Ratio is current/baseline scaled time; it must stay <= Limit = 1+tol.
 	Ratio     float64 `json:"ratio"`
 	Limit     float64 `json:"limit"`
 	Regressed bool    `json:"regressed"`
@@ -59,58 +39,60 @@ type GateReport struct {
 	Regressed bool    `json:"regressed"`
 }
 
-// Compare gates the named benchmarks of current against baseline with the
-// given relative tolerance (DefaultTolerance when <= 0). It returns an error
-// for malformed input — schema mismatch, a named benchmark missing from
-// either report, or non-positive measurements — and a report whose Regressed
-// flag is the gate verdict.
-func Compare(baseline, current Report, names []string, tolerance float64) (GateReport, error) {
-	if tolerance <= 0 {
-		tolerance = DefaultTolerance
-	}
-	rep := GateReport{Schema: GateSchema, Tolerance: tolerance}
-	if baseline.Schema != Schema {
-		return rep, fmt.Errorf("benchkit: baseline schema %q, want %q", baseline.Schema, Schema)
-	}
-	if current.Schema != Schema {
-		return rep, fmt.Errorf("benchkit: current schema %q, want %q", current.Schema, Schema)
-	}
-	index := func(r Report) map[string]Result {
+// usable reports whether a measurement is a positive, finite time.
+func usable(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
+
+// Compare gates every MicroSet kernel of current against baseline with
+// DefaultTolerance. It returns an error for malformed input — a schema
+// mismatch, a kernel missing from either report, or a kernel, calibration or
+// scaled time that is not positive and finite — and otherwise a report whose
+// Regressed flag is the gate verdict.
+func Compare(baseline, current Report) (GateReport, error) {
+	rep := GateReport{Schema: GateSchema, Tolerance: DefaultTolerance}
+	index := func(which string, r Report) (map[string]Result, error) {
+		if r.Schema != Schema {
+			return nil, fmt.Errorf("benchkit: %s schema %q, want %q", which, r.Schema, Schema)
+		}
 		m := make(map[string]Result, len(r.Benchmarks))
 		for _, b := range r.Benchmarks {
+			if !usable(b.NsOp) || !usable(b.CalNsOp) || !usable(b.Scaled) {
+				return nil, fmt.Errorf("benchkit: %s kernel %q has unusable times (ns/op %v, calibration %v, scaled %v)",
+					which, b.Name, b.NsOp, b.CalNsOp, b.Scaled)
+			}
 			m[b.Name] = b
 		}
-		return m
+		return m, nil
 	}
-	base, cur := index(baseline), index(current)
-	limit := 1 / (1 + tolerance)
-	for _, name := range names {
+	base, err := index("baseline", baseline)
+	if err != nil {
+		return rep, err
+	}
+	cur, err := index("current", current)
+	if err != nil {
+		return rep, err
+	}
+	limit := 1 + DefaultTolerance
+	for _, name := range MicroSet() {
 		b, ok := base[name]
 		if !ok {
-			return rep, fmt.Errorf("benchkit: baseline report has no benchmark %q", name)
+			return rep, fmt.Errorf("benchkit: baseline report has no kernel %q", name)
 		}
 		c, ok := cur[name]
 		if !ok {
-			return rep, fmt.Errorf("benchkit: current report has no benchmark %q", name)
-		}
-		if !(b.Speedup > 0) || !(c.Speedup > 0) || math.IsInf(b.Speedup, 1) || math.IsInf(c.Speedup, 1) {
-			return rep, fmt.Errorf("benchkit: benchmark %q has unusable speedups (baseline %v, current %v)",
-				name, b.Speedup, c.Speedup)
+			return rep, fmt.Errorf("benchkit: current report has no kernel %q", name)
 		}
 		ck := Check{
-			Name:            name,
-			BaselineSpeedup: b.Speedup,
-			CurrentSpeedup:  c.Speedup,
-			BaselineNsOp:    b.NsOpAfter,
-			CurrentNsOp:     c.NsOpAfter,
-			Ratio:           c.Speedup / b.Speedup,
-			Limit:           limit,
+			Name:         name,
+			BaselineNsOp: b.NsOp,
+			CurrentNsOp:  c.NsOp,
+			Baseline:     b.Scaled,
+			Current:      c.Scaled,
+			Ratio:        c.Scaled / b.Scaled,
+			Limit:        limit,
 		}
-		ck.Regressed = ck.Ratio < limit
+		ck.Regressed = ck.Ratio > limit
 		rep.Checks = append(rep.Checks, ck)
-		if ck.Regressed {
-			rep.Regressed = true
-		}
+		rep.Regressed = rep.Regressed || ck.Regressed
 	}
 	return rep, nil
 }
@@ -118,15 +100,15 @@ func Compare(baseline, current Report, names []string, tolerance float64) (GateR
 // String renders the gate report as an aligned table with a verdict line.
 func (g GateReport) String() string {
 	s := fmt.Sprintf("%s (tolerance %.0f%%)\n", g.Schema, g.Tolerance*100)
-	s += fmt.Sprintf("%-28s %9s %9s %7s %7s  %s\n",
-		"benchmark", "base", "current", "ratio", "limit", "verdict")
+	s += fmt.Sprintf("%-28s %10s %10s %7s %7s  %s\n",
+		"kernel", "base", "current", "ratio", "limit", "verdict")
 	for _, c := range g.Checks {
 		verdict := "ok"
 		if c.Regressed {
 			verdict = "REGRESSED"
 		}
-		s += fmt.Sprintf("%-28s %8.2fx %8.2fx %7.3f %7.3f  %s\n",
-			c.Name, c.BaselineSpeedup, c.CurrentSpeedup, c.Ratio, c.Limit, verdict)
+		s += fmt.Sprintf("%-28s %10.4f %10.4f %7.3f %7.3f  %s\n",
+			c.Name, c.Baseline, c.Current, c.Ratio, c.Limit, verdict)
 	}
 	if g.Regressed {
 		s += "verdict: PERFORMANCE REGRESSION\n"
@@ -136,16 +118,16 @@ func (g GateReport) String() string {
 	return s
 }
 
-// WithInjectedSlowdown returns a copy of the report with every benchmark's
-// optimized ("after") side slowed by the given factor — the CI self-test
-// knob behind rsu-bench -perf-inject-slowdown, which proves the gate
-// actually trips on a regression instead of silently passing everything.
+// WithInjectedSlowdown returns a copy of the report with every kernel
+// slowed by the given factor — the self-test knob behind rsu-bench
+// -perf-inject-slowdown, which proves the gate trips on a regression instead
+// of silently passing everything.
 func (r Report) WithInjectedSlowdown(factor float64) Report {
 	out := r
 	out.Benchmarks = make([]Result, len(r.Benchmarks))
 	for i, b := range r.Benchmarks {
-		b.NsOpAfter *= factor
-		b.Speedup = b.NsOpBefore / b.NsOpAfter
+		b.NsOp *= factor
+		b.Scaled *= factor
 		out.Benchmarks[i] = b
 	}
 	return out

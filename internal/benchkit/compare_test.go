@@ -1,19 +1,24 @@
 package benchkit
 
 import (
+	"encoding/json"
+	"math"
+	"os"
 	"strings"
 	"testing"
 )
 
-func gateReport(speedups map[string]float64) Report {
-	rep := Report{Schema: Schema, GOMAXPROCS: 4, Workers: 4}
+// gateReport builds a report with every gated kernel at scaled time 1,
+// except those given a slowdown factor in slower.
+func gateReport(slower map[string]float64) Report {
+	rep := Report{Schema: Schema, NumCPU: 2, GOMAXPROCS: 2}
 	for _, name := range MicroSet() {
-		s := speedups[name]
-		if s == 0 {
-			s = 2.0
+		f := slower[name]
+		if f == 0 {
+			f = 1
 		}
 		rep.Benchmarks = append(rep.Benchmarks, Result{
-			Name: name, NsOpBefore: 1000, NsOpAfter: 1000 / s, Speedup: s,
+			Name: name, NsOp: 100 * f, CalNsOp: 100, Scaled: f,
 		})
 	}
 	return rep
@@ -21,7 +26,7 @@ func gateReport(speedups map[string]float64) Report {
 
 func TestCompareIdenticalPasses(t *testing.T) {
 	base := gateReport(nil)
-	got, err := Compare(base, base, MicroSet(), 0)
+	got, err := Compare(base, base)
 	if err != nil {
 		t.Fatalf("Compare: %v", err)
 	}
@@ -31,31 +36,50 @@ func TestCompareIdenticalPasses(t *testing.T) {
 	if len(got.Checks) != len(MicroSet()) {
 		t.Fatalf("checks = %d, want %d", len(got.Checks), len(MicroSet()))
 	}
-	if got.Tolerance != DefaultTolerance {
-		t.Fatalf("tolerance = %v, want default %v", got.Tolerance, DefaultTolerance)
+	if got.Tolerance != DefaultTolerance || DefaultTolerance != 0.15 {
+		t.Fatalf("tolerance = %v (default %v), want 0.15", got.Tolerance, DefaultTolerance)
 	}
 }
 
+// TestCompareWithinTolerancePasses: 14% slower is inside the 15% band, and
+// faster is never a regression.
 func TestCompareWithinTolerancePasses(t *testing.T) {
 	base := gateReport(nil)
-	// 10% slower than baseline: inside the 15% band.
-	cur := gateReport(map[string]float64{"unit-sample-new8": 2.0 / 1.10})
-	got, err := Compare(base, cur, MicroSet(), 0)
+	cur := gateReport(map[string]float64{"unit-sample-new8": 1.14, "sample-batch": 0.5})
+	got, err := Compare(base, cur)
 	if err != nil {
 		t.Fatalf("Compare: %v", err)
 	}
 	if got.Regressed {
-		t.Fatalf("10%% drift inside the 15%% tolerance flagged as regressed:\n%s", got)
+		t.Fatalf("14%% slowdown inside the 15%% tolerance flagged as regressed:\n%s", got)
 	}
 }
 
-// TestCompareFailsOnInjected2xSlowdown is the gate's own acceptance check:
-// a 2x slowdown of the optimized path must trip the gate, both when built
-// synthetically and when injected through Report.WithInjectedSlowdown (the
-// path the CI self-test step exercises).
+// TestCompareSingleBenchmarkRegression: 16% slower on one kernel trips the
+// gate on exactly that kernel.
+func TestCompareSingleBenchmarkRegression(t *testing.T) {
+	base := gateReport(nil)
+	cur := gateReport(map[string]float64{"label-energies-stereo": 1.16})
+	got, err := Compare(base, cur)
+	if err != nil {
+		t.Fatalf("Compare: %v", err)
+	}
+	if !got.Regressed {
+		t.Fatalf("16%% slowdown not flagged:\n%s", got)
+	}
+	for _, c := range got.Checks {
+		if c.Regressed != (c.Name == "label-energies-stereo") {
+			t.Fatalf("check %s regressed = %v (ratio %v limit %v)", c.Name, c.Regressed, c.Ratio, c.Limit)
+		}
+	}
+}
+
+// TestCompareFailsOnInjected2xSlowdown is the gate's own acceptance check: a
+// 2x slowdown injected through Report.WithInjectedSlowdown (the path the CI
+// self-test step exercises) must trip every kernel.
 func TestCompareFailsOnInjected2xSlowdown(t *testing.T) {
 	base := gateReport(nil)
-	got, err := Compare(base, base.WithInjectedSlowdown(2), MicroSet(), 0)
+	got, err := Compare(base, base.WithInjectedSlowdown(2))
 	if err != nil {
 		t.Fatalf("Compare: %v", err)
 	}
@@ -63,11 +87,8 @@ func TestCompareFailsOnInjected2xSlowdown(t *testing.T) {
 		t.Fatalf("2x slowdown not flagged:\n%s", got)
 	}
 	for _, c := range got.Checks {
-		if !c.Regressed {
-			t.Fatalf("check %s not regressed under 2x slowdown: ratio %v limit %v", c.Name, c.Ratio, c.Limit)
-		}
-		if c.Ratio < 0.49 || c.Ratio > 0.51 {
-			t.Fatalf("check %s ratio = %v, want ~0.5", c.Name, c.Ratio)
+		if !c.Regressed || c.Ratio != 2 {
+			t.Fatalf("check %s: regressed %v ratio %v under 2x slowdown", c.Name, c.Regressed, c.Ratio)
 		}
 	}
 	if !strings.Contains(got.String(), "PERFORMANCE REGRESSION") {
@@ -75,63 +96,69 @@ func TestCompareFailsOnInjected2xSlowdown(t *testing.T) {
 	}
 }
 
-func TestCompareSingleBenchmarkRegression(t *testing.T) {
-	base := gateReport(nil)
-	cur := gateReport(map[string]float64{"label-energies-stereo": 1.0}) // 2x drop on one
-	got, err := Compare(base, cur, MicroSet(), 0)
-	if err != nil {
-		t.Fatalf("Compare: %v", err)
-	}
-	if !got.Regressed {
-		t.Fatal("single-benchmark 2x regression not flagged")
-	}
-	regressed := 0
-	for _, c := range got.Checks {
-		if c.Regressed {
-			regressed++
-		}
-	}
-	if regressed != 1 {
-		t.Fatalf("regressed checks = %d, want exactly 1", regressed)
-	}
-}
-
 func TestCompareMalformedInputs(t *testing.T) {
 	base := gateReport(nil)
-	if _, err := Compare(Report{Schema: "other/v9"}, base, MicroSet(), 0); err == nil {
-		t.Fatal("schema mismatch not rejected")
+	other := gateReport(nil)
+	other.Schema = "rsu-bench-perf/v1"
+	if _, err := Compare(other, base); err == nil {
+		t.Fatal("baseline schema mismatch not rejected")
 	}
-	missing := base
-	missing.Benchmarks = base.Benchmarks[:2]
-	if _, err := Compare(missing, base, MicroSet(), 0); err == nil {
-		t.Fatal("missing baseline benchmark not rejected")
+	if _, err := Compare(base, other); err == nil {
+		t.Fatal("current schema mismatch not rejected")
 	}
-	if _, err := Compare(base, missing, MicroSet(), 0); err == nil {
-		t.Fatal("missing current benchmark not rejected")
+	missing := gateReport(nil)
+	missing.Benchmarks = missing.Benchmarks[:2]
+	if _, err := Compare(missing, base); err == nil {
+		t.Fatal("kernel missing from the baseline not rejected")
 	}
-	zero := gateReport(nil)
-	zero.Benchmarks[0].Speedup = 0
-	if _, err := Compare(zero, base, MicroSet(), 0); err == nil {
-		t.Fatal("non-positive speedup not rejected")
+	if _, err := Compare(base, missing); err == nil {
+		t.Fatal("kernel missing from the current report not rejected")
+	}
+	for _, bad := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		for field, set := range map[string]func(*Result){
+			"ns_op":     func(r *Result) { r.NsOp = bad },
+			"cal_ns_op": func(r *Result) { r.CalNsOp = bad },
+			"scaled":    func(r *Result) { r.Scaled = bad },
+		} {
+			broken := gateReport(nil)
+			set(&broken.Benchmarks[3])
+			if _, err := Compare(base, broken); err == nil {
+				t.Fatalf("current %s = %v not rejected", field, bad)
+			}
+			if _, err := Compare(broken, base); err == nil {
+				t.Fatalf("baseline %s = %v not rejected", field, bad)
+			}
+		}
 	}
 }
 
-// TestMicroSetMatchesSuite pins the gate's benchmark names to the suite so a
-// renamed benchmark breaks the build here instead of in CI.
+// TestMicroSetMatchesSuite pins the gate's kernels to the checked-in
+// baseline, so renaming or adding a kernel without recording a new baseline
+// fails here instead of in CI, and checks the shard-sweep record still
+// decodes.
 func TestMicroSetMatchesSuite(t *testing.T) {
-	rep := Report{Schema: Schema}
-	rep.Benchmarks = []Result{
-		{Name: "unit-sample-new8", NsOpBefore: 2, NsOpAfter: 1, Speedup: 2},
-		{Name: "unit-sample-new56", NsOpBefore: 2, NsOpAfter: 1, Speedup: 2},
-		{Name: "unit-sample-prev56", NsOpBefore: 2, NsOpAfter: 1, Speedup: 2},
-		{Name: "label-energies-stereo", NsOpBefore: 2, NsOpAfter: 1, Speedup: 2},
-		{Name: "sweep-row-kernel", NsOpBefore: 2, NsOpAfter: 1, Speedup: 2},
-		{Name: "sample-batch", NsOpBefore: 2, NsOpAfter: 1, Speedup: 2},
-		{Name: "energy-incremental", NsOpBefore: 2, NsOpAfter: 1, Speedup: 2},
-		{Name: "schedule-temperature-500", NsOpBefore: 2, NsOpAfter: 1, Speedup: 2},
-		{Name: "stereo-full-app", NsOpBefore: 2, NsOpAfter: 1, Speedup: 2},
+	var base Report
+	readJSON(t, "../../BENCH_4.json", &base)
+	if _, err := Compare(base, base); err != nil {
+		t.Fatalf("BENCH_4.json does not cover the suite: %v", err)
 	}
-	if _, err := Compare(rep, rep, MicroSet(), 0); err != nil {
-		t.Fatalf("MicroSet names out of sync with the suite: %v", err)
+	if len(base.Benchmarks) != len(MicroSet()) {
+		t.Fatalf("BENCH_4.json has %d kernels, the suite %d", len(base.Benchmarks), len(MicroSet()))
+	}
+	var shard ShardReport
+	readJSON(t, "../../BENCH_3.json", &shard)
+	if shard.Schema != ShardSchema || len(shard.Benchmarks) == 0 {
+		t.Fatalf("BENCH_3.json decoded as %+v", shard)
+	}
+}
+
+func readJSON(t *testing.T, path string, v any) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, v); err != nil {
+		t.Fatalf("%s: %v", path, err)
 	}
 }

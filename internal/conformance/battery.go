@@ -82,16 +82,15 @@ func DefaultBattery() []DesignPoint {
 type Check struct {
 	Point    string
 	Path     string // kernel path of the configuration
-	Kind     string // "analytic-fast" | "analytic-legacy" | "fast-vs-legacy"
 	Energies int    // index into the design point's energy vectors
-	N        int    // samples per kernel
+	N        int    // samples drawn
 	P        float64
 	Skipped  bool // degenerate distribution (single cell) — trivially conformant
 }
 
 // BatteryOptions tunes a RunBattery call.
 type BatteryOptions struct {
-	// Samples per (design point, energy vector, kernel). 0 means 30000.
+	// Samples per (design point, energy vector). 0 means 30000.
 	Samples int
 	// Alpha is the total false-rejection budget, split across all tests by
 	// Bonferroni correction. 0 means 1e-3.
@@ -144,12 +143,10 @@ func (r *BatteryReport) Paths() []string {
 	return out
 }
 
-// RunBattery samples every design point through both the fast and the legacy
-// kernels and runs three tests per energy vector: each kernel against the
-// analytic distribution (chi-square goodness of fit, small-expectation cells
-// pooled) and the two kernels against each other (two-sample chi-square).
-// The returned error reports setup problems, not statistical failures; gate
-// on report.Failures().
+// RunBattery samples every design point and tests each energy vector's
+// label histogram against the analytic distribution (chi-square goodness of
+// fit, small-expectation cells pooled). The returned error reports setup
+// problems, not statistical failures; gate on report.Failures().
 func RunBattery(points []DesignPoint, o BatteryOptions) (*BatteryReport, error) {
 	if o.Samples <= 0 {
 		o.Samples = 30000
@@ -159,7 +156,7 @@ func RunBattery(points []DesignPoint, o BatteryOptions) (*BatteryReport, error) 
 	}
 	tests := 0
 	for _, pt := range points {
-		tests += 3 * len(pt.Energies)
+		tests += len(pt.Energies)
 	}
 	if tests == 0 {
 		return nil, fmt.Errorf("conformance: empty battery")
@@ -173,19 +170,11 @@ func RunBattery(points []DesignPoint, o BatteryOptions) (*BatteryReport, error) 
 		// Alternate the converter realization across points; both compute
 		// the same function, so LUT/boundary coverage comes for free.
 		useLUT := pi%2 == 0
-		fast, err := core.NewUnit(pt.Config, rng.NewXoshiro256(core.StreamSeed(o.Seed, 2*pi)), useLUT)
+		u, err := core.NewUnit(pt.Config, rng.NewXoshiro256(core.StreamSeed(o.Seed, pi)), useLUT)
 		if err != nil {
 			return nil, fmt.Errorf("conformance: point %q: %w", pt.Name, err)
 		}
-		legacy, err := core.NewUnit(pt.Config, rng.NewXoshiro256(core.StreamSeed(o.Seed, 2*pi+1)), useLUT)
-		if err != nil {
-			return nil, fmt.Errorf("conformance: point %q: %w", pt.Name, err)
-		}
-		legacy.SetLegacyKernels(true)
-		if err := fast.SetTemperature(pt.T); err != nil {
-			return nil, fmt.Errorf("conformance: point %q: %w", pt.Name, err)
-		}
-		if err := legacy.SetTemperature(pt.T); err != nil {
+		if err := u.SetTemperature(pt.T); err != nil {
 			return nil, fmt.Errorf("conformance: point %q: %w", pt.Name, err)
 		}
 		path := KernelPath(pt.Config)
@@ -199,11 +188,10 @@ func RunBattery(points []DesignPoint, o BatteryOptions) (*BatteryReport, error) 
 				return nil, fmt.Errorf("conformance: point %q energies %d: analytic mass off by %g", pt.Name, ei, d)
 			}
 			m := len(energies)
-			obsFast := make([]float64, m+1) // cell m = kept current label
-			obsLegacy := make([]float64, m+1)
-			// The fast unit draws through SampleBatch — the entry point the
-			// fused solvers use — so the battery's conformance verdict covers
-			// the batched path. Each chunk replicates the energy vector into a
+			obs := make([]float64, m+1) // cell m = kept current label
+			// The unit draws through SampleBatch — the entry point the fused
+			// solvers use — so the battery's conformance verdict covers the
+			// batched path. Each chunk replicates the energy vector into a
 			// dense block with every current label -1; per the batch contract
 			// the RNG stream is consumed exactly as per-call Sample would.
 			const chunk = 256
@@ -221,37 +209,17 @@ func RunBattery(points []DesignPoint, o BatteryOptions) (*BatteryReport, error) 
 				if rem := o.Samples - s; rem < n {
 					n = rem
 				}
-				if err := fast.SampleBatch(block[:n*m], m, currents[:n], out[:n]); err != nil {
+				if err := u.SampleBatch(block[:n*m], m, currents[:n], out[:n]); err != nil {
 					return nil, fmt.Errorf("conformance: point %q energies %d: %w", pt.Name, ei, err)
 				}
-				for _, fs := range out[:n] {
-					obsFast[cell(fs, m)]++
+				for _, l := range out[:n] {
+					obs[cell(l, m)]++
 				}
 			}
-			for s := 0; s < o.Samples; s++ {
-				ls, err := legacy.Sample(energies, -1)
-				if err != nil {
-					return nil, fmt.Errorf("conformance: point %q energies %d: %w", pt.Name, ei, err)
-				}
-				obsLegacy[cell(ls, m)]++
-			}
-			for _, k := range []struct {
-				kind string
-				obs  []float64
-			}{{"analytic-fast", obsFast}, {"analytic-legacy", obsLegacy}} {
-				p, ok := conformanceP(k.obs, want, o.Samples)
-				rep.Checks = append(rep.Checks, Check{
-					Point: pt.Name, Path: path, Kind: k.kind,
-					Energies: ei, N: o.Samples, P: p, Skipped: !ok,
-				})
-			}
-			res, err := stats.ChiSquareTwoSample(obsFast, obsLegacy)
-			if err != nil {
-				return nil, fmt.Errorf("conformance: point %q energies %d: %w", pt.Name, ei, err)
-			}
+			p, ok := conformanceP(obs, want, o.Samples)
 			rep.Checks = append(rep.Checks, Check{
-				Point: pt.Name, Path: path, Kind: "fast-vs-legacy",
-				Energies: ei, N: o.Samples, P: res.PValue,
+				Point: pt.Name, Path: path,
+				Energies: ei, N: o.Samples, P: p, Skipped: !ok,
 			})
 		}
 	}

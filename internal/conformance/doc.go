@@ -11,10 +11,11 @@
 //     the three precision-recovery techniques, analytic.go derives — from
 //     first principles, independently of the core package's kernels — the
 //     exact categorical distribution of the first-to-fire race, and the
-//     battery chi-square-tests core.Unit.Sample against it across all four
-//     kernel paths (quantized, binned-codes, binned-float, continuous) in
-//     both legacy and fast modes, with Bonferroni-corrected p-value gates.
-//     Fast and legacy kernels are additionally tested against each other.
+//     battery chi-square-tests core.Unit's sampling kernels against it
+//     across all four kernel paths (quantized, binned-codes, binned-float,
+//     continuous), with Bonferroni-corrected p-value gates. marginals.go
+//     does the same for whole solver chains: posterior marginals of the
+//     serial and tile engines against exact enumeration on tiny grids.
 //
 //  2. Golden-trace regression harness (golden.go): small fixed-seed runs of
 //     the four applications (stereo, flow, segment, ising) at 1, 2 and 4

@@ -33,9 +33,9 @@ func fuzzConfigs() []core.Config {
 var fuzzTemps = []float64{0.25, 2, 8, 32, 400}
 
 // FuzzUnitSample drives the full sampling pipeline with arbitrary energies
-// through every configuration and both kernel generations, checking the
-// Sample contract: no panic, and the result is either a label index in range
-// or the caller's current label (no fire).
+// through every configuration, checking the Sample contract: no panic, and
+// the result is either a label index in range or the caller's current label
+// (no fire).
 func FuzzUnitSample(f *testing.F) {
 	f.Add(uint8(0), uint8(1), uint64(7), uint16(0), uint16(100), uint16(40000), uint16(65535))
 	f.Add(uint8(3), uint8(0), uint64(1), uint16(5), uint16(5), uint16(5), uint16(5))
@@ -59,25 +59,21 @@ func FuzzUnitSample(f *testing.F) {
 		if current == m {
 			current = -1
 		}
-		for _, legacy := range []bool{false, true} {
-			u := core.MustUnit(cfg, rng.NewXoshiro256(seed|1), seed%2 == 0)
-			u.SetLegacyKernels(legacy)
-			core.MustSetTemperature(u, T)
-			for i := 0; i < 8; i++ {
-				got, err := u.Sample(energies, current)
-				if err != nil {
-					t.Fatalf("cfg %s legacy %v T %v: Sample error: %v", cfg.Name, legacy, T, err)
-				}
-				if got != current && (got < 0 || got >= m) {
-					t.Fatalf("cfg %s legacy %v T %v: Sample -> %d, want current %d or in [0,%d)",
-						cfg.Name, legacy, T, got, current, m)
-				}
+		u := core.MustUnit(cfg, rng.NewXoshiro256(seed|1), seed%2 == 0)
+		core.MustSetTemperature(u, T)
+		for i := 0; i < 8; i++ {
+			got, err := u.Sample(energies, current)
+			if err != nil {
+				t.Fatalf("cfg %s T %v: Sample error: %v", cfg.Name, T, err)
 			}
-			st := u.Stats()
-			if st.Evaluations != 8 || st.LabelEvals != 8*m {
-				t.Fatalf("cfg %s legacy %v: stats %+v after 8 calls over %d labels",
-					cfg.Name, legacy, st, m)
+			if got != current && (got < 0 || got >= m) {
+				t.Fatalf("cfg %s T %v: Sample -> %d, want current %d or in [0,%d)",
+					cfg.Name, T, got, current, m)
 			}
+		}
+		st := u.Stats()
+		if st.Evaluations != 8 || st.LabelEvals != 8*m {
+			t.Fatalf("cfg %s: stats %+v after 8 calls over %d labels", cfg.Name, st, m)
 		}
 	})
 }

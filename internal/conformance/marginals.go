@@ -225,7 +225,7 @@ type MarginalCheck struct {
 	Grid    string
 	Point   string // configuration name
 	Path    string // kernel path of the configuration
-	Solver  string // "serial-fast" | "serial-legacy" | "parallel-fast"
+	Solver  string // "serial" | "parallel"
 	Test    string // "joint" or "pixel(x,y)"
 	N       int    // replicate chains (= iid samples)
 	P       float64
@@ -316,18 +316,15 @@ type MarginalOptions struct {
 	Seed uint64
 }
 
-// marginalSolvers are the solver × kernel combinations each cell runs:
-// the serial raster solver with fast and legacy kernels, and the tile engine
-// at two workers (two tiles, so the color order is really exercised) with
-// fast kernels.
+// marginalSolvers are the solvers each cell runs: the serial raster solver
+// and the tile engine at two workers (two tiles, so the color order is
+// really exercised).
 var marginalSolvers = []struct {
 	name         string
 	checkerboard bool
-	legacy       bool
 }{
-	{"serial-fast", false, false},
-	{"serial-legacy", false, true},
-	{"parallel-fast", true, false},
+	{"serial", false},
+	{"parallel", true},
 }
 
 // RunMarginalBattery chi-squares uq posterior-marginal estimates against
@@ -381,7 +378,6 @@ func RunMarginalBattery(grids []MarginalGrid, points []MarginalPoint, o Marginal
 					if err != nil {
 						return nil, fmt.Errorf("conformance: marginals %s: %w", pt.Name, err)
 					}
-					u.SetLegacyKernels(sv.legacy)
 					samplers[w] = u
 					stream++
 				}

@@ -12,22 +12,19 @@ import (
 // draw-for-draw identical to the per-pixel Sample loop.
 func batchConfigs(t *testing.T) map[string]func(seed uint64) LabelSampler {
 	t.Helper()
-	unit := func(cfg Config, useLUT, legacy bool) func(seed uint64) LabelSampler {
+	unit := func(cfg Config, useLUT bool) func(seed uint64) LabelSampler {
 		return func(seed uint64) LabelSampler {
-			u := MustUnit(cfg, rng.NewXoshiro256(seed), useLUT)
-			u.SetLegacyKernels(legacy)
-			return u
+			return MustUnit(cfg, rng.NewXoshiro256(seed), useLUT)
 		}
 	}
 	firstWins := NewRSUG()
 	firstWins.Tie = TieFirstWins
 	return map[string]func(seed uint64) LabelSampler{
-		"new-rsug-lut":        unit(NewRSUG(), true, false),
-		"new-rsug-boundary":   unit(NewRSUG(), false, false),
-		"new-rsug-legacy":     unit(NewRSUG(), true, true),
-		"new-rsug-first-wins": unit(firstWins, true, false),
-		"prev-rsug":           unit(PrevRSUG(), true, false),
-		"float-reference":     unit(FloatReference(), true, false),
+		"new-rsug-lut":        unit(NewRSUG(), true),
+		"new-rsug-boundary":   unit(NewRSUG(), false),
+		"new-rsug-first-wins": unit(firstWins, true),
+		"prev-rsug":           unit(PrevRSUG(), true),
+		"float-reference":     unit(FloatReference(), true),
 		"software": func(seed uint64) LabelSampler {
 			return NewSoftwareSampler(rng.NewXoshiro256(seed))
 		},

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"math"
 	"testing"
 
+	"rsu/internal/quant"
 	"rsu/internal/rng"
 	"rsu/internal/stats"
 )
@@ -29,31 +31,113 @@ func kernelTestConfigs() []Config {
 	return []Config{NewRSUG(), PrevRSUG(), highRes, intContinuous, FloatReference()}
 }
 
-// TestFastBinnedKernelBitIdentical pins the inverse-CDF binned draw to the
+// referenceSample is the RSU-G pipeline written out stage by stage in
+// float arithmetic (paper Sec. IV-B), the yardstick the production kernels
+// are checked against: quantize each energy and decode it back to a float,
+// subtract E_min, re-round to an energy code and convert it to a decay-rate
+// code, then draw one exponential TTF per positive-rate label — drawBin at
+// rate c·λ0 for binned time, rng.Exponential for continuous time — and race
+// them (selectBin for bins, the earliest time otherwise). It drives u's RNG
+// stream and Stats the way Sample does, so for binned configurations the
+// production kernels must match it draw for draw.
+func referenceSample(u *Unit, energies []float64, current int) int {
+	m := len(energies)
+	u.ensureScratch(m)
+	u.stats.Evaluations++
+	u.stats.LabelEvals += m
+	eff := make([]float64, m)
+	for i, e := range energies {
+		eff[i] = e
+		if u.cfg.EnergyBits > 0 {
+			eff[i] = float64(u.equant.Encode(e)) * u.estep
+		}
+	}
+	if u.cfg.scalesEnergy() {
+		min := eff[0]
+		for _, e := range eff {
+			min = math.Min(min, e)
+		}
+		for i := range eff {
+			eff[i] -= min
+		}
+	}
+	rates := make([]float64, m)
+	switch {
+	case u.cfg.LambdaBits <= 0 && u.cfg.TimeBits <= 0:
+		for i, e := range eff {
+			rates[i] = math.Exp(-e / u.T)
+		}
+		return referenceRace(u, rates, current)
+	case u.cfg.LambdaBits <= 0:
+		return u.sampleBinnedFloat(eff, current)
+	}
+	bins := make([]int, m)
+	for i, e := range eff {
+		c := u.cfg.lambdaCodeFloat(e, u.T)
+		if u.cfg.EnergyBits > 0 {
+			c = u.conv.Code(quant.RoundPos(e / u.estep))
+		}
+		if c == 0 {
+			u.stats.Cutoffs++
+			continue
+		}
+		rates[i] = float64(c)
+		if u.cfg.TimeBits > 0 {
+			bins[i] = u.drawBin(float64(c) * u.lambda0)
+		}
+	}
+	if u.cfg.TimeBits <= 0 {
+		return referenceRace(u, rates, current)
+	}
+	return u.selectBin(bins, current)
+}
+
+// referenceRace races one exponential TTF per positive rate, in label order,
+// and returns the earliest label, or current when none can fire.
+func referenceRace(u *Unit, rates []float64, current int) int {
+	best, bestT := -1, math.Inf(1)
+	for i, r := range rates {
+		if r <= 0 {
+			continue
+		}
+		if t := rng.Exponential(u.src, r); t < bestT {
+			best, bestT = i, t
+		}
+	}
+	if best < 0 {
+		u.stats.NoFire++
+		return current
+	}
+	return best
+}
+
+// TestFastBinnedKernelBitIdentical pins the binned kernels (the cut-off-aware
+// kernel for the LUT converter, the dense inverse-CDF draw otherwise) to the
 // reference exponential draw: both transform the same uniform, so with the
-// same seed the whole Sample sequence must match draw for draw.
+// same seed the whole Sample sequence and every Stats counter must match.
 func TestFastBinnedKernelBitIdentical(t *testing.T) {
 	for _, cfg := range []Config{NewRSUG(), PrevRSUG()} {
-		fast := MustUnit(cfg, rng.NewXoshiro256(900), true)
-		legacy := MustUnit(cfg, rng.NewXoshiro256(900), true)
-		legacy.SetLegacyKernels(true)
-		energies := kernelTestEnergies()
-		for _, T := range []float64{32, 8, 1, 0.2} {
-			MustSetTemperature(fast, T)
-			MustSetTemperature(legacy, T)
-			cur := 0
-			for i := 0; i < 5000; i++ {
-				e := energies[i%len(energies)]
-				a := MustSample(fast, e, cur%len(e))
-				b := MustSample(legacy, e, cur%len(e))
-				if a != b {
-					t.Fatalf("%s T=%v draw %d: fast %d, legacy %d", cfg.Name, T, i, a, b)
+		for _, useLUT := range []bool{true, false} {
+			fast := MustUnit(cfg, rng.NewXoshiro256(900), useLUT)
+			ref := MustUnit(cfg, rng.NewXoshiro256(900), useLUT)
+			energies := kernelTestEnergies()
+			for _, T := range []float64{32, 8, 1, 0.2} {
+				MustSetTemperature(fast, T)
+				MustSetTemperature(ref, T)
+				cur := 0
+				for i := 0; i < 5000; i++ {
+					e := energies[i%len(energies)]
+					a := MustSample(fast, e, cur%len(e))
+					b := referenceSample(ref, e, cur%len(e))
+					if a != b {
+						t.Fatalf("%s lut=%v T=%v draw %d: fast %d, reference %d", cfg.Name, useLUT, T, i, a, b)
+					}
+					cur = a
 				}
-				cur = a
 			}
-		}
-		if fast.Stats() != legacy.Stats() {
-			t.Fatalf("%s: stats diverge: fast %+v legacy %+v", cfg.Name, fast.Stats(), legacy.Stats())
+			if fast.Stats() != ref.Stats() {
+				t.Fatalf("%s lut=%v: stats diverge: fast %+v reference %+v", cfg.Name, useLUT, fast.Stats(), ref.Stats())
+			}
 		}
 	}
 }
@@ -74,56 +158,55 @@ func twoSampleChiSquare(a, b []int) float64 {
 }
 
 // TestFastKernelsStatisticallyEquivalent draws large label histograms from
-// the fast and legacy kernels (independent streams) for representative
-// Lambda_bits/Time_bits design points and requires the chi-squared
-// two-sample test not to reject equality. This covers the categorical
-// continuous kernel, where the RNG consumption pattern (one uniform per
-// draw vs one per label) makes a bitwise comparison meaningless.
+// the production kernels and the reference pipeline (independent streams)
+// for representative Lambda_bits/Time_bits design points and requires the
+// chi-squared two-sample test not to reject equality. This covers the
+// categorical continuous kernel, where the RNG consumption pattern (one
+// uniform per draw vs one exponential per label) makes a bitwise comparison
+// meaningless.
 func TestFastKernelsStatisticallyEquivalent(t *testing.T) {
 	const n = 60000
 	for _, cfg := range kernelTestConfigs() {
 		for ei, energies := range kernelTestEnergies() {
 			fast := MustUnit(cfg, rng.NewXoshiro256(uint64(1000+ei)), true)
-			legacy := MustUnit(cfg, rng.NewXoshiro256(uint64(5000+ei)), true)
-			legacy.SetLegacyKernels(true)
+			ref := MustUnit(cfg, rng.NewXoshiro256(uint64(5000+ei)), true)
 			MustSetTemperature(fast, 2)
-			MustSetTemperature(legacy, 2)
+			MustSetTemperature(ref, 2)
 			ha := make([]int, len(energies))
 			hb := make([]int, len(energies))
 			for i := 0; i < n; i++ {
 				ha[MustSample(fast, energies, i%len(energies))]++
-				hb[MustSample(legacy, energies, i%len(energies))]++
+				hb[referenceSample(ref, energies, i%len(energies))]++
 			}
 			if p := twoSampleChiSquare(ha, hb); p < 1e-3 {
-				t.Errorf("%s energies #%d: fast and legacy kernels differ (p=%.2g, fast=%v legacy=%v)",
+				t.Errorf("%s energies #%d: fast kernel and reference differ (p=%.2g, fast=%v reference=%v)",
 					cfg.Name, ei, p, ha, hb)
 			}
 		}
 	}
 }
 
-// TestFastQuantizedCodesMatchLegacy checks that the integer stage-1/2
-// pipeline emits exactly the decay-rate codes of the float round-trip, via
-// the Cutoffs counter and per-draw agreement under a shared seed.
-func TestFastQuantizedCodesMatchLegacy(t *testing.T) {
+// TestFastQuantizedCodesMatchReference checks that the integer stage-1/2
+// pipeline (sampleQuantized, which the boundary-comparison converter takes)
+// emits exactly the decay-rate codes of the float round-trip, via the
+// Cutoffs counter and per-draw agreement under a shared seed.
+func TestFastQuantizedCodesMatchReference(t *testing.T) {
 	cfg := NewRSUG()
 	fast := MustUnit(cfg, rng.NewXoshiro256(77), false)
-	legacy := MustUnit(cfg, rng.NewXoshiro256(77), false)
-	legacy.SetLegacyKernels(true)
+	ref := MustUnit(cfg, rng.NewXoshiro256(77), false)
 	for T := 40.0; T > 0.05; T *= 0.7 {
 		MustSetTemperature(fast, T)
-		MustSetTemperature(legacy, T)
+		MustSetTemperature(ref, T)
 		for _, e := range kernelTestEnergies() {
 			a := MustSample(fast, e, 0)
-			b := MustSample(legacy, e, 0)
+			b := referenceSample(ref, e, 0)
 			if a != b {
-				t.Fatalf("T=%v energies %v: fast %d legacy %d", T, e, a, b)
+				t.Fatalf("T=%v energies %v: fast %d reference %d", T, e, a, b)
 			}
 		}
 	}
-	if fast.Stats().Cutoffs != legacy.Stats().Cutoffs {
-		t.Fatalf("cutoff counts diverge: fast %d legacy %d",
-			fast.Stats().Cutoffs, legacy.Stats().Cutoffs)
+	if fast.Stats() != ref.Stats() {
+		t.Fatalf("stats diverge: fast %+v reference %+v", fast.Stats(), ref.Stats())
 	}
 }
 

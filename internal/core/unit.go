@@ -85,7 +85,6 @@ type Unit struct {
 	lambda0  float64
 	tmax     int
 	stats    Stats
-	legacy   bool
 
 	// surv caches the binned-time survival function per decay-rate code:
 	// surv[code][b] = P(TTF > b) = exp(-code*lambda0*b). It depends only on
@@ -183,18 +182,6 @@ func (u *Unit) Stats() Stats { return u.stats }
 
 // ResetStats clears the counters.
 func (u *Unit) ResetStats() { u.stats = Stats{} }
-
-// SetLegacyKernels switches the Unit between the optimized sampling kernels
-// (the default) and the original reference kernels. Both sample the same
-// distributions — the fast binned path is an inverse-CDF transform of the
-// same uniform the reference path feeds to -log(u), and the fast continuous
-// path uses the min-of-exponentials ≡ categorical identity — so the flag
-// exists for the statistical-equivalence tests and for benchmarking the
-// before/after kernels against each other.
-func (u *Unit) SetLegacyKernels(on bool) { u.legacy = on }
-
-// LegacyKernels reports whether the reference kernels are selected.
-func (u *Unit) LegacyKernels() bool { return u.legacy }
 
 // SetTemperature folds the simulated-annealing temperature into the
 // energy-to-lambda conversion, rebuilding the LUT or boundary registers.
@@ -326,9 +313,8 @@ func (u *Unit) sampleOne(energies []float64, current int) int {
 	u.stats.Evaluations++
 	u.stats.LabelEvals += m
 
-	if !u.legacy && u.cfg.EnergyBits > 0 && u.cfg.LambdaBits > 0 {
-		// Fully quantized pipeline: stages 1-2 stay in integer energy codes,
-		// skipping the code -> float -> code round-trip of the reference path.
+	if u.cfg.EnergyBits > 0 && u.cfg.LambdaBits > 0 {
+		// Fully quantized pipeline: stages 1-2 stay in integer energy codes.
 		// Binned units with a LUT whose zeros form a tail take the
 		// cut-off-aware kernel; a FaultInjector needs the dense bins (a dark
 		// count can make a cut-off label fire).
@@ -374,15 +360,12 @@ func (u *Unit) sampleOne(energies []float64, current int) int {
 		return u.sampleBinnedFloat(eff, current)
 	}
 
-	// Stage 2b: energy-to-lambda conversion.
+	// Stage 2b: energy-to-lambda conversion. Quantized energies with integer
+	// lambda codes took sampleQuantized above, so the energies here are
+	// float.
 	codes := u.codeBuf[:m]
 	for i, e := range eff {
-		var c int
-		if u.cfg.EnergyBits > 0 {
-			c = u.conv.Code(quant.RoundPos(e / u.estep))
-		} else {
-			c = u.cfg.lambdaCodeFloat(e, u.T)
-		}
+		c := u.cfg.lambdaCodeFloat(e, u.T)
 		if c == 0 {
 			u.stats.Cutoffs++
 		}
@@ -418,11 +401,11 @@ func encodeEnergy(e, scale, emax float64, maxCode int) int {
 
 // sampleQuantized is the integer pipeline for EnergyBits > 0 and
 // LambdaBits > 0: encode once, subtract the minimum energy code when the mode
-// scales, and feed the integer difference straight to the converter. The
-// reference path decodes the energy code back to a float, subtracts, and
-// re-rounds — an exact round-trip (the difference of two code multiples of
-// the quantizer step re-rounds to the code difference), so the emitted
-// decay-rate codes are identical.
+// scales, and feed the integer difference straight to the converter.
+// Decoding the energy codes back to floats, subtracting and re-rounding
+// would be an exact round-trip (the difference of two code multiples of the
+// quantizer step re-rounds to the code difference), so the emitted
+// decay-rate codes are those of the paper's float-staged pipeline.
 //
 // It is the dense pipeline, which sampleOne uses wherever the cut-off-aware
 // kernel (sampleLive) does not apply: the boundary-comparison converter,
@@ -622,29 +605,10 @@ func (u *Unit) sampleContinuousFloat(eff []float64, current int) int {
 }
 
 // sampleContinuousRates picks the minimum of competing exponentials with the
-// given rates; zero-rate labels never fire. The fast kernel exploits the
-// identity argmin_i Exp(r_i) ~ Categorical(r_i / sum r): one uniform draw
-// replaces one math.Log per label, with exactly the same distribution.
+// given rates; zero-rate labels never fire. It exploits the identity
+// argmin_i Exp(r_i) ~ Categorical(r_i / sum r): one uniform draw replaces
+// one math.Log per label, with exactly the same distribution.
 func (u *Unit) sampleContinuousRates(rates []float64, current int) int {
-	if u.legacy {
-		best := -1
-		bestT := math.Inf(1)
-		for i, r := range rates {
-			if r <= 0 {
-				continue
-			}
-			t := rng.Exponential(u.src, r)
-			if t < bestT {
-				bestT = t
-				best = i
-			}
-		}
-		if best < 0 {
-			u.stats.NoFire++
-			return current
-		}
-		return best
-	}
 	var total float64
 	for _, r := range rates {
 		if r > 0 {
@@ -699,22 +663,12 @@ func (u *Unit) sampleBinnedFloat(eff []float64, current int) int {
 
 func (u *Unit) sampleBinnedCodes(codes []int, current int) int {
 	bins := u.binBuf[:len(codes)]
-	if u.legacy {
-		for i, c := range codes {
-			if c <= 0 {
-				bins[i] = 0
-				continue
-			}
-			bins[i] = u.drawBin(float64(c) * u.lambda0)
+	for i, c := range codes {
+		if c <= 0 {
+			bins[i] = 0
+			continue
 		}
-	} else {
-		for i, c := range codes {
-			if c <= 0 {
-				bins[i] = 0
-				continue
-			}
-			bins[i] = u.drawBinCode(c)
-		}
+		bins[i] = u.drawBinCode(c)
 	}
 	return u.selectBin(bins, current)
 }
@@ -777,11 +731,11 @@ func (u *Unit) survival(code int) []float64 {
 	return u.surv[code]
 }
 
-// drawBinCode is the fast binned draw: with u ~ Uniform(0,1) the reference
-// bin ceil(-ln(u)/rate) equals the smallest b with u >= S(b) where
-// S(b) = exp(-rate*b), so one uniform plus a guided scan of the cached
-// survival table replaces the log call — the same inverse-CDF transform of
-// the same uniform, hence the same distribution. The guide table jumps to
+// drawBinCode is the binned draw for an integer decay-rate code: with
+// u ~ Uniform(0,1) the bin drawBin computes, ceil(-ln(u)/rate), equals the
+// smallest b with u >= S(b) where S(b) = exp(-rate*b), so one uniform plus a
+// guided scan of the cached survival table replaces the log call — the same
+// inverse-CDF transform of the same uniform, hence the same bin. The guide table jumps to
 // the first bin the uniform's slot can reach; the scan then advances at
 // most a slot's width of survival values.
 func (u *Unit) drawBinCode(code int) int {
@@ -809,8 +763,8 @@ func (u *Unit) drawBinCode(code int) int {
 }
 
 // selectBin implements the selection stage over a dense bin vector: smallest
-// bin wins; bin 0 means "did not fire". Every dense binned kernel (fast and
-// legacy) funnels through here, so the fault hook sees each of their
+// bin wins; bin 0 means "did not fire". Every dense binned kernel funnels
+// through here, so the fault hook sees each of their
 // evaluations exactly once; sampleLive, which never runs with a hook, races
 // its fired labels directly.
 func (u *Unit) selectBin(bins []int, current int) int {
