@@ -6,7 +6,7 @@ FUZZTIME ?= 30s
 # Coverage floor for the uncertainty-quantification estimators (DESIGN.md §12).
 UQ_COVER_MIN ?= 85
 
-.PHONY: all build test vet race race-runtime perfbench-test verify shard-verify fault-sweep checkpoint-smoke fuzz fuzz-smoke check cover bench bench-once perf perf-check shard-sweep profile
+.PHONY: all build test vet fmt-check race race-runtime perfbench-test verify shard-verify fault-sweep checkpoint-smoke fuzz fuzz-smoke check cover bench bench-once perf perf-check shard-sweep profile
 
 all: check
 
@@ -19,6 +19,12 @@ test:
 vet:
 	$(GO) vet ./...
 
+# Fails when any tracked Go file is not gofmt-formatted (untracked build
+# output such as .bench_build/ is skipped).
+fmt-check:
+	@files=$$(gofmt -l $$(git ls-files '*.go')); \
+	test -z "$$files" || { echo "gofmt needed:"; echo "$$files"; exit 1; }
+
 # Race-detector pass over the whole tree; exercises the checkerboard tile
 # engine and the experiment worker pool under -race.
 race:
@@ -26,10 +32,10 @@ race:
 
 # Focused race pass over the solver runtime (the annealing driver both sweep
 # engines share, the tile-engine executor pool, cancellation, panic-to-error,
-# checkpoint and resume, run log), repeated to shake out
-# scheduling-dependent interleavings (DESIGN.md §9).
+# checkpoint and resume, run log, the row-banded table build), repeated to
+# shake out scheduling-dependent interleavings (DESIGN.md §9).
 race-runtime:
-	$(GO) test -race -count=3 -run 'TestSolve|TestRunLog|TestOnSweep|TestSchedule|TestSharded|TestCheckpoint|TestSetTemperature|TestResume' ./internal/mrf ./internal/runopt
+	$(GO) test -race -count=3 -run 'TestSolve|TestRunLog|TestOnSweep|TestSchedule|TestSharded|TestCheckpoint|TestSetTemperature|TestResume|TestBuildTablesBandedMatchesDirect|TestBuildTablesConcurrentCallers' ./internal/mrf ./internal/runopt
 
 # The benchmark harness is its own module (perfbench/go.mod), so the root
 # build and test never compile it; vet and test it here so an internal API
@@ -93,7 +99,7 @@ fuzz:
 fuzz-smoke:
 	$(MAKE) fuzz FUZZTIME=10s
 
-check: build vet test race perfbench-test verify
+check: build vet fmt-check test race perfbench-test verify
 
 bench:
 	$(GO) test -bench=. -benchmem .

@@ -115,6 +115,18 @@ func benchLabelEnergies(b *testing.B, tables bool) {
 func BenchmarkLabelEnergiesTables(b *testing.B) { benchLabelEnergies(b, true) }
 func BenchmarkLabelEnergiesDirect(b *testing.B) { benchLabelEnergies(b, false) }
 
+// BenchmarkBuildTablesStereo times the full table build of the teddy ×4
+// stereo problem (256×192 pixels, 56 labels, 2.75 M singleton entries):
+// the data-term closure and the row-banded fill behind BuildTables. Run it
+// at -cpu 1,2 to see the single-core cost next to the banded one.
+func BenchmarkBuildTablesStereo(b *testing.B) {
+	prob := stereo.BuildProblem(synth.Teddy(4), stereo.DefaultParams())
+	b.ReportAllocs()
+	for b.Loop() {
+		prob.BuildTables()
+	}
+}
+
 // BenchmarkLabelEnergiesRow times the fused row gather the serial sweep
 // uses: one op fills a whole W×Labels block (compare against W iterations
 // of BenchmarkLabelEnergiesTables).

@@ -55,16 +55,33 @@ func DefaultParams() Params {
 // BuildProblem constructs the MRF for a stereo pair. The singleton is the
 // truncated absolute intensity difference between the left pixel and its
 // disparity-shifted right pixel, aggregated over a 3x1 horizontal window to
-// stabilize matching.
+// stabilize matching. Where the whole window lies inside both images it
+// reads the rows directly; border windows replicate the edge pixel through
+// AtClamped. Both paths sum the same terms in the same order, so the cost
+// is the same either way.
 func BuildProblem(pair *synth.StereoPair, p Params) *mrf.Problem {
 	left, right := pair.Left, pair.Right
+	W := left.W
+	direct := right.W == W && right.H == left.H
 	return &mrf.Problem{
-		W: left.W, H: left.H, Labels: pair.Labels,
+		W: W, H: left.H, Labels: pair.Labels,
 		Singleton: func(x, y, d int) float64 {
 			if x-d < 0 {
 				return p.OcclusionCost
 			}
 			var cost float64
+			if direct && x-1-d >= 0 && x+1 < W {
+				i := y*W + x - 1
+				lw, rw := left.Pix[i:i+3], right.Pix[i-d:i-d+3]
+				for k := range lw {
+					diff := math.Abs(lw[k] - rw[k])
+					if diff > p.DataCap {
+						diff = p.DataCap
+					}
+					cost += diff
+				}
+				return p.DataWeight * cost / 3
+			}
 			for dx := -1; dx <= 1; dx++ {
 				diff := math.Abs(left.AtClamped(x+dx, y) - right.AtClamped(x+dx-d, y))
 				if diff > p.DataCap {

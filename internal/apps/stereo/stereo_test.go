@@ -1,9 +1,11 @@
 package stereo
 
 import (
+	"math"
 	"testing"
 
 	"rsu/internal/core"
+	"rsu/internal/img"
 	"rsu/internal/mrf"
 	"rsu/internal/rng"
 	"rsu/internal/synth"
@@ -46,6 +48,55 @@ func TestBuildProblemEnergyRange(t *testing.T) {
 	maxTotal := maxSingle + 4*p.SmoothWeight*p.SmoothCap
 	if maxTotal > 255 {
 		t.Fatalf("max energy %v exceeds 8-bit range", maxTotal)
+	}
+}
+
+// clampedSingleton is the data term written with AtClamped at every window
+// position — the reference BuildProblem's direct-read interior path must
+// reproduce bit for bit.
+func clampedSingleton(pair *synth.StereoPair, p Params, x, y, d int) float64 {
+	if x-d < 0 {
+		return p.OcclusionCost
+	}
+	var cost float64
+	for dx := -1; dx <= 1; dx++ {
+		diff := math.Abs(pair.Left.AtClamped(x+dx, y) - pair.Right.AtClamped(x+dx-d, y))
+		if diff > p.DataCap {
+			diff = p.DataCap
+		}
+		cost += diff
+	}
+	return p.DataWeight * cost / 3
+}
+
+// TestSingletonMatchesClampedReference checks BuildProblem's data term
+// against the AtClamped reference at every (x, y, d) of a small odd-width
+// pair — so d = 0, the occlusion edge x = d, the first direct window
+// x = d+1, the right border x = W−1 and the first and last rows are all
+// covered — with a cap low enough to truncate, and on a pair whose right
+// image is wider, which must take the AtClamped path throughout.
+func TestSingletonMatchesClampedReference(t *testing.T) {
+	p := DefaultParams()
+	p.DataCap = 17
+	p.DataWeight = 1.3
+	wide := synth.Stereo("odd", 21, 9, 8, 2, 3)
+	wide.Right = img.NewGray(wide.Left.W+2, wide.Left.H)
+	for i := range wide.Right.Pix {
+		wide.Right.Pix[i] = float64(i*37%251) + 0.25
+	}
+	for _, pair := range []*synth.StereoPair{synth.Stereo("odd", 21, 9, 8, 2, 3), wide} {
+		prob := BuildProblem(pair, p)
+		for y := 0; y < prob.H; y++ {
+			for x := 0; x < prob.W; x++ {
+				for d := 0; d < prob.Labels; d++ {
+					got, want := prob.Singleton(x, y, d), clampedSingleton(pair, p, x, y, d)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("right width %d (%d,%d,%d): singleton %v, reference %v",
+							pair.Right.W, x, y, d, got, want)
+					}
+				}
+			}
+		}
 	}
 }
 

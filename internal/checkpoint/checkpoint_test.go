@@ -19,11 +19,11 @@ import (
 // branch of the format.
 func sampleSnapshot() *Snapshot {
 	return &Snapshot{
-		App:     "stereo",
-		Sampler: "new",
-		Seed:    2026,
+		App:      "stereo",
+		Sampler:  "new",
+		Seed:     2026,
 		Schedule: mrf.Schedule{T0: 8, Alpha: 0.92, Iterations: 24, TFloor: 0.05},
-		Aux:     []byte(`{"job":"j-17"}`),
+		Aux:      []byte(`{"job":"j-17"}`),
 		State: mrf.SolverState{
 			W: 4, H: 3, Labels: 5, Workers: 2,
 			NextSweep: 7, NextT: 4.4170368, Energy: -12.625, EnergyTracked: true,
@@ -243,9 +243,9 @@ func TestPlanAttachFreshAndResume(t *testing.T) {
 
 	// Metadata mismatches are rejected.
 	for name, bad := range map[string]*Plan{
-		"app":      {Path: path, Resume: true, App: "flow", Sampler: "new", Seed: 2026},
-		"sampler":  {Path: path, Resume: true, App: "stereo", Sampler: "software", Seed: 2026},
-		"seed":     {Path: path, Resume: true, App: "stereo", Sampler: "new", Seed: 1},
+		"app":     {Path: path, Resume: true, App: "flow", Sampler: "new", Seed: 2026},
+		"sampler": {Path: path, Resume: true, App: "stereo", Sampler: "software", Seed: 2026},
+		"seed":    {Path: path, Resume: true, App: "stereo", Sampler: "new", Seed: 1},
 	} {
 		var o mrf.SolveOptions
 		if err := bad.Attach(&o, sched); err == nil {

@@ -66,6 +66,9 @@ type Problem struct {
 	Labels int
 	// Singleton returns the data-term energy of label l at pixel (x, y).
 	// It is evaluated once per (pixel, label) and cached by the solver.
+	// BuildTables and BuildTablesShared may call it from several goroutines
+	// at once, so it must be a pure function of (x, y, l): no writes to
+	// shared state, no dependence on call order.
 	Singleton func(x, y, l int) float64
 	// PairWeight scales the doubleton term.
 	PairWeight float64
@@ -108,21 +111,6 @@ func (p *Problem) pairDist(a, b int) float64 {
 		d = p.TruncateDist
 	}
 	return d
-}
-
-// singletonTable caches the data term: index (y*W+x)*Labels + l.
-func (p *Problem) singletonTable() []float64 {
-	tab := make([]float64, p.W*p.H*p.Labels)
-	i := 0
-	for y := 0; y < p.H; y++ {
-		for x := 0; x < p.W; x++ {
-			for l := 0; l < p.Labels; l++ {
-				tab[i] = p.Singleton(x, y, l)
-				i++
-			}
-		}
-	}
-	return tab
 }
 
 // Tables caches the per-Solve lookup structures of a Problem: the singleton

@@ -1,0 +1,133 @@
+package mrf
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+)
+
+// hashSingleton is a pure data term whose entries differ in every bit
+// position a misplaced or duplicated write could disturb.
+func hashSingleton(x, y, l int) float64 {
+	return math.Sin(float64(x*131+y*71+l*17)) * 97.3
+}
+
+// checkSinglesDirect fails unless tab.Singles holds Singleton(x, y, l) at
+// (y*W+x)*Labels + l, bit for bit, for every entry.
+func checkSinglesDirect(t *testing.T, name string, p *Problem, tab *Tables) {
+	t.Helper()
+	if len(tab.Singles) != p.W*p.H*p.Labels {
+		t.Fatalf("%s: %d singles, want %d", name, len(tab.Singles), p.W*p.H*p.Labels)
+	}
+	i := 0
+	for y := 0; y < p.H; y++ {
+		for x := 0; x < p.W; x++ {
+			for l := 0; l < p.Labels; l++ {
+				if got, want := tab.Singles[i], p.Singleton(x, y, l); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s: single (%d,%d,%d) = %v, direct %v", name, x, y, l, got, want)
+				}
+				i++
+			}
+		}
+	}
+}
+
+// tableBuildShapes returns grid shapes (W, H, Labels) for the banded build:
+// one-row grids, grids with fewer rows than executors, tables one row below,
+// at and one row above tableBandFloor, and random shapes on either side of it.
+func tableBuildShapes(r *rand.Rand) [][3]int {
+	const rows, labels = 8, 2
+	w := tableBandFloor / (rows * labels)
+	shapes := [][3]int{
+		{1, 1, 2}, {tableBandFloor, 1, 3}, {7, 2, 5}, {tableBandFloor / 4, 3, 4},
+		{w - 1, rows, labels}, {w, rows, labels}, {w + 1, rows, labels},
+	}
+	for i := 0; i < 12; i++ {
+		shapes = append(shapes, [3]int{1 + r.Intn(120), 1 + r.Intn(80), 2 + r.Intn(24)})
+	}
+	return shapes
+}
+
+// TestBuildTablesBandedMatchesDirect: the singles of BuildTables and
+// BuildTablesShared equal a direct per-entry evaluation bit for bit on
+// every shape, at GOMAXPROCS 1 and 4 — the band count never shows in the
+// table.
+func TestBuildTablesBandedMatchesDirect(t *testing.T) {
+	const seed = 1808
+	t.Logf("shape seed %d", seed)
+	shapes := tableBuildShapes(rand.New(rand.NewSource(seed)))
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("gomaxprocs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			for _, s := range shapes {
+				p := &Problem{W: s[0], H: s[1], Labels: s[2], Singleton: hashSingleton, PairWeight: 1, Dist: Absolute}
+				name := fmt.Sprintf("%dx%dx%d", s[0], s[1], s[2])
+				checkSinglesDirect(t, name, p, p.BuildTables())
+				shared, err := p.BuildTablesShared(p.BuildPairLUT())
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkSinglesDirect(t, name+" shared", p, shared)
+			}
+		})
+	}
+}
+
+// TestBuildTablesConcurrentCallers: several goroutines building tables of
+// one problem at once each get a complete, correct table (run under -race by
+// make race-runtime).
+func TestBuildTablesConcurrentCallers(t *testing.T) {
+	p := &Problem{W: 97, H: 61, Labels: 9, Singleton: hashSingleton, PairWeight: 1, Dist: Absolute}
+	if p.W*p.H*p.Labels < tableBandFloor {
+		t.Fatal("problem below tableBandFloor would not exercise the banded build")
+	}
+	const callers = 4
+	tabs := make([]*Tables, callers)
+	var wg sync.WaitGroup
+	for c := range tabs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if c%2 == 0 {
+				tabs[c] = p.BuildTables()
+				return
+			}
+			tab, err := p.BuildTablesShared(p.BuildPairLUT())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			tabs[c] = tab
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for c, tab := range tabs {
+		checkSinglesDirect(t, fmt.Sprintf("caller %d", c), p, tab)
+	}
+}
+
+// TestBuildTablesBandPanicReachesCaller: a Singleton panic in any band
+// surfaces on the goroutine that called BuildTables, as from a serial fill.
+func TestBuildTablesBandPanicReachesCaller(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	p := &Problem{W: 97, H: 61, Labels: 9, PairWeight: 1, Dist: Absolute,
+		Singleton: func(x, y, l int) float64 {
+			if y == 60 && x == 96 && l == 8 {
+				panic("last entry")
+			}
+			return 1
+		}}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "last entry") {
+			t.Fatalf("recovered %v, want the Singleton panic", r)
+		}
+	}()
+	p.BuildTables()
+}

@@ -2,17 +2,18 @@ package uq
 
 import (
 	"fmt"
-	"time"
 
 	"rsu/internal/wire"
 )
 
 // CaptureState serializes the accumulator — shape, resolved options, sample
-// count, cumulative collect time and every per-pixel label count — as an
-// opaque blob for the checkpoint subsystem (it satisfies the collector half
-// of mrf.StatefulCollector). A resumed accumulator therefore reports the
-// same marginals, sample counts and collect-time metrics as one that
-// observed the whole run.
+// count and every per-pixel label count — as an opaque blob for the
+// checkpoint subsystem (it satisfies the collector half of
+// mrf.StatefulCollector). A resumed accumulator therefore reports the same
+// marginals and sample counts as one that observed the whole run. The word
+// after the sample count is reserved and written as 0: measured time stays
+// out of the state, so two identical runs write identical snapshots, and
+// CollectSeconds after a resume covers the resumed segment only.
 func (a *Accumulator) CaptureState() ([]byte, error) {
 	b := make([]byte, 0, 64+4*len(a.counts))
 	b = wire.AppendI64(b, int64(a.w))
@@ -21,7 +22,7 @@ func (a *Accumulator) CaptureState() ([]byte, error) {
 	b = wire.AppendI64(b, int64(a.opts.BurnIn))
 	b = wire.AppendI64(b, int64(a.opts.Thin))
 	b = wire.AppendI64(b, int64(a.samples))
-	b = wire.AppendI64(b, int64(a.elapsed))
+	b = wire.AppendI64(b, 0) // reserved; older snapshots hold collect time here
 	b = wire.AppendU64(b, uint64(len(a.counts)))
 	for _, c := range a.counts {
 		b = wire.AppendU32(b, c)
@@ -31,7 +32,10 @@ func (a *Accumulator) CaptureState() ([]byte, error) {
 
 // RestoreState overwrites the accumulator from a CaptureState blob. The
 // accumulator must have been built with the same shape and resolved options
-// as the captured one; any mismatch is rejected and leaves it unchanged.
+// as the captured one; any mismatch is rejected and leaves it unchanged. The
+// reserved word is validated but not restored, so older snapshots, which
+// hold collect time there, still decode and the accumulator times only its
+// own Collect calls.
 func (a *Accumulator) RestoreState(b []byte) error {
 	r := wire.NewReader(b)
 	w, h, labels := r.I64(), r.I64(), r.I64()
@@ -63,6 +67,5 @@ func (a *Accumulator) RestoreState(b []byte) error {
 	}
 	copy(a.counts, counts)
 	a.samples = int(samples)
-	a.elapsed = time.Duration(elapsed)
 	return nil
 }

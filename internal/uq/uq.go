@@ -165,7 +165,9 @@ type Result struct {
 	// (y*W+x)*Labels + l. Every pixel's row sums to 1.
 	Marginals []float64
 	// CollectSeconds is the cumulative wall-clock time Collect spent, the
-	// measured collection overhead the serving layer exports.
+	// measured collection overhead the serving layer exports. After a
+	// checkpoint resume it covers the resumed segment only: snapshots carry
+	// no measured time.
 	CollectSeconds float64
 }
 
