@@ -43,8 +43,9 @@ race-runtime:
 perfbench-test:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
-# Statistical conformance battery + golden-trace regression (DESIGN.md §8).
-# Fails on any distribution non-conformance or golden drift.
+# The chi-square batteries and every row of the byte-exact trace-gate table,
+# sharding gates included (DESIGN.md §8). Fails on any distribution
+# non-conformance or trace drift.
 verify:
 	$(GO) run ./cmd/rsu-verify
 

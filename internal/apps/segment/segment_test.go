@@ -6,7 +6,6 @@ import (
 
 	"rsu/internal/core"
 	"rsu/internal/img"
-	"rsu/internal/mrf"
 	"rsu/internal/rng"
 	"rsu/internal/synth"
 )
@@ -97,95 +96,6 @@ func TestSolveLabelingInRange(t *testing.T) {
 	}
 	if res.Labeling.Max() >= 8 {
 		t.Fatalf("label %d out of range for k=8", res.Labeling.Max())
-	}
-}
-
-func TestFitGaussiansRecoverMixture(t *testing.T) {
-	// Two well-separated Gaussian populations with different spreads.
-	im := img.NewGray(100, 40)
-	src := rng.NewXoshiro256(9)
-	for i := range im.Pix {
-		n := (rng.Float64(src) + rng.Float64(src) + rng.Float64(src) - 1.5) * 2 // ~N(0,1)
-		if i%2 == 0 {
-			im.Pix[i] = 60 + n*4
-		} else {
-			im.Pix[i] = 190 + n*16
-		}
-	}
-	gs := FitGaussians(im, 2, 20)
-	if math.Abs(gs[0].Mean-60) > 3 || math.Abs(gs[1].Mean-190) > 4 {
-		t.Fatalf("means %v, want ~[60 190]", gs)
-	}
-	if gs[1].Std < gs[0].Std*2 {
-		t.Fatalf("stds %v/%v: wide class should have clearly larger std", gs[0].Std, gs[1].Std)
-	}
-}
-
-func TestGaussianProblemEnergyRange(t *testing.T) {
-	sc := synth.BSDLike(6, 4, 1)
-	p := DefaultParams()
-	gs := FitGaussians(sc.Image, 4, p.KMeansIters)
-	prob := BuildGaussianProblem(sc.Image, gs, p)
-	if err := prob.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	for y := 0; y < prob.H; y += 2 {
-		for x := 0; x < prob.W; x += 2 {
-			for l := 0; l < prob.Labels; l++ {
-				e := prob.Singleton(x, y, l)
-				if e < 0 || e > p.DataCap {
-					t.Fatalf("Gaussian singleton %v outside [0, %v]", e, p.DataCap)
-				}
-			}
-		}
-	}
-}
-
-func TestGaussianModelHandlesHeteroscedasticScene(t *testing.T) {
-	// Build a scene where the right half (class 1) is much noisier: the
-	// variance-aware model must classify it at least as well as the
-	// means-only model.
-	w, h := 60, 40
-	im := img.NewGray(w, h)
-	gt := img.NewLabels(w, h)
-	src := rng.NewXoshiro256(10)
-	noise := func(s float64) float64 {
-		return (rng.Float64(src) + rng.Float64(src) + rng.Float64(src) - 1.5) * 2 * s
-	}
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			if x < w/2 {
-				im.Set(x, y, 80+noise(4))
-			} else {
-				gt.Set(x, y, 1)
-				im.Set(x, y, 170+noise(30))
-			}
-		}
-	}
-	im.Clamp255()
-	p := DefaultParams()
-	gs := FitGaussians(im, 2, p.KMeansIters)
-	prob := BuildGaussianProblem(im, gs, p)
-	init := img.NewLabels(w, h)
-	for i, v := range im.Pix {
-		if math.Abs(v-gs[1].Mean) < math.Abs(v-gs[0].Mean) {
-			init.L[i] = 1
-		}
-	}
-	lab, err := mrf.Solve(prob, core.NewSoftwareSampler(rng.NewXoshiro256(11)),
-		mrf.Schedule{T0: p.Temperature, Alpha: 1, Iterations: p.Iterations},
-		mrf.SolveOptions{Init: init})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wrong := 0
-	for i := range lab.L {
-		if lab.L[i] != gt.L[i] {
-			wrong++
-		}
-	}
-	if frac := float64(wrong) / float64(len(lab.L)); frac > 0.03 {
-		t.Fatalf("Gaussian model mislabeled %.1f%% of a heteroscedastic scene", 100*frac)
 	}
 }
 

@@ -78,14 +78,13 @@ func DefaultBattery() []DesignPoint {
 	}
 }
 
-// Check is one hypothesis test run by the battery.
+// Check is one hypothesis test of a chi-square battery.
 type Check struct {
-	Point    string
-	Path     string // kernel path of the configuration
-	Energies int    // index into the design point's energy vectors
-	N        int    // samples drawn
-	P        float64
-	Skipped  bool // degenerate distribution (single cell) — trivially conformant
+	Name    string // what was tested, e.g. "new-rsug energies 2"
+	Path    string // kernel path of the configuration
+	N       int    // samples drawn (replicate chains for the chain batteries)
+	P       float64
+	Skipped bool // degenerate distribution (single cell) — trivially conformant
 }
 
 // BatteryOptions tunes a RunBattery call.
@@ -99,19 +98,24 @@ type BatteryOptions struct {
 	Seed uint64
 }
 
-// BatteryReport is the outcome of a battery run.
-type BatteryReport struct {
+// Report is the outcome of a chi-square battery run: the distribution, the
+// marginal and the sharding batteries all report through it.
+type Report struct {
 	Checks []Check
 	// Threshold is the Bonferroni-corrected per-test rejection level.
 	Threshold float64
 }
 
-// Failures returns the checks whose p-value fell below the corrected
-// threshold — distribution non-conformance at the configured budget.
-func (r *BatteryReport) Failures() []Check {
+// Failed reports whether c rejected its null hypothesis at the corrected
+// threshold.
+func (r *Report) Failed(c Check) bool { return !c.Skipped && c.P < r.Threshold }
+
+// Failures returns the checks that failed — non-conformance at the
+// configured budget.
+func (r *Report) Failures() []Check {
 	var out []Check
 	for _, c := range r.Checks {
-		if !c.Skipped && c.P < r.Threshold {
+		if r.Failed(c) {
 			out = append(out, c)
 		}
 	}
@@ -119,7 +123,7 @@ func (r *BatteryReport) Failures() []Check {
 }
 
 // MinP returns the smallest non-skipped p-value, or 1 if none ran.
-func (r *BatteryReport) MinP() float64 {
+func (r *Report) MinP() float64 {
 	min := 1.0
 	for _, c := range r.Checks {
 		if !c.Skipped && c.P < min {
@@ -130,7 +134,7 @@ func (r *BatteryReport) MinP() float64 {
 }
 
 // Paths returns the distinct kernel paths the battery covered, sorted.
-func (r *BatteryReport) Paths() []string {
+func (r *Report) Paths() []string {
 	set := map[string]bool{}
 	for _, c := range r.Checks {
 		set[c.Path] = true
@@ -147,7 +151,7 @@ func (r *BatteryReport) Paths() []string {
 // label histogram against the analytic distribution (chi-square goodness of
 // fit, small-expectation cells pooled). The returned error reports setup
 // problems, not statistical failures; gate on report.Failures().
-func RunBattery(points []DesignPoint, o BatteryOptions) (*BatteryReport, error) {
+func RunBattery(points []DesignPoint, o BatteryOptions) (*Report, error) {
 	if o.Samples <= 0 {
 		o.Samples = 30000
 	}
@@ -161,7 +165,7 @@ func RunBattery(points []DesignPoint, o BatteryOptions) (*BatteryReport, error) 
 	if tests == 0 {
 		return nil, fmt.Errorf("conformance: empty battery")
 	}
-	rep := &BatteryReport{Threshold: o.Alpha / float64(tests)}
+	rep := &Report{Threshold: o.Alpha / float64(tests)}
 
 	for pi, pt := range points {
 		if len(pt.Energies) == 0 {
@@ -218,8 +222,8 @@ func RunBattery(points []DesignPoint, o BatteryOptions) (*BatteryReport, error) 
 			}
 			p, ok := conformanceP(obs, want, o.Samples)
 			rep.Checks = append(rep.Checks, Check{
-				Point: pt.Name, Path: path,
-				Energies: ei, N: o.Samples, P: p, Skipped: !ok,
+				Name: fmt.Sprintf("%s energies %d", pt.Name, ei), Path: path,
+				N: o.Samples, P: p, Skipped: !ok,
 			})
 		}
 	}

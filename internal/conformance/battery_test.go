@@ -20,8 +20,8 @@ func TestBatteryConformance(t *testing.T) {
 		t.Fatalf("ran %d checks, want %d", len(rep.Checks), want)
 	}
 	for _, f := range rep.Failures() {
-		t.Errorf("%s energies %d (%s): p = %.3g below threshold %.3g",
-			f.Point, f.Energies, f.Path, f.P, rep.Threshold)
+		t.Errorf("%s (%s): p = %.3g below threshold %.3g",
+			f.Name, f.Path, f.P, rep.Threshold)
 	}
 	t.Logf("battery: %d checks over paths %v, min p = %.4g (threshold %.3g)",
 		len(rep.Checks), rep.Paths(), rep.MinP(), rep.Threshold)

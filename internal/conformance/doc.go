@@ -15,18 +15,25 @@
 //     across all four kernel paths (quantized, binned-codes, binned-float,
 //     continuous), with Bonferroni-corrected p-value gates. marginals.go
 //     does the same for whole solver chains: posterior marginals of the
-//     serial and tile engines against exact enumeration on tiny grids.
+//     serial and tile engines against exact enumeration on tiny grids, and
+//     sharding.go per-pixel label histograms of multi-tile sharded runs
+//     against a whole-grid checkerboard loop.
 //
-//  2. Golden-trace regression harness (golden.go): small fixed-seed runs of
+//  2. Byte-exact trace gates (golden.go, gates.go): small fixed-seed runs of
 //     the four applications (stereo, flow, segment, ising) at 1, 2 and 4
 //     solver workers, with the final label map and per-sweep energy trace
 //     checked byte-exactly against files under testdata/golden. Worker
 //     count 1 is the serial solver and n > 1 the tile engine on n row bands;
 //     each worker count has its own golden because tiles own independent
 //     RNG streams, and the files lock in the solver's fixed-(seed, workers)
-//     bit-reproducibility guarantee. Regenerate with `go test
-//     ./internal/conformance -run TestGolden -update-golden` or
-//     `rsu-verify -update-golden`.
+//     bit-reproducibility guarantee. One runner (Scenario.Run over
+//     mrf.SolveOptions) and one interrupt/resume routine feed the gate table
+//     (Gates), whose rows name each gate, how it runs its cases and the trace
+//     each must equal: the checked-in golden (plain, zero-fault injection,
+//     checkpoint resume), the app's w1 golden (1x1 tiling), or an
+//     uninterrupted 2x2-sharded run (sharded resume). Regenerate the files
+//     with `go test ./internal/conformance -run TestGolden -update-golden`
+//     or `rsu-verify -update-golden`.
 //
 //  3. Property and fuzz layer (fuzz_test.go, property_test.go): native Go
 //     fuzz targets for Unit.Sample and the energy-to-lambda conversion (no
@@ -34,6 +41,7 @@
 //     that the mrf.Tables energy LUT is bit-identical to direct evaluation
 //     over random MRF problems.
 //
-// The same checks run in `go test` and standalone through cmd/rsu-verify
+// The batteries report through one Report type. The same batteries and the
+// same gate table run in `go test` and standalone through cmd/rsu-verify
 // (wired into `make verify` and CI).
 package conformance

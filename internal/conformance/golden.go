@@ -2,6 +2,8 @@ package conformance
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,11 +13,12 @@ import (
 	"rsu/internal/apps/ising"
 	"rsu/internal/apps/segment"
 	"rsu/internal/apps/stereo"
+	"rsu/internal/checkpoint"
 	"rsu/internal/core"
-	"rsu/internal/fault"
 	"rsu/internal/img"
 	"rsu/internal/mrf"
 	"rsu/internal/rng"
+	"rsu/internal/shard"
 	"rsu/internal/synth"
 )
 
@@ -62,20 +65,32 @@ func (t *Trace) Encode() []byte {
 	return b.Bytes()
 }
 
+// goldenApps are the four traced applications, in golden-matrix order.
+var goldenApps = []string{"stereo", "flow", "segment", "ising"}
+
+// goldenFactory builds every golden run's samplers: the new-RSUG unit on
+// per-stream RNGs derived from goldenSeed.
+var goldenFactory = core.StreamFactory(goldenSeed, func(src rng.Source) core.LabelSampler {
+	return core.MustUnit(core.NewRSUG(), src, true)
+})
+
 // Scenario is one golden-traced run: an application at a worker count.
 type Scenario struct {
 	App     string
 	Workers int
 }
 
+// String names the scenario, e.g. "stereo_w2".
+func (s Scenario) String() string { return fmt.Sprintf("%s_w%d", s.App, s.Workers) }
+
 // File returns the scenario's golden file name.
-func (s Scenario) File() string { return fmt.Sprintf("%s_w%d.golden", s.App, s.Workers) }
+func (s Scenario) File() string { return s.String() + ".golden" }
 
 // Scenarios returns the full golden matrix: every application at every
 // worker count in GoldenWorkerCounts.
 func Scenarios() []Scenario {
 	var out []Scenario
-	for _, app := range []string{"stereo", "flow", "segment", "ising"} {
+	for _, app := range goldenApps {
 		for _, w := range GoldenWorkerCounts {
 			out = append(out, Scenario{App: app, Workers: w})
 		}
@@ -83,60 +98,121 @@ func Scenarios() []Scenario {
 	return out
 }
 
-// Run executes the scenario: a small fixed-seed instance of the application
-// solved with the new-RSUG sampler, tracing the energy after every sweep.
-func (s Scenario) Run() (*Trace, error) { return s.RunWithCollector(nil) }
-
-// RunWithCollector is Run with an mrf.Collector attached to the solve. The
-// golden traces must be byte-identical with and without one — the collector
-// contract says collection is observation only — and the UQ regression tests
-// gate exactly that by re-running every scenario through this entry point.
-func (s Scenario) RunWithCollector(c mrf.Collector) (*Trace, error) {
-	return s.RunWithOptions(c, nil)
+// goldenRun is one scenario's fixed problem and the trace its solver legs
+// append to.
+type goldenRun struct {
+	s     Scenario
+	prob  *mrf.Problem
+	sched mrf.Schedule
+	init  *img.Labels
+	tr    *Trace
 }
 
-// RunZeroFault is Run with a zero-rate fault injection attached to every
-// sampler. The fault contract says a zero-rate injector draws nothing and
-// changes nothing, so the trace must stay byte-identical to the checked-in
-// golden — the zero-fault invariant VerifyGoldenZeroFault and rsu-verify
-// gate.
-func (s Scenario) RunZeroFault() (*Trace, error) {
-	inj, err := fault.New(&fault.Config{})
-	if err != nil {
-		return nil, err
-	}
-	return s.RunWithOptions(nil, inj)
-}
-
-// RunWithOptions executes the scenario with an optional collector and fault
-// injection attached; both nil reproduces Run exactly.
-func (s Scenario) RunWithOptions(c mrf.Collector, inj *fault.Injection) (*Trace, error) {
+// start builds the scenario's problem and an empty trace. A run on an
+// explicit tile geometry is labelled with its tile count, so a 1x1 tiling
+// (the serial solver) encodes as the app's w1 golden.
+func (s Scenario) start(opts mrf.SolveOptions) (*goldenRun, error) {
 	prob, sched, init, err := goldenProblem(s.App)
 	if err != nil {
 		return nil, err
 	}
-	factory := core.StreamFactory(goldenSeed, func(src rng.Source) core.LabelSampler {
-		return core.MustUnit(core.NewRSUG(), src, true)
-	})
-	tr := &Trace{App: s.App, Workers: s.Workers}
-	lab, err := mrf.SolveAuto(prob, factory, sched, mrf.SolveOptions{
-		Init:      init,
-		Workers:   s.Workers,
-		Collector: c,
-		Faults:    inj,
-		// The trace pins the historical byte format: keep evaluating the
-		// energy through Problem.TotalEnergy rather than trusting
-		// SolveStats.Energy, so the golden bytes cannot drift with the
-		// observability layer.
-		OnSweep: func(iter int, lab *img.Labels, st mrf.SolveStats) {
-			tr.Energy = append(tr.Energy, prob.TotalEnergy(lab))
-		},
-	})
-	if err != nil {
-		return nil, fmt.Errorf("conformance: golden %s: %w", s.File(), err)
+	workers := s.Workers
+	if !opts.Shards.IsZero() {
+		workers = opts.Shards.Tiles()
 	}
-	tr.Labels = lab
-	return tr, nil
+	return &goldenRun{s: s, prob: prob, sched: sched, init: init, tr: &Trace{App: s.App, Workers: workers}}, nil
+}
+
+// solve runs one solver leg under ctx, appending the total energy after
+// every sweep to the trace.
+func (g *goldenRun) solve(ctx context.Context, opts mrf.SolveOptions) (*img.Labels, error) {
+	opts.Init, opts.Workers = g.init, g.s.Workers
+	// The trace pins the historical byte format: keep evaluating the energy
+	// through Problem.TotalEnergy rather than trusting SolveStats.Energy, so
+	// the golden bytes cannot drift with the observability layer.
+	opts.OnSweep = func(_ int, lab *img.Labels, _ mrf.SolveStats) {
+		g.tr.Energy = append(g.tr.Energy, g.prob.TotalEnergy(lab))
+	}
+	return mrf.SolveAutoCtx(ctx, g.prob, goldenFactory, g.sched, opts)
+}
+
+// Run is the golden trace runner: it solves a small fixed-seed instance of
+// the scenario's application with the new-RSUG sampler under opts and traces
+// the energy after every sweep. The runner sets Init, Workers and OnSweep
+// from the scenario; every other option is the caller's, and the zero
+// SolveOptions reproduces the checked-in golden.
+func (s Scenario) Run(opts mrf.SolveOptions) (*Trace, error) {
+	g, err := s.start(opts)
+	if err != nil {
+		return nil, err
+	}
+	if g.tr.Labels, err = g.solve(context.Background(), opts); err != nil {
+		return nil, fmt.Errorf("%s: %w", s, err)
+	}
+	return g.tr, nil
+}
+
+// runResumed is Run interrupted at the schedule midpoint and resumed. The
+// head leg checkpoints at the midpoint and is then cancelled, exercising both
+// the periodic and the on-cancel capture paths, whose snapshots must agree
+// byte for byte (nothing advances between them). The tail leg resumes from
+// the snapshot after a full container encode/decode round trip, as a
+// restarted process would, and with Shards unset: the snapshot alone must
+// route a sharded resume back onto its tiles. The trace splices both legs'
+// energies; it must equal an uninterrupted run's.
+func (s Scenario) runResumed(opts mrf.SolveOptions) (*Trace, error) {
+	g, err := s.start(opts)
+	if err != nil {
+		return nil, err
+	}
+	mid := g.sched.Iterations / 2
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var containers [][]byte
+	head := opts
+	head.CheckpointEvery = mid
+	head.OnCheckpoint = func(st *mrf.SolverState) error {
+		containers = append(containers, checkpoint.Encode(&checkpoint.Snapshot{
+			App: s.App, Seed: goldenSeed, Schedule: g.sched, State: *st,
+		}))
+		if len(containers) == 1 {
+			cancel()
+		}
+		return nil
+	}
+	_, err = g.solve(ctx, head)
+	switch {
+	case err == nil:
+		return nil, fmt.Errorf("%s: head leg ran to completion instead of cancelling", s)
+	case !errors.Is(err, context.Canceled):
+		return nil, fmt.Errorf("%s: head leg: %w", s, err)
+	case len(containers) != 2:
+		return nil, fmt.Errorf("%s: expected a periodic and an on-cancel snapshot, got %d", s, len(containers))
+	case !bytes.Equal(containers[0], containers[1]):
+		return nil, fmt.Errorf("%s: periodic and on-cancel snapshots differ — capture is not a pure function of solver state", s)
+	case len(g.tr.Energy) != mid:
+		return nil, fmt.Errorf("%s: head leg logged %d sweeps, want %d", s, len(g.tr.Energy), mid)
+	}
+
+	snap, err := checkpoint.Decode(containers[0])
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", s, err)
+	}
+	if got := (shard.Geometry{Rows: snap.State.ShardRows, Cols: snap.State.ShardCols}); !opts.Shards.IsZero() && got != opts.Shards {
+		return nil, fmt.Errorf("%s: snapshot carries %s tiles, want %s", s, got, opts.Shards)
+	}
+	if snap.State.NextSweep != mid {
+		return nil, fmt.Errorf("%s: snapshot resumes at sweep %d, want %d", s, snap.State.NextSweep, mid)
+	}
+	tail := opts
+	tail.Shards, tail.Resume = shard.Geometry{}, &snap.State
+	if g.tr.Labels, err = g.solve(context.Background(), tail); err != nil {
+		return nil, fmt.Errorf("%s: tail leg: %w", s, err)
+	}
+	if len(g.tr.Energy) != g.sched.Iterations {
+		return nil, fmt.Errorf("%s: spliced log has %d sweeps, want %d", s, len(g.tr.Energy), g.sched.Iterations)
+	}
+	return g.tr, nil
 }
 
 // goldenProblem builds the fixed miniature MRF instance for one application.
@@ -173,63 +249,13 @@ func goldenProblem(app string) (*mrf.Problem, mrf.Schedule, *img.Labels, error) 
 	}
 }
 
-// VerifyGolden runs every scenario and compares its trace byte-for-byte
-// against the files in dir, returning one error per drifted or missing
-// golden (nil when everything matches).
-func VerifyGolden(dir string) []error {
-	var errs []error
-	for _, s := range Scenarios() {
-		tr, err := s.Run()
-		if err != nil {
-			errs = append(errs, err)
-			continue
-		}
-		want, err := os.ReadFile(filepath.Join(dir, s.File()))
-		if err != nil {
-			errs = append(errs, fmt.Errorf("conformance: golden %s missing (regenerate with -update-golden): %w", s.File(), err))
-			continue
-		}
-		if got := tr.Encode(); !bytes.Equal(got, want) {
-			errs = append(errs, fmt.Errorf("conformance: golden %s drifted at byte %d (run with -update-golden if the change is intended)",
-				s.File(), firstDiff(got, want)))
-		}
-	}
-	return errs
-}
-
-// VerifyGoldenZeroFault re-runs every scenario with a zero-rate fault
-// injection attached to the samplers and compares byte-for-byte against the
-// same golden files. This is the zero-fault invariant of the device-fault
-// layer: an attached injector whose rates are all zero must not perturb a
-// single label draw on any solver path at any worker count.
-func VerifyGoldenZeroFault(dir string) []error {
-	var errs []error
-	for _, s := range Scenarios() {
-		tr, err := s.RunZeroFault()
-		if err != nil {
-			errs = append(errs, err)
-			continue
-		}
-		want, err := os.ReadFile(filepath.Join(dir, s.File()))
-		if err != nil {
-			errs = append(errs, fmt.Errorf("conformance: golden %s missing (regenerate with -update-golden): %w", s.File(), err))
-			continue
-		}
-		if got := tr.Encode(); !bytes.Equal(got, want) {
-			errs = append(errs, fmt.Errorf("conformance: zero-fault injection perturbed golden %s at byte %d — the fault layer drew from or disturbed the label stream",
-				s.File(), firstDiff(got, want)))
-		}
-	}
-	return errs
-}
-
 // UpdateGolden regenerates every golden file in dir.
 func UpdateGolden(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
 	for _, s := range Scenarios() {
-		tr, err := s.Run()
+		tr, err := s.Run(mrf.SolveOptions{})
 		if err != nil {
 			return err
 		}

@@ -3,14 +3,13 @@ package conformance
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
-	"rsu/internal/core"
 	"rsu/internal/img"
 	"rsu/internal/mrf"
-	"rsu/internal/rng"
 	"rsu/internal/uq"
 )
 
@@ -19,9 +18,10 @@ var updateGolden = flag.Bool("update-golden", false,
 
 const goldenDir = "testdata/golden"
 
-// TestGoldenTraces is the regression gate: every application at every worker
-// count must reproduce its checked-in trace byte for byte. Run with
-// -update-golden after an intentional behavior change and review the diff.
+// TestGoldenTraces runs the trace-gate table rsu-verify runs, one subtest
+// per gate: every case must reproduce its reference trace byte for byte. Run
+// with -update-golden after an intentional behavior change and review the
+// diff.
 func TestGoldenTraces(t *testing.T) {
 	if *updateGolden {
 		if err := UpdateGolden(goldenDir); err != nil {
@@ -29,8 +29,12 @@ func TestGoldenTraces(t *testing.T) {
 		}
 		t.Log("golden traces regenerated")
 	}
-	for _, err := range VerifyGolden(goldenDir) {
-		t.Error(err)
+	for _, g := range Gates() {
+		t.Run(g.Name, func(t *testing.T) {
+			for _, err := range g.Verify(goldenDir) {
+				t.Error(err)
+			}
+		})
 	}
 }
 
@@ -40,11 +44,11 @@ func TestGoldenTraces(t *testing.T) {
 // flaky solver.
 func TestGoldenDeterminism(t *testing.T) {
 	for _, s := range []Scenario{{App: "ising", Workers: 1}, {App: "stereo", Workers: 4}} {
-		a, err := s.Run()
+		a, err := s.Run(mrf.SolveOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := s.Run()
+		b, err := s.Run(mrf.SolveOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,7 +63,7 @@ func TestGoldenDeterminism(t *testing.T) {
 // the serial solver's output, so the serial path is covered by the same file.
 func TestGoldenSerialMatchesOneWorker(t *testing.T) {
 	s := Scenario{App: "segment", Workers: 1}
-	auto, err := s.Run()
+	auto, err := s.Run(mrf.SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,11 +72,8 @@ func TestGoldenSerialMatchesOneWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	factory := core.StreamFactory(goldenSeed, func(src rng.Source) core.LabelSampler {
-		return core.MustUnit(core.NewRSUG(), src, true)
-	})
 	serial := &Trace{App: s.App, Workers: 1}
-	lab, err := mrf.Solve(prob, factory(0), sched, mrf.SolveOptions{
+	lab, err := mrf.Solve(prob, goldenFactory(0), sched, mrf.SolveOptions{
 		Init: init,
 		OnSweep: func(iter int, lab *img.Labels, st mrf.SolveStats) {
 			serial.Energy = append(serial.Energy, prob.TotalEnergy(lab))
@@ -92,38 +93,32 @@ func TestGoldenSerialMatchesOneWorker(t *testing.T) {
 // TestGoldenTracesWithCollector re-runs every golden scenario with a live
 // uq.Accumulator attached and demands the trace still matches the checked-in
 // bytes — the Collector trace-neutrality contract (observation only, no RNG
-// consumption) verified against all 12 scenarios, both solvers, every worker
-// count. It also sanity-checks that collection actually happened.
+// consumption) verified against all 12 scenarios, both engines, every worker
+// count. It also checks that collection actually happened.
 func TestGoldenTracesWithCollector(t *testing.T) {
-	for _, s := range Scenarios() {
-		prob, sched, _, err := goldenProblem(s.App)
-		if err != nil {
-			t.Fatal(err)
-		}
-		acc, err := uq.NewAccumulator(prob.W, prob.H, prob.Labels, uq.Options{BurnIn: 0, Thin: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr, err := s.RunWithCollector(acc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := os.ReadFile(filepath.Join(goldenDir, s.File()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := tr.Encode(); !bytes.Equal(got, want) {
-			t.Errorf("%s: trace with collector diverges from golden at byte %d — collection perturbed the solve",
-				s.File(), firstDiff(got, want))
-		}
-		if acc.Samples() != sched.Iterations {
-			t.Errorf("%s: collected %d samples, want %d", s.File(), acc.Samples(), sched.Iterations)
-		}
+	g := Gate{Name: "golden (collector)", Cases: Scenarios(), want: ownGolden,
+		run: func(s Scenario) (*Trace, error) {
+			prob, sched, _, err := goldenProblem(s.App)
+			if err != nil {
+				return nil, err
+			}
+			acc, err := uq.NewAccumulator(prob.W, prob.H, prob.Labels, uq.Options{BurnIn: 0, Thin: 1})
+			if err != nil {
+				return nil, err
+			}
+			tr, err := s.Run(mrf.SolveOptions{Collector: acc})
+			if err == nil && acc.Samples() != sched.Iterations {
+				err = fmt.Errorf("%s: collected %d samples, want %d", s, acc.Samples(), sched.Iterations)
+			}
+			return tr, err
+		}}
+	for _, err := range g.Verify(goldenDir) {
+		t.Error(err)
 	}
 }
 
 // TestGoldenFilesPresent enumerates the checked-in matrix so a deleted file
-// fails loudly even if VerifyGolden's error wording changes.
+// fails loudly even if the gates' error wording changes.
 func TestGoldenFilesPresent(t *testing.T) {
 	for _, s := range Scenarios() {
 		if _, err := os.Stat(filepath.Join(goldenDir, s.File())); err != nil {
@@ -132,15 +127,5 @@ func TestGoldenFilesPresent(t *testing.T) {
 	}
 	if n := len(Scenarios()); n != 12 {
 		t.Errorf("golden matrix has %d scenarios, want 12 (4 apps x 3 worker counts)", n)
-	}
-}
-
-// TestGoldenZeroFault is the zero-fault invariant gate in test form: every
-// scenario re-run with a zero-rate device-fault injection attached to its
-// samplers must reproduce the checked-in golden byte for byte (rsu-verify
-// runs the same check).
-func TestGoldenZeroFault(t *testing.T) {
-	for _, err := range VerifyGoldenZeroFault(goldenDir) {
-		t.Error(err)
 	}
 }

@@ -2,7 +2,6 @@ package conformance
 
 import (
 	"fmt"
-	"sort"
 
 	"rsu/internal/core"
 	"rsu/internal/img"
@@ -220,62 +219,6 @@ func (c *jointCollector) Collect(sweep int, lab *img.Labels) {
 	c.joint[s]++
 }
 
-// MarginalCheck is one hypothesis test of the marginal battery.
-type MarginalCheck struct {
-	Grid    string
-	Point   string // configuration name
-	Path    string // kernel path of the configuration
-	Solver  string // "serial" | "parallel"
-	Test    string // "joint" or "pixel(x,y)"
-	N       int    // replicate chains (= iid samples)
-	P       float64
-	Skipped bool // degenerate distribution — trivially conformant
-}
-
-// MarginalReport is the outcome of a marginal-battery run.
-type MarginalReport struct {
-	Checks []MarginalCheck
-	// Threshold is the Bonferroni-corrected per-test rejection level.
-	Threshold float64
-}
-
-// Failures returns the checks whose p-value fell below the corrected
-// threshold.
-func (r *MarginalReport) Failures() []MarginalCheck {
-	var out []MarginalCheck
-	for _, c := range r.Checks {
-		if !c.Skipped && c.P < r.Threshold {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// MinP returns the smallest non-skipped p-value, or 1 if none ran.
-func (r *MarginalReport) MinP() float64 {
-	min := 1.0
-	for _, c := range r.Checks {
-		if !c.Skipped && c.P < min {
-			min = c.P
-		}
-	}
-	return min
-}
-
-// Paths returns the distinct kernel paths covered, sorted.
-func (r *MarginalReport) Paths() []string {
-	set := map[string]bool{}
-	for _, c := range r.Checks {
-		set[c.Path] = true
-	}
-	out := make([]string, 0, len(set))
-	for p := range set {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // MarginalPoint is one configuration cell of the marginal battery.
 type MarginalPoint struct {
 	Name   string
@@ -338,7 +281,7 @@ var marginalSolvers = []struct {
 // configuration counts (which per-pixel marginals cannot distinguish) are
 // tested against the full exact distribution. The returned error reports
 // setup problems, not statistical failures; gate on report.Failures().
-func RunMarginalBattery(grids []MarginalGrid, points []MarginalPoint, o MarginalOptions) (*MarginalReport, error) {
+func RunMarginalBattery(grids []MarginalGrid, points []MarginalPoint, o MarginalOptions) (*Report, error) {
 	if o.Replicates <= 0 {
 		o.Replicates = 2000
 	}
@@ -352,7 +295,7 @@ func RunMarginalBattery(grids []MarginalGrid, points []MarginalPoint, o Marginal
 	if tests == 0 {
 		return nil, fmt.Errorf("conformance: empty marginal battery")
 	}
-	rep := &MarginalReport{Threshold: o.Alpha / float64(tests)}
+	rep := &Report{Threshold: o.Alpha / float64(tests)}
 
 	stream := 0
 	for _, pt := range points {
@@ -402,9 +345,10 @@ func RunMarginalBattery(grids []MarginalGrid, points []MarginalPoint, o Marginal
 				// with a trailing keep cell; a zero-mass keep cell pools away.
 				obs := append(append([]float64(nil), col.joint...), 0)
 				p, ok := conformanceP(obs, Outcome{Win: exact}, o.Replicates)
-				rep.Checks = append(rep.Checks, MarginalCheck{
-					Grid: g.Name, Point: pt.Name, Path: path, Solver: sv.name,
-					Test: "joint", N: o.Replicates, P: p, Skipped: !ok,
+				cellName := fmt.Sprintf("%s/%s/%s", pt.Name, g.Name, sv.name)
+				rep.Checks = append(rep.Checks, Check{
+					Name: cellName + " joint", Path: path,
+					N: o.Replicates, P: p, Skipped: !ok,
 				})
 				// Per-pixel marginal tests against the production
 				// accumulator's histograms.
@@ -415,10 +359,9 @@ func RunMarginalBattery(grids []MarginalGrid, points []MarginalPoint, o Marginal
 						obs[l] = float64(c)
 					}
 					p, ok := conformanceP(obs, Outcome{Win: exactMarginal(g, exact, site)}, o.Replicates)
-					rep.Checks = append(rep.Checks, MarginalCheck{
-						Grid: g.Name, Point: pt.Name, Path: path, Solver: sv.name,
-						Test: fmt.Sprintf("pixel(%d,%d)", site%g.W, site/g.W),
-						N:    o.Replicates, P: p, Skipped: !ok,
+					rep.Checks = append(rep.Checks, Check{
+						Name: fmt.Sprintf("%s pixel(%d,%d)", cellName, site%g.W, site/g.W),
+						Path: path, N: o.Replicates, P: p, Skipped: !ok,
 					})
 				}
 			}

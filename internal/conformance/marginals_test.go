@@ -74,8 +74,8 @@ func TestMarginalBatteryConformance(t *testing.T) {
 		}
 	}
 	for _, f := range rep.Failures() {
-		t.Errorf("non-conformant: %s/%s/%s %s p=%g < %g (n=%d)",
-			f.Point, f.Grid, f.Solver, f.Test, f.P, rep.Threshold, f.N)
+		t.Errorf("non-conformant: %s p=%g < %g (n=%d)",
+			f.Name, f.P, rep.Threshold, f.N)
 	}
 	t.Logf("%d checks, min p %.4g, threshold %.4g", len(rep.Checks), rep.MinP(), rep.Threshold)
 }

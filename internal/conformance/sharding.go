@@ -1,14 +1,8 @@
 package conformance
 
 import (
-	"bytes"
-	"context"
-	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 
-	"rsu/internal/checkpoint"
 	"rsu/internal/core"
 	"rsu/internal/img"
 	"rsu/internal/mrf"
@@ -17,75 +11,15 @@ import (
 	"rsu/internal/stats"
 )
 
-// This file is the differential sharding-equivalence battery (DESIGN.md §15):
-// three gates over the tile-sharded solver.
-//
-//  1. VerifyShardedGolden — the degenerate 1x1 tiling must reproduce the
-//     serial solver byte-for-byte on every golden scenario: same labels, same
-//     per-sweep energies, no statistical slack.
-//  2. RunShardBattery — for genuinely multi-tile geometries the sharded
-//     sweep is the checkerboard sweep with a different RNG-stream
-//     assignment, so its labeling distribution at ANY sweep count equals
-//     that of a plain whole-grid checkerboard loop. The battery runs
-//     replicate chains of both arms and two-sample chi-squares every pixel's
-//     label histogram, Bonferroni-correcting across all tests.
-//  3. VerifyShardedCheckpointResume — a sharded run interrupted at the
-//     schedule midpoint and resumed through a full version-2 container
-//     round trip must splice bit-exactly into an uninterrupted sharded run.
-
-// RunSharded1x1 executes the golden scenario on the sharded solver with the
-// degenerate 1x1 tiling. The tiling contract says one tile delegates to the
-// serial solver exactly, so the trace is encoded with Workers 1 and must be
-// byte-identical to the scenario's app_w1 golden whatever s.Workers says.
-func (s Scenario) RunSharded1x1() (*Trace, error) {
-	prob, sched, init, err := goldenProblem(s.App)
-	if err != nil {
-		return nil, err
-	}
-	factory := core.StreamFactory(goldenSeed, func(src rng.Source) core.LabelSampler {
-		return core.MustUnit(core.NewRSUG(), src, true)
-	})
-	tr := &Trace{App: s.App, Workers: 1}
-	lab, err := mrf.SolveAuto(prob, factory, sched, mrf.SolveOptions{
-		Init:    init,
-		Workers: s.Workers,
-		Shards:  shard.Geometry{Rows: 1, Cols: 1},
-		OnSweep: func(iter int, lab *img.Labels, st mrf.SolveStats) {
-			tr.Energy = append(tr.Energy, prob.TotalEnergy(lab))
-		},
-	})
-	if err != nil {
-		return nil, fmt.Errorf("conformance: sharded golden %s: %w", s.File(), err)
-	}
-	tr.Labels = lab
-	return tr, nil
-}
-
-// VerifyShardedGolden runs every golden scenario through the 1x1-sharded
-// solver and compares byte-for-byte against the serial (w1) golden of the
-// same app. One error per drifted trace; nil when the degenerate tiling is
-// exactly the serial solver everywhere.
-func VerifyShardedGolden(dir string) []error {
-	var errs []error
-	for _, s := range Scenarios() {
-		tr, err := s.RunSharded1x1()
-		if err != nil {
-			errs = append(errs, err)
-			continue
-		}
-		ref := Scenario{App: s.App, Workers: 1}.File()
-		want, err := os.ReadFile(filepath.Join(dir, ref))
-		if err != nil {
-			errs = append(errs, fmt.Errorf("conformance: golden %s missing (regenerate with -update-golden): %w", ref, err))
-			continue
-		}
-		if got := tr.Encode(); !bytes.Equal(got, want) {
-			errs = append(errs, fmt.Errorf("conformance: 1x1-sharded %s diverged from serial golden %s at byte %d — one tile is not the serial solver",
-				s.File(), ref, firstDiff(got, want)))
-		}
-	}
-	return errs
-}
+// This file is the differential sharding-equivalence battery (DESIGN.md
+// §15). For genuinely multi-tile geometries the sharded sweep is the
+// checkerboard sweep with a different RNG-stream assignment, so its labeling
+// distribution at ANY sweep count equals that of a plain whole-grid
+// checkerboard loop. The battery runs replicate chains of both arms and
+// two-sample chi-squares every pixel's label histogram, Bonferroni-correcting
+// across all tests. The two byte-exact sharding gates — 1x1 tiling equals
+// the serial goldens, sharded resume splices bit-exactly — are rows of the
+// trace-gate table (gates.go).
 
 // ShardDesign is one design point of the sharding-equivalence battery: a
 // grid, a genuinely multi-tile geometry, and a fixed-temperature schedule.
@@ -122,46 +56,6 @@ func (d ShardDesign) Problem() *mrf.Problem {
 		PairWeight: 2,
 		Dist:       mrf.Absolute,
 	}
-}
-
-// ShardCheck is one per-pixel hypothesis test of the sharding battery.
-type ShardCheck struct {
-	Design string
-	Pixel  string // "pixel(x,y)"
-	N      int    // replicate chains per arm
-	P      float64
-}
-
-// ShardReport is the outcome of a sharding-battery run.
-type ShardReport struct {
-	Checks []ShardCheck
-	// Threshold is the Bonferroni-corrected per-test rejection level.
-	Threshold float64
-	// Replicates is the resolved chain count per arm.
-	Replicates int
-}
-
-// Failures returns the checks whose p-value fell below the corrected
-// threshold.
-func (r *ShardReport) Failures() []ShardCheck {
-	var out []ShardCheck
-	for _, c := range r.Checks {
-		if c.P < r.Threshold {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// MinP returns the smallest p-value observed, or 1 if nothing ran.
-func (r *ShardReport) MinP() float64 {
-	min := 1.0
-	for _, c := range r.Checks {
-		if c.P < min {
-			min = c.P
-		}
-	}
-	return min
 }
 
 // ShardOptions tunes a RunShardBattery call.
@@ -235,7 +129,7 @@ func checkerboardChain(prob *mrf.Problem, singles []float64, s core.LabelSampler
 // differs — so the null hypothesis is exact at any sweep count. The returned
 // error reports setup problems, not statistical failures; gate on
 // report.Failures().
-func RunShardBattery(designs []ShardDesign, o ShardOptions) (*ShardReport, error) {
+func RunShardBattery(designs []ShardDesign, o ShardOptions) (*Report, error) {
 	if o.Replicates <= 0 {
 		o.Replicates = 400
 	}
@@ -249,7 +143,8 @@ func RunShardBattery(designs []ShardDesign, o ShardOptions) (*ShardReport, error
 	if tests == 0 {
 		return nil, fmt.Errorf("conformance: empty sharding battery")
 	}
-	rep := &ShardReport{Threshold: o.Alpha / float64(tests), Replicates: o.Replicates}
+	rep := &Report{Threshold: o.Alpha / float64(tests)}
+	path := KernelPath(core.NewRSUG())
 
 	stream := 0
 	for _, d := range designs {
@@ -298,154 +193,11 @@ func RunShardBattery(designs []ShardDesign, o ShardOptions) (*ShardReport, error
 			if err != nil {
 				return nil, fmt.Errorf("conformance: sharding %s pixel %d: %w", d.Name, site, err)
 			}
-			rep.Checks = append(rep.Checks, ShardCheck{
-				Design: d.Name,
-				Pixel:  fmt.Sprintf("pixel(%d,%d)", site%d.W, site/d.W),
-				N:      o.Replicates,
-				P:      res.PValue,
+			rep.Checks = append(rep.Checks, Check{
+				Name: fmt.Sprintf("%s pixel(%d,%d)", d.Name, site%d.W, site/d.W),
+				Path: path, N: o.Replicates, P: res.PValue,
 			})
 		}
 	}
 	return rep, nil
-}
-
-// shardedCheckpointGeom is the tile geometry the sharded resume gate runs on
-// every golden app: 2x2 fits all four golden grids and exercises all four
-// halo directions.
-var shardedCheckpointGeom = shard.Geometry{Rows: 2, Cols: 2}
-
-// shardedTrace runs the golden app uninterrupted on the sharded solver and
-// returns its trace (per-sweep energies + final labels).
-func shardedTrace(app string) (*Trace, error) {
-	prob, sched, init, err := goldenProblem(app)
-	if err != nil {
-		return nil, err
-	}
-	factory := core.StreamFactory(goldenSeed, func(src rng.Source) core.LabelSampler {
-		return core.MustUnit(core.NewRSUG(), src, true)
-	})
-	tr := &Trace{App: app, Workers: shardedCheckpointGeom.Tiles()}
-	lab, err := mrf.SolveAuto(prob, factory, sched, mrf.SolveOptions{
-		Init:   init,
-		Shards: shardedCheckpointGeom,
-		OnSweep: func(iter int, lab *img.Labels, st mrf.SolveStats) {
-			tr.Energy = append(tr.Energy, prob.TotalEnergy(lab))
-		},
-	})
-	if err != nil {
-		return nil, fmt.Errorf("conformance: sharded reference %s: %w", app, err)
-	}
-	tr.Labels = lab
-	return tr, nil
-}
-
-// RunShardedCheckpointResume interrupts a 2x2-sharded run of the golden app
-// at the schedule midpoint — asserting the periodic and on-cancel snapshots
-// agree byte-for-byte — round-trips the version-2 container through
-// checkpoint.Encode/Decode, and resumes it WITHOUT re-specifying the
-// geometry (the snapshot alone must route the resume back onto the sharded
-// solver). The spliced trace is returned for comparison against the
-// uninterrupted sharded reference.
-func RunShardedCheckpointResume(app string) (*Trace, error) {
-	prob, sched, init, err := goldenProblem(app)
-	if err != nil {
-		return nil, err
-	}
-	factory := core.StreamFactory(goldenSeed, func(src rng.Source) core.LabelSampler {
-		return core.MustUnit(core.NewRSUG(), src, true)
-	})
-	geom := shardedCheckpointGeom
-	mid := sched.Iterations / 2
-	tr := &Trace{App: app, Workers: geom.Tiles()}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var containers [][]byte
-	_, err = mrf.SolveAutoCtx(ctx, prob, factory, sched, mrf.SolveOptions{
-		Init:   init,
-		Shards: geom,
-		OnSweep: func(iter int, lab *img.Labels, st mrf.SolveStats) {
-			tr.Energy = append(tr.Energy, prob.TotalEnergy(lab))
-		},
-		CheckpointEvery: mid,
-		OnCheckpoint: func(st *mrf.SolverState) error {
-			containers = append(containers, checkpoint.Encode(&checkpoint.Snapshot{
-				App: app, Seed: goldenSeed, Schedule: sched, State: *st,
-			}))
-			if len(containers) == 1 {
-				cancel()
-			}
-			return nil
-		},
-	})
-	if err == nil {
-		return nil, fmt.Errorf("conformance: sharded checkpoint %s: head leg ran to completion instead of cancelling", app)
-	}
-	if !errors.Is(err, context.Canceled) {
-		return nil, fmt.Errorf("conformance: sharded checkpoint %s: head leg: %w", app, err)
-	}
-	if len(containers) != 2 {
-		return nil, fmt.Errorf("conformance: sharded checkpoint %s: expected a periodic and an on-cancel snapshot, got %d", app, len(containers))
-	}
-	if !bytes.Equal(containers[0], containers[1]) {
-		return nil, fmt.Errorf("conformance: sharded checkpoint %s: periodic and on-cancel snapshots differ — capture is not a pure function of solver state", app)
-	}
-	if len(tr.Energy) != mid {
-		return nil, fmt.Errorf("conformance: sharded checkpoint %s: head leg logged %d sweeps, want %d", app, len(tr.Energy), mid)
-	}
-
-	snap, err := checkpoint.Decode(containers[0])
-	if err != nil {
-		return nil, fmt.Errorf("conformance: sharded checkpoint %s: %w", app, err)
-	}
-	if snap.State.ShardRows != geom.Rows || snap.State.ShardCols != geom.Cols {
-		return nil, fmt.Errorf("conformance: sharded checkpoint %s: snapshot carries %dx%d tiles, want %s",
-			app, snap.State.ShardRows, snap.State.ShardCols, geom)
-	}
-	if snap.State.NextSweep != mid {
-		return nil, fmt.Errorf("conformance: sharded checkpoint %s: snapshot resumes at sweep %d, want %d", app, snap.State.NextSweep, mid)
-	}
-	// Tail leg: Shards deliberately unset — the snapshot's geometry must
-	// drive the dispatch.
-	lab, err := mrf.SolveAutoCtx(context.Background(), prob, factory, sched, mrf.SolveOptions{
-		Init:   init,
-		Resume: &snap.State,
-		OnSweep: func(iter int, lab *img.Labels, st mrf.SolveStats) {
-			tr.Energy = append(tr.Energy, prob.TotalEnergy(lab))
-		},
-	})
-	if err != nil {
-		return nil, fmt.Errorf("conformance: sharded checkpoint %s: tail leg: %w", app, err)
-	}
-	if len(tr.Energy) != sched.Iterations {
-		return nil, fmt.Errorf("conformance: sharded checkpoint %s: spliced log has %d sweeps, want %d", app, len(tr.Energy), sched.Iterations)
-	}
-	tr.Labels = lab
-	return tr, nil
-}
-
-// VerifyShardedCheckpointResume runs every golden app through the sharded
-// interrupt/resume cycle and compares the spliced trace byte-for-byte
-// against an uninterrupted sharded run of the same app — the bit-exact
-// resume guarantee extended to the tiled solver and its version-2 snapshot
-// format.
-func VerifyShardedCheckpointResume() []error {
-	var errs []error
-	for _, app := range []string{"stereo", "flow", "segment", "ising"} {
-		ref, err := shardedTrace(app)
-		if err != nil {
-			errs = append(errs, err)
-			continue
-		}
-		tr, err := RunShardedCheckpointResume(app)
-		if err != nil {
-			errs = append(errs, err)
-			continue
-		}
-		if got, want := tr.Encode(), ref.Encode(); !bytes.Equal(got, want) {
-			errs = append(errs, fmt.Errorf("conformance: sharded checkpoint resume diverged for %s at byte %d — resume is not bit-exact",
-				app, firstDiff(got, want)))
-		}
-	}
-	return errs
 }

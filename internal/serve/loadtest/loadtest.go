@@ -1,8 +1,8 @@
 // Package loadtest drives a serve.Service with concurrent mixed-app
 // traffic and reports what happened: completions, rejections (backpressure),
-// expiries, latency, and the shared-artifact cache hit rates. The race-
-// enabled acceptance test in internal/serve and the -loadtest mode of
-// cmd/rsu-serve both run on this harness.
+// expiries, latency, and the shared-artifact cache hit rates. It is a test
+// harness: the package's own race-enabled acceptance test
+// (TestAcceptanceMixedLoad) is its only caller, and no command exposes it.
 package loadtest
 
 import (
