@@ -35,7 +35,7 @@ race:
 # checkpoint and resume, run log, the row-banded table build), repeated to
 # shake out scheduling-dependent interleavings (DESIGN.md §9).
 race-runtime:
-	$(GO) test -race -count=3 -run 'TestSolve|TestRunLog|TestOnSweep|TestSchedule|TestSharded|TestCheckpoint|TestSetTemperature|TestResume|TestBuildTablesBandedMatchesDirect|TestBuildTablesConcurrentCallers' ./internal/mrf ./internal/runopt
+	$(GO) test -race -count=3 -run 'TestSolve|TestRunLog|TestOnSweep|TestSchedule|TestSharded|TestCheckpoint|TestSetTemperature|TestResume|TestBuildTablesBandedMatchesDirect|TestBuildTablesConcurrentCallers' ./internal/mrf ./internal/runopt ./internal/apps
 
 # The benchmark harness is its own module (perfbench/go.mod), so the root
 # build and test never compile it; vet and test it here so an internal API

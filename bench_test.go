@@ -1,6 +1,7 @@
 package rsu
 
 import (
+	"context"
 	"testing"
 
 	"rsu/internal/apps/stereo"
@@ -306,7 +307,8 @@ func benchSolveWithCollector(b *testing.B, collect bool) {
 	prob := stereo.BuildProblem(synth.Poster(1), stereo.DefaultParams())
 	sched := mrf.Schedule{T0: 32, Alpha: 0.99, Iterations: 1}
 	u := core.MustUnit(core.NewRSUG(), rng.NewXoshiro256(1), true)
-	var opts mrf.SolveOptions
+	one := func(int) core.LabelSampler { return u }
+	opts := mrf.SolveOptions{Workers: 1}
 	if collect {
 		acc, err := uq.NewAccumulator(prob.W, prob.H, prob.Labels, uq.Options{BurnIn: 0, Thin: 1})
 		if err != nil {
@@ -317,7 +319,7 @@ func benchSolveWithCollector(b *testing.B, collect bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := mrf.Solve(prob, u, sched, opts); err != nil {
+		if _, err := mrf.Solve(context.Background(), prob, one, sched, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

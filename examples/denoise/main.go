@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -68,7 +69,8 @@ func main() {
 		{"software", core.NewSoftwareSampler(rng.NewXoshiro256(1))},
 		{"new-RSUG", core.MustUnit(core.NewRSUG(), rng.NewXoshiro256(2), true)},
 	} {
-		lab, err := mrf.Solve(prob, cand.s, sched, mrf.SolveOptions{})
+		one := func(int) core.LabelSampler { return cand.s }
+		lab, err := mrf.Solve(context.Background(), prob, one, sched, mrf.SolveOptions{Workers: 1})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -23,12 +23,13 @@ import (
 // apps embed them in their Params (ising in its Model), so they are set as
 // p.Workers, p.Ctx, and so on.
 type Options struct {
-	// SamplerFactory, when non-nil, builds one sampler per RNG stream and
-	// switches the solve to mrf.SolveAutoCtx (the sampler argument is then
-	// ignored). See core.StreamFactory.
+	// SamplerFactory, when non-nil, builds one sampler per RNG stream for
+	// mrf.Solve (the sampler argument is then ignored). See
+	// core.StreamFactory.
 	SamplerFactory func(stream int) core.LabelSampler
 	// Workers selects the checkerboard worker count when SamplerFactory is
-	// set: 0 = GOMAXPROCS, 1 = exact serial behavior.
+	// set: 0 = GOMAXPROCS, 1 = exact serial behavior. A lone sampler always
+	// runs serially.
 	Workers int
 	// Shards, when non-zero, splits the grid into Rows x Cols tiles and runs
 	// the domain-decomposed sharded solver (requires SamplerFactory; one RNG
@@ -75,10 +76,16 @@ type Result struct {
 // Solve runs prob under sched with the shared options applied on top of
 // opts, which carries the app's own settings (Init, and a Collector for an
 // app that measures its own observables). A non-nil o.SamplerFactory
-// selects mrf.SolveAutoCtx; otherwise the serial mrf.SolveCtx runs with
-// sampler.
+// supplies one sampler per stream; otherwise sampler is the only stream and
+// the solve runs serially (a multi-tile Shards then fails: its tiles would
+// share the sampler).
 func Solve(o Options, prob *mrf.Problem, sampler core.LabelSampler, sched mrf.Schedule, opts mrf.SolveOptions) (*Result, error) {
 	opts.Workers, opts.Shards, opts.OnSweep = o.Workers, o.Shards, o.OnSweep
+	factory := o.SamplerFactory
+	if factory == nil {
+		factory = func(int) core.LabelSampler { return sampler }
+		opts.Workers = 1
+	}
 	if o.PairLUT != nil {
 		tab, err := prob.BuildTablesShared(o.PairLUT)
 		if err != nil {
@@ -113,12 +120,7 @@ func Solve(o Options, prob *mrf.Problem, sampler core.LabelSampler, sched mrf.Sc
 		ctx = context.Background()
 	}
 	res := &Result{}
-	if o.SamplerFactory != nil {
-		res.Labels, err = mrf.SolveAutoCtx(ctx, prob, o.SamplerFactory, sched, opts)
-	} else {
-		res.Labels, err = mrf.SolveCtx(ctx, prob, sampler, sched, opts)
-	}
-	if err != nil {
+	if res.Labels, err = mrf.Solve(ctx, prob, factory, sched, opts); err != nil {
 		return nil, err
 	}
 	if o.Checkpoint != nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"rsu/internal/apps"
@@ -16,6 +17,7 @@ import (
 	"rsu/internal/fault"
 	"rsu/internal/mrf"
 	"rsu/internal/rng"
+	"rsu/internal/shard"
 	"rsu/internal/synth"
 	"rsu/internal/uq"
 )
@@ -158,5 +160,36 @@ func TestSharedOptions(t *testing.T) {
 				t.Fatal("UQ collection changed the answer")
 			}
 		})
+	}
+}
+
+// TestSolveLoneSampler pins apps.Solve's single-sampler path: a lone sampler
+// runs the serial engine whatever Workers says, reproducing a Workers-1
+// factory on the same stream, and a multi-tile Shards fails instead of
+// handing the sampler to every tile.
+func TestSolveLoneSampler(t *testing.T) {
+	prob := &mrf.Problem{
+		W: 9, H: 7, Labels: 3,
+		Singleton:  func(x, y, l int) float64 { return float64((x*5 + y*3 + l*7) % 4) },
+		PairWeight: 1, Dist: mrf.Absolute,
+	}
+	sched := mrf.Schedule{T0: 4, Alpha: 0.9, Iterations: 6}
+	unit := func(int) core.LabelSampler { return core.MustUnit(core.NewRSUG(), rng.NewXoshiro256(3), true) }
+	want, err := apps.Solve(apps.Options{SamplerFactory: unit, Workers: 1}, prob, nil, sched, mrf.SolveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{0, 1, 3} {
+		got, err := apps.Solve(apps.Options{Workers: workers}, prob, unit(0), sched, mrf.SolveOptions{})
+		if err != nil {
+			t.Fatalf("workers %d: %v", workers, err)
+		}
+		if fmt.Sprint(got.Labels.L) != fmt.Sprint(want.Labels.L) {
+			t.Fatalf("workers %d: a lone sampler did not run the serial engine", workers)
+		}
+	}
+	_, err = apps.Solve(apps.Options{Shards: shard.Geometry{Rows: 2, Cols: 2}}, prob, unit(0), sched, mrf.SolveOptions{})
+	if err == nil || !strings.Contains(err.Error(), "share one sampler") {
+		t.Fatalf("a lone sampler with 2x2 Shards: err = %v, want the shared sampler rejected", err)
 	}
 }

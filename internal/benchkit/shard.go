@@ -1,6 +1,7 @@
 package benchkit
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"time"
@@ -84,7 +85,7 @@ func ShardSweep(workers int) ShardReport {
 			opts := mrf.SolveOptions{Workers: w, Tables: tab, Shards: g}
 			runtime.GC()
 			start := time.Now()
-			if _, err := mrf.SolveAuto(prob, factory, sched, opts); err != nil {
+			if _, err := mrf.Solve(context.Background(), prob, factory, sched, opts); err != nil {
 				panic(err)
 			}
 			if ns := float64(time.Since(start)); r == 0 || ns < best {

@@ -106,6 +106,8 @@ type goldenRun struct {
 	sched mrf.Schedule
 	init  *img.Labels
 	tr    *Trace
+	// samplers are the last solver leg's streams, in stream order.
+	samplers []core.LabelSampler
 }
 
 // start builds the scenario's problem and an empty trace. A run on an
@@ -124,7 +126,7 @@ func (s Scenario) start(opts mrf.SolveOptions) (*goldenRun, error) {
 }
 
 // solve runs one solver leg under ctx, appending the total energy after
-// every sweep to the trace.
+// every sweep to the trace and keeping the leg's samplers.
 func (g *goldenRun) solve(ctx context.Context, opts mrf.SolveOptions) (*img.Labels, error) {
 	opts.Init, opts.Workers = g.init, g.s.Workers
 	// The trace pins the historical byte format: keep evaluating the energy
@@ -133,7 +135,13 @@ func (g *goldenRun) solve(ctx context.Context, opts mrf.SolveOptions) (*img.Labe
 	opts.OnSweep = func(_ int, lab *img.Labels, _ mrf.SolveStats) {
 		g.tr.Energy = append(g.tr.Energy, g.prob.TotalEnergy(lab))
 	}
-	return mrf.SolveAutoCtx(ctx, g.prob, goldenFactory, g.sched, opts)
+	g.samplers = nil
+	factory := func(stream int) core.LabelSampler {
+		s := goldenFactory(stream)
+		g.samplers = append(g.samplers, s)
+		return s
+	}
+	return mrf.Solve(ctx, g.prob, factory, g.sched, opts)
 }
 
 // Run is the golden trace runner: it solves a small fixed-seed instance of
@@ -159,7 +167,9 @@ func (s Scenario) Run(opts mrf.SolveOptions) (*Trace, error) {
 // the snapshot after a full container encode/decode round trip, as a
 // restarted process would, and with Shards unset: the snapshot alone must
 // route a sharded resume back onto its tiles. The trace splices both legs'
-// energies; it must equal an uninterrupted run's.
+// energies; it must equal an uninterrupted run's. The labels alone can hide
+// a lost RNG stream (a tile whose draws changed no label), so every stream's
+// final sampler state must also equal an uninterrupted run's under opts.
 func (s Scenario) runResumed(opts mrf.SolveOptions) (*Trace, error) {
 	g, err := s.start(opts)
 	if err != nil {
@@ -212,7 +222,36 @@ func (s Scenario) runResumed(opts mrf.SolveOptions) (*Trace, error) {
 	if len(g.tr.Energy) != g.sched.Iterations {
 		return nil, fmt.Errorf("%s: spliced log has %d sweeps, want %d", s, len(g.tr.Energy), g.sched.Iterations)
 	}
+	if err := g.matchStreams(opts); err != nil {
+		return nil, fmt.Errorf("%s: %w", s, err)
+	}
 	return g.tr, nil
+}
+
+// matchStreams runs the scenario uninterrupted under opts and requires the
+// last leg's final sampler states to equal that run's, stream for stream.
+func (g *goldenRun) matchStreams(opts mrf.SolveOptions) error {
+	ref, err := g.s.start(opts)
+	if err == nil {
+		_, err = ref.solve(context.Background(), opts)
+	}
+	if err != nil {
+		return fmt.Errorf("uninterrupted run: %w", err)
+	}
+	if len(g.samplers) != len(ref.samplers) {
+		return fmt.Errorf("resumed run has %d streams, uninterrupted run %d", len(g.samplers), len(ref.samplers))
+	}
+	for i, s := range g.samplers {
+		got, err := s.(core.Checkpointable).CaptureState()
+		want, werr := ref.samplers[i].(core.Checkpointable).CaptureState()
+		if err = errors.Join(err, werr); err != nil {
+			return fmt.Errorf("stream %d: %w", i, err)
+		}
+		if got != want {
+			return fmt.Errorf("stream %d sampler state after resume differs from the uninterrupted run's", i)
+		}
+	}
+	return nil
 }
 
 // goldenProblem builds the fixed miniature MRF instance for one application.

@@ -2,12 +2,14 @@ package conformance
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"rsu/internal/core"
 	"rsu/internal/img"
 	"rsu/internal/mrf"
 	"rsu/internal/uq"
@@ -60,7 +62,8 @@ func TestGoldenDeterminism(t *testing.T) {
 }
 
 // TestGoldenSerialMatchesOneWorker pins that the workers=1 golden is exactly
-// the serial solver's output, so the serial path is covered by the same file.
+// what a caller with one prebuilt sampler gets (a factory returning it, at
+// Workers 1), so the single-sampler path is covered by the same file.
 func TestGoldenSerialMatchesOneWorker(t *testing.T) {
 	s := Scenario{App: "segment", Workers: 1}
 	auto, err := s.Run(mrf.SolveOptions{})
@@ -73,8 +76,11 @@ func TestGoldenSerialMatchesOneWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 	serial := &Trace{App: s.App, Workers: 1}
-	lab, err := mrf.Solve(prob, goldenFactory(0), sched, mrf.SolveOptions{
-		Init: init,
+	sampler := goldenFactory(0)
+	one := func(int) core.LabelSampler { return sampler }
+	lab, err := mrf.Solve(context.Background(), prob, one, sched, mrf.SolveOptions{
+		Init:    init,
+		Workers: 1,
 		OnSweep: func(iter int, lab *img.Labels, st mrf.SolveStats) {
 			serial.Energy = append(serial.Energy, prob.TotalEnergy(lab))
 		},
@@ -86,7 +92,7 @@ func TestGoldenSerialMatchesOneWorker(t *testing.T) {
 
 	ea, eb := auto.Encode(), serial.Encode()
 	if !bytes.Equal(ea, eb) {
-		t.Fatalf("SolveAuto(workers=1) diverges from serial Solve at byte %d", firstDiff(ea, eb))
+		t.Fatalf("the w1 golden run diverges from a single-sampler solve at byte %d", firstDiff(ea, eb))
 	}
 }
 

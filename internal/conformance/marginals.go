@@ -1,6 +1,7 @@
 package conformance
 
 import (
+	"context"
 	"fmt"
 
 	"rsu/internal/core"
@@ -332,7 +333,7 @@ func RunMarginalBattery(grids []MarginalGrid, points []MarginalPoint, o Marginal
 				opts := mrf.SolveOptions{Init: img.NewLabels(g.W, g.H), Collector: col, Workers: workers}
 				factory := func(w int) core.LabelSampler { return samplers[w] }
 				for ri := 0; ri < o.Replicates; ri++ {
-					if _, err := mrf.SolveAuto(prob, factory, sched, opts); err != nil {
+					if _, err := mrf.Solve(context.Background(), prob, factory, sched, opts); err != nil {
 						return nil, fmt.Errorf("conformance: marginals %s/%s/%s: %w", pt.Name, g.Name, sv.name, err)
 					}
 				}

@@ -1,6 +1,7 @@
 package conformance
 
 import (
+	"context"
 	"fmt"
 
 	"rsu/internal/core"
@@ -174,7 +175,7 @@ func RunShardBattery(designs []ShardDesign, o ShardOptions) (*Report, error) {
 		// Sharded arm: same kernel, tile-decomposed, one stream per tile.
 		factory := streamCachingFactory(o.Seed, &stream)
 		for ri := 0; ri < o.Replicates; ri++ {
-			lab, err := mrf.SolveAuto(prob, factory, sched, mrf.SolveOptions{
+			lab, err := mrf.Solve(context.Background(), prob, factory, sched, mrf.SolveOptions{
 				Init:   img.NewLabels(d.W, d.H),
 				Shards: d.Geom,
 			})

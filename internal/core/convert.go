@@ -185,16 +185,3 @@ func (b *BoundaryConverter) Code(ecode int) int {
 // MemoryBits returns boundary-count x energy width, e.g. 4 x 8 = 32 bits for
 // the new design's four 2^n codes.
 func (b *BoundaryConverter) MemoryBits() int { return len(b.boundaries) * b.energyBits }
-
-// Boundaries returns a copy of the boundary registers (inclusive upper
-// energy-code bound per code, largest lambda first) — what the architectural
-// temperature-update interface writes.
-func (b *BoundaryConverter) Boundaries() []int {
-	return append([]int(nil), b.boundaries...)
-}
-
-// Codes returns the unique decay-rate codes, largest first, matching the
-// order of Boundaries.
-func (b *BoundaryConverter) Codes() []int {
-	return append([]int(nil), b.codes...)
-}

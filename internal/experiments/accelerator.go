@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -80,7 +81,7 @@ func Accelerator(o Options) (*AcceleratorResult, error) {
 		return core.MustUnit(core.NewRSUG(), rng.NewXoshiro256(o.subSeed(fmt.Sprintf("acc-par%d", w))), true)
 	}
 	prob := stereo.BuildProblem(pair, p)
-	lab, err := mrf.SolveAuto(prob, factory, p.Schedule, mrf.SolveOptions{Workers: 4})
+	lab, err := mrf.Solve(context.Background(), prob, factory, p.Schedule, mrf.SolveOptions{Workers: 4})
 	if err != nil {
 		return nil, err
 	}

@@ -10,7 +10,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"sync"
 
@@ -284,14 +283,4 @@ func meanStd(xs []float64) (mean, std float64) {
 	}
 	std /= float64(len(xs))
 	return mean, math.Sqrt(std)
-}
-
-// sortedKeys returns map keys in sorted order for deterministic rendering.
-func sortedKeys[K ~int, V any](m map[K]V) []K {
-	keys := make([]K, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -94,7 +95,9 @@ func Mixing(o Options) (*MixingResult, error) {
 // records instead of re-evaluating the energy in the hook.
 func energySeries(prob *mrf.Problem, s core.LabelSampler, T float64, sweeps, burn int) ([]float64, error) {
 	var series []float64
-	_, err := mrf.Solve(prob, s, mrf.Schedule{T0: T, Alpha: 1, Iterations: sweeps}, mrf.SolveOptions{
+	one := func(int) core.LabelSampler { return s }
+	_, err := mrf.Solve(context.Background(), prob, one, mrf.Schedule{T0: T, Alpha: 1, Iterations: sweeps}, mrf.SolveOptions{
+		Workers: 1,
 		OnSweep: func(iter int, lab *img.Labels, st mrf.SolveStats) {
 			if iter >= burn {
 				series = append(series, st.Energy)

@@ -229,7 +229,7 @@ func checkResumeShards(st *SolverState, geom shard.Geometry) error {
 	case got.IsZero():
 		return fmt.Errorf("mrf: snapshot captured a serial run, resuming with %s tiles", geom)
 	case geom.IsZero():
-		return fmt.Errorf("mrf: snapshot captured a %s-tile run — resume it with SolveAuto", got)
+		return fmt.Errorf("mrf: snapshot captured a %s-tile run, resuming on the serial engine", got)
 	}
 	return fmt.Errorf("mrf: snapshot captured %s tiles, resuming with %s", got, geom)
 }

@@ -3,6 +3,7 @@ package mrf
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -224,7 +225,7 @@ func TestCheckpointOnCancel(t *testing.T) {
 	const seed = 31337
 
 	var fullRecs []sweepRec
-	full, err := Solve(p, core.NewSoftwareSampler(rng.NewXoshiro256(seed)), sched,
+	full, err := solveOne(p, core.NewSoftwareSampler(rng.NewXoshiro256(seed)), sched,
 		SolveOptions{OnSweep: recordInto(&fullRecs)})
 	if err != nil {
 		t.Fatal(err)
@@ -232,7 +233,8 @@ func TestCheckpointOnCancel(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	var snaps []*SolverState
-	_, err = SolveCtx(ctx, p, core.NewSoftwareSampler(rng.NewXoshiro256(seed)), sched, SolveOptions{
+	_, err = Solve(ctx, p, one(core.NewSoftwareSampler(rng.NewXoshiro256(seed))), sched, SolveOptions{
+		Workers: 1,
 		OnSweep: func(iter int, lab *img.Labels, st SolveStats) {
 			if iter == 5 {
 				cancel()
@@ -252,7 +254,7 @@ func TestCheckpointOnCancel(t *testing.T) {
 	}
 
 	var tailRecs []sweepRec
-	got, err := Solve(p, core.NewSoftwareSampler(rng.NewXoshiro256(seed)), sched,
+	got, err := solveOne(p, core.NewSoftwareSampler(rng.NewXoshiro256(seed)), sched,
 		SolveOptions{OnSweep: recordInto(&tailRecs), Resume: st})
 	if err != nil {
 		t.Fatal(err)
@@ -268,7 +270,7 @@ func TestCheckpointResumeAtEnd(t *testing.T) {
 	p := randomProblem(r)
 	sched := Schedule{T0: 2, Alpha: 0.9, Iterations: 6}
 
-	full, err := Solve(p, core.NewSoftwareSampler(rng.NewXoshiro256(5)), sched, SolveOptions{})
+	full, err := solveOne(p, core.NewSoftwareSampler(rng.NewXoshiro256(5)), sched, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,11 +286,56 @@ func TestCheckpointResumeAtEnd(t *testing.T) {
 		Grid:     append([]int(nil), full.L...),
 		Samplers: []core.SamplerState{ss},
 	}
-	got, err := Solve(p, core.NewSoftwareSampler(rng.NewXoshiro256(5)), sched, SolveOptions{Resume: st})
+	got, err := solveOne(p, core.NewSoftwareSampler(rng.NewXoshiro256(5)), sched, SolveOptions{Resume: st})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ckptLabelsEqual(t, "zero-sweep resume", full, got)
+}
+
+// TestResumeWorkersZeroAcrossGOMAXPROCS pins that a Workers-0 checkpoint
+// resumes on a host with more cores: captured at GOMAXPROCS 1, where Workers
+// 0 runs the serial engine, and resumed with Workers 0 at GOMAXPROCS 2, the
+// run must keep the snapshot's geometry and end on the uninterrupted run's
+// labels and sweep records.
+func TestResumeWorkersZeroAcrossGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	p := twoRegionProblem(12, 9)
+	sched := Schedule{T0: 4, Alpha: 0.9, Iterations: 12}
+	var fullRecs []sweepRec
+	full, err := Solve(context.Background(), p, sfactory(77), sched, SolveOptions{OnSweep: recordInto(&fullRecs)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap *SolverState
+	if _, err := Solve(context.Background(), p, sfactory(77), sched, SolveOptions{
+		CheckpointEvery: 5,
+		OnCheckpoint: func(st *SolverState) error {
+			if snap == nil {
+				snap = st
+			}
+			return nil
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if snap == nil || snap.Workers != 1 {
+		t.Fatalf("Workers-0 capture at GOMAXPROCS 1 is not a serial snapshot: %+v", snap)
+	}
+
+	runtime.GOMAXPROCS(2)
+	var tailRecs []sweepRec
+	got, err := Solve(context.Background(), p, sfactory(77), sched, SolveOptions{Resume: snap, OnSweep: recordInto(&tailRecs)})
+	if err != nil {
+		t.Fatalf("Workers-0 resume at GOMAXPROCS 2: %v", err)
+	}
+	ckptLabelsEqual(t, "Workers-0 resume at GOMAXPROCS 2", full, got)
+	recsEqual(t, "Workers-0 resume tail", fullRecs[snap.NextSweep:], tailRecs)
+
+	// An explicit Workers value that disagrees with the snapshot still fails.
+	if _, err := Solve(context.Background(), p, sfactory(77), sched, SolveOptions{Resume: snap, Workers: 2}); err == nil {
+		t.Fatal("Workers 2 resumed a serial snapshot")
+	}
 }
 
 // TestCheckpointValidation exercises the configuration-mismatch rejections.
@@ -298,7 +345,7 @@ func TestCheckpointValidation(t *testing.T) {
 	sched := Schedule{T0: 2, Alpha: 0.9, Iterations: 8}
 
 	var snap *SolverState
-	_, err := Solve(p, core.NewSoftwareSampler(rng.NewXoshiro256(9)), sched, SolveOptions{
+	_, err := solveOne(p, core.NewSoftwareSampler(rng.NewXoshiro256(9)), sched, SolveOptions{
 		CheckpointEvery: 4,
 		OnCheckpoint:    func(st *SolverState) error { snap = st; return nil },
 	})
@@ -325,7 +372,7 @@ func TestCheckpointValidation(t *testing.T) {
 			if aerr != nil {
 				t.Fatal(aerr)
 			}
-			_, err := Solve(p, core.NewSoftwareSampler(rng.NewXoshiro256(9)), sched,
+			_, err := solveOne(p, core.NewSoftwareSampler(rng.NewXoshiro256(9)), sched,
 				SolveOptions{Resume: snap, Collector: acc})
 			return err
 		}},
@@ -334,21 +381,21 @@ func TestCheckpointValidation(t *testing.T) {
 			if ferr != nil {
 				t.Fatal(ferr)
 			}
-			_, err := Solve(p, core.NewSoftwareSampler(rng.NewXoshiro256(9)), sched,
+			_, err := solveOne(p, core.NewSoftwareSampler(rng.NewXoshiro256(9)), sched,
 				SolveOptions{Resume: snap, Faults: inj})
 			return err
 		}},
 		{"grid shape mismatch", func() error {
 			bigger := &Problem{W: p.W + 1, H: p.H, Labels: p.Labels,
 				Singleton: p.Singleton, PairWeight: p.PairWeight, Dist: p.Dist}
-			_, err := Solve(bigger, core.NewSoftwareSampler(rng.NewXoshiro256(9)), sched,
+			_, err := solveOne(bigger, core.NewSoftwareSampler(rng.NewXoshiro256(9)), sched,
 				SolveOptions{Resume: snap})
 			return err
 		}},
 		{"sweep beyond schedule", func() error {
 			bad := *snap
 			bad.NextSweep = sched.Iterations + 1
-			_, err := Solve(p, core.NewSoftwareSampler(rng.NewXoshiro256(9)), sched,
+			_, err := solveOne(p, core.NewSoftwareSampler(rng.NewXoshiro256(9)), sched,
 				SolveOptions{Resume: &bad})
 			return err
 		}},
@@ -360,13 +407,13 @@ func TestCheckpointValidation(t *testing.T) {
 	}
 
 	// A sampler whose source is not xoshiro cannot checkpoint or resume.
-	if _, err := Solve(p, core.NewSoftwareSampler(rng.NewSplitMix64(3)), sched, SolveOptions{
+	if _, err := solveOne(p, core.NewSoftwareSampler(rng.NewSplitMix64(3)), sched, SolveOptions{
 		CheckpointEvery: 2,
 		OnCheckpoint:    func(*SolverState) error { return nil },
 	}); err == nil {
 		t.Error("expected capture to fail for a non-xoshiro source")
 	}
-	if _, err := Solve(p, core.NewSoftwareSampler(rng.NewSplitMix64(3)), sched,
+	if _, err := solveOne(p, core.NewSoftwareSampler(rng.NewSplitMix64(3)), sched,
 		SolveOptions{Resume: snap}); err == nil {
 		t.Error("expected resume to fail for a non-xoshiro source")
 	}
@@ -379,7 +426,7 @@ func TestCheckpointNeverFiresOnFinalSweep(t *testing.T) {
 	p := randomProblem(r)
 	sched := Schedule{T0: 2, Alpha: 0.9, Iterations: 6}
 	var next []int
-	_, err := Solve(p, core.NewSoftwareSampler(rng.NewXoshiro256(11)), sched, SolveOptions{
+	_, err := solveOne(p, core.NewSoftwareSampler(rng.NewXoshiro256(11)), sched, SolveOptions{
 		CheckpointEvery: 3,
 		OnCheckpoint:    func(st *SolverState) error { next = append(next, st.NextSweep); return nil },
 	})

@@ -52,11 +52,11 @@ var faultTestSched = Schedule{T0: 4, Alpha: 0.85, Iterations: 20}
 func TestFaultZeroRateBitIdentical(t *testing.T) {
 	p := twoRegionProblem(12, 8)
 
-	bare, err := Solve(p, mkUnits(1, 5)[0], faultTestSched, SolveOptions{})
+	bare, err := solveOne(p, mkUnits(1, 5)[0], faultTestSched, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	faulted, err := Solve(p, mkUnits(1, 5)[0], faultTestSched, SolveOptions{
+	faulted, err := solveOne(p, mkUnits(1, 5)[0], faultTestSched, SolveOptions{
 		Faults: mustInjection(t, fault.Config{}),
 	})
 	if err != nil {
@@ -89,7 +89,7 @@ func TestFaultSolveReproducible(t *testing.T) {
 	cfg := fault.Config{DarkCountPerBin: 0.05, BleedThrough: 0.2, Seed: 9}
 
 	run := func() []int {
-		lab, err := Solve(p, mkUnits(1, 5)[0], faultTestSched, SolveOptions{
+		lab, err := solveOne(p, mkUnits(1, 5)[0], faultTestSched, SolveOptions{
 			Faults: mustInjection(t, cfg),
 		})
 		if err != nil {
@@ -102,7 +102,7 @@ func TestFaultSolveReproducible(t *testing.T) {
 		t.Error("identical faulted runs diverged")
 	}
 
-	clean, err := Solve(p, mkUnits(1, 5)[0], faultTestSched, SolveOptions{})
+	clean, err := solveOne(p, mkUnits(1, 5)[0], faultTestSched, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestFaultDetached(t *testing.T) {
 	p := twoRegionProblem(12, 8)
 
 	serial := mkUnits(1, 5)
-	if _, err := Solve(p, serial[0], faultTestSched, SolveOptions{
+	if _, err := solveOne(p, serial[0], faultTestSched, SolveOptions{
 		Faults: mustInjection(t, fault.Config{DarkCountPerBin: 0.01}),
 	}); err != nil {
 		t.Fatal(err)

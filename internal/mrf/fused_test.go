@@ -132,7 +132,7 @@ func TestIncrementalEnergyMatchesRecompute(t *testing.T) {
 				return core.NewSoftwareSampler(rng.NewXoshiro256(core.StreamSeed(seed, w)))
 			}
 			sweeps := 0
-			_, err := SolveAuto(p, factory, sched, SolveOptions{
+			_, err := Solve(context.Background(), p, factory, sched, SolveOptions{
 				Init: init, Workers: workers, Tables: tab,
 				OnSweep: func(iter int, lab *img.Labels, st SolveStats) {
 					sweeps++
@@ -244,7 +244,7 @@ func TestFusedSolversMatchReference(t *testing.T) {
 }
 
 // TestWorkerGeometryMatchesReference is the randomized property test of the
-// Workers → tile-geometry mapping: SolveAuto{Workers: n} must reproduce the
+// Workers → tile-geometry mapping: Solve at Workers n must reproduce the
 // band-by-band reference pixel for pixel on random grids, including H % n ≠ 0
 // (uneven row bands), n == H (one-row bands) and n > H (column bands). The seed is fixed and logged,
 // so a failing configuration replays exactly.

@@ -102,7 +102,7 @@ func TestSolveWithRSUGUnit(t *testing.T) {
 	p := twoRegionProblem(12, 8)
 	// Scale energies into the 8-bit range via weights already in range.
 	u := core.MustUnit(core.NewRSUG(), rng.NewXoshiro256(2), true)
-	lab, err := Solve(p, u, Schedule{T0: 4, Alpha: 0.85, Iterations: 40}, SolveOptions{})
+	lab, err := solveOne(p, u, Schedule{T0: 4, Alpha: 0.85, Iterations: 40}, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestAnnealingReducesEnergy(t *testing.T) {
 	p := twoRegionProblem(16, 10)
 	s := core.NewSoftwareSampler(rng.NewXoshiro256(3))
 	var first, last float64
-	_, err := Solve(p, s, Schedule{T0: 5, Alpha: 0.8, Iterations: 30}, SolveOptions{
+	_, err := solveOne(p, s, Schedule{T0: 5, Alpha: 0.8, Iterations: 30}, SolveOptions{
 		OnSweep: func(iter int, lab *img.Labels, st SolveStats) {
 			e := p.TotalEnergy(lab)
 			if iter == 0 {
@@ -187,11 +187,11 @@ func TestProblemValidate(t *testing.T) {
 // TestSolveErrors pins the entry validation on the serial engine, and
 // TestSolveParallelErrors on the tile engines: a nil sampler for any
 // stream, a bad schedule, a mismatched init labeling and out-of-range init
-// labels are errors, as are a nil sampler on Solve and a nil factory on
-// SolveAuto.
+// labels are errors, as are a factory returning a nil sampler and a nil
+// factory.
 func TestSolveErrors(t *testing.T) {
 	p := twoRegionProblem(6, 6)
-	if _, err := Solve(p, nil, Schedule{T0: 1, Alpha: 0.9, Iterations: 2}, SolveOptions{}); err == nil {
+	if _, err := solveOne(p, nil, Schedule{T0: 1, Alpha: 0.9, Iterations: 2}, SolveOptions{}); err == nil {
 		t.Error("nil sampler must error")
 	}
 	checkSolveErrors(t, p, serialEngines)
@@ -199,7 +199,7 @@ func TestSolveErrors(t *testing.T) {
 
 func TestSolveParallelErrors(t *testing.T) {
 	p := twoRegionProblem(6, 6)
-	if _, err := SolveAuto(p, nil, Schedule{T0: 1, Alpha: 0.9, Iterations: 2}, SolveOptions{Workers: 2}); err == nil {
+	if _, err := Solve(context.Background(), p, nil, Schedule{T0: 1, Alpha: 0.9, Iterations: 2}, SolveOptions{Workers: 2}); err == nil {
 		t.Error("nil factory must error")
 	}
 	checkSolveErrors(t, p, tileEngines)

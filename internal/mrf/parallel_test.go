@@ -10,12 +10,24 @@ import (
 	"rsu/internal/shard"
 )
 
-// solveSamplers runs SolveAutoCtx at Workers = len(ss) with factory(w) =
-// ss[w] — the sampler-slice form the worker-parallel tests drive the tile
-// engine through.
+// solveSamplers runs Solve at Workers = len(ss) with factory(w) = ss[w] —
+// the sampler-slice form the worker-parallel tests drive the tile engine
+// through.
 func solveSamplers(ctx context.Context, p *Problem, ss []core.LabelSampler, sched Schedule, opts SolveOptions) (*img.Labels, error) {
 	opts.Workers = len(ss)
-	return SolveAutoCtx(ctx, p, func(w int) core.LabelSampler { return ss[w] }, sched, opts)
+	return Solve(ctx, p, func(w int) core.LabelSampler { return ss[w] }, sched, opts)
+}
+
+// one is the factory a caller with a single sampler hands Solve.
+func one(s core.LabelSampler) func(int) core.LabelSampler {
+	return func(int) core.LabelSampler { return s }
+}
+
+// solveOne runs Solve on one sampler at Workers 1: the serial raster engine
+// on stream 0.
+func solveOne(p *Problem, s core.LabelSampler, sched Schedule, opts SolveOptions) (*img.Labels, error) {
+	opts.Workers = 1
+	return Solve(context.Background(), p, one(s), sched, opts)
 }
 
 func mkSamplers(n int, seed uint64) []core.LabelSampler {
@@ -27,7 +39,7 @@ func mkSamplers(n int, seed uint64) []core.LabelSampler {
 }
 
 // engineCase is one sweep engine the shared annealing driver runs, selected
-// through SolveAuto: the serial raster engine, two row bands, or a 2×3 tile
+// through Solve: the serial raster engine, two row bands, or a 2×3 tile
 // lattice. Each engine-contract check runs over all of engineCases: its
 // serial-named test on serialEngines, its Parallel-named twin on
 // tileEngines.
@@ -49,10 +61,10 @@ var (
 // streams is the engine's RNG stream count: one sampler per tile.
 func (e engineCase) streams() int { return max(e.shards.Tiles(), 1) }
 
-// solve runs SolveAutoCtx on the engine with factory(i) on stream i.
+// solve runs Solve on the engine with factory(i) on stream i.
 func (e engineCase) solve(ctx context.Context, p *Problem, factory func(int) core.LabelSampler, sched Schedule, opts SolveOptions) (*img.Labels, error) {
 	opts.Shards, opts.Workers = e.shards, 1
-	return SolveAutoCtx(ctx, p, factory, sched, opts)
+	return Solve(ctx, p, factory, sched, opts)
 }
 
 // mislabeled counts the pixels of a twoRegionProblem solution that are off
@@ -76,7 +88,7 @@ func mislabeled(p *Problem, lab *img.Labels) int {
 func TestSolveParallelMatchesSequentialQuality(t *testing.T) {
 	p := twoRegionProblem(20, 14)
 	sched := Schedule{T0: 4, Alpha: 0.88, Iterations: 35}
-	seq, err := Solve(p, core.NewSoftwareSampler(rng.NewXoshiro256(2)), sched, SolveOptions{})
+	seq, err := solveOne(p, core.NewSoftwareSampler(rng.NewXoshiro256(2)), sched, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

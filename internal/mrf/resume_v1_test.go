@@ -2,7 +2,9 @@ package mrf_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
+	"runtime"
 	"testing"
 
 	"rsu/internal/checkpoint"
@@ -16,9 +18,10 @@ import (
 // the retired checkerboard worker pool wrote: version-1 containers with
 // Workers > 1 and no tile geometry or halos. Such a snapshot — emulated by
 // stripping a 2×1 tile-engine capture down to the version-1 fields — must
-// resume through SolveAuto{Workers: 2} byte-identically to the
-// uninterrupted run: at a sweep boundary every edge halo equals the
-// neighbor's owned cell, so scattering the snapshot grid restores them.
+// resume through Solve at Workers 2 byte-identically to the uninterrupted
+// run: at a sweep boundary every edge halo equals the neighbor's owned cell,
+// so scattering the snapshot grid restores them. With Workers left at 0 the
+// snapshot alone selects its row bands, even at GOMAXPROCS 1.
 func TestResumeVersion1WorkerSnapshot(t *testing.T) {
 	p := &mrf.Problem{
 		W: 13, H: 10, Labels: 4,
@@ -36,14 +39,14 @@ func TestResumeVersion1WorkerSnapshot(t *testing.T) {
 	record := func(dst *[]float64) func(int, *img.Labels, mrf.SolveStats) {
 		return func(_ int, _ *img.Labels, st mrf.SolveStats) { *dst = append(*dst, st.Energy) }
 	}
-	full, err := mrf.SolveAuto(p, factory(), sched, mrf.SolveOptions{Workers: 2, OnSweep: record(&fullEnergy)})
+	full, err := mrf.Solve(context.Background(), p, factory(), sched, mrf.SolveOptions{Workers: 2, OnSweep: record(&fullEnergy)})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	const mid = 4
 	var snap *mrf.SolverState
-	if _, err := mrf.SolveAuto(p, factory(), sched, mrf.SolveOptions{
+	if _, err := mrf.Solve(context.Background(), p, factory(), sched, mrf.SolveOptions{
 		Workers: 2, OnSweep: func(int, *img.Labels, mrf.SolveStats) {},
 		CheckpointEvery: mid,
 		OnCheckpoint: func(st *mrf.SolverState) error {
@@ -68,22 +71,25 @@ func TestResumeVersion1WorkerSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tailEnergy := append([]float64(nil), fullEnergy[:mid]...)
-	got, err := mrf.SolveAuto(p, factory(), sched, mrf.SolveOptions{
-		Workers: 2, Resume: &dec.State, OnSweep: record(&tailEnergy),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(labelBytes(got), labelBytes(full)) {
-		t.Fatal("version-1 resume diverged from the uninterrupted run")
-	}
-	if len(tailEnergy) != len(fullEnergy) {
-		t.Fatalf("spliced log has %d sweeps, want %d", len(tailEnergy), len(fullEnergy))
-	}
-	for i := range fullEnergy {
-		if tailEnergy[i] != fullEnergy[i] {
-			t.Fatalf("sweep %d: spliced energy %v, want %v", i, tailEnergy[i], fullEnergy[i])
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, workers := range []int{2, 0} {
+		tailEnergy := append([]float64(nil), fullEnergy[:mid]...)
+		got, err := mrf.Solve(context.Background(), p, factory(), sched, mrf.SolveOptions{
+			Workers: workers, Resume: &dec.State, OnSweep: record(&tailEnergy),
+		})
+		if err != nil {
+			t.Fatalf("workers %d: %v", workers, err)
+		}
+		if !bytes.Equal(labelBytes(got), labelBytes(full)) {
+			t.Fatalf("workers %d: version-1 resume diverged from the uninterrupted run", workers)
+		}
+		if len(tailEnergy) != len(fullEnergy) {
+			t.Fatalf("workers %d: spliced log has %d sweeps, want %d", workers, len(tailEnergy), len(fullEnergy))
+		}
+		for i := range fullEnergy {
+			if tailEnergy[i] != fullEnergy[i] {
+				t.Fatalf("workers %d sweep %d: spliced energy %v, want %v", workers, i, tailEnergy[i], fullEnergy[i])
+			}
 		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"rsu/internal/core"
 	"rsu/internal/img"
 	"rsu/internal/rng"
+	"rsu/internal/shard"
 )
 
 // blockingSampler parks every Sample call until released, letting tests pin
@@ -67,12 +68,12 @@ func (p *panickySampler) Sample(energies []float64, current int) (int, error) {
 	return p.inner.Sample(energies, current)
 }
 
-// TestSolveCtxCancelReturnsPartialLabels cancels a serial solve partway and
+// TestSolveCancelReturnsPartialLabels cancels a serial solve partway and
 // checks it stops within one sweep, returning the partial labeling and the
 // context's error. TestSolveParallelCtxCancelStopsPool runs the same check
 // on the tile engines, and also the goroutine-leak check: the tile engine's
 // executor goroutines must all have exited afterwards.
-func TestSolveCtxCancelReturnsPartialLabels(t *testing.T) { checkCtxCancel(t, serialEngines) }
+func TestSolveCancelReturnsPartialLabels(t *testing.T) { checkCtxCancel(t, serialEngines) }
 
 func TestSolveParallelCtxCancelStopsPool(t *testing.T) { checkCtxCancel(t, tileEngines) }
 
@@ -136,13 +137,13 @@ func waitForGoroutines(t *testing.T, baseline int) {
 	t.Fatalf("goroutines leaked: %d running, baseline %d", runtime.NumGoroutine(), baseline)
 }
 
-// TestSolveCtxDeadline checks deadline expiry surfaces as DeadlineExceeded.
-func TestSolveCtxDeadline(t *testing.T) {
+// TestSolveDeadline checks deadline expiry surfaces as DeadlineExceeded.
+func TestSolveDeadline(t *testing.T) {
 	p := twoRegionProblem(16, 12)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
-	_, err := SolveCtx(ctx, p, core.NewSoftwareSampler(rng.NewXoshiro256(2)),
-		Schedule{T0: 4, Alpha: 0.999999, Iterations: 10_000_000}, SolveOptions{})
+	_, err := Solve(ctx, p, one(core.NewSoftwareSampler(rng.NewXoshiro256(2))),
+		Schedule{T0: 4, Alpha: 0.999999, Iterations: 10_000_000}, SolveOptions{Workers: 1})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -153,7 +154,7 @@ func TestSolveCtxDeadline(t *testing.T) {
 func TestSolveSamplerErrorAborts(t *testing.T) {
 	p := twoRegionProblem(8, 6)
 	s := &failingSampler{inner: core.NewSoftwareSampler(rng.NewXoshiro256(3)), n: 5}
-	lab, err := Solve(p, s, Schedule{T0: 2, Alpha: 0.9, Iterations: 10}, SolveOptions{})
+	lab, err := solveOne(p, s, Schedule{T0: 2, Alpha: 0.9, Iterations: 10}, SolveOptions{})
 	if err == nil || !strings.Contains(err.Error(), "injected sampler failure") {
 		t.Fatalf("err = %v, want wrapped injected failure", err)
 	}
@@ -200,6 +201,42 @@ func TestSolveParallelWorkerPanicBecomesError(t *testing.T) {
 	}
 }
 
+// valueSampler is a sampler passed by value whose slice field makes its type
+// uncomparable: == on two interfaces holding it panics.
+type valueSampler struct {
+	core.LabelSampler
+	tags []string
+}
+
+// TestSolveRejectsSharedSampler pins the one-sampler-per-stream guard: a
+// factory that hands the same sampler to every stream fails before the first
+// sweep with an error naming two of the streams, on a worker count and on an
+// explicit lattice, without a panic or a data race. A sampler type that ==
+// cannot compare must neither panic nor be rejected.
+func TestSolveRejectsSharedSampler(t *testing.T) {
+	p := twoRegionProblem(10, 8)
+	sched := Schedule{T0: 2, Alpha: 0.9, Iterations: 3}
+	for _, opts := range []SolveOptions{{Workers: 2}, {Shards: shard.Geometry{Rows: 2, Cols: 2}}} {
+		shared := core.NewSoftwareSampler(rng.NewXoshiro256(5))
+		swept := false
+		opts.OnSweep = func(int, *img.Labels, SolveStats) { swept = true }
+		_, err := Solve(context.Background(), p, one(shared), sched, opts)
+		if err == nil || !strings.Contains(err.Error(), "streams 0 and 1 share one sampler") {
+			t.Fatalf("workers %d shards %s: err = %v, want the shared sampler rejected", opts.Workers, opts.Shards, err)
+		}
+		if swept {
+			t.Fatalf("workers %d shards %s: a sweep ran before the shared sampler was rejected", opts.Workers, opts.Shards)
+		}
+	}
+
+	factory := func(i int) core.LabelSampler {
+		return valueSampler{LabelSampler: sfactory(9)(i), tags: []string{"stream"}}
+	}
+	if _, err := Solve(context.Background(), p, factory, sched, SolveOptions{Workers: 2}); err != nil {
+		t.Fatalf("uncomparable per-stream samplers: %v", err)
+	}
+}
+
 // TestSolveStatsRecords checks the SolveStats fields against independently
 // computed values on both the serial and parallel paths.
 func TestSolveStatsRecords(t *testing.T) {
@@ -211,7 +248,7 @@ func TestSolveStatsRecords(t *testing.T) {
 		factory := func(w int) core.LabelSampler {
 			return core.NewSoftwareSampler(rng.NewXoshiro256(uint64(50 + w)))
 		}
-		_, err := SolveAuto(p, factory, sched, SolveOptions{
+		_, err := Solve(context.Background(), p, factory, sched, SolveOptions{
 			Workers: workers,
 			OnSweep: func(iter int, lab *img.Labels, st SolveStats) {
 				stats = append(stats, st)
@@ -256,7 +293,7 @@ func TestOnSweepLabelsBufferIsReused(t *testing.T) {
 	var retained *img.Labels
 	var firstCopy *img.Labels
 	var firstSnapshot []int
-	_, err := Solve(p, core.NewSoftwareSampler(rng.NewXoshiro256(6)),
+	_, err := solveOne(p, core.NewSoftwareSampler(rng.NewXoshiro256(6)),
 		Schedule{T0: 6, Alpha: 0.9, Iterations: 12}, SolveOptions{
 			OnSweep: func(iter int, lab *img.Labels, st SolveStats) {
 				if iter == 0 {

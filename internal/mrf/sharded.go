@@ -10,7 +10,7 @@ import (
 	"rsu/internal/shard"
 )
 
-// AutoShardPixels is the grid size (W*H) at or above which SolveAuto picks
+// AutoShardPixels is the grid size (W*H) at or above which Solve picks
 // shard.Auto's tile geometry when the caller left both Shards and Workers
 // unset: past this point the grid plus its W×H×Labels singleton table no
 // longer fits any reasonable last-level cache, and tiling wins back locality.

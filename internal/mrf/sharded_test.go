@@ -2,6 +2,7 @@ package mrf
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -140,7 +141,7 @@ func TestShardedMatchesCheckerboardAtEveryBarrier(t *testing.T) {
 // solveSharded runs the engine opts.Shards selects (1×1 is the serial
 // engine).
 func solveSharded(p *Problem, factory func(int) core.LabelSampler, sched Schedule, opts SolveOptions) (*img.Labels, error) {
-	return SolveAuto(p, factory, sched, opts)
+	return Solve(context.Background(), p, factory, sched, opts)
 }
 
 func rsugFactory(seed uint64) func(int) core.LabelSampler {
@@ -203,7 +204,7 @@ func TestShardedExecutorInvariance(t *testing.T) {
 func TestSharded1x1MatchesSerial(t *testing.T) {
 	p := shardTestProblem(17, 11, 4)
 	sched := Schedule{T0: 6, Alpha: 0.92, Iterations: 8}
-	want, err := Solve(p, rsugFactory(7)(0), sched, SolveOptions{})
+	want, err := solveOne(p, rsugFactory(7)(0), sched, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,12 +253,12 @@ func TestSolveAutoShardDispatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 1, 3} {
-		got, err := SolveAuto(p, rsugFactory(11), sched, SolveOptions{Shards: geom, Workers: workers})
+		got, err := Solve(context.Background(), p, rsugFactory(11), sched, SolveOptions{Shards: geom, Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if !bytes.Equal(encodeLabels(got), encodeLabels(want)) {
-			t.Fatalf("workers=%d: SolveAuto with Shards diverges from the tile engine", workers)
+			t.Fatalf("workers=%d: Solve with Shards diverges from the tile engine", workers)
 		}
 	}
 }
@@ -265,7 +266,7 @@ func TestSolveAutoShardDispatch(t *testing.T) {
 // TestShardedCheckpointResume interrupts a sharded solve mid-run and resumes
 // it from the captured state (including halos); the spliced energy trace and
 // final labels must be byte-identical to the uninterrupted run. It also
-// proves SolveAuto routes a sharded snapshot back to the sharded solver.
+// proves Solve routes a sharded snapshot back to the sharded solver.
 func TestShardedCheckpointResume(t *testing.T) {
 	p := shardTestProblem(22, 16, 5)
 	sched := Schedule{T0: 8, Alpha: 0.9, Iterations: 8}
@@ -312,9 +313,9 @@ func TestShardedCheckpointResume(t *testing.T) {
 	}
 
 	tailEnergy := append([]float64(nil), headEnergy[:mid]...)
-	// Resume through SolveAuto with Shards unset: the snapshot's geometry
+	// Resume through Solve with Shards unset: the snapshot's geometry
 	// must route the run back to the sharded solver.
-	got, err := SolveAuto(p, rsugFactory(3), sched, SolveOptions{
+	got, err := Solve(context.Background(), p, rsugFactory(3), sched, SolveOptions{
 		Resume: snap,
 		OnSweep: func(iter int, lab *img.Labels, st SolveStats) {
 			tailEnergy = append(tailEnergy, st.Energy)
@@ -337,8 +338,8 @@ func TestShardedCheckpointResume(t *testing.T) {
 }
 
 // TestResumeShardMismatch pins the cross-mode rejections: sharded snapshots
-// cannot resume on the serial engine or on a different lattice, and serial
-// snapshots cannot resume sharded.
+// cannot resume on the serial engine, on a different lattice or from a
+// single sampler, and serial snapshots cannot resume sharded.
 func TestResumeShardMismatch(t *testing.T) {
 	p := shardTestProblem(16, 12, 4)
 	sched := Schedule{T0: 8, Alpha: 0.9, Iterations: 6}
@@ -350,7 +351,7 @@ func TestResumeShardMismatch(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Solve(p, rsugFactory(1)(0), sched, SolveOptions{
+	if _, err := solveOne(p, rsugFactory(1)(0), sched, SolveOptions{
 		CheckpointEvery: 3,
 		OnCheckpoint:    func(st *SolverState) error { serialSnap = st; return nil },
 	}); err != nil {
@@ -364,8 +365,15 @@ func TestResumeShardMismatch(t *testing.T) {
 	}); err == nil {
 		t.Fatal("4x1 tiles accepted a 2x2 snapshot")
 	}
-	if _, err := Solve(p, rsugFactory(1)(0), sched, SolveOptions{Resume: shardSnap}); err == nil {
-		t.Fatal("serial solver accepted a sharded snapshot")
+	if _, err := solveSharded(p, rsugFactory(1), sched, SolveOptions{
+		Shards: shard.Geometry{Rows: 1, Cols: 1}, Resume: shardSnap,
+	}); err == nil || !strings.Contains(err.Error(), "serial engine") {
+		t.Fatalf("serial engine resumed a sharded snapshot: err = %v", err)
+	}
+	// The snapshot routes a single-sampler resume onto its four tiles, which
+	// would share the one sampler.
+	if _, err := solveOne(p, rsugFactory(1)(0), sched, SolveOptions{Resume: shardSnap}); err == nil {
+		t.Fatal("a single sampler resumed a sharded snapshot")
 	}
 	if _, err := solveSharded(p, rsugFactory(1), sched, SolveOptions{Shards: geom, Resume: serialSnap}); err == nil {
 		t.Fatal("sharded solver accepted an unsharded snapshot")
@@ -377,15 +385,16 @@ func TestResumeShardMismatch(t *testing.T) {
 	}
 }
 
-// TestShardsRejectedWithoutFactory pins the guard on the single-sampler entry
-// point: a multi-tile geometry without a per-tile factory is an error, not a
-// silent fallback — and an invalid geometry is an error too.
+// TestShardsRejectedWithoutFactory pins the guard on the single-sampler call
+// (one sampler, Workers 1): a multi-tile geometry without a per-tile factory
+// is an error naming the streams that would share the sampler, not a silent
+// fallback — and an invalid geometry is an error too.
 func TestShardsRejectedWithoutFactory(t *testing.T) {
 	p := shardTestProblem(10, 8, 3)
 	sched := Schedule{T0: 4, Alpha: 1, Iterations: 2}
 	geom := shard.Geometry{Rows: 2, Cols: 2}
-	if _, err := Solve(p, rsugFactory(1)(0), sched, SolveOptions{Shards: geom}); err == nil {
-		t.Fatal("Solve accepted a multi-tile geometry")
+	if _, err := solveOne(p, rsugFactory(1)(0), sched, SolveOptions{Shards: geom}); err == nil || !strings.Contains(err.Error(), "streams 0 and 1") {
+		t.Fatalf("a single sampler ran a multi-tile geometry: err = %v", err)
 	}
 	if _, err := solveSharded(p, rsugFactory(1), sched, SolveOptions{Shards: shard.Geometry{Rows: 20, Cols: 1}}); err == nil {
 		t.Fatal("the tile engine accepted a geometry with more tile rows than grid rows")
@@ -407,8 +416,8 @@ func (f *tempFailSampler) SetTemperature(T float64) error {
 	return f.LabelSampler.SetTemperature(T)
 }
 
-// TestSetTemperatureFailureReturnsPartialLabels pins the SolveCtx contract
-// on the tile engine, for a worker count and an explicit lattice: a sampler
+// TestSetTemperatureFailureReturnsPartialLabels pins Solve's partial-label
+// contract on the tile engine, for a worker count and an explicit lattice: a sampler
 // that fails SetTemperature at sweep 3 aborts the solve with the labeling of
 // the three completed sweeps — gathered from the tiles, not a stale
 // observer copy.
@@ -434,10 +443,10 @@ func TestSetTemperatureFailureReturnsPartialLabels(t *testing.T) {
 				want = lab.Clone()
 			}
 		}
-		if _, err := SolveAuto(p, factory(-1), sched, ref); err != nil {
+		if _, err := Solve(context.Background(), p, factory(-1), sched, ref); err != nil {
 			t.Fatal(err)
 		}
-		got, err := SolveAuto(p, factory(3), sched, opts)
+		got, err := Solve(context.Background(), p, factory(3), sched, opts)
 		if err == nil || !strings.Contains(err.Error(), "injected SetTemperature failure") {
 			t.Fatalf("workers %d shards %s: err = %v, want the injected SetTemperature failure", opts.Workers, opts.Shards, err)
 		}

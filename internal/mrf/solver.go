@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"reflect"
 	"runtime"
 	"time"
 
@@ -148,12 +149,12 @@ type SolveOptions struct {
 	// the pointer observes later sweeps' mutations. The SolveStats value is
 	// safe to retain.
 	OnSweep func(iter int, lab *img.Labels, st SolveStats)
-	// Workers selects the solver parallelism for the factory entry points
-	// (SolveAuto and the application drivers): 0 = GOMAXPROCS, 1 = the exact
-	// serial Solve behavior, n > 1 = the tile engine on n row bands (n×1
-	// tiles, one sampler each), or on one band of min(n, W) columns when the
-	// grid has fewer than n rows; negative counts are an error. Solve ignores
-	// it — its single sampler fixes the parallelism.
+	// Workers selects the solver parallelism: 0 = GOMAXPROCS, 1 = the exact
+	// serial raster scan on factory(0), n > 1 = the tile engine on n row
+	// bands (n×1 tiles, one sampler each), or on one band of min(n, W)
+	// columns when the grid has fewer than n rows; negative counts are an
+	// error. With Workers 0 a Resume snapshot keeps the geometry it was
+	// captured on, whatever GOMAXPROCS is now.
 	Workers int
 	// executors caps how many goroutines run the tile engine's tiles; 0 =
 	// min(tiles, NumCPU, GOMAXPROCS). Tiles fix the output and executors only
@@ -191,12 +192,11 @@ type SolveOptions struct {
 	// Checkpointing requires every sampler (and the Collector, if any) to be
 	// checkpointable; the first capture reports a violation as an error.
 	OnCheckpoint func(*SolverState) error
-	// Shards selects the tile geometry for the factory entry points (SolveAuto
-	// and the application drivers): the grid is split into Shards.Rows ×
+	// Shards selects the tile geometry: the grid is split into Shards.Rows ×
 	// Shards.Cols tiles with 1-pixel halos exchanged at every checkerboard
 	// color-phase barrier, each tile drawing from its own RNG stream
 	// (factory(tileIndex)). The zero value — the default — leaves the
-	// geometry to Workers; SolveAuto may also shard automatically for grids
+	// geometry to Workers; Solve may also shard automatically for grids
 	// of AutoShardPixels pixels or more. A 1×1 geometry runs the serial
 	// engine and is byte-identical to it. Multi-tile output differs
 	// from the serial solver only through the sweep order and RNG stream
@@ -243,7 +243,7 @@ func attachFaults(opts SolveOptions, samplers ...core.LabelSampler) func() {
 
 // ResolveWorkers maps the SolveOptions.Workers knob onto a concrete worker
 // count: 0 (the default) means GOMAXPROCS, a positive count is used as given.
-// Negative counts also resolve to GOMAXPROCS here; SolveAuto rejects them
+// Negative counts also resolve to GOMAXPROCS here; Solve rejects them
 // before resolving.
 func ResolveWorkers(n int) int {
 	if n <= 0 {
@@ -347,10 +347,10 @@ type sweepEngine interface {
 	stop()
 }
 
-// anneal is the one annealing driver behind Solve and SolveAuto: the RSU-G's
-// protocol of setting the temperature once per iteration, sweeping every
-// variable, and moving on. It validates the run, builds one sampler per
-// stream through factory, attaches faults and restores a Resume snapshot;
+// anneal is the one annealing driver behind Solve: the RSU-G's protocol of
+// setting the temperature once per iteration, sweeping every variable, and
+// moving on. It validates the run, builds one distinct sampler per stream
+// through factory, attaches faults and restores a Resume snapshot;
 // then, per sweep, it checks ctx (capturing the cancellation snapshot), sets
 // the sweep's temperature on every stream, runs one engine sweep, and feeds
 // OnSweep, the Collector and the periodic checkpoint. geom selects the
@@ -367,6 +367,9 @@ func anneal(ctx context.Context, p *Problem, factory func(stream int) core.Label
 		if samplers[i] = factory(i); samplers[i] == nil {
 			return nil, fmt.Errorf("mrf: nil sampler for stream %d", i)
 		}
+	}
+	if err := distinctSamplers(samplers); err != nil {
+		return nil, err
 	}
 	// Stream i hosts fault stream i, fixed for a given geometry at every
 	// executor count.
@@ -436,6 +439,27 @@ func anneal(ctx context.Context, p *Problem, factory func(stream int) core.Label
 		}
 	}
 	return lab, nil
+}
+
+// distinctSamplers rejects a factory that handed one sampler to two streams:
+// the tile engine would run it on two goroutines at once, and even the
+// serial engine would interleave two streams' draws. Samplers compare by
+// address, never with == (which panics on an uncomparable dynamic type); a
+// non-pointer sampler is copied into each interface, so this check does not
+// follow what it may point to.
+func distinctSamplers(samplers []core.LabelSampler) error {
+	seen := make(map[uintptr]int, len(samplers))
+	for i, s := range samplers {
+		v := reflect.ValueOf(s)
+		if v.Kind() != reflect.Pointer || v.Type().Elem().Size() == 0 {
+			continue // a copied value, or a zero-size one whose address may repeat
+		}
+		if j, ok := seen[v.Pointer()]; ok {
+			return fmt.Errorf("mrf: streams %d and %d share one sampler (%T); the factory must return an independent sampler per stream", j, i, s)
+		}
+		seen[v.Pointer()] = i
+	}
+	return nil
 }
 
 // serialSweeper is the fused serial sweep engine: per row it gathers the
@@ -511,40 +535,28 @@ func (s *serialSweeper) raster(k int) (int, error) {
 func (s *serialSweeper) gather() {}
 func (s *serialSweeper) stop()   {}
 
-// Solve runs simulated-annealing Gibbs sampling on the problem using the
-// given label sampler, returning the final labeling. The sampler's
+// Solve runs simulated-annealing Gibbs sampling on the problem and returns
+// the final labeling. It is the one entry point into the annealing driver:
+// it picks the sweep engine (engineGeometry) and builds one sampler per RNG
+// stream through factory, called once for each stream index, row-major over
+// the tile lattice. Every stream must get its own sampler; a factory that
+// hands one sampler to two streams is an error. Each sampler's
 // SetTemperature is invoked at the start of every sweep, mirroring the
 // RSU-G's per-iteration LUT/boundary update.
-func Solve(p *Problem, sampler core.LabelSampler, sched Schedule, opts SolveOptions) (*img.Labels, error) {
-	return SolveCtx(context.Background(), p, sampler, sched, opts)
-}
-
-// SolveCtx is Solve with cooperative cancellation: the context is checked
-// between sweeps (never mid-sweep, so a finished sweep is always a
-// consistent labeling), and on cancellation or deadline expiry the partial
-// labeling computed so far is returned together with ctx.Err(). A sampler
-// error or panic likewise aborts the run with the partial labeling.
-func SolveCtx(ctx context.Context, p *Problem, sampler core.LabelSampler, sched Schedule, opts SolveOptions) (*img.Labels, error) {
-	if opts.Shards.Tiles() > 1 {
-		return nil, fmt.Errorf("mrf: SolveOptions.Shards %s needs one sampler per tile — use SolveAuto with a factory", opts.Shards)
-	}
-	return anneal(ctx, p, func(int) core.LabelSampler { return sampler }, sched, shard.Geometry{}, opts)
-}
-
-// SolveAuto picks the sweep engine (engineGeometry) and constructs one
-// independently-seeded sampler per stream through factory (called once for
-// each stream index, row-major over the tile lattice). Workers = 1
-// reproduces Solve with factory(0) exactly; Workers = n > 1 runs the tile
-// engine on workerGeometry(n, W, H); an explicit Shards geometry, a sharded
-// Resume snapshot, or a grid of AutoShardPixels or more with Workers left at
-// 0 select that geometry instead. Negative Workers is an error.
-func SolveAuto(p *Problem, factory func(worker int) core.LabelSampler, sched Schedule, opts SolveOptions) (*img.Labels, error) {
-	return SolveAutoCtx(context.Background(), p, factory, sched, opts)
-}
-
-// SolveAutoCtx is SolveAuto under a context; see SolveCtx for the
-// cancellation contract.
-func SolveAutoCtx(ctx context.Context, p *Problem, factory func(worker int) core.LabelSampler, sched Schedule, opts SolveOptions) (*img.Labels, error) {
+//
+// Workers = 1 runs the exact serial raster scan on factory(0) — a caller
+// with a single sampler passes a factory that returns it. Workers = n > 1
+// runs the tile engine on workerGeometry(n, W, H); an explicit Shards
+// geometry, a Resume snapshot, or a grid of AutoShardPixels or more with
+// Workers left at 0 select their geometry instead. Negative Workers is an
+// error.
+//
+// The context is checked between sweeps (never mid-sweep, so a finished
+// sweep is always a consistent labeling); on cancellation or deadline expiry
+// the partial labeling computed so far is returned together with ctx.Err().
+// A sampler error or panic likewise aborts the run with the partial
+// labeling.
+func Solve(ctx context.Context, p *Problem, factory func(stream int) core.LabelSampler, sched Schedule, opts SolveOptions) (*img.Labels, error) {
 	if factory == nil {
 		return nil, fmt.Errorf("mrf: nil sampler factory")
 	}
@@ -555,16 +567,28 @@ func SolveAutoCtx(ctx context.Context, p *Problem, factory func(worker int) core
 	return anneal(ctx, p, factory, sched, geom, opts)
 }
 
-// engineGeometry is the one place SolveAuto's sweep engine is chosen. It
-// returns the tile lattice to run, or the zero geometry for the serial raster
-// engine: an explicit Shards geometry wins; else a sharded Resume snapshot
-// fixes the lattice it was captured on, whatever Workers says; else a grid of
+// SolveAuto is Solve without a context. It is kept only for the benchmark
+// harness (perfbench/stereo.go), which calls it by name; new code calls
+// Solve.
+func SolveAuto(p *Problem, factory func(stream int) core.LabelSampler, sched Schedule, opts SolveOptions) (*img.Labels, error) {
+	return Solve(context.Background(), p, factory, sched, opts)
+}
+
+// engineGeometry is the one place Solve's sweep engine is chosen. It returns
+// the tile lattice to run, or the zero geometry for the serial raster engine:
+// an explicit Shards geometry wins; else a Resume snapshot fixes the lattice
+// it was captured on (snapshotGeometry) when it is a tile run, whatever
+// Workers says, and for any snapshot when Workers is left at 0, so a
+// checkpoint resumes on a host with a different core count; else a grid of
 // AutoShardPixels or more with Workers left at 0 gets shard.Auto (a pure
 // function of the grid shape, so the result stays reproducible and
-// resumable); else Workers = n > 1 runs workerGeometry(n, W, H). Any 1×1
-// lattice is the serial engine: one tile owning the whole grid has the
-// serial solve's cells and single RNG stream, so running the raster scan
-// makes the 1×1-equals-serial contract true by construction.
+// resumable); else Workers = n > 1 runs workerGeometry(n, W, H).
+// checkResumeShards later rejects an explicit Shards value that disagrees
+// with the snapshot, or an explicit Workers value that disagrees with a
+// serial or version-1 one. Any 1×1 lattice is the serial engine: one tile
+// owning the whole grid has the serial solve's cells and single RNG stream,
+// so running the raster scan makes the 1×1-equals-serial contract true by
+// construction.
 func engineGeometry(p *Problem, opts SolveOptions) (shard.Geometry, error) {
 	if opts.Workers < 0 {
 		return shard.Geometry{}, fmt.Errorf("mrf: SolveOptions.Workers must be >= 0, got %d", opts.Workers)
@@ -572,9 +596,9 @@ func engineGeometry(p *Problem, opts SolveOptions) (shard.Geometry, error) {
 	geom, st := opts.Shards, opts.Resume
 	switch {
 	case !geom.IsZero():
-	case st != nil && st.ShardRows*st.ShardCols > 1:
-		geom = shard.Geometry{Rows: st.ShardRows, Cols: st.ShardCols}
-	case opts.Workers == 0 && st == nil && p.W*p.H >= AutoShardPixels:
+	case st != nil && (opts.Workers == 0 || st.ShardRows*st.ShardCols > 1):
+		geom = snapshotGeometry(st)
+	case opts.Workers == 0 && p.W*p.H >= AutoShardPixels:
 		geom = shard.Auto(p.W, p.H)
 	default:
 		if n := ResolveWorkers(opts.Workers); n > 1 {

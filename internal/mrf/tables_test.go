@@ -1,6 +1,7 @@
 package mrf
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -118,21 +119,23 @@ func sfactory(seed uint64) func(int) core.LabelSampler {
 	}
 }
 
-// TestSolveAutoSerialMatchesSolve pins Workers=1 to the exact serial path.
+// TestSolveAutoSerialMatchesSolve pins Workers=1 to the exact serial path: a
+// per-stream factory at Workers 1 draws only factory(0), so it must equal a
+// caller handing Solve that one prebuilt sampler.
 func TestSolveAutoSerialMatchesSolve(t *testing.T) {
 	p := twoRegionProblem(14, 9)
 	sched := Schedule{T0: 4, Alpha: 0.9, Iterations: 20}
-	a, err := SolveAuto(p, sfactory(21), sched, SolveOptions{Workers: 1})
+	a, err := Solve(context.Background(), p, sfactory(21), sched, SolveOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Solve(p, sfactory(21)(0), sched, SolveOptions{})
+	b, err := solveOne(p, sfactory(21)(0), sched, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range a.L {
 		if a.L[i] != b.L[i] {
-			t.Fatalf("Workers=1 SolveAuto differs from Solve at index %d", i)
+			t.Fatalf("Workers=1 factory solve differs from the single-sampler solve at index %d", i)
 		}
 	}
 }
@@ -144,11 +147,11 @@ func TestSolveAutoDeterministicPerWorkerCount(t *testing.T) {
 	p := twoRegionProblem(18, 5)
 	sched := Schedule{T0: 4, Alpha: 0.88, Iterations: 30}
 	for _, workers := range []int{1, 2, 3, 8} {
-		a, err := SolveAuto(p, sfactory(7), sched, SolveOptions{Workers: workers})
+		a, err := Solve(context.Background(), p, sfactory(7), sched, SolveOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := SolveAuto(p, sfactory(7), sched, SolveOptions{Workers: workers})
+		b, err := Solve(context.Background(), p, sfactory(7), sched, SolveOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,11 +161,11 @@ func TestSolveAutoDeterministicPerWorkerCount(t *testing.T) {
 			}
 		}
 	}
-	e1, err := SolveAuto(p, sfactory(7), sched, SolveOptions{Workers: 1})
+	e1, err := Solve(context.Background(), p, sfactory(7), sched, SolveOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e4, err := SolveAuto(p, sfactory(7), sched, SolveOptions{Workers: 4})
+	e4, err := Solve(context.Background(), p, sfactory(7), sched, SolveOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,13 +177,13 @@ func TestSolveAutoDeterministicPerWorkerCount(t *testing.T) {
 func TestSolveAutoErrors(t *testing.T) {
 	p := twoRegionProblem(6, 6)
 	sched := Schedule{T0: 2, Alpha: 0.9, Iterations: 2}
-	if _, err := SolveAuto(p, nil, sched, SolveOptions{}); err == nil {
+	if _, err := Solve(context.Background(), p, nil, sched, SolveOptions{}); err == nil {
 		t.Error("nil factory must error")
 	}
-	if _, err := SolveAuto(p, sfactory(1), Schedule{}, SolveOptions{Workers: 2}); err == nil {
+	if _, err := Solve(context.Background(), p, sfactory(1), Schedule{}, SolveOptions{Workers: 2}); err == nil {
 		t.Error("bad schedule must error through the parallel path")
 	}
-	if _, err := SolveAuto(p, sfactory(1), sched, SolveOptions{Workers: -3}); err == nil {
+	if _, err := Solve(context.Background(), p, sfactory(1), sched, SolveOptions{Workers: -3}); err == nil {
 		t.Error("negative Workers must error")
 	}
 }
@@ -191,11 +194,11 @@ func TestSolveOptionsTablesReuse(t *testing.T) {
 	p := twoRegionProblem(10, 8)
 	sched := Schedule{T0: 3, Alpha: 0.9, Iterations: 10}
 	tab := p.BuildTables()
-	a, err := Solve(p, core.NewSoftwareSampler(rng.NewXoshiro256(31)), sched, SolveOptions{Tables: tab})
+	a, err := solveOne(p, core.NewSoftwareSampler(rng.NewXoshiro256(31)), sched, SolveOptions{Tables: tab})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Solve(p, core.NewSoftwareSampler(rng.NewXoshiro256(31)), sched, SolveOptions{})
+	b, err := solveOne(p, core.NewSoftwareSampler(rng.NewXoshiro256(31)), sched, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +208,7 @@ func TestSolveOptionsTablesReuse(t *testing.T) {
 		}
 	}
 	other := twoRegionProblem(10, 8)
-	if _, err := Solve(p, core.NewSoftwareSampler(rng.NewXoshiro256(31)), sched,
+	if _, err := solveOne(p, core.NewSoftwareSampler(rng.NewXoshiro256(31)), sched,
 		SolveOptions{Tables: other.BuildTables()}); err == nil {
 		t.Error("tables from a different problem must be rejected")
 	}

@@ -1,6 +1,7 @@
 package mrf
 
 import (
+	"context"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -46,12 +47,12 @@ func TestShardedSolveDoesNotCopySingles(t *testing.T) {
 	sched := Schedule{T0: 4, Alpha: 0.9, Iterations: 2}
 	opts := SolveOptions{Shards: shard.Geometry{Rows: 2, Cols: 3}, Tables: tab}
 	factory := func(int) core.LabelSampler { return argminSampler{} }
-	if _, err := SolveAuto(p, factory, sched, opts); err != nil {
+	if _, err := Solve(context.Background(), p, factory, sched, opts); err != nil {
 		t.Fatal(err)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if _, err := SolveAuto(p, factory, sched, opts); err != nil {
+	if _, err := Solve(context.Background(), p, factory, sched, opts); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)

@@ -1,6 +1,7 @@
 package rsim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -210,7 +211,8 @@ func TestMachineSolvesMRF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lab, err := mrf.Solve(p, m, mrf.Schedule{T0: 6, Alpha: 0.85, Iterations: 40}, mrf.SolveOptions{})
+	one := func(int) core.LabelSampler { return m }
+	lab, err := mrf.Solve(context.Background(), p, one, mrf.Schedule{T0: 6, Alpha: 0.85, Iterations: 40}, mrf.SolveOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

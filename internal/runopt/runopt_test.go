@@ -97,9 +97,10 @@ func TestRunLogWritesJSONL(t *testing.T) {
 		PairWeight: 1, Dist: mrf.Binary,
 	}
 	const sweeps = 5
-	_, err = mrf.SolveCtx(r.Context(), prob, core.NewSoftwareSampler(rng.NewXoshiro256(1)),
+	sampler := func(int) core.LabelSampler { return core.NewSoftwareSampler(rng.NewXoshiro256(1)) }
+	_, err = mrf.Solve(r.Context(), prob, sampler,
 		mrf.Schedule{T0: 2, Alpha: 0.9, Iterations: sweeps},
-		mrf.SolveOptions{OnSweep: r.Hook("test-run", nil)})
+		mrf.SolveOptions{Workers: 1, OnSweep: r.Hook("test-run", nil)})
 	if err != nil {
 		t.Fatal(err)
 	}

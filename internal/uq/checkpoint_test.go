@@ -2,6 +2,7 @@ package uq_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"strings"
 	"testing"
@@ -176,7 +177,7 @@ func TestIdenticalRunsWriteIdenticalSnapshots(t *testing.T) {
 			t.Fatal(err)
 		}
 		var snaps [][]byte
-		_, err = mrf.SolveAuto(prob, factory(seed), sched, mrf.SolveOptions{
+		_, err = mrf.Solve(context.Background(), prob, factory(seed), sched, mrf.SolveOptions{
 			Workers: 2, Collector: acc, CheckpointEvery: 4,
 			OnCheckpoint: func(st *mrf.SolverState) error {
 				snaps = append(snaps, checkpoint.Encode(&checkpoint.Snapshot{

@@ -1,6 +1,7 @@
 package uq_test
 
 import (
+	"context"
 	"encoding/json"
 	"math"
 	"os"
@@ -44,7 +45,7 @@ func solveWithUQ(t *testing.T, w, h, workers int, seed uint64, o uq.Options) *uq
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = mrf.SolveAuto(prob, factory(seed), sched, mrf.SolveOptions{
+	_, err = mrf.Solve(context.Background(), prob, factory(seed), sched, mrf.SolveOptions{
 		Workers: workers, Collector: acc,
 	})
 	if err != nil {
@@ -153,7 +154,7 @@ func TestWorkerConsistency(t *testing.T) {
 		}
 		reuse := func(i int) core.LabelSampler { return samplers[i] }
 		for r := 0; r < replicates; r++ {
-			if _, err := mrf.SolveAuto(prob, reuse, sched, mrf.SolveOptions{Workers: workers, Collector: acc}); err != nil {
+			if _, err := mrf.Solve(context.Background(), prob, reuse, sched, mrf.SolveOptions{Workers: workers, Collector: acc}); err != nil {
 				t.Fatal(err)
 			}
 		}
