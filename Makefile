@@ -6,7 +6,7 @@ FUZZTIME ?= 30s
 # Coverage floor for the uncertainty-quantification estimators (DESIGN.md §12).
 UQ_COVER_MIN ?= 85
 
-.PHONY: all build test vet fmt-check race race-runtime perfbench-test verify shard-verify fault-sweep checkpoint-smoke fuzz fuzz-smoke check cover bench bench-once perf perf-check shard-sweep profile
+.PHONY: all build test vet fmt-check race race-runtime perfbench-test verify shard-verify fault-sweep checkpoint-smoke cli-smoke fuzz fuzz-smoke check cover bench bench-once perf perf-check shard-sweep profile
 
 all: check
 
@@ -32,10 +32,11 @@ race:
 
 # Focused race pass over the solver runtime (the annealing driver both sweep
 # engines share, the tile-engine executor pool, cancellation, panic-to-error,
-# checkpoint and resume, run log, the row-banded table build), repeated to
-# shake out scheduling-dependent interleavings (DESIGN.md §9).
+# checkpoint and resume, run log, the row-banded table build, the CLIs'
+# shared flags), repeated to shake out scheduling-dependent interleavings
+# (DESIGN.md §9).
 race-runtime:
-	$(GO) test -race -count=3 -run 'TestSolve|TestRunLog|TestOnSweep|TestSchedule|TestSharded|TestCheckpoint|TestSetTemperature|TestResume|TestBuildTablesBandedMatchesDirect|TestBuildTablesConcurrentCallers' ./internal/mrf ./internal/runopt ./internal/apps
+	$(GO) test -race -count=3 -run 'TestSolve|TestRunLog|TestOnSweep|TestSchedule|TestSharded|TestCheckpoint|TestSetTemperature|TestResume|TestBuildTablesBandedMatchesDirect|TestBuildTablesConcurrentCallers|TestFlags|TestTimeout|TestStart|TestRegister' ./internal/mrf ./internal/runopt ./internal/apps
 
 # The benchmark harness is its own module (perfbench/go.mod), so the root
 # build and test never compile it; vet and test it here so an internal API
@@ -72,6 +73,12 @@ fault-sweep:
 checkpoint-smoke:
 	./scripts/checkpoint-smoke.sh
 
+# Solver CLI smoke: rsu-stereo, rsu-flow and rsu-segment each run with UQ,
+# fault injection, 2x1 tiles and periodic checkpoints, resume bit-exactly
+# from a snapshot left by a -timeout cut-off, and reject an invalid -tfloor.
+cli-smoke:
+	./scripts/cli-smoke.sh
+
 # Whole-tree coverage profile plus a hard floor on internal/uq: the UQ
 # estimators feed confidence numbers to users, so untested estimator math is
 # a gate failure, not a warning. Writes coverage.out (uploaded by CI).
@@ -100,7 +107,7 @@ fuzz:
 fuzz-smoke:
 	$(MAKE) fuzz FUZZTIME=10s
 
-check: build vet fmt-check test race perfbench-test verify
+check: build vet fmt-check test race perfbench-test verify cli-smoke
 
 bench:
 	$(GO) test -bench=. -benchmem .

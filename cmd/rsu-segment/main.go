@@ -16,7 +16,6 @@ import (
 	"path/filepath"
 
 	"rsu/internal/apps/segment"
-	"rsu/internal/core"
 	"rsu/internal/img"
 	"rsu/internal/runopt"
 	"rsu/internal/synth"
@@ -29,54 +28,21 @@ func main() {
 		index   = flag.Int("image", 0, "synthetic image index in [0,30)")
 		pgmPath = flag.String("pgm", "", "segment this PGM instead of a synthetic image (no quality metrics)")
 		k       = flag.Int("k", 4, "number of segments (2-8 in the paper)")
-		sampler = flag.String("sampler", "new", "software | new | prev")
-		seed    = flag.Uint64("seed", 1, "random seed")
 		scale   = flag.Int("scale", 1, "synthetic dataset scale factor")
 		iters   = flag.Int("iters", 0, "override Gibbs iterations (0 = default 30)")
-		workers = flag.Int("workers", 0, "solver workers: 0 = GOMAXPROCS, 1 = serial")
 		out     = flag.String("out", "", "directory for PGM outputs")
 		ropt    runopt.Flags
-		uqf     runopt.UQFlags
-		faultf  runopt.FaultFlags
-		ckptf   runopt.CheckpointFlags
-		shardf  runopt.ShardFlags
 	)
 	ropt.Register(flag.CommandLine)
-	uqf.Register(flag.CommandLine)
-	faultf.Register(flag.CommandLine)
-	ckptf.Register(flag.CommandLine)
-	shardf.Register(flag.CommandLine)
 	flag.Parse()
+	if ropt.TFloor != 0 {
+		log.Fatal("-tfloor does not apply: segmentation samples at a fixed temperature")
+	}
 
 	p := segment.DefaultParams()
 	if *iters > 0 {
 		p.Iterations = *iters
 	}
-	p.UQ = uqf.Options()
-	var err error
-	if p.Faults, err = faultf.Config(*sampler, *seed); err != nil {
-		log.Fatal(err)
-	}
-	if p.Checkpoint, err = ckptf.Plan("segment", *sampler, *seed); err != nil {
-		log.Fatal(err)
-	}
-
-	build, err := core.SamplerBuilder(*sampler)
-	if err != nil {
-		log.Fatal(err)
-	}
-	p.SamplerFactory = core.StreamFactory(*seed, build)
-	p.Workers = *workers
-	if p.Shards, err = shardf.Geometry(); err != nil {
-		log.Fatal(err)
-	}
-
-	rt, err := ropt.Start()
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer rt.Close()
-	p.Ctx = rt.Context()
 
 	var scene *synth.SegScene
 	if *pgmPath != "" {
@@ -92,7 +58,12 @@ func main() {
 		scene = synth.BSDLike(*index, *k, *scale)
 	}
 
-	p.OnSweep = rt.Hook(scene.Name, nil)
+	rt, err := ropt.Start("segment", scene.Name)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer rt.Close()
+	p.Options = rt.Options
 
 	res, err := segment.Solve(scene, nil, p)
 	runopt.ReportResume(os.Stdout, p.Checkpoint)
@@ -101,7 +72,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("%s (%dx%d, k=%d) with %s sampler\n",
-		scene.Name, scene.Image.W, scene.Image.H, *k, *sampler)
+		scene.Name, scene.Image.W, scene.Image.H, *k, ropt.Sampler)
 	if *pgmPath == "" {
 		fmt.Printf("  VoI %.3f  PRI %.3f  GCE %.3f  BDE %.2f\n",
 			res.Scores.VoI, res.Scores.PRI, res.Scores.GCE, res.Scores.BDE)

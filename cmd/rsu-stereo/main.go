@@ -16,7 +16,6 @@ import (
 	"path/filepath"
 
 	"rsu/internal/apps/stereo"
-	"rsu/internal/core"
 	"rsu/internal/img"
 	"rsu/internal/runopt"
 	"rsu/internal/synth"
@@ -27,23 +26,12 @@ func main() {
 	log.SetPrefix("rsu-stereo: ")
 	var (
 		dataset = flag.String("dataset", "teddy", "teddy | poster | art")
-		sampler = flag.String("sampler", "new", "software | new | prev")
-		seed    = flag.Uint64("seed", 1, "random seed")
 		scale   = flag.Int("scale", 1, "dataset scale factor")
 		iters   = flag.Int("iters", 0, "override annealing iterations (0 = default 500)")
-		workers = flag.Int("workers", 0, "solver workers: 0 = GOMAXPROCS, 1 = serial")
 		out     = flag.String("out", "", "directory for PGM outputs")
 		ropt    runopt.Flags
-		uqf     runopt.UQFlags
-		faultf  runopt.FaultFlags
-		ckptf   runopt.CheckpointFlags
-		shardf  runopt.ShardFlags
 	)
 	ropt.Register(flag.CommandLine)
-	uqf.Register(flag.CommandLine)
-	faultf.Register(flag.CommandLine)
-	ckptf.Register(flag.CommandLine)
-	shardf.Register(flag.CommandLine)
 	flag.Parse()
 
 	var pair *synth.StereoPair
@@ -63,32 +51,12 @@ func main() {
 		p.Schedule.Iterations = *iters
 	}
 	ropt.Apply(&p.Schedule)
-	p.UQ = uqf.Options()
-	var err error
-	if p.Faults, err = faultf.Config(*sampler, *seed); err != nil {
-		log.Fatal(err)
-	}
-	if p.Checkpoint, err = ckptf.Plan("stereo", *sampler, *seed); err != nil {
-		log.Fatal(err)
-	}
-
-	build, err := core.SamplerBuilder(*sampler)
-	if err != nil {
-		log.Fatal(err)
-	}
-	p.SamplerFactory = core.StreamFactory(*seed, build)
-	p.Workers = *workers
-	if p.Shards, err = shardf.Geometry(); err != nil {
-		log.Fatal(err)
-	}
-
-	rt, err := ropt.Start()
+	rt, err := ropt.Start("stereo", *dataset)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer rt.Close()
-	p.Ctx = rt.Context()
-	p.OnSweep = rt.Hook(*dataset, nil)
+	p.Options = rt.Options
 
 	res, err := stereo.Solve(pair, nil, p)
 	runopt.ReportResume(os.Stdout, p.Checkpoint)
@@ -97,7 +65,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("%s (%dx%d, %d labels) with %s sampler: BP %.1f%%  RMS %.2f\n",
-		pair.Name, pair.Left.W, pair.Left.H, pair.Labels, *sampler, res.BP, res.RMS)
+		pair.Name, pair.Left.W, pair.Left.H, pair.Labels, ropt.Sampler, res.BP, res.RMS)
 	if err := runopt.ReportUQ(os.Stdout, res.UQ, res.Disparity, *out, pair.Name); err != nil {
 		log.Fatal(err)
 	}

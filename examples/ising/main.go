@@ -20,7 +20,7 @@ import (
 	"rsu/internal/apps/ising"
 	"rsu/internal/core"
 	"rsu/internal/rng"
-	"rsu/internal/runopt"
+	"rsu/internal/shard"
 )
 
 func bar(m float64) string {
@@ -32,15 +32,17 @@ func main() {
 	log.SetFlags(0)
 	var (
 		n      = flag.Int("n", 24, "lattice side length")
-		shardf runopt.ShardFlags
+		shards = flag.String("shards", "",
+			"tile the grid RxC (e.g. 2x2) and run the sharded solver; empty = automatic")
 	)
-	shardf.Register(flag.CommandLine)
 	flag.Parse()
 
 	model := ising.Model{N: *n, J: 16}
-	var err error
-	if model.Shards, err = shardf.Geometry(); err != nil {
-		log.Fatal(err)
+	if *shards != "" {
+		var err error
+		if model.Shards, err = shard.Parse(*shards); err != nil {
+			log.Fatalf("-shards: %v", err)
+		}
 	}
 	cfg7 := core.NewRSUG()
 	cfg7.LambdaBits = 7

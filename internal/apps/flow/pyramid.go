@@ -18,14 +18,14 @@ type Field struct {
 	U, V []int
 }
 
-// NewField allocates a zero flow field.
-func NewField(w, h int) *Field {
+// newField allocates a zero flow field.
+func newField(w, h int) *Field {
 	return &Field{W: w, H: h, U: make([]int, w*h), V: make([]int, w*h)}
 }
 
-// Downsample2 halves an image with 2x2 box averaging (odd trailing
+// downsample2 halves an image with 2x2 box averaging (odd trailing
 // rows/columns fold into the last cell).
-func Downsample2(g *img.Gray) *img.Gray {
+func downsample2(g *img.Gray) *img.Gray {
 	w2, h2 := (g.W+1)/2, (g.H+1)/2
 	out := img.NewGray(w2, h2)
 	for y := 0; y < h2; y++ {
@@ -49,7 +49,7 @@ func Downsample2(g *img.Gray) *img.Gray {
 // upsampleField doubles a flow field to the given finer size, scaling the
 // vectors by 2 (nearest-neighbor in space).
 func upsampleField(f *Field, w, h int) *Field {
-	out := NewField(w, h)
+	out := newField(w, h)
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			cx, cy := x/2, y/2
@@ -135,15 +135,15 @@ func SolvePyramid(pair *synth.FlowPair, newSampler func(level int) core.LabelSam
 		if f0s[l-1].W < 8 || f0s[l-1].H < 8 {
 			return nil, fmt.Errorf("flow: pyramid level %d would be smaller than 8x8", l)
 		}
-		f0s = append(f0s, Downsample2(f0s[l-1]))
-		f1s = append(f1s, Downsample2(f1s[l-1]))
+		f0s = append(f0s, downsample2(f0s[l-1]))
+		f1s = append(f1s, downsample2(f1s[l-1]))
 	}
 
 	var base *Field
 	for l := levels - 1; l >= 0; l-- {
 		f0, f1 := f0s[l], f1s[l]
 		if base == nil {
-			base = NewField(f0.W, f0.H)
+			base = newField(f0.W, f0.H)
 		} else {
 			base = upsampleField(base, f0.W, f0.H)
 		}

@@ -16,7 +16,7 @@ import (
 func TestDownsample2(t *testing.T) {
 	g := img.NewGray(4, 2)
 	copy(g.Pix, []float64{0, 4, 8, 12, 4, 8, 12, 16})
-	d := Downsample2(g)
+	d := downsample2(g)
 	if d.W != 2 || d.H != 1 {
 		t.Fatalf("size %dx%d, want 2x1", d.W, d.H)
 	}
@@ -25,14 +25,14 @@ func TestDownsample2(t *testing.T) {
 	}
 	// Odd sizes fold the trailing row/column.
 	odd := img.NewGray(3, 3)
-	dodd := Downsample2(odd)
+	dodd := downsample2(odd)
 	if dodd.W != 2 || dodd.H != 2 {
 		t.Fatalf("odd downsample %dx%d, want 2x2", dodd.W, dodd.H)
 	}
 }
 
 func TestUpsampleFieldDoublesVectors(t *testing.T) {
-	f := NewField(2, 2)
+	f := newField(2, 2)
 	f.U[3] = 2
 	f.V[3] = -1
 	up := upsampleField(f, 4, 4)

@@ -21,8 +21,11 @@ type Gate struct {
 	Sharding bool
 	// Cases are the scenarios the gate runs.
 	Cases []Scenario
-	run   func(Scenario) (*Trace, error)
-	// want returns the trace case s must equal and the name errors cite.
+	// run runs case s. A run that solves its own reference (an
+	// uninterrupted run of the case) also returns that trace as ref.
+	run func(s Scenario) (got, ref *Trace, err error)
+	// want returns the trace case s must equal and the name errors cite;
+	// a nil want compares each case with the ref its run returns.
 	want func(dir string, s Scenario) (ref string, trace []byte, err error)
 }
 
@@ -49,30 +52,31 @@ func Gates() []Gate {
 	}
 	return []Gate{
 		{Name: "golden", Cases: Scenarios(), want: ownGolden,
-			run: func(s Scenario) (*Trace, error) { return s.Run(mrf.SolveOptions{}) }},
+			run: solo(func(s Scenario) (*Trace, error) { return s.Run(mrf.SolveOptions{}) })},
 		{Name: "golden (zero-fault injection)", Cases: Scenarios(), want: ownGolden,
-			run: func(s Scenario) (*Trace, error) {
+			run: solo(func(s Scenario) (*Trace, error) {
 				inj, err := fault.New(&fault.Config{})
 				if err != nil {
 					return nil, err
 				}
 				return s.Run(mrf.SolveOptions{Faults: inj})
-			}},
+			})},
 		{Name: "golden (checkpoint resume)", Cases: Scenarios(), want: ownGolden,
-			run: func(s Scenario) (*Trace, error) { return s.runResumed(mrf.SolveOptions{}) }},
+			run: func(s Scenario) (*Trace, *Trace, error) { return s.runResumed(mrf.SolveOptions{}) }},
 		{Name: "sharded golden (1x1 == serial)", Sharding: true, Cases: Scenarios(), want: serialGolden,
-			run: func(s Scenario) (*Trace, error) {
+			run: solo(func(s Scenario) (*Trace, error) {
 				return s.Run(mrf.SolveOptions{Shards: shard.Geometry{Rows: 1, Cols: 1}})
-			}},
+			})},
 		{Name: "sharded checkpoint resume", Sharding: true, Cases: apps,
-			run: func(s Scenario) (*Trace, error) { return s.runResumed(mrf.SolveOptions{Shards: resumeTiles}) },
-			want: func(_ string, s Scenario) (string, []byte, error) {
-				tr, err := s.Run(mrf.SolveOptions{Shards: resumeTiles})
-				if err != nil {
-					return "", nil, err
-				}
-				return "an uninterrupted " + resumeTiles.String() + " run", tr.Encode(), nil
-			}},
+			run: func(s Scenario) (*Trace, *Trace, error) { return s.runResumed(mrf.SolveOptions{Shards: resumeTiles}) }},
+	}
+}
+
+// solo adapts a runner that solves no reference of its own.
+func solo(run func(Scenario) (*Trace, error)) func(Scenario) (*Trace, *Trace, error) {
+	return func(s Scenario) (*Trace, *Trace, error) {
+		tr, err := run(s)
+		return tr, nil, err
 	}
 }
 
@@ -97,10 +101,20 @@ func readGolden(dir, name string) (string, []byte, error) {
 func (g Gate) Verify(dir string) []error {
 	var errs []error
 	for _, s := range g.Cases {
-		ref, want, err := g.want(dir, s)
+		var (
+			ref  string
+			want []byte
+			err  error
+		)
+		if g.want != nil {
+			ref, want, err = g.want(dir, s)
+		}
 		if err == nil {
-			var tr *Trace
-			if tr, err = g.run(s); err == nil {
+			var tr, own *Trace
+			if tr, own, err = g.run(s); err == nil {
+				if g.want == nil {
+					ref, want = "an uninterrupted run", own.Encode()
+				}
 				if got := tr.Encode(); !bytes.Equal(got, want) {
 					err = fmt.Errorf("%s diverged from %s at byte %d", s, ref, firstDiff(got, want))
 				}

@@ -169,11 +169,12 @@ func (s Scenario) Run(opts mrf.SolveOptions) (*Trace, error) {
 // route a sharded resume back onto its tiles. The trace splices both legs'
 // energies; it must equal an uninterrupted run's. The labels alone can hide
 // a lost RNG stream (a tile whose draws changed no label), so every stream's
-// final sampler state must also equal an uninterrupted run's under opts.
-func (s Scenario) runResumed(opts mrf.SolveOptions) (*Trace, error) {
+// final sampler state must also equal an uninterrupted run's under opts;
+// that run's trace is returned as ref.
+func (s Scenario) runResumed(opts mrf.SolveOptions) (resumed, ref *Trace, err error) {
 	g, err := s.start(opts)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	mid := g.sched.Iterations / 2
 	ctx, cancel := context.WithCancel(context.Background())
@@ -193,65 +194,66 @@ func (s Scenario) runResumed(opts mrf.SolveOptions) (*Trace, error) {
 	_, err = g.solve(ctx, head)
 	switch {
 	case err == nil:
-		return nil, fmt.Errorf("%s: head leg ran to completion instead of cancelling", s)
+		return nil, nil, fmt.Errorf("%s: head leg ran to completion instead of cancelling", s)
 	case !errors.Is(err, context.Canceled):
-		return nil, fmt.Errorf("%s: head leg: %w", s, err)
+		return nil, nil, fmt.Errorf("%s: head leg: %w", s, err)
 	case len(containers) != 2:
-		return nil, fmt.Errorf("%s: expected a periodic and an on-cancel snapshot, got %d", s, len(containers))
+		return nil, nil, fmt.Errorf("%s: expected a periodic and an on-cancel snapshot, got %d", s, len(containers))
 	case !bytes.Equal(containers[0], containers[1]):
-		return nil, fmt.Errorf("%s: periodic and on-cancel snapshots differ — capture is not a pure function of solver state", s)
+		return nil, nil, fmt.Errorf("%s: periodic and on-cancel snapshots differ — capture is not a pure function of solver state", s)
 	case len(g.tr.Energy) != mid:
-		return nil, fmt.Errorf("%s: head leg logged %d sweeps, want %d", s, len(g.tr.Energy), mid)
+		return nil, nil, fmt.Errorf("%s: head leg logged %d sweeps, want %d", s, len(g.tr.Energy), mid)
 	}
 
 	snap, err := checkpoint.Decode(containers[0])
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", s, err)
+		return nil, nil, fmt.Errorf("%s: %w", s, err)
 	}
 	if got := (shard.Geometry{Rows: snap.State.ShardRows, Cols: snap.State.ShardCols}); !opts.Shards.IsZero() && got != opts.Shards {
-		return nil, fmt.Errorf("%s: snapshot carries %s tiles, want %s", s, got, opts.Shards)
+		return nil, nil, fmt.Errorf("%s: snapshot carries %s tiles, want %s", s, got, opts.Shards)
 	}
 	if snap.State.NextSweep != mid {
-		return nil, fmt.Errorf("%s: snapshot resumes at sweep %d, want %d", s, snap.State.NextSweep, mid)
+		return nil, nil, fmt.Errorf("%s: snapshot resumes at sweep %d, want %d", s, snap.State.NextSweep, mid)
 	}
 	tail := opts
 	tail.Shards, tail.Resume = shard.Geometry{}, &snap.State
 	if g.tr.Labels, err = g.solve(context.Background(), tail); err != nil {
-		return nil, fmt.Errorf("%s: tail leg: %w", s, err)
+		return nil, nil, fmt.Errorf("%s: tail leg: %w", s, err)
 	}
 	if len(g.tr.Energy) != g.sched.Iterations {
-		return nil, fmt.Errorf("%s: spliced log has %d sweeps, want %d", s, len(g.tr.Energy), g.sched.Iterations)
+		return nil, nil, fmt.Errorf("%s: spliced log has %d sweeps, want %d", s, len(g.tr.Energy), g.sched.Iterations)
 	}
-	if err := g.matchStreams(opts); err != nil {
-		return nil, fmt.Errorf("%s: %w", s, err)
+	if ref, err = g.matchStreams(opts); err != nil {
+		return nil, nil, fmt.Errorf("%s: %w", s, err)
 	}
-	return g.tr, nil
+	return g.tr, ref, nil
 }
 
-// matchStreams runs the scenario uninterrupted under opts and requires the
-// last leg's final sampler states to equal that run's, stream for stream.
-func (g *goldenRun) matchStreams(opts mrf.SolveOptions) error {
+// matchStreams runs the scenario uninterrupted under opts, requires the
+// last leg's final sampler states to equal that run's, stream for stream,
+// and returns the uninterrupted run's trace.
+func (g *goldenRun) matchStreams(opts mrf.SolveOptions) (*Trace, error) {
 	ref, err := g.s.start(opts)
 	if err == nil {
-		_, err = ref.solve(context.Background(), opts)
+		ref.tr.Labels, err = ref.solve(context.Background(), opts)
 	}
 	if err != nil {
-		return fmt.Errorf("uninterrupted run: %w", err)
+		return nil, fmt.Errorf("uninterrupted run: %w", err)
 	}
 	if len(g.samplers) != len(ref.samplers) {
-		return fmt.Errorf("resumed run has %d streams, uninterrupted run %d", len(g.samplers), len(ref.samplers))
+		return nil, fmt.Errorf("resumed run has %d streams, uninterrupted run %d", len(g.samplers), len(ref.samplers))
 	}
 	for i, s := range g.samplers {
 		got, err := s.(core.Checkpointable).CaptureState()
 		want, werr := ref.samplers[i].(core.Checkpointable).CaptureState()
 		if err = errors.Join(err, werr); err != nil {
-			return fmt.Errorf("stream %d: %w", i, err)
+			return nil, fmt.Errorf("stream %d: %w", i, err)
 		}
 		if got != want {
-			return fmt.Errorf("stream %d sampler state after resume differs from the uninterrupted run's", i)
+			return nil, fmt.Errorf("stream %d sampler state after resume differs from the uninterrupted run's", i)
 		}
 	}
-	return nil
+	return ref.tr, nil
 }
 
 // goldenProblem builds the fixed miniature MRF instance for one application.

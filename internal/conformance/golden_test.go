@@ -103,7 +103,7 @@ func TestGoldenSerialMatchesOneWorker(t *testing.T) {
 // count. It also checks that collection actually happened.
 func TestGoldenTracesWithCollector(t *testing.T) {
 	g := Gate{Name: "golden (collector)", Cases: Scenarios(), want: ownGolden,
-		run: func(s Scenario) (*Trace, error) {
+		run: solo(func(s Scenario) (*Trace, error) {
 			prob, sched, _, err := goldenProblem(s.App)
 			if err != nil {
 				return nil, err
@@ -117,7 +117,7 @@ func TestGoldenTracesWithCollector(t *testing.T) {
 				err = fmt.Errorf("%s: collected %d samples, want %d", s, acc.Samples(), sched.Iterations)
 			}
 			return tr, err
-		}}
+		})}
 	for _, err := range g.Verify(goldenDir) {
 		t.Error(err)
 	}

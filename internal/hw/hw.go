@@ -201,19 +201,6 @@ func IntelDRNGAlt() RNGAlternative {
 	return RNGAlternative{Name: "intel-drng", CoreAreaUm2: 1468, PerUnitOverheadUm2: 2253, MaxShare: 1}
 }
 
-// ConverterComparison returns the energy-to-lambda converter costs for the
-// LUT realization and the comparison-based realization. The paper reports
-// the comparison design at 0.46x area and 0.22x power of the LUT
-// (Sec. IV-B-3).
-func ConverterComparison() (lut, cmp AreaPower) {
-	cmp = AreaPower{60, 0.12}
-	lut = AreaPower{cmp.AreaUm2 / 0.46, cmp.PowerMW / 0.22}
-	return lut, cmp
-}
-
-// EntropyRateGbps is the new RSU-G's entropy generation rate (Sec. II-C).
-const EntropyRateGbps = 2.89
-
 // IntelDRNGPowerMW is the Intel DRNG power at 6.4 Gb/s; the RSU-G consumes
 // ~13% of it in similar area (Sec. II-C).
 const IntelDRNGPowerMW = 30

@@ -68,29 +68,6 @@ func (g *Gray) Clamp255() *Gray {
 	return g
 }
 
-// BoxBlur returns a new image smoothed with a (2r+1)×(2r+1) box filter with
-// replicate padding. Used by the synthetic dataset generator to soften
-// texture and by the denoising example.
-func (g *Gray) BoxBlur(r int) *Gray {
-	if r <= 0 {
-		return g.Clone()
-	}
-	out := NewGray(g.W, g.H)
-	n := float64((2*r + 1) * (2*r + 1))
-	for y := 0; y < g.H; y++ {
-		for x := 0; x < g.W; x++ {
-			sum := 0.0
-			for dy := -r; dy <= r; dy++ {
-				for dx := -r; dx <= r; dx++ {
-					sum += g.AtClamped(x+dx, y+dy)
-				}
-			}
-			out.Set(x, y, sum/n)
-		}
-	}
-	return out
-}
-
 // Labels is an integer label map (disparity indices, motion-vector indices,
 // or segment ids), row-major.
 type Labels struct {

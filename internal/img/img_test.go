@@ -2,7 +2,6 @@ package img
 
 import (
 	"bytes"
-	"math"
 	"testing"
 	"testing/quick"
 )
@@ -69,44 +68,6 @@ func TestClamp255(t *testing.T) {
 	g.Clamp255()
 	if g.At(0, 0) != 0 || g.At(1, 0) != 255 {
 		t.Fatalf("Clamp255 gave %v,%v", g.At(0, 0), g.At(1, 0))
-	}
-}
-
-func TestBoxBlurConstantInvariant(t *testing.T) {
-	g := NewGray(8, 6)
-	for i := range g.Pix {
-		g.Pix[i] = 77
-	}
-	b := g.BoxBlur(2)
-	for i, v := range b.Pix {
-		if math.Abs(v-77) > 1e-9 {
-			t.Fatalf("blur of constant image changed pixel %d: %v", i, v)
-		}
-	}
-}
-
-func TestBoxBlurZeroRadiusIsCopy(t *testing.T) {
-	g := NewGray(3, 3)
-	g.Set(1, 1, 9)
-	b := g.BoxBlur(0)
-	if b.At(1, 1) != 9 {
-		t.Fatal("r=0 blur should copy")
-	}
-	b.Set(1, 1, 0)
-	if g.At(1, 1) != 9 {
-		t.Fatal("r=0 blur aliases source")
-	}
-}
-
-func TestBoxBlurSmooths(t *testing.T) {
-	g := NewGray(9, 9)
-	g.Set(4, 4, 255)
-	b := g.BoxBlur(1)
-	if got := b.At(4, 4); math.Abs(got-255.0/9) > 1e-9 {
-		t.Fatalf("center after blur = %v, want %v", got, 255.0/9)
-	}
-	if b.At(0, 0) != 0 {
-		t.Fatal("blur leaked to far corner")
 	}
 }
 

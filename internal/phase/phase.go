@@ -11,7 +11,6 @@ package phase
 
 import (
 	"fmt"
-	"math"
 
 	"rsu/internal/core"
 	"rsu/internal/rng"
@@ -92,14 +91,6 @@ func (c Coxian) Moments() (mean, variance float64) {
 		m1, m2 = newM1, newM2
 	}
 	return m1, m2 - m1*m1
-}
-
-// CV returns the coefficient of variation (std/mean). Erlang-k has
-// CV = 1/sqrt(k), the property that lets RET cascades approximate
-// deterministic delays.
-func (c Coxian) CV() float64 {
-	m, v := c.Moments()
-	return math.Sqrt(v) / m
 }
 
 // Sample draws one exact phase-type sample.

@@ -21,9 +21,12 @@ func TestErlangMoments(t *testing.T) {
 	}
 }
 
+// TestErlangCV pins Erlang-k's coefficient of variation at 1/sqrt(k), the
+// property that lets RET cascades approximate deterministic delays.
 func TestErlangCV(t *testing.T) {
 	for _, k := range []int{1, 4, 16} {
-		cv := Erlang(k, 1).CV()
+		m, v := Erlang(k, 1).Moments()
+		cv := math.Sqrt(v) / m
 		want := 1 / math.Sqrt(float64(k))
 		if math.Abs(cv-want) > 1e-12 {
 			t.Errorf("Erlang(%d) CV %v, want %v", k, cv, want)

@@ -117,17 +117,6 @@ func ClampInt(v, lo, hi int) int {
 	return v
 }
 
-// Clamp limits v to [lo, hi].
-func Clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
 // FloorPow2 returns the largest power of two <= v, or 0 if v < 1. The new
 // RSU-G design truncates lambda codes to the nearest 2^n value so only
 // Lambda_bits unique decay rates (concentrations) are needed instead of

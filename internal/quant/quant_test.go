@@ -131,9 +131,6 @@ func TestClampHelpers(t *testing.T) {
 	if ClampInt(5, 0, 3) != 3 || ClampInt(-1, 0, 3) != 0 || ClampInt(2, 0, 3) != 2 {
 		t.Error("ClampInt wrong")
 	}
-	if Clamp(5, 0, 3) != 3 || Clamp(-1, 0, 3) != 0 || Clamp(2, 0, 3) != 2 {
-		t.Error("Clamp wrong")
-	}
 }
 
 func TestLevelsAndMaxCode(t *testing.T) {

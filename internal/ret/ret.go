@@ -263,10 +263,3 @@ func (c CircuitConfig) Validate() error {
 	}
 	return nil
 }
-
-// ResidualAfterRows returns the probability that a lambda_0 network is still
-// excited after sitting out the full reuse interval of r rows — the paper's
-// replica sizing rule (Truncation^rows; 0.5^8 ≈ 0.4%).
-func (c CircuitConfig) ResidualAfterRows(r int) float64 {
-	return math.Exp(-c.BaseRate * float64(c.WindowBins) * float64(r))
-}

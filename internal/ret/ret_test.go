@@ -75,21 +75,6 @@ func TestTruncationProbabilityMatchesConfig(t *testing.T) {
 	}
 }
 
-func TestResidualAfterRows(t *testing.T) {
-	cfg := NewDesignCircuit()
-	// 0.5^8 = 0.39% — the paper's "8 replicas reach 99.6%" sizing rule.
-	if got := cfg.ResidualAfterRows(8); math.Abs(got-math.Pow(0.5, 8)) > 1e-12 {
-		t.Fatalf("ResidualAfterRows(8) = %v, want %v", got, math.Pow(0.5, 8))
-	}
-	if got := cfg.ResidualAfterRows(1); math.Abs(got-0.5) > 1e-12 {
-		t.Fatalf("ResidualAfterRows(1) = %v, want 0.5", got)
-	}
-	prev := PrevDesignCircuit()
-	if got := prev.ResidualAfterRows(1); math.Abs(got-0.004) > 1e-12 {
-		t.Fatalf("previous design residual = %v, want 0.004", got)
-	}
-}
-
 func TestCircuitValidation(t *testing.T) {
 	bad := []CircuitConfig{
 		{},

@@ -128,7 +128,6 @@ type Stats struct {
 	LabelsIssued  int64
 	Variables     int64
 	StructStalls  int64 // cycles lost waiting for a free RET replica
-	FIFOStalls    int64 // cycles the front end waited on FIFO space
 	TempStalls    int64 // cycles lost to converter rewrites
 	VariableLat   int64 // latency of a single variable in steady state
 	ThroughputCPL float64

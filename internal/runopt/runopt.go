@@ -1,8 +1,10 @@
-// Package runopt holds the solver-runtime flags shared by the rsu-* command
-// line tools: wall-clock timeouts (context cancellation), CPU profiling, the
-// JSONL per-sweep run log, and the annealing temperature floor. Each binary
-// registers the flags it supports and applies them through one Runtime value,
-// so cancellation and observability behave identically across tools.
+// Package runopt holds the command-line flags shared by the rsu-* solver
+// tools: the sampler, seed and worker count, tile sharding, posterior (UQ)
+// collection, device-fault injection, checkpoint/resume, wall-clock timeouts
+// (context cancellation), CPU profiling, the JSONL per-sweep run log, and the
+// annealing temperature floor. Each binary registers them with one Register
+// call and turns them into the app's run options with one Start call, so
+// every tool validates and applies them identically.
 package runopt
 
 import (
@@ -14,7 +16,9 @@ import (
 	"runtime/pprof"
 	"time"
 
+	"rsu/internal/apps"
 	"rsu/internal/checkpoint"
+	"rsu/internal/core"
 	"rsu/internal/fault"
 	"rsu/internal/img"
 	"rsu/internal/mrf"
@@ -23,8 +27,19 @@ import (
 	"rsu/internal/viz"
 )
 
-// Flags are the shared runtime options. Zero values mean "off" / "default".
+// Flags are the shared run options. Register sets the command-line
+// defaults; zero rates, paths and durations mean "off".
 type Flags struct {
+	// Sampler names the sampler: software | new | prev.
+	Sampler string
+	// Seed is the master random seed (RNG streams, and faults by default).
+	Seed uint64
+	// Workers is the solver worker count: 0 = GOMAXPROCS, 1 = serial.
+	Workers int
+	// Shards is the "RxC" tile geometry; empty leaves sharding to the
+	// solver's auto-dispatch (large grids shard themselves).
+	Shards string
+
 	// Timeout bounds the whole run; 0 means unbounded. On expiry the solver
 	// aborts between sweeps and the tool exits with the context error.
 	Timeout time.Duration
@@ -36,10 +51,38 @@ type Flags struct {
 	// TFloor overrides the annealing temperature floor; 0 keeps
 	// mrf.DefaultTFloor.
 	TFloor float64
+
+	// UQ turns posterior sample collection on. BurnIn is the sweeps
+	// discarded first (negative = half the run, see uq.Options); Thin
+	// collects every Thin-th post-burn-in sweep.
+	UQ     bool
+	BurnIn int
+	Thin   int
+
+	// Checkpoint is the snapshot file (empty disables checkpointing),
+	// CheckpointEvery the periodic capture cadence in sweeps (<= 0 captures
+	// only on cancellation), and Resume restores Checkpoint's snapshot when
+	// the file exists (a missing file is a fresh start, so restart loops can
+	// always pass -resume).
+	Checkpoint      string
+	CheckpointEvery int
+	Resume          bool
+
+	// Device-fault rates, one per fault type in fault.Config (all zero = the
+	// ideal device). FaultSeed seeds the fault RNG streams; 0 derives it
+	// from Seed.
+	FaultBleed, FaultDark, FaultStuck, FaultDrift float64
+	FaultSeed                                     uint64
 }
 
 // Register installs the shared flags on fs (flag.CommandLine in the tools).
 func (f *Flags) Register(fs *flag.FlagSet) {
+	fs.StringVar(&f.Sampler, "sampler", "new", "software | new | prev")
+	fs.Uint64Var(&f.Seed, "seed", 1, "random seed")
+	fs.IntVar(&f.Workers, "workers", 0, "solver workers: 0 = GOMAXPROCS, 1 = serial")
+	fs.StringVar(&f.Shards, "shards", "",
+		"tile the grid RxC (e.g. 2x2) and run the sharded solver; empty = automatic")
+
 	fs.DurationVar(&f.Timeout, "timeout", 0,
 		"abort the solve after this duration (e.g. 30s, 2m; 0 = no limit)")
 	fs.StringVar(&f.Pprof, "pprof", "",
@@ -48,82 +91,181 @@ func (f *Flags) Register(fs *flag.FlagSet) {
 		"stream per-sweep stats as JSON Lines to this file (\"-\" = stdout)")
 	fs.Float64Var(&f.TFloor, "tfloor", 0,
 		fmt.Sprintf("annealing temperature floor (0 = default %g)", mrf.DefaultTFloor))
-}
 
-// UQFlags are the posterior-collection flags shared by the rsu-* solvers:
-// -uq switches sample collection on, -burnin and -thin tune the policy.
-type UQFlags struct {
-	// Enabled turns posterior sample collection on.
-	Enabled bool
-	// BurnIn is the sweeps discarded before collection; negative (the flag
-	// default) selects half the run. See uq.Options.
-	BurnIn int
-	// Thin collects every Thin-th post-burn-in sweep.
-	Thin int
-}
-
-// Register installs the UQ flags on fs.
-func (f *UQFlags) Register(fs *flag.FlagSet) {
-	fs.BoolVar(&f.Enabled, "uq", false,
+	fs.BoolVar(&f.UQ, "uq", false,
 		"collect posterior samples; report confidence/entropy maps and a UQ summary")
 	fs.IntVar(&f.BurnIn, "burnin", -1,
 		"sweeps discarded before UQ collection (-1 = half the run)")
 	fs.IntVar(&f.Thin, "thin", 1,
 		"collect every Nth post-burn-in sweep")
-}
 
-// Options returns the uq options to install on the app params, or nil when
-// -uq was not passed (collection fully off).
-func (f *UQFlags) Options() *uq.Options {
-	if !f.Enabled {
-		return nil
-	}
-	return &uq.Options{BurnIn: f.BurnIn, Thin: f.Thin}
-}
-
-// CheckpointFlags are the snapshot persistence flags shared by the rsu-*
-// solvers: -checkpoint names the snapshot file, -checkpoint-every the
-// periodic capture cadence, and -resume restores an existing snapshot (a
-// missing file is a fresh start, so restart loops can always pass -resume).
-type CheckpointFlags struct {
-	// Path is the snapshot file; empty disables checkpointing.
-	Path string
-	// Every is the periodic capture cadence in sweeps; <= 0 captures only
-	// when the run is cancelled (timeout or signal).
-	Every int
-	// Resume restores Path's snapshot when the file exists.
-	Resume bool
-}
-
-// Register installs the checkpoint flags on fs.
-func (f *CheckpointFlags) Register(fs *flag.FlagSet) {
-	fs.StringVar(&f.Path, "checkpoint", "",
+	fs.StringVar(&f.Checkpoint, "checkpoint", "",
 		"snapshot file for checkpoint/resume (empty = off)")
-	fs.IntVar(&f.Every, "checkpoint-every", 10,
+	fs.IntVar(&f.CheckpointEvery, "checkpoint-every", 10,
 		"write a snapshot every N sweeps (<= 0 = only on cancellation)")
 	fs.BoolVar(&f.Resume, "resume", false,
 		"resume from -checkpoint if the file exists (bit-exact continuation)")
+
+	fs.Float64Var(&f.FaultBleed, "fault-bleed", 0,
+		"per-draw probability of inter-column optical bleed-through")
+	fs.Float64Var(&f.FaultDark, "fault-dark", 0,
+		"SPAD dark-count rate per time bin (e.g. 1e-6)")
+	fs.Float64Var(&f.FaultStuck, "fault-stuck", 0,
+		"probability each replica row is stuck dark for the whole run")
+	fs.Float64Var(&f.FaultDrift, "fault-drift", 0,
+		"fractional quantum-yield loss per draw (photobleaching drift)")
+	fs.Uint64Var(&f.FaultSeed, "fault-seed", 0,
+		"fault-stream RNG seed (0 = derive from -seed)")
 }
 
-// Plan maps the flags onto a checkpoint.Plan for the app params, nil when
-// -checkpoint was not passed. app, sampler and seed pin the run identity a
-// resumed snapshot must match.
-func (f *CheckpointFlags) Plan(app, sampler string, seed uint64) (*checkpoint.Plan, error) {
-	if f.Path == "" {
+// Apply threads the temperature-floor override into a schedule. Every
+// non-zero value passes through, so the solver's Schedule.Validate rejects
+// a negative or NaN floor instead of the run silently keeping the default.
+func (f *Flags) Apply(s *mrf.Schedule) {
+	if f.TFloor != 0 {
+		s.TFloor = f.TFloor
+	}
+}
+
+// faults maps the fault flags onto a fault.Config, nil when all rates are
+// zero. The software baseline models no device to fault, and a zero
+// -fault-seed derives from -seed so faulted runs stay reproducible.
+func (f *Flags) faults() (*fault.Config, error) {
+	cfg := fault.Config{
+		BleedThrough:    f.FaultBleed,
+		DarkCountPerBin: f.FaultDark,
+		StuckRow:        f.FaultStuck,
+		Drift:           f.FaultDrift,
+		Seed:            f.FaultSeed,
+	}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if !cfg.Active() {
+		return nil, nil
+	}
+	if f.Sampler == "software" {
+		return nil, fmt.Errorf("runopt: fault injection requires a hardware sampler (new | prev); the software baseline models no device")
+	}
+	if cfg.Seed == 0 {
+		cfg.Seed = f.Seed
+	}
+	return &cfg, nil
+}
+
+// plan maps the checkpoint flags onto a checkpoint.Plan, nil without
+// -checkpoint. app, sampler and seed pin the run identity a resumed
+// snapshot must match.
+func (f *Flags) plan(app string) (*checkpoint.Plan, error) {
+	if f.Checkpoint == "" {
 		if f.Resume {
 			return nil, fmt.Errorf("runopt: -resume requires -checkpoint")
 		}
 		return nil, nil
 	}
 	return &checkpoint.Plan{
-		Path: f.Path, Every: f.Every, Resume: f.Resume,
-		App: app, Sampler: sampler, Seed: seed,
+		Path: f.Checkpoint, Every: f.CheckpointEvery, Resume: f.Resume,
+		App: app, Sampler: f.Sampler, Seed: f.Seed,
 	}, nil
+}
+
+// Runtime is the activated form of Flags. Options holds the app run options
+// the flags select; the runtime also owns an open profile, an open run log
+// and the deadline context. Always Close it (idempotent) so the profile and
+// log are flushed.
+type Runtime struct {
+	// Options are the run options for the app's Params (p.Options =
+	// rt.Options): sampler factory, Workers, Shards, the deadline context,
+	// the run-log OnSweep hook, UQ, Faults and the checkpoint Plan.
+	Options apps.Options
+
+	cancel context.CancelFunc
+	files  []*os.File
+	prof   bool
+}
+
+// Start validates the flags and activates them for one run of app (stamped
+// into the checkpoint plan); run names the solve in the run-log records. It
+// checks every flag before it opens the profile and run-log outputs, and on
+// error nothing is left open.
+func (f *Flags) Start(app, run string) (*Runtime, error) {
+	r := &Runtime{}
+	o := &r.Options
+	var err error
+	if f.UQ {
+		o.UQ = &uq.Options{BurnIn: f.BurnIn, Thin: f.Thin}
+	}
+	if o.Faults, err = f.faults(); err != nil {
+		return nil, err
+	}
+	if o.Checkpoint, err = f.plan(app); err != nil {
+		return nil, err
+	}
+	build, err := core.SamplerBuilder(f.Sampler)
+	if err != nil {
+		return nil, err
+	}
+	o.SamplerFactory = core.StreamFactory(f.Seed, build)
+	o.Workers = f.Workers
+	if f.Shards != "" {
+		if o.Shards, err = shard.Parse(f.Shards); err != nil {
+			return nil, fmt.Errorf("runopt: -shards: %w", err)
+		}
+	}
+
+	if f.Pprof != "" {
+		pf, err := os.Create(f.Pprof)
+		if err != nil {
+			return nil, fmt.Errorf("runopt: -pprof: %w", err)
+		}
+		if err := pprof.StartCPUProfile(pf); err != nil {
+			_ = pf.Close()
+			return nil, fmt.Errorf("runopt: -pprof: %w", err)
+		}
+		r.files = append(r.files, pf)
+		r.prof = true
+	}
+	if f.RunLog != "" {
+		out := os.Stdout
+		if f.RunLog != "-" {
+			lf, err := os.Create(f.RunLog)
+			if err != nil {
+				r.Close()
+				return nil, fmt.Errorf("runopt: -runlog: %w", err)
+			}
+			r.files = append(r.files, lf)
+			out = lf
+		}
+		o.OnSweep = mrf.NewRunLog(out).Hook(run, nil)
+	}
+	if f.Timeout > 0 {
+		o.Ctx, r.cancel = context.WithTimeout(context.Background(), f.Timeout)
+	} else {
+		o.Ctx, r.cancel = context.WithCancel(context.Background())
+	}
+	return r, nil
+}
+
+// Close stops profiling, cancels the context, and closes every file the
+// runtime opened. Safe to call more than once.
+func (r *Runtime) Close() {
+	if r.prof {
+		pprof.StopCPUProfile()
+		r.prof = false
+	}
+	if r.cancel != nil {
+		r.cancel()
+		r.cancel = nil
+	}
+	for _, f := range r.files {
+		_ = f.Close()
+	}
+	r.files = nil
 }
 
 // ReportResume prints the resume point when the plan restored a snapshot. pl
 // may be nil (no -checkpoint) — the tools call it unconditionally after
-// building params.
+// the solve.
 func ReportResume(w io.Writer, pl *checkpoint.Plan) {
 	if pl == nil {
 		return
@@ -132,91 +274,6 @@ func ReportResume(w io.Writer, pl *checkpoint.Plan) {
 		fmt.Fprintf(w, "resuming %s from sweep %d/%d (%s)\n",
 			s.App, s.State.NextSweep, s.Schedule.Iterations, pl.Path)
 	}
-}
-
-// ShardFlags is the tile-sharding flag shared by the rsu-* solvers: -shards
-// selects the domain-decomposed solver's tile geometry (DESIGN.md §15).
-type ShardFlags struct {
-	// Spec is the "RxC" geometry string; empty leaves sharding to the
-	// solver's auto-dispatch (large grids shard themselves).
-	Spec string
-}
-
-// Register installs the shard flag on fs.
-func (f *ShardFlags) Register(fs *flag.FlagSet) {
-	fs.StringVar(&f.Spec, "shards", "",
-		"tile the grid RxC (e.g. 2x2) and run the sharded solver; empty = automatic")
-}
-
-// Geometry parses the flag into a shard geometry; the zero geometry (no
-// -shards) keeps the solver's default dispatch.
-func (f *ShardFlags) Geometry() (shard.Geometry, error) {
-	if f.Spec == "" {
-		return shard.Geometry{}, nil
-	}
-	g, err := shard.Parse(f.Spec)
-	if err != nil {
-		return shard.Geometry{}, fmt.Errorf("runopt: -shards: %w", err)
-	}
-	return g, nil
-}
-
-// FaultFlags are the device-fault injection flags shared by the rsu-*
-// solvers: one rate per fault type in fault.Config, all defaulting to zero
-// (the ideal device).
-type FaultFlags struct {
-	// Bleed is the per-draw inter-column bleed-through probability.
-	Bleed float64
-	// Dark is the SPAD dark-count rate per discrete time bin.
-	Dark float64
-	// Stuck is the per-replica-row stuck probability.
-	Stuck float64
-	// Drift is the fractional quantum-yield loss per draw (photobleaching).
-	Drift float64
-	// Seed seeds the dedicated fault RNG streams; 0 derives from the
-	// tool's master -seed.
-	Seed uint64
-}
-
-// Register installs the fault flags on fs.
-func (f *FaultFlags) Register(fs *flag.FlagSet) {
-	fs.Float64Var(&f.Bleed, "fault-bleed", 0,
-		"per-draw probability of inter-column optical bleed-through")
-	fs.Float64Var(&f.Dark, "fault-dark", 0,
-		"SPAD dark-count rate per time bin (e.g. 1e-6)")
-	fs.Float64Var(&f.Stuck, "fault-stuck", 0,
-		"probability each replica row is stuck dark for the whole run")
-	fs.Float64Var(&f.Drift, "fault-drift", 0,
-		"fractional quantum-yield loss per draw (photobleaching drift)")
-	fs.Uint64Var(&f.Seed, "fault-seed", 0,
-		"fault-stream RNG seed (0 = derive from -seed)")
-}
-
-// Config maps the flags onto a fault.Config for the app params, nil when all
-// rates are zero (no injection requested). sampler guards the software
-// baseline, which models no device to fault; masterSeed fills in a zero
-// -fault-seed so faulted runs stay reproducible from -seed alone.
-func (f *FaultFlags) Config(sampler string, masterSeed uint64) (*fault.Config, error) {
-	cfg := fault.Config{
-		BleedThrough:    f.Bleed,
-		DarkCountPerBin: f.Dark,
-		StuckRow:        f.Stuck,
-		Drift:           f.Drift,
-		Seed:            f.Seed,
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if !cfg.Active() {
-		return nil, nil
-	}
-	if sampler == "software" {
-		return nil, fmt.Errorf("runopt: fault injection requires a hardware sampler (new | prev); the software baseline models no device")
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = masterSeed
-	}
-	return &cfg, nil
 }
 
 // ReportFaults prints a fault report's one-line summary to w. r may be nil
@@ -254,88 +311,4 @@ func ReportUQ(w io.Writer, r *uq.Result, point *img.Labels, outDir, name string)
 		}
 	}
 	return nil
-}
-
-// Apply threads the temperature-floor override into a schedule.
-func (f *Flags) Apply(s *mrf.Schedule) {
-	if f.TFloor > 0 {
-		s.TFloor = f.TFloor
-	}
-}
-
-// Runtime is the activated form of Flags: an open profile, an open run log,
-// and a deadline context. Always Close it (idempotent) so the profile and
-// log are flushed.
-type Runtime struct {
-	ctx    context.Context
-	cancel context.CancelFunc
-	log    *mrf.RunLog
-	files  []*os.File
-	prof   bool
-}
-
-// Start validates and activates the flags: it opens the profile and run-log
-// outputs and builds the deadline context. On error nothing is left open.
-func (f *Flags) Start() (*Runtime, error) {
-	r := &Runtime{}
-	if f.Pprof != "" {
-		pf, err := os.Create(f.Pprof)
-		if err != nil {
-			return nil, fmt.Errorf("runopt: -pprof: %w", err)
-		}
-		if err := pprof.StartCPUProfile(pf); err != nil {
-			_ = pf.Close()
-			return nil, fmt.Errorf("runopt: -pprof: %w", err)
-		}
-		r.files = append(r.files, pf)
-		r.prof = true
-	}
-	if f.RunLog != "" {
-		if f.RunLog == "-" {
-			r.log = mrf.NewRunLog(os.Stdout)
-		} else {
-			lf, err := os.Create(f.RunLog)
-			if err != nil {
-				r.Close()
-				return nil, fmt.Errorf("runopt: -runlog: %w", err)
-			}
-			r.files = append(r.files, lf)
-			r.log = mrf.NewRunLog(lf)
-		}
-	}
-	if f.Timeout > 0 {
-		r.ctx, r.cancel = context.WithTimeout(context.Background(), f.Timeout)
-	} else {
-		r.ctx, r.cancel = context.WithCancel(context.Background())
-	}
-	return r, nil
-}
-
-// Context returns the run-bounding context (never nil after Start).
-func (r *Runtime) Context() context.Context { return r.ctx }
-
-// Hook wraps next with the run log when one is configured; with no -runlog
-// it returns next unchanged. run names the solve in the JSONL records.
-func (r *Runtime) Hook(run string, next func(iter int, lab *img.Labels, st mrf.SolveStats)) func(iter int, lab *img.Labels, st mrf.SolveStats) {
-	if r.log == nil {
-		return next
-	}
-	return r.log.Hook(run, next)
-}
-
-// Close stops profiling, cancels the context, and closes every file the
-// runtime opened. Safe to call more than once.
-func (r *Runtime) Close() {
-	if r.prof {
-		pprof.StopCPUProfile()
-		r.prof = false
-	}
-	if r.cancel != nil {
-		r.cancel()
-		r.cancel = nil
-	}
-	for _, f := range r.files {
-		_ = f.Close()
-	}
-	r.files = nil
 }

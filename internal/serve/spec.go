@@ -8,8 +8,8 @@
 // datasets, and energy-to-lambda conversion tables (core.ConverterCache) —
 // through a shared-artifact cache, mirroring how many RSU columns would
 // share one temperature-update bus and energy pipeline. cmd/rsu-serve wraps
-// the service in an HTTP/JSON daemon; internal/serve/loadtest's acceptance
-// test drives it with concurrent mixed-app traffic.
+// the service in an HTTP/JSON daemon, and perfbench's serve-mix workload
+// drives it with open-loop mixed-app traffic.
 package serve
 
 import (

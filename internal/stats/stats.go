@@ -29,16 +29,6 @@ func GammaP(s, x float64) float64 {
 	}
 }
 
-// GammaQ returns the regularized upper incomplete gamma function
-// Q(s, x) = 1 - P(s, x).
-func GammaQ(s, x float64) float64 {
-	p := GammaP(s, x)
-	if math.IsNaN(p) {
-		return p
-	}
-	return 1 - p
-}
-
 // gammaPSeries evaluates P(s, x) by its power series, converging fast for
 // x < s+1.
 func gammaPSeries(s, x float64) float64 {
