@@ -131,8 +131,9 @@ perf-check:
 	$(GO) run ./cmd/rsu-bench -perf-check BENCH_4.json -perf-report perf-check-report.json $(PERFCHECK_FLAGS)
 
 # Tile-sharding sweep on an out-of-cache grid (16x the micro-suite's stereo
-# scene): monolithic checkerboard baseline vs the sharded solver per
-# geometry. Writes the BENCH_3.json series (DESIGN.md §15).
+# scene): the worker-count default (Workers x 1 row-band tiles) as the
+# baseline vs each explicit tile geometry. Writes the BENCH_3.json series
+# (DESIGN.md §15).
 shard-sweep:
 	$(GO) run ./cmd/rsu-bench -shard-sweep BENCH_3.json
 

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -55,14 +56,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer rt.Close()
 	p.Options = rt.Options
 
 	res, err := flow.Solve(pair, nil, p)
 	runopt.ReportResume(os.Stdout, p.Checkpoint)
-	if err != nil {
-		rt.Close()
-		log.Fatal(err)
+	if cerr := rt.Close(); err != nil || cerr != nil {
+		log.Fatal(errors.Join(err, cerr))
 	}
 	fmt.Printf("%s (%dx%d, %d labels) with %s sampler: EPE %.3f px\n",
 		pair.Name, pair.Frame0.W, pair.Frame0.H, pair.LabelCount(), ropt.Sampler, res.EPE)

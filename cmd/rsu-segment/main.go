@@ -9,6 +9,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -62,14 +63,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer rt.Close()
 	p.Options = rt.Options
 
 	res, err := segment.Solve(scene, nil, p)
 	runopt.ReportResume(os.Stdout, p.Checkpoint)
-	if err != nil {
-		rt.Close()
-		log.Fatal(err)
+	if cerr := rt.Close(); err != nil || cerr != nil {
+		log.Fatal(errors.Join(err, cerr))
 	}
 	fmt.Printf("%s (%dx%d, k=%d) with %s sampler\n",
 		scene.Name, scene.Image.W, scene.Image.H, *k, ropt.Sampler)

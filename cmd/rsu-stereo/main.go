@@ -9,6 +9,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -55,14 +56,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer rt.Close()
 	p.Options = rt.Options
 
 	res, err := stereo.Solve(pair, nil, p)
 	runopt.ReportResume(os.Stdout, p.Checkpoint)
-	if err != nil {
-		rt.Close()
-		log.Fatal(err)
+	if cerr := rt.Close(); err != nil || cerr != nil {
+		log.Fatal(errors.Join(err, cerr))
 	}
 	fmt.Printf("%s (%dx%d, %d labels) with %s sampler: BP %.1f%%  RMS %.2f\n",
 		pair.Name, pair.Left.W, pair.Left.H, pair.Labels, ropt.Sampler, res.BP, res.RMS)

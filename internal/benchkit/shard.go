@@ -49,8 +49,8 @@ const shardSweepScale = 4
 const shardSweepSweeps = 12
 
 // shardSweepGeometries are the tilings the sweep measures against the
-// worker-count baseline: a row split (north/south halos only), a square
-// split, and an over-decomposed 4x2.
+// worker-count baseline: a row split (tiles meet along whole rows only), a
+// square split, and an over-decomposed 4x2.
 func shardSweepGeometries() []shard.Geometry {
 	return []shard.Geometry{
 		{Rows: 2, Cols: 1},

@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"rsu/internal/core"
 	"rsu/internal/img"
@@ -98,28 +100,17 @@ func Fig4(o Options) (*FilesResult, error) {
 	})
 }
 
-func writeMaps(o Options, res *FilesResult, maps map[string]*img.Gray) error {
+func writeMaps(o Options, res *FilesResult, grays map[string]*img.Gray) error {
 	if o.OutDir == "" {
 		return nil
 	}
 	if err := os.MkdirAll(o.OutDir, 0o755); err != nil {
 		return err
 	}
-	// Deterministic order for the report.
-	names := make([]string, 0, len(maps))
-	for n := range maps {
-		names = append(names, n)
-	}
-	for i := 0; i < len(names); i++ {
-		for j := i + 1; j < len(names); j++ {
-			if names[j] < names[i] {
-				names[i], names[j] = names[j], names[i]
-			}
-		}
-	}
-	for _, n := range names {
+	// Sorted names give the report a deterministic order.
+	for _, n := range slices.Sorted(maps.Keys(grays)) {
 		path := filepath.Join(o.OutDir, n)
-		if err := img.SavePGM(path, maps[n]); err != nil {
+		if err := img.SavePGM(path, grays[n]); err != nil {
 			return err
 		}
 		res.Files = append(res.Files, path)

@@ -73,10 +73,12 @@ type SolverState struct {
 	ShardRows, ShardCols int
 	// Halos holds, per tile in tile-index order, the labels of every
 	// extended-rect cell outside the tile's owned rect (edge strips and
-	// corners, extended-rect row-major — shard.TileGrid.HaloSnapshot's
-	// order). The halos after sweep NextSweep-1's final exchange are part of
-	// solver state: sweep NextSweep's first color phase reads them before any
-	// exchange runs. nil for serial runs and version-1 worker snapshots.
+	// corners, extended-rect row-major — shard.Tile.Halo's order), read from
+	// Grid at capture. They duplicate Grid and keep the version-2 byte
+	// layout; a resume requires each halo's length to match its tile and
+	// its edge cells to equal Grid, and ignores its corners, which no
+	// 4-neighborhood reads. nil for serial runs and version-1 worker
+	// snapshots.
 	Halos [][]int
 	// Samplers holds one state per stream, in stream (tile) order.
 	Samplers []core.SamplerState
@@ -89,10 +91,10 @@ type SolverState struct {
 }
 
 // captureState snapshots the complete solver state between sweeps: the
-// run's labeling (the caller must have gathered the tiles into it), the
-// first un-run sweep and its temperature, the incremental energy (zero
-// unless tracked), every stream's sampler state and, on the tile engine, the
-// lattice and every tile's halos.
+// run's labeling, the first un-run sweep and its temperature, the
+// incremental energy (zero unless tracked), every stream's sampler state
+// and, on the tile engine, the lattice and every tile's halo read from the
+// labeling.
 func captureState(r *run) (*SolverState, error) {
 	st := &SolverState{
 		W: r.p.W, H: r.p.H, Labels: r.p.Labels,
@@ -106,12 +108,11 @@ func captureState(r *run) (*SolverState, error) {
 	if r.track {
 		st.Energy = r.energy
 	}
-	if grids := r.grids; len(grids) > 0 {
-		last := grids[len(grids)-1].Tile
-		st.ShardRows, st.ShardCols = last.R+1, last.C+1
-		st.Halos = make([][]int, len(grids))
-		for i, g := range grids {
-			st.Halos[i] = g.HaloSnapshot()
+	if plan := r.plan; plan != nil {
+		st.ShardRows, st.ShardCols = plan.Geom.Rows, plan.Geom.Cols
+		st.Halos = make([][]int, len(plan.Tiles))
+		for i, t := range plan.Tiles {
+			st.Halos[i] = t.Halo(r.lab.L, r.p.W)
 		}
 	}
 	for i, s := range r.samplers {

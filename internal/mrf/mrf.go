@@ -123,13 +123,8 @@ func (p *Problem) pairDist(a, b int) float64 {
 // safe to share across the parallel solver's workers.
 type Tables struct {
 	p *Problem
-	// Singles is the cached data term: index (y*stride+x)*Labels + l, which
-	// is (y*W+x)*Labels + l for tables built from a problem.
+	// Singles is the cached data term: index (y*W+x)*Labels + l.
 	Singles []float64
-	// stride is the row pitch of Singles in pixels: W for built tables, the
-	// parent's stride for a TileView. Every constructor sets it, so
-	// indexing needs no fallback.
-	stride int
 	// Pair holds the smoothness energies: Pair[nb*Labels+l] is the doubleton
 	// energy of label l against neighbor label nb (weight and truncation
 	// applied), laid out so one neighbor's row is contiguous.
@@ -164,7 +159,7 @@ func (p *Problem) BuildPairLUT() *PairLUT {
 
 // BuildTables precomputes the lookup tables for p.
 func (p *Problem) BuildTables() *Tables {
-	return &Tables{p: p, Singles: p.singletonTable(), stride: p.W, Pair: p.BuildPairLUT().Pair}
+	return &Tables{p: p, Singles: p.singletonTable(), Pair: p.BuildPairLUT().Pair}
 }
 
 // BuildTablesShared builds the tables for p reusing a prebuilt pairwise LUT,
@@ -180,7 +175,7 @@ func (p *Problem) BuildTablesShared(lut *PairLUT) (*Tables, error) {
 	if lut.Labels != p.Labels || len(lut.Pair) != p.Labels*p.Labels {
 		return nil, fmt.Errorf("mrf: shared pair LUT built for %d labels, problem has %d", lut.Labels, p.Labels)
 	}
-	return &Tables{p: p, Singles: p.singletonTable(), stride: p.W, Pair: lut.Pair}, nil
+	return &Tables{p: p, Singles: p.singletonTable(), Pair: lut.Pair}, nil
 }
 
 // pairRow returns the contiguous row of pairwise energies against neighbor
@@ -203,7 +198,7 @@ func addRow(dst, row []float64) {
 // tables — the fast path of Problem.LabelEnergies.
 func (t *Tables) LabelEnergies(dst []float64, lab *img.Labels, x, y int) {
 	p := t.p
-	base := (y*t.stride + x) * p.Labels
+	base := (y*p.W + x) * p.Labels
 	copy(dst, t.Singles[base:base+p.Labels])
 	if x > 0 {
 		addRow(dst, t.pairRow(lab.At(x-1, y)))
@@ -231,7 +226,6 @@ func (t *Tables) LabelEnergiesSeg(dst []float64, lab *img.Labels, y, x0, step, n
 	p := t.p
 	L := p.Labels
 	row := y * p.W
-	srow := y * t.stride
 	labs := lab.L
 	if y > 0 && y+1 < p.H {
 		// Interior row: every pixel off the vertical edges has all four
@@ -247,7 +241,7 @@ func (t *Tables) LabelEnergiesSeg(dst []float64, lab *img.Labels, y, x0, step, n
 				t.LabelEnergies(d, lab, x, y)
 				continue
 			}
-			base := (srow + x) * L
+			base := (row + x) * L
 			// Reslicing every operand to len(d) lets the compiler drop the
 			// per-iteration bounds checks inside the fused loop.
 			s := t.Singles[base : base+L][:len(d)]
@@ -262,11 +256,11 @@ func (t *Tables) LabelEnergiesSeg(dst []float64, lab *img.Labels, y, x0, step, n
 		return
 	}
 	if step == 1 {
-		base := (srow + x0) * L
+		base := (row + x0) * L
 		copy(dst[:n*L], t.Singles[base:base+n*L])
 	} else {
 		for i, x := 0, x0; i < n; i, x = i+1, x+step {
-			base := (srow + x) * L
+			base := (row + x) * L
 			copy(dst[i*L:i*L+L], t.Singles[base:base+L])
 		}
 	}
@@ -306,41 +300,6 @@ func (t *Tables) LabelEnergiesRow(dst []float64, lab *img.Labels, y int) {
 	t.LabelEnergiesSeg(dst, lab, y, 0, 1, t.p.W)
 }
 
-// TileView returns a Tables restricted to the sub-rectangle [x0,x1)×[y0,y1)
-// of the problem grid: the view's pixel (x, y) is the problem's
-// (x0+x, y0+y). Both tables are read-only, so the view aliases the parent's
-// singleton table — it starts at the rectangle's first pixel and keeps the
-// parent's row pitch — and shares its pairwise LUT; no view copies a table.
-// The view is a complete, standalone Tables over a (x1-x0)×(y1-y0) problem —
-// the sharded solver builds one per tile's extended rectangle so every fused
-// kernel (LabelEnergiesSeg, FlipDelta, TotalEnergy) runs unchanged on
-// tile-local label buffers. Note the view's own edges are treated as grid
-// edges by those kernels; the sharded solver only ever evaluates pixels whose
-// full 4-neighborhood lies inside the view (owned pixels of an extended
-// rect), where that distinction cannot be observed, except where a view edge
-// coincides with a real grid edge — in which case the edge behavior is
-// exactly the global one.
-func (t *Tables) TileView(x0, y0, x1, y1 int) (*Tables, error) {
-	p := t.p
-	if x0 < 0 || y0 < 0 || x1 > p.W || y1 > p.H || x0 >= x1 || y0 >= y1 {
-		return nil, fmt.Errorf("mrf: tile view [%d,%d)x[%d,%d) invalid for %dx%d grid", x0, x1, y0, y1, p.W, p.H)
-	}
-	w, h := x1-x0, y1-y0
-	L := p.Labels
-	stride := t.stride
-	start, end := (y0*stride+x0)*L, ((y1-1)*stride+x1)*L
-	singles := t.Singles[start:end:end]
-	view := &Problem{
-		W: w, H: h, Labels: L,
-		Singleton:    func(x, y, l int) float64 { return singles[(y*stride+x)*L+l] },
-		PairWeight:   p.PairWeight,
-		Dist:         p.Dist,
-		PairDist:     p.PairDist,
-		TruncateDist: p.TruncateDist,
-	}
-	return &Tables{p: view, Singles: singles, stride: stride, Pair: t.Pair}, nil
-}
-
 // Labels returns the label count of the problem the tables were built from.
 func (t *Tables) Labels() int { return t.p.Labels }
 
@@ -359,7 +318,7 @@ func (t *Tables) FlipDelta(lab *img.Labels, x, y, from, to int) float64 {
 	L := p.Labels
 	row := y * p.W
 	labs := lab.L
-	base := (y*t.stride + x) * L
+	base := (row + x) * L
 	d := t.Singles[base+to] - t.Singles[base+from]
 	if x > 0 {
 		nb := labs[row+x-1]
@@ -420,7 +379,7 @@ func (t *Tables) TotalEnergy(lab *img.Labels) float64 {
 	for y := 0; y < p.H; y++ {
 		for x := 0; x < p.W; x++ {
 			l := lab.At(x, y)
-			e += t.Singles[(y*t.stride+x)*L+l]
+			e += t.Singles[(y*p.W+x)*L+l]
 			if x+1 < p.W {
 				e += t.Pair[lab.At(x+1, y)*L+l]
 			}

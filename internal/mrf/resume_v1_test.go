@@ -19,9 +19,9 @@ import (
 // Workers > 1 and no tile geometry or halos. Such a snapshot — emulated by
 // stripping a 2×1 tile-engine capture down to the version-1 fields — must
 // resume through Solve at Workers 2 byte-identically to the uninterrupted
-// run: at a sweep boundary every edge halo equals the neighbor's owned cell,
-// so scattering the snapshot grid restores them. With Workers left at 0 the
-// snapshot alone selects its row bands, even at GOMAXPROCS 1.
+// run: the tile engine reads every neighbor from the one grid, so the
+// snapshot grid is all it needs. With Workers left at 0 the snapshot alone
+// selects its row bands, even at GOMAXPROCS 1.
 func TestResumeVersion1WorkerSnapshot(t *testing.T) {
 	p := &mrf.Problem{
 		W: 13, H: 10, Labels: 4,

@@ -15,6 +15,7 @@ import (
 type RunLog struct {
 	mu  sync.Mutex
 	enc *json.Encoder
+	err error // first record write error
 }
 
 // runLogRecord is the JSONL schema, one line per sweep.
@@ -33,13 +34,21 @@ func NewRunLog(w io.Writer) *RunLog {
 	return &RunLog{enc: json.NewEncoder(w)}
 }
 
+// Err returns the first error writing a record, or nil.
+func (l *RunLog) Err() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.err
+}
+
 // Hook returns an OnSweep callback that appends one record per sweep under
-// the given run name and then forwards to next (which may be nil). Encoding
-// errors are deliberately swallowed: observability must never abort a solve.
+// the given run name and then forwards to next (which may be nil). A write
+// error never aborts the solve — observability must not — but the first one
+// is kept for Err, so the caller can report the lost records.
 func (l *RunLog) Hook(run string, next func(iter int, lab *img.Labels, st SolveStats)) func(iter int, lab *img.Labels, st SolveStats) {
 	return func(iter int, lab *img.Labels, st SolveStats) {
 		l.mu.Lock()
-		_ = l.enc.Encode(runLogRecord{
+		err := l.enc.Encode(runLogRecord{
 			Run:       run,
 			Sweep:     st.Sweep,
 			T:         st.T,
@@ -47,6 +56,9 @@ func (l *RunLog) Hook(run string, next func(iter int, lab *img.Labels, st SolveS
 			Flips:     st.Flips,
 			ElapsedNs: st.Elapsed.Nanoseconds(),
 		})
+		if l.err == nil {
+			l.err = err
+		}
 		l.mu.Unlock()
 		if next != nil {
 			next(iter, lab, st)

@@ -3,6 +3,7 @@ package mrf
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -71,5 +72,37 @@ func TestRunLogConcurrentWriters(t *testing.T) {
 		if err := json.Unmarshal(line, &rec); err != nil {
 			t.Fatalf("line %d corrupted by concurrent writes: %v", i, err)
 		}
+	}
+}
+
+// failAfter accepts n writes, then fails every later one.
+type failAfter struct{ n int }
+
+func (f *failAfter) Write(p []byte) (int, error) {
+	if f.n == 0 {
+		return 0, fmt.Errorf("injected write failure")
+	}
+	f.n--
+	return len(p), nil
+}
+
+// TestRunLogRecordsFirstWriteError checks that a failing writer neither
+// panics nor stops the hook from forwarding, and that Err reports the first
+// failure (nil before it).
+func TestRunLogRecordsFirstWriteError(t *testing.T) {
+	l := NewRunLog(&failAfter{n: 1})
+	forwarded := 0
+	hook := l.Hook("fail", func(int, *img.Labels, SolveStats) { forwarded++ })
+	hook(0, nil, SolveStats{})
+	if err := l.Err(); err != nil {
+		t.Fatalf("Err after a good write = %v", err)
+	}
+	hook(1, nil, SolveStats{Sweep: 1})
+	hook(2, nil, SolveStats{Sweep: 2})
+	if err := l.Err(); err == nil || err.Error() != "injected write failure" {
+		t.Fatalf("Err = %v, want the injected write failure", err)
+	}
+	if forwarded != 3 {
+		t.Fatalf("next callback invoked %d times, want 3", forwarded)
 	}
 }

@@ -17,103 +17,89 @@ import (
 // Explicit Workers or an explicit geometry always override the heuristic.
 const AutoShardPixels = 1 << 18
 
-// shardTile is one tile's compute state: its label buffer (the extended
-// rectangle, wrapped as an img.Labels so the fused Tables kernels run
-// unchanged), its Tables view over that rectangle, its own sampler (the
-// tile's RNG stream), and the tile-local linear indices of its owned cells
-// split by global checkerboard parity. Scratch buffers are per tile, so any
-// executor can run any tile without sharing state.
+// shardTile is one tile's compute state: its owned rect, its own sampler
+// (the tile's RNG stream), and the global linear indices of its owned cells
+// split by global checkerboard parity. The tile reads and writes the one
+// global label grid through the one global Tables; its scratch buffers are
+// its own, so any executor can run any tile without sharing state.
 type shardTile struct {
 	t       shard.Tile
-	grid    *shard.TileGrid
-	lab     *img.Labels // aliases grid.L over the extended rect
-	view    *Tables
 	sampler core.BatchSampler
 	// cells[color] lists owned cells of global parity (gx+gy)%2 == color as
-	// tile-local linear indices, row-major — the same order the monolithic
+	// global linear indices y*W+x, row-major — the same order the monolithic
 	// checkerboard visits them.
-	cells [2][]int32
+	cells [2][]int
 
 	energies []float64
 	currents []int
 	out      []int
 }
 
-func newShardTile(t shard.Tile, g *shard.TileGrid, view *Tables, sampler core.LabelSampler) *shardTile {
-	ew, eh := t.EW(), t.EH()
-	L := view.Labels()
-	st := &shardTile{
-		t: t, grid: g,
-		lab:     &img.Labels{W: ew, H: eh, L: g.L},
-		view:    view,
-		sampler: core.AsBatch(sampler),
-	}
+func newShardTile(t shard.Tile, w, labels int, sampler core.LabelSampler) *shardTile {
+	st := &shardTile{t: t, sampler: core.AsBatch(sampler)}
 	for color := 0; color < 2; color++ {
-		cs := make([]int32, 0, (t.W()*t.H()+1)/2)
+		cs := make([]int, 0, (t.W()*t.H()+1)/2)
 		for gy := t.Y0; gy < t.Y1; gy++ {
 			// First owned x of this row with (gx+gy)%2 == color.
 			gx := t.X0
 			if (gx+gy)%2 != color {
 				gx++
 			}
-			ly := gy - t.EY0
 			for ; gx < t.X1; gx += 2 {
-				cs = append(cs, int32(ly*ew+(gx-t.EX0)))
+				cs = append(cs, gy*w+gx)
 			}
 		}
 		st.cells[color] = cs
 	}
-	segCap := (ew + 1) / 2
-	st.energies = make([]float64, segCap*L)
+	segCap := (t.W() + 1) / 2
+	st.energies = make([]float64, segCap*labels)
 	st.currents = make([]int, segCap)
 	st.out = make([]int, segCap)
 	return st
 }
 
-// compute runs one color phase over the tile's owned cells: maximal same-row
-// stride-2 segments are gathered with one LabelEnergiesSeg call on the tile
-// view and drawn with one SampleBatch call. Within a color phase no cell's
-// neighbors change (they are all the other color), so batch-gathering a whole
-// segment before drawing it yields exactly the energies — and therefore the
-// RNG draws — of a per-pixel loop. Halo cells are read but never written. A
-// sampler panic becomes the tile's error, so a faulty sampler fails the solve
-// instead of killing the process. Returns the tile's flips and, when track,
-// accumulates the energy delta.
-func (ts *shardTile) compute(color int, track bool) (flips int, edelta float64, err error) {
+// compute runs one color phase over the tile's owned cells of the global
+// grid: maximal same-row stride-2 segments are gathered with one
+// LabelEnergiesSeg call and drawn with one SampleBatch call. Within a color
+// phase no cell's neighbors change (they are all the other color), so
+// batch-gathering a whole segment before drawing it yields exactly the
+// energies — and therefore the RNG draws — of a per-pixel loop. The tile
+// writes only its own cells of this color and reads only their neighbors of
+// the other color, which no tile writes in this phase. A sampler panic
+// becomes the tile's error, so a faulty sampler fails the solve instead of
+// killing the process. Returns the tile's flips and, when track, accumulates
+// the energy delta.
+func (ts *shardTile) compute(tab *Tables, lab *img.Labels, color int, track bool) (flips int, edelta float64, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("mrf: tile %d panicked: %v", ts.t.Index, r)
 		}
 	}()
-	L := ts.view.Labels()
-	ew := ts.t.EW()
-	labs := ts.lab.L
+	L := tab.Labels()
+	w := lab.W
+	labs := lab.L
 	cells := ts.cells[color]
 	for i := 0; i < len(cells); {
-		c := int(cells[i])
-		lx0, ly := c%ew, c/ew
-		// Extend across the same-row stride-2 run; the row bound keeps an odd
-		// extended width from letting the linear sequence jump rows.
+		c := cells[i]
+		x0, y := c%w, c/w
+		// Extend across the same-row stride-2 run; the owned-row bound keeps
+		// the linear sequence from running into the next row.
 		n := 1
-		nmax := (ew - lx0 + 1) / 2
-		if m := len(cells) - i; nmax > m {
-			nmax = m
-		}
-		for n < nmax && int(cells[i+n]) == c+2*n {
+		nmax := min((ts.t.X1-x0+1)/2, len(cells)-i)
+		for n < nmax && cells[i+n] == c+2*n {
 			n++
 		}
-		ts.view.LabelEnergiesSeg(ts.energies[:n*L], ts.lab, ly, lx0, 2, n)
+		tab.LabelEnergiesSeg(ts.energies[:n*L], lab, y, x0, 2, n)
 		for j := 0; j < n; j++ {
 			ts.currents[j] = labs[c+2*j]
 		}
 		if serr := ts.sampler.SampleBatch(ts.energies[:n*L], L, ts.currents[:n], ts.out[:n]); serr != nil {
-			return flips, edelta, fmt.Errorf("mrf: tile %d pixel (%d,%d): %w",
-				ts.t.Index, ts.t.EX0+lx0, ts.t.EY0+ly, serr)
+			return flips, edelta, fmt.Errorf("mrf: tile %d pixel (%d,%d): %w", ts.t.Index, x0, y, serr)
 		}
 		for j := 0; j < n; j++ {
 			if next := ts.out[j]; next != ts.currents[j] {
 				if track {
-					edelta += ts.view.FlipDelta(ts.lab, lx0+2*j, ly, ts.currents[j], next)
+					edelta += tab.FlipDelta(lab, x0+2*j, y, ts.currents[j], next)
 				}
 				labs[c+2*j] = next
 				flips++
@@ -128,20 +114,19 @@ func (ts *shardTile) compute(color int, track bool) (flips int, edelta float64, 
 // long-lived executor goroutines: executor 0 is the goroutine driving sweep()
 // itself (parking it at the barrier while another thread is woken to do its
 // work would be pure scheduler churn), executors 1..E-1 park on unbuffered
-// command channels. Each sweep has four stages: compute color 0, exchange
-// halos, compute color 1, exchange halos. Compute stages write only owned
-// cells; exchange stages write only the running tile's own halo and read
-// only neighbors' owned cells — each barrier separates the two access
-// patterns, so the sweep is race-free at any executor count, and because
-// tiles (not cells) are the scheduling unit, bit-identical at any executor
-// count too.
+// command channels. Each sweep has two stages, compute color 0 and compute
+// color 1, each ending at a barrier. Every tile sweeps the one global grid in
+// place: in a color-c stage a tile writes only its own color-c cells and
+// reads only color-(1−c) cells, which no tile writes in that stage, so the
+// sweep is race-free at any executor count, and because tiles (not cells)
+// are the scheduling unit, bit-identical at any executor count too.
 type shardPool struct {
 	r     *run
-	plan  *shard.Plan
+	tab   *Tables
 	tiles []*shardTile
 	nexec int
 
-	cmds  []chan int // stage commands for executors 1..E-1
+	cmds  []chan int // color commands for executors 1..E-1
 	phase sync.WaitGroup
 	exit  sync.WaitGroup
 
@@ -149,14 +134,6 @@ type shardPool struct {
 	flips  []int
 	edelta []float64
 }
-
-// Stage encoding for the command channels.
-const (
-	stageCompute0 = iota
-	stageExchange0
-	stageCompute1
-	stageExchange1
-)
 
 // resolveExecutors maps the SolveOptions.executors seam onto a concrete
 // executor count for the given tile count: <= 0 means min(tiles, NumCPU,
@@ -171,48 +148,37 @@ func resolveExecutors(requested, tiles int) int {
 }
 
 // newShardPool builds the tile engine for the run on the given geometry —
-// tile i draws from run.samplers[i] — records its grids in run.grids and
-// starts the executors.
+// tile i draws from run.samplers[i] — records its plan in run.plan and starts
+// the executors. Resuming a tile-engine snapshot checks every tile's recorded
+// halo against the restored grid first.
 func newShardPool(r *run, tab *Tables, geom shard.Geometry) (*shardPool, error) {
 	plan, err := shard.NewPlan(geom, r.p.W, r.p.H)
 	if err != nil {
 		return nil, fmt.Errorf("mrf: %w", err)
 	}
-	// Scatter seeds every tile's extended rect — halos included — from the
-	// initial (or restored) grid.
-	grids := shard.NewTileGrids(plan)
-	for _, g := range grids {
-		g.Scatter(r.lab.L, r.p.W)
-	}
-	// A version-1 worker snapshot carries no halos: at a sweep boundary every
-	// edge halo equals the neighbor's owned cell, which Scatter already
-	// copied from the snapshot grid. A tile-engine snapshot's halos must come
-	// from the snapshot instead — for edge cells that is the same thing, but
-	// corners were never exchanged and must round-trip verbatim for later
-	// checkpoints to stay byte-identical.
+	// A version-1 worker snapshot carries no halos. A tile-engine snapshot's
+	// halos were captured from the grid it carries, so every edge cell must
+	// still agree with it; corners are read by no 4-neighborhood and are not
+	// compared.
 	if st := r.opts.Resume; st != nil && st.ShardRows != 0 {
-		if len(st.Halos) != len(grids) {
-			return nil, fmt.Errorf("mrf: snapshot has %d halo buffers for %d tiles", len(st.Halos), len(grids))
+		if len(st.Halos) != len(plan.Tiles) {
+			return nil, fmt.Errorf("mrf: snapshot has %d halo buffers for %d tiles", len(st.Halos), len(plan.Tiles))
 		}
-		for i, g := range grids {
-			if err := g.RestoreHalos(st.Halos[i]); err != nil {
-				return nil, fmt.Errorf("mrf: %w", err)
+		for i, t := range plan.Tiles {
+			if err := t.CheckHalo(r.lab.L, r.p.W, st.Halos[i]); err != nil {
+				return nil, fmt.Errorf("mrf: snapshot: %w", err)
 			}
 		}
 	}
-	tiles := make([]*shardTile, len(grids))
+	tiles := make([]*shardTile, len(plan.Tiles))
 	for i, t := range plan.Tiles {
-		view, err := tab.TileView(t.EX0, t.EY0, t.EX1, t.EY1)
-		if err != nil {
-			return nil, err
-		}
-		tiles[i] = newShardTile(t, grids[i], view, r.samplers[i])
+		tiles[i] = newShardTile(t, r.p.W, r.p.Labels, r.samplers[i])
 	}
-	r.grids = grids
+	r.plan = plan
 
 	nexec := resolveExecutors(r.opts.executors, len(tiles))
 	pool := &shardPool{
-		r: r, plan: plan, tiles: tiles, nexec: nexec,
+		r: r, tab: tab, tiles: tiles, nexec: nexec,
 		cmds:   make([]chan int, nexec-1),
 		errs:   make([]error, len(tiles)),
 		flips:  make([]int, len(tiles)),
@@ -226,66 +192,54 @@ func newShardPool(r *run, tab *Tables, geom shard.Geometry) (*shardPool, error) 
 	return pool, nil
 }
 
-// executor is executor e's loop: park on the command channel, execute the
-// commanded stage over this executor's contiguous tile block, signal the
+// executor is executor e's loop: park on the command channel, compute the
+// commanded color over this executor's contiguous tile block, signal the
 // barrier, repeat until the channel closes.
 func (pool *shardPool) executor(e int) {
 	defer pool.exit.Done()
-	for stage := range pool.cmds[e-1] {
-		pool.execStage(e, stage)
+	for color := range pool.cmds[e-1] {
+		pool.computeColor(e, color)
 		pool.phase.Done()
 	}
 }
 
-// execStage runs one stage for executor e's contiguous block of tiles,
+// computeColor computes one color for executor e's contiguous block of tiles,
 // sequentially and in tile order.
-func (pool *shardPool) execStage(e, stage int) {
+func (pool *shardPool) computeColor(e, color int) {
 	n := len(pool.tiles)
 	for i := e * n / pool.nexec; i < (e+1)*n/pool.nexec; i++ {
-		switch stage {
-		case stageCompute0, stageCompute1:
-			if pool.errs[i] != nil {
-				continue // tile sits out after an error, but honors barriers
-			}
-			color := 0
-			if stage == stageCompute1 {
-				color = 1
-			}
-			flips, edelta, err := pool.tiles[i].compute(color, pool.r.track)
-			pool.flips[i] += flips
-			pool.edelta[i] += edelta
-			if err != nil {
-				pool.errs[i] = err
-			}
-		case stageExchange0, stageExchange1:
-			shard.PullHalos(pool.plan, pool.r.grids, i)
+		if pool.errs[i] != nil {
+			continue // tile sits out after an error, but honors barriers
+		}
+		flips, edelta, err := pool.tiles[i].compute(pool.tab, pool.r.lab, color, pool.r.track)
+		pool.flips[i] += flips
+		pool.edelta[i] += edelta
+		if err != nil {
+			pool.errs[i] = err
 		}
 	}
 }
 
-// barrier drives one stage across every executor: commands 1..E-1, runs
-// executor 0 inline, waits. The sends publish the driving goroutine's writes;
-// the Wait publishes the executors' writes back.
-func (pool *shardPool) barrier(stage int) {
+// barrier drives one color stage across every executor: commands 1..E-1,
+// runs executor 0 inline, waits. The sends publish the driving goroutine's
+// writes; the Wait publishes the executors' writes back.
+func (pool *shardPool) barrier(color int) {
 	pool.phase.Add(len(pool.cmds))
 	for _, cmd := range pool.cmds {
-		cmd <- stage
+		cmd <- color
 	}
-	pool.execStage(0, stage)
+	pool.computeColor(0, color)
 	pool.phase.Wait()
 }
 
-// sweep drives the four stages of sweep k, adds the sweep's energy delta
-// (summed in tile order, so the tracked energy is deterministic) to
+// sweep drives the two color stages of sweep k, adds the sweep's energy
+// delta (summed in tile order, so the tracked energy is deterministic) to
 // run.energy and returns the flip count plus the first tile error, if any.
-// After each exchange barrier the shardPhaseHook test seam, when set, sees
-// the gathered labeling.
+// After each barrier the shardPhaseHook test seam, when set, sees the grid.
 func (pool *shardPool) sweep(k int) (int, error) {
-	for color, stages := range [2][2]int{{stageCompute0, stageExchange0}, {stageCompute1, stageExchange1}} {
-		pool.barrier(stages[0])
-		pool.barrier(stages[1])
+	for color := 0; color < 2; color++ {
+		pool.barrier(color)
 		if hook := pool.r.opts.shardPhaseHook; hook != nil {
-			pool.gather()
 			hook(k, color, pool.r.lab)
 		}
 	}
@@ -306,16 +260,6 @@ func (pool *shardPool) sweep(k int) (int, error) {
 		pool.r.energy += delta
 	}
 	return flips, nil
-}
-
-// gather reassembles the global labeling from the tiles' owned rects. The
-// driver runs it only when an observer needs the full grid (hook, collector,
-// checkpoint, cancellation) and on every return, so steady sweeps touch only
-// tile-local memory.
-func (pool *shardPool) gather() {
-	for _, g := range pool.r.grids {
-		g.GatherInto(pool.r.lab.L, pool.r.p.W)
-	}
 }
 
 // stop shuts the executors down and waits for every goroutine to exit.

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -76,12 +77,13 @@ func referenceCheckerboard(p *Problem, init *img.Labels, sweeps int, observe fun
 	}
 }
 
-// TestShardedMatchesCheckerboardAtEveryBarrier is the halo-exchange property
-// test: over random grids, label counts and tile geometries, the sharded
-// solver's labeling after every color-phase exchange must equal the
-// monolithic checkerboard reference — i.e. every pixel saw exactly the
-// neighbor labels the monolithic chain would have shown it. Run under -race
-// this also exercises the exchange barriers for data races.
+// TestShardedMatchesCheckerboardAtEveryBarrier is the tile engine's property
+// test: over random grids, label counts and tile geometries, the shared grid
+// after every color-phase barrier must equal the monolithic checkerboard
+// reference — i.e. every pixel saw exactly the neighbor labels the
+// monolithic chain would have shown it. Run under -race this also checks
+// that tiles sweeping the one grid in place never race across a tile
+// boundary.
 func TestShardedMatchesCheckerboardAtEveryBarrier(t *testing.T) {
 	r := rand.New(rand.NewSource(20260808))
 	for iter := 0; iter < 40; iter++ {
@@ -419,8 +421,7 @@ func (f *tempFailSampler) SetTemperature(T float64) error {
 // TestSetTemperatureFailureReturnsPartialLabels pins Solve's partial-label
 // contract on the tile engine, for a worker count and an explicit lattice: a sampler
 // that fails SetTemperature at sweep 3 aborts the solve with the labeling of
-// the three completed sweeps — gathered from the tiles, not a stale
-// observer copy.
+// the three completed sweeps — the shared grid, not a stale observer copy.
 func TestSetTemperatureFailureReturnsPartialLabels(t *testing.T) {
 	p := shardTestProblem(14, 10, 4)
 	sched := Schedule{T0: 8, Alpha: 0.9, Iterations: 8}
@@ -453,5 +454,148 @@ func TestSetTemperatureFailureReturnsPartialLabels(t *testing.T) {
 		if !bytes.Equal(encodeLabels(got), encodeLabels(want)) {
 			t.Fatalf("workers %d shards %s: aborted solve did not return the labels of its three completed sweeps", opts.Workers, opts.Shards)
 		}
+	}
+}
+
+// TestShardedSolveDoesNotCopySingles bounds what one 2×3 sharded solve on
+// prebuilt tables allocates: well under half the singleton table, so no
+// tile can hold a private copy of its rows.
+func TestShardedSolveDoesNotCopySingles(t *testing.T) {
+	p := randomShardProblem(rand.New(rand.NewSource(6)), 96, 64, 48)
+	tab := p.BuildTables()
+	sched := Schedule{T0: 4, Alpha: 0.9, Iterations: 2}
+	opts := SolveOptions{Shards: shard.Geometry{Rows: 2, Cols: 3}, Tables: tab}
+	factory := func(int) core.LabelSampler { return argminSampler{} }
+	if _, err := Solve(context.Background(), p, factory, sched, opts); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Solve(context.Background(), p, factory, sched, opts); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	singles := uint64(len(tab.Singles)) * 8
+	if got := after.TotalAlloc - before.TotalAlloc; got >= singles/2 {
+		t.Fatalf("sharded solve allocated %d B, singles table is %d B (limit %d B)", got, singles, singles/2)
+	}
+}
+
+// shardedRun solves p on geom from a fresh rsugFactory(seed), with the given
+// options, and returns the final labels and every stream's captured sampler
+// state.
+func shardedRun(t *testing.T, p *Problem, sched Schedule, seed uint64, opts SolveOptions) (*img.Labels, []core.SamplerState, error) {
+	t.Helper()
+	var samplers []core.LabelSampler
+	factory := rsugFactory(seed)
+	lab, err := Solve(context.Background(), p, func(i int) core.LabelSampler {
+		s := factory(i)
+		samplers = append(samplers, s)
+		return s
+	}, sched, opts)
+	states := make([]core.SamplerState, len(samplers))
+	for i, s := range samplers {
+		st, cerr := s.(core.Checkpointable).CaptureState()
+		if cerr != nil {
+			t.Fatal(cerr)
+		}
+		states[i] = st
+	}
+	return lab, states, err
+}
+
+// shardedMidSnapshot captures a tile run of p on geom after sweep mid.
+func shardedMidSnapshot(t *testing.T, p *Problem, sched Schedule, geom shard.Geometry, mid int) *SolverState {
+	t.Helper()
+	var snap *SolverState
+	if _, _, err := shardedRun(t, p, sched, 9, SolveOptions{
+		Shards: geom, CheckpointEvery: mid,
+		OnCheckpoint: func(st *SolverState) error {
+			if snap == nil {
+				snap = st
+			}
+			return nil
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if snap == nil || snap.NextSweep != mid {
+		t.Fatalf("no snapshot after sweep %d: %+v", mid, snap)
+	}
+	return snap
+}
+
+// TestShardedResumeIgnoresHaloCorners resumes a 3×2 snapshot whose corner
+// halo cells were rewritten to other valid labels — as in snapshots of
+// engines that kept private per-tile halos, whose corners still held the
+// initial labels — and requires the uninterrupted run's final labels and
+// stream states: no 4-neighborhood reads a corner, so a resume must not
+// either.
+func TestShardedResumeIgnoresHaloCorners(t *testing.T) {
+	p := shardTestProblem(23, 17, 5)
+	sched := Schedule{T0: 8, Alpha: 0.9, Iterations: 8}
+	geom := shard.Geometry{Rows: 3, Cols: 2}
+	want, wantStates, err := shardedRun(t, p, sched, 9, SolveOptions{Shards: geom})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := shardedMidSnapshot(t, p, sched, geom, 3)
+	plan, err := shard.NewPlan(geom, p.W, p.H)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rewritten := 0
+	for ti, tl := range plan.Tiles {
+		i := 0
+		for gy := tl.EY0; gy < tl.EY1; gy++ {
+			for gx := tl.EX0; gx < tl.EX1; gx++ {
+				if gx >= tl.X0 && gx < tl.X1 && gy >= tl.Y0 && gy < tl.Y1 {
+					continue
+				}
+				if (gx < tl.X0 || gx >= tl.X1) && (gy < tl.Y0 || gy >= tl.Y1) {
+					snap.Halos[ti][i] = (snap.Halos[ti][i] + 1) % p.Labels
+					rewritten++
+				}
+				i++
+			}
+		}
+	}
+	if rewritten == 0 {
+		t.Fatal("3x2 plan has no corner halo cells")
+	}
+	got, gotStates, err := shardedRun(t, p, sched, 9, SolveOptions{Resume: snap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encodeLabels(got), encodeLabels(want)) {
+		t.Fatal("resume with rewritten halo corners diverged from the uninterrupted run")
+	}
+	for i := range wantStates {
+		if gotStates[i] != wantStates[i] {
+			t.Fatalf("stream %d state %+v, uninterrupted run %+v", i, gotStates[i], wantStates[i])
+		}
+	}
+}
+
+// TestShardedResumeRejectsStaleHaloEdge resumes a 3×2 snapshot with one edge
+// halo cell that disagrees with the grid: the snapshot is inconsistent, so
+// the resume must fail before the first sweep with an error naming the tile.
+func TestShardedResumeRejectsStaleHaloEdge(t *testing.T) {
+	p := shardTestProblem(23, 17, 5)
+	sched := Schedule{T0: 8, Alpha: 0.9, Iterations: 8}
+	geom := shard.Geometry{Rows: 3, Cols: 2}
+	snap := shardedMidSnapshot(t, p, sched, geom, 3)
+	plan, err := shard.NewPlan(geom, p.W, p.H)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Tile 3 (row 1, column 1): its first halo cell past the north-west
+	// corner is the north edge cell above its first owned pixel.
+	tl := plan.Tiles[3]
+	snap.Halos[3][1] = (snap.Halos[3][1] + 1) % p.Labels
+	_, _, err = shardedRun(t, p, sched, 9, SolveOptions{Resume: snap})
+	want := fmt.Sprintf("tile 3 halo cell (%d,%d)", tl.X0, tl.Y0-1)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("resume with a stale edge halo cell: err = %v, want it to name %q", err, want)
 	}
 }

@@ -121,9 +121,9 @@ type SolveStats struct {
 // tile engine, at every worker count and tile geometry:
 //
 //   - Collect runs on the goroutine driving the solve, after the sweep's
-//     label writes are published (the tile engine's last halo-exchange
-//     barrier, then a gather of the tiles into the full grid) and after the
-//     OnSweep hook, so its cost is never charged to SolveStats.Elapsed.
+//     label writes are published (the tile engine's second color barrier)
+//     and after the OnSweep hook, so its cost is never charged to
+//     SolveStats.Elapsed.
 //   - The *img.Labels argument is the solver's reused working buffer, exactly
 //     as for OnSweep: a collector that retains labels beyond the call must
 //     copy them. Collectors that only fold the labeling into an aggregate
@@ -193,9 +193,9 @@ type SolveOptions struct {
 	// checkpointable; the first capture reports a violation as an error.
 	OnCheckpoint func(*SolverState) error
 	// Shards selects the tile geometry: the grid is split into Shards.Rows ×
-	// Shards.Cols tiles with 1-pixel halos exchanged at every checkerboard
-	// color-phase barrier, each tile drawing from its own RNG stream
-	// (factory(tileIndex)). The zero value — the default — leaves the
+	// Shards.Cols tiles that sweep the one label grid in place, one
+	// checkerboard color per barrier, each tile drawing from its own RNG
+	// stream (factory(tileIndex)). The zero value — the default — leaves the
 	// geometry to Workers; Solve may also shard automatically for grids
 	// of AutoShardPixels pixels or more. A 1×1 geometry runs the serial
 	// engine and is byte-identical to it. Multi-tile output differs
@@ -205,10 +205,10 @@ type SolveOptions struct {
 	// fixed geometry and seed the result is bit-exactly reproducible at any
 	// executor count. Workers is ignored when Shards is set.
 	Shards shard.Geometry
-	// shardPhaseHook, when non-nil, observes the full gathered labeling after
-	// every color-phase halo exchange of the tile engine — a test-only seam
-	// the halo-exchange property tests use to compare against a whole-grid
-	// checkerboard reference at each barrier.
+	// shardPhaseHook, when non-nil, observes the labeling after every
+	// color-phase barrier of the tile engine — a test-only seam the property
+	// test uses to compare against a whole-grid checkerboard reference at
+	// each barrier.
 	shardPhaseHook func(sweep, color int, lab *img.Labels)
 	// Resume, when non-nil, restores a previously captured snapshot instead
 	// of starting fresh: the grid, every stream's RNG state and counters,
@@ -307,14 +307,14 @@ type run struct {
 	p     *Problem
 	opts  SolveOptions
 	iters int // Schedule.Iterations
-	// lab is the global labeling, current once the engine has gathered.
+	// lab is the global labeling; both engines sweep it in place.
 	lab *img.Labels
 	// samplers holds one sampler per RNG stream: stream 0 on the serial
 	// engine, stream i on tile i.
 	samplers []core.LabelSampler
-	// grids holds the tile engine's per-tile grids, whose halos are part of
-	// solver state; nil on the serial engine.
-	grids []*shard.TileGrid
+	// plan is the tile engine's decomposition, whose tiles' halos a snapshot
+	// records; nil on the serial engine.
+	plan *shard.Plan
 	// next is the first sweep that has not run; ti.t is its temperature.
 	next int
 	ti   tempIter
@@ -338,12 +338,11 @@ func (r *run) checkpointDue() bool {
 // sweepEngine runs whole sweeps for the annealing driver, which calls it once
 // per sweep. sweep runs sweep k over every variable at the temperature the
 // driver has already set on every stream, adds each accepted flip's
-// FlipDelta to run.energy when run.track, and returns the flip count. gather
-// brings run.lab up to date (the serial engine sweeps run.lab in place, so
-// its gather is empty). stop releases the engine's goroutines.
+// FlipDelta to run.energy when run.track, and returns the flip count; both
+// engines sweep run.lab in place, so it is current after every sweep. stop
+// releases the engine's goroutines.
 type sweepEngine interface {
 	sweep(k int) (flips int, err error)
-	gather()
 	stop()
 }
 
@@ -355,8 +354,8 @@ type sweepEngine interface {
 // the sweep's temperature on every stream, runs one engine sweep, and feeds
 // OnSweep, the Collector and the periodic checkpoint. geom selects the
 // engine: the zero geometry is the serial raster engine, anything else the
-// tile engine with tile i on stream i. Every return after the engine starts
-// gathers first, so an aborted solve hands back the labeling its sweeps left.
+// tile engine with tile i on stream i. An aborted solve hands back the
+// labeling its sweeps left.
 func anneal(ctx context.Context, p *Problem, factory func(stream int) core.LabelSampler, sched Schedule, geom shard.Geometry, opts SolveOptions) (*img.Labels, error) {
 	lab, tab, err := prepare(p, sched, geom, opts)
 	if err != nil {
@@ -403,11 +402,9 @@ func anneal(ctx context.Context, p *Problem, factory func(stream int) core.Label
 		return nil, err
 	}
 	defer eng.stop()
-	defer eng.gather()
 
 	for k := r.next; k < r.iters; k++ {
 		if err := ctx.Err(); err != nil {
-			eng.gather()
 			return lab, cancelCheckpoint(err, r)
 		}
 		start := time.Now()
@@ -422,17 +419,13 @@ func anneal(ctx context.Context, p *Problem, factory func(stream int) core.Label
 			return lab, err
 		}
 		r.next = k + 1
-		due := r.checkpointDue()
-		if r.track || opts.Collector != nil || due {
-			eng.gather()
-		}
 		if r.track {
 			opts.OnSweep(k, lab, SolveStats{Sweep: k, T: T, Energy: r.energy, Flips: flips, Elapsed: time.Since(start)})
 		}
 		if opts.Collector != nil {
 			opts.Collector.Collect(k, lab)
 		}
-		if due {
+		if r.checkpointDue() {
 			if err := periodicCheckpoint(r); err != nil {
 				return lab, err
 			}
@@ -532,8 +525,7 @@ func (s *serialSweeper) raster(k int) (int, error) {
 	return flips, nil
 }
 
-func (s *serialSweeper) gather() {}
-func (s *serialSweeper) stop()   {}
+func (s *serialSweeper) stop() {}
 
 // Solve runs simulated-annealing Gibbs sampling on the problem and returns
 // the final labeling. It is the one entry point into the annealing driver:

@@ -9,6 +9,7 @@ package runopt
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -172,7 +173,8 @@ func (f *Flags) plan(app string) (*checkpoint.Plan, error) {
 // Runtime is the activated form of Flags. Options holds the app run options
 // the flags select; the runtime also owns an open profile, an open run log
 // and the deadline context. Always Close it (idempotent) so the profile and
-// log are flushed.
+// log are flushed, and report its error: a profile or run log that could not
+// be written is a failed run.
 type Runtime struct {
 	// Options are the run options for the app's Params (p.Options =
 	// rt.Options): sampler factory, Workers, Shards, the deadline context,
@@ -181,7 +183,33 @@ type Runtime struct {
 
 	cancel context.CancelFunc
 	files  []*os.File
-	prof   bool
+	prof   *errWriter // the running CPU profile's output; nil when none runs
+	log    *mrf.RunLog
+}
+
+// errWriter forwards writes to w and keeps the first write error, which
+// pprof's profile writer would otherwise drop.
+type errWriter struct {
+	w   io.Writer
+	err error
+}
+
+func (e *errWriter) Write(p []byte) (int, error) {
+	n, err := e.w.Write(p)
+	if e.err == nil {
+		e.err = err
+	}
+	return n, err
+}
+
+// startProfile starts the CPU profile into w.
+func (r *Runtime) startProfile(w io.Writer) error {
+	ew := &errWriter{w: w}
+	if err := pprof.StartCPUProfile(ew); err != nil {
+		return err
+	}
+	r.prof = ew
+	return nil
 }
 
 // Start validates the flags and activates them for one run of app (stamped
@@ -218,25 +246,25 @@ func (f *Flags) Start(app, run string) (*Runtime, error) {
 		if err != nil {
 			return nil, fmt.Errorf("runopt: -pprof: %w", err)
 		}
-		if err := pprof.StartCPUProfile(pf); err != nil {
+		if err := r.startProfile(pf); err != nil {
 			_ = pf.Close()
 			return nil, fmt.Errorf("runopt: -pprof: %w", err)
 		}
 		r.files = append(r.files, pf)
-		r.prof = true
 	}
 	if f.RunLog != "" {
 		out := os.Stdout
 		if f.RunLog != "-" {
 			lf, err := os.Create(f.RunLog)
 			if err != nil {
-				r.Close()
+				_ = r.Close()
 				return nil, fmt.Errorf("runopt: -runlog: %w", err)
 			}
 			r.files = append(r.files, lf)
 			out = lf
 		}
-		o.OnSweep = mrf.NewRunLog(out).Hook(run, nil)
+		r.log = mrf.NewRunLog(out)
+		o.OnSweep = r.log.Hook(run, nil)
 	}
 	if f.Timeout > 0 {
 		o.Ctx, r.cancel = context.WithTimeout(context.Background(), f.Timeout)
@@ -247,20 +275,35 @@ func (f *Flags) Start(app, run string) (*Runtime, error) {
 }
 
 // Close stops profiling, cancels the context, and closes every file the
-// runtime opened. Safe to call more than once.
-func (r *Runtime) Close() {
-	if r.prof {
+// runtime opened. It returns the first profile and run-log write errors
+// joined with any file-close error. Safe to call more than once; later
+// calls return nil.
+func (r *Runtime) Close() error {
+	var errs []error
+	if r.prof != nil {
 		pprof.StopCPUProfile()
-		r.prof = false
+		if r.prof.err != nil {
+			errs = append(errs, fmt.Errorf("runopt: -pprof: %w", r.prof.err))
+		}
+		r.prof = nil
+	}
+	if r.log != nil {
+		if err := r.log.Err(); err != nil {
+			errs = append(errs, fmt.Errorf("runopt: -runlog: %w", err))
+		}
+		r.log = nil
 	}
 	if r.cancel != nil {
 		r.cancel()
 		r.cancel = nil
 	}
 	for _, f := range r.files {
-		_ = f.Close()
+		if err := f.Close(); err != nil {
+			errs = append(errs, fmt.Errorf("runopt: %w", err))
+		}
 	}
 	r.files = nil
+	return errors.Join(errs...)
 }
 
 // ReportResume prints the resume point when the plan restored a snapshot. pl

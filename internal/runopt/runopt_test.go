@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"io"
 	"os"
@@ -272,7 +273,9 @@ func TestRunLogWritesJSONL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Close()
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	rf, err := os.Open(path)
 	if err != nil {
@@ -300,5 +303,44 @@ func TestRunLogWritesJSONL(t *testing.T) {
 	}
 	if n != sweeps {
 		t.Fatalf("run log has %d records, want %d", n, sweeps)
+	}
+}
+
+// failWriter fails every write, like a file on a full disk.
+type failWriter struct{}
+
+func (failWriter) Write([]byte) (int, error) { return 0, errors.New("injected write failure") }
+
+// TestRunLogWriteFailureFailsClose runs a solve whose run log and CPU profile
+// both write to a failing writer: the solve itself must succeed, Close must
+// return both write errors, and a second Close must return nil.
+func TestRunLogWriteFailureFailsClose(t *testing.T) {
+	r, err := parse(t).Start("test", "fail")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.log = mrf.NewRunLog(failWriter{})
+	if err := r.startProfile(failWriter{}); err != nil {
+		t.Fatal(err)
+	}
+	prob := &mrf.Problem{
+		W: 6, H: 4, Labels: 2,
+		Singleton:  func(x, y, l int) float64 { return float64(l) },
+		PairWeight: 1, Dist: mrf.Binary,
+	}
+	sampler := func(int) core.LabelSampler { return core.NewSoftwareSampler(rng.NewXoshiro256(1)) }
+	if _, err := mrf.Solve(r.Options.Ctx, prob, sampler,
+		mrf.Schedule{T0: 2, Alpha: 0.9, Iterations: 3},
+		mrf.SolveOptions{Workers: 1, OnSweep: r.log.Hook("fail", nil)}); err != nil {
+		t.Fatalf("a failing run log aborted the solve: %v", err)
+	}
+	err = r.Close()
+	for _, want := range []string{"-runlog: injected write failure", "-pprof: injected write failure"} {
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Close error %v, want it to contain %q", err, want)
+		}
+	}
+	if err := r.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
 	}
 }

@@ -6,8 +6,7 @@ import "testing"
 // counts and label counts. Degenerate geometries must fail Validate with a
 // clean error (never a panic); valid ones must produce a plan that covers
 // every pixel exactly once, keeps every extended rect inside the grid, and
-// round-trips labels through Scatter/GatherInto and halo snapshots without
-// loss.
+// gives every tile a halo of HaloCells() cells that matches the grid.
 func FuzzShardGeometry(f *testing.F) {
 	f.Add(5, 4, 1, 1, 2)
 	f.Add(7, 5, 2, 2, 3)
@@ -67,8 +66,9 @@ func FuzzShardGeometry(f *testing.F) {
 			}
 		}
 
-		// Label round trip: scatter a synthetic global grid, pull halos,
-		// snapshot/restore them, gather — the global grid must survive.
+		// Halo round trip: each tile's halo of a synthetic label grid has
+		// HaloCells() cells, equals the grid at its edge cells, and passes
+		// CheckHalo.
 		if labels < 1 {
 			labels = 1
 		}
@@ -77,25 +77,13 @@ func FuzzShardGeometry(f *testing.F) {
 		for i := range global {
 			global[i] = i % labels
 		}
-		grids := NewTileGrids(plan)
-		for _, tg := range grids {
-			tg.Scatter(global, w)
-		}
-		for i := range grids {
-			PullHalos(plan, grids, i)
-		}
-		for _, tg := range grids {
-			if err := tg.RestoreHalos(tg.HaloSnapshot()); err != nil {
-				t.Fatalf("halo snapshot round trip: %v", err)
+		for _, tl := range plan.Tiles {
+			halo := tl.Halo(global, w)
+			if len(halo) != tl.HaloCells() {
+				t.Fatalf("tile %d halo has %d cells, want %d", tl.Index, len(halo), tl.HaloCells())
 			}
-		}
-		got := make([]int, w*h)
-		for _, tg := range grids {
-			tg.GatherInto(got, w)
-		}
-		for i := range got {
-			if got[i] != global[i] {
-				t.Fatalf("cell %d: gathered %d, want %d", i, got[i], global[i])
+			if err := tl.CheckHalo(global, w, halo); err != nil {
+				t.Fatalf("halo round trip: %v", err)
 			}
 		}
 	})

@@ -1,17 +1,17 @@
-// Package shard implements the domain decomposition behind the tile-sharded
-// solver (DESIGN.md §15): the grid is split into an R×C lattice of tiles,
-// each tile carries a 1-pixel halo of its neighbors' boundary labels, and the
-// solver exchanges those halos at every checkerboard color-phase barrier.
-// Because same-color pixels share no 4-neighborhood edge, a tiled
-// checkerboard sweep with per-barrier halo refresh executes the exact
-// transition kernel of the monolithic checkerboard sweep — only the
-// assignment of pixels to RNG streams differs — so the Markov chain's
-// stationary distribution is preserved, and for a fixed geometry and seed the
-// result is bit-exactly reproducible.
+// Package shard implements the domain decomposition behind the tile engine
+// (DESIGN.md §15): the grid is split into an R×C lattice of tiles, each with
+// its own RNG stream, and every tile sweeps its owned cells of the one shared
+// label grid in place. Because same-color pixels share no 4-neighborhood
+// edge, a checkerboard color phase writes only cells no other cell of that
+// phase reads, so a tiled sweep executes the exact transition kernel of the
+// monolithic checkerboard sweep — only the assignment of pixels to RNG
+// streams differs — the Markov chain's stationary distribution is preserved,
+// and for a fixed geometry and seed the result is bit-exactly reproducible.
 //
-// The package is pure geometry and buffer plumbing: it knows nothing about
-// MRFs, samplers, or energies. internal/mrf builds the sharded sweep engine
-// on top of it, and internal/checkpoint serializes its halo snapshots.
+// The package is pure geometry: it knows nothing about MRFs, samplers, or
+// energies. internal/mrf builds the tile engine on top of it, and
+// internal/checkpoint serializes the per-tile halos a sharded snapshot
+// records.
 package shard
 
 import (
@@ -86,8 +86,9 @@ func (g Geometry) Validate(w, h int) error {
 }
 
 // DefaultTileSide is the target tile edge length Auto aims for — large enough
-// that halo exchange is a surface-to-volume rounding error, small enough that
-// a tile's working set (labels plus its singleton-table view) fits in cache.
+// that a tile's boundary is a surface-to-volume rounding error, small enough
+// that a tile's working set (its rows of labels and singleton table) fits in
+// cache.
 const DefaultTileSide = 256
 
 // Auto picks a geometry for a w×h grid: the smallest lattice whose tiles are
@@ -109,10 +110,8 @@ func Auto(w, h int) Geometry {
 // Tile is one element of the decomposition. It owns the half-open rectangle
 // [X0,X1)×[Y0,Y1) and reads (never writes) the 1-pixel halo ring around it;
 // the extended rectangle [EX0,EX1)×[EY0,EY1) is the owned rect grown by one
-// pixel on each side and clipped to the grid. Where a tile touches the grid
-// edge the extended rect coincides with the owned rect there, so a tile-local
-// boundary test ("is there a pixel to my left?") reproduces the global one
-// exactly — the keystone of the bit-exactness argument.
+// pixel on each side and clipped to the grid. A sharded snapshot records each
+// tile's halo (Halo) so a resume can check it against the grid (CheckHalo).
 type Tile struct {
 	// Index is the tile's position in Plan.Tiles (row-major over the lattice).
 	Index int
@@ -137,8 +136,51 @@ func (t Tile) EW() int { return t.EX1 - t.EX0 }
 func (t Tile) EH() int { return t.EY1 - t.EY0 }
 
 // HaloCells returns the number of extended-rect cells outside the owned rect
-// — the length of a TileGrid's HaloSnapshot.
+// — the length of the tile's Halo.
 func (t Tile) HaloCells() int { return t.EW()*t.EH() - t.W()*t.H() }
+
+// owns reports whether global pixel (gx, gy) lies in the owned rect.
+func (t Tile) owns(gx, gy int) bool { return gx >= t.X0 && gx < t.X1 && gy >= t.Y0 && gy < t.Y1 }
+
+// Halo returns the labels of every extended-rect cell outside the owned rect
+// (edge strips and corners), read from a global row-major w-wide grid in
+// extended-rect row-major order. Its length is HaloCells().
+func (t Tile) Halo(grid []int, w int) []int {
+	out := make([]int, 0, t.HaloCells())
+	for gy := t.EY0; gy < t.EY1; gy++ {
+		for gx := t.EX0; gx < t.EX1; gx++ {
+			if !t.owns(gx, gy) {
+				out = append(out, grid[gy*w+gx])
+			}
+		}
+	}
+	return out
+}
+
+// CheckHalo reports whether halo, in Halo's order, has HaloCells() cells and
+// agrees with the global row-major w-wide grid at every edge cell — a cell
+// sharing a row or a column with the owned rect, so some owned pixel has it
+// as a 4-neighbor. Corner cells are not compared: no 4-neighborhood of an
+// owned pixel reads them.
+func (t Tile) CheckHalo(grid []int, w int, halo []int) error {
+	if len(halo) != t.HaloCells() {
+		return fmt.Errorf("shard: tile %d halo has %d cells, tile needs %d", t.Index, len(halo), t.HaloCells())
+	}
+	i := 0
+	for gy := t.EY0; gy < t.EY1; gy++ {
+		for gx := t.EX0; gx < t.EX1; gx++ {
+			if t.owns(gx, gy) {
+				continue
+			}
+			edge := (gx >= t.X0 && gx < t.X1) || (gy >= t.Y0 && gy < t.Y1)
+			if edge && halo[i] != grid[gy*w+gx] {
+				return fmt.Errorf("shard: tile %d halo cell (%d,%d) holds %d, grid has %d", t.Index, gx, gy, halo[i], grid[gy*w+gx])
+			}
+			i++
+		}
+	}
+	return nil
+}
 
 // Plan is a concrete decomposition of a w×h grid under a geometry.
 type Plan struct {

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -122,92 +123,15 @@ func TestNewPlanCoverage(t *testing.T) {
 	}
 }
 
-// TestScatterGatherRoundTrip checks that scattering a global grid to tiles
-// and gathering the owned rects back reproduces it exactly.
-func TestScatterGatherRoundTrip(t *testing.T) {
-	const w, h = 11, 7
-	p, err := NewPlan(Geometry{3, 4}, w, h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	global := make([]int, w*h)
-	for i := range global {
-		global[i] = i * 3
-	}
-	grids := NewTileGrids(p)
-	for _, g := range grids {
-		g.Scatter(global, w)
-	}
-	got := make([]int, w*h)
-	for i := range got {
-		got[i] = -1
-	}
-	for _, g := range grids {
-		g.GatherInto(got, w)
-	}
-	for i := range got {
-		if got[i] != global[i] {
-			t.Fatalf("cell %d: gathered %d, want %d", i, got[i], global[i])
-		}
-	}
-}
-
-// TestPullHalos writes distinct values into every tile's owned cells, pulls
-// halos, and checks each non-corner halo cell equals its owner's value.
-func TestPullHalos(t *testing.T) {
-	const w, h = 10, 9
-	p, err := NewPlan(Geometry{3, 2}, w, h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	grids := NewTileGrids(p)
-	// Owner writes global index into its owned cells (halos stay zero).
-	for _, g := range grids {
-		tl := g.Tile
-		for gy := tl.Y0; gy < tl.Y1; gy++ {
-			for gx := tl.X0; gx < tl.X1; gx++ {
-				g.L[(gy-tl.EY0)*tl.EW()+(gx-tl.EX0)] = gy*w + gx
-			}
-		}
-	}
-	for i := range grids {
-		PullHalos(p, grids, i)
-	}
-	for _, g := range grids {
-		tl := g.Tile
-		// North/south strips over owned x, east/west strips over owned y.
-		check := func(gx, gy int) {
-			t.Helper()
-			got := g.L[(gy-tl.EY0)*tl.EW()+(gx-tl.EX0)]
-			if got != gy*w+gx {
-				t.Fatalf("tile %d halo (%d,%d) = %d, want %d", tl.Index, gx, gy, got, gy*w+gx)
-			}
-		}
-		if tl.Y0 > 0 {
-			for gx := tl.X0; gx < tl.X1; gx++ {
-				check(gx, tl.Y0-1)
-			}
-		}
-		if tl.Y1 < h {
-			for gx := tl.X0; gx < tl.X1; gx++ {
-				check(gx, tl.Y1)
-			}
-		}
-		if tl.X0 > 0 {
-			for gy := tl.Y0; gy < tl.Y1; gy++ {
-				check(tl.X0-1, gy)
-			}
-		}
-		if tl.X1 < w {
-			for gy := tl.Y0; gy < tl.Y1; gy++ {
-				check(tl.X1, gy)
-			}
-		}
-	}
-}
-
+// TestHaloSnapshotRoundTrip checks the halo a sharded snapshot records: for
+// random grids and geometries, every tile's Halo has HaloCells() cells, each
+// equal to the grid cell at its position in extended-rect row-major order,
+// and CheckHalo accepts it. CheckHalo ignores a rewritten corner cell but
+// rejects a rewritten edge cell and a halo of the wrong length, naming the
+// tile.
 func TestHaloSnapshotRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	corners, edges := 0, 0
 	for iter := 0; iter < 50; iter++ {
 		w, h := 2+rng.Intn(20), 2+rng.Intn(20)
 		g := Geometry{Rows: 1 + rng.Intn(min(h, 4)), Cols: 1 + rng.Intn(min(w, 4))}
@@ -215,41 +139,53 @@ func TestHaloSnapshotRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		grids := NewTileGrids(p)
-		for _, tg := range grids {
-			for i := range tg.L {
-				tg.L[i] = rng.Intn(100)
+		grid := make([]int, w*h)
+		for i := range grid {
+			grid[i] = rng.Intn(100)
+		}
+		for _, tl := range p.Tiles {
+			halo := tl.Halo(grid, w)
+			if len(halo) != tl.HaloCells() {
+				t.Fatalf("tile %d halo length %d, want %d", tl.Index, len(halo), tl.HaloCells())
 			}
-			snap := tg.HaloSnapshot()
-			if len(snap) != tg.Tile.HaloCells() {
-				t.Fatalf("snapshot length %d, want %d", len(snap), tg.Tile.HaloCells())
-			}
-			// Clobber the halo cells, restore, and require the original buffer.
-			orig := append([]int(nil), tg.L...)
-			for i := range tg.L {
-				tg.L[i] = -1
-			}
-			// Owned cells restored out of band; only halos come from the snapshot.
-			tl := tg.Tile
-			for gy := tl.Y0; gy < tl.Y1; gy++ {
-				for gx := tl.X0; gx < tl.X1; gx++ {
-					li := (gy-tl.EY0)*tl.EW() + (gx - tl.EX0)
-					tg.L[li] = orig[li]
+			i := 0
+			for gy := tl.EY0; gy < tl.EY1; gy++ {
+				for gx := tl.EX0; gx < tl.EX1; gx++ {
+					if tl.owns(gx, gy) {
+						continue
+					}
+					if halo[i] != grid[gy*w+gx] {
+						t.Fatalf("tile %d halo cell %d (%d,%d) = %d, grid has %d", tl.Index, i, gx, gy, halo[i], grid[gy*w+gx])
+					}
+					// A rewritten corner passes; a rewritten edge cell fails.
+					bad := append([]int(nil), halo...)
+					bad[i] = -1
+					err := tl.CheckHalo(grid, w, bad)
+					if corner := (gx < tl.X0 || gx >= tl.X1) && (gy < tl.Y0 || gy >= tl.Y1); corner {
+						corners++
+						if err != nil {
+							t.Fatalf("tile %d: corner (%d,%d) rejected: %v", tl.Index, gx, gy, err)
+						}
+					} else {
+						edges++
+						if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("tile %d halo cell (%d,%d)", tl.Index, gx, gy)) {
+							t.Fatalf("tile %d: edge cell (%d,%d) rewritten: err = %v", tl.Index, gx, gy, err)
+						}
+					}
+					i++
 				}
 			}
-			if err := tg.RestoreHalos(snap); err != nil {
+			if err := tl.CheckHalo(grid, w, halo); err != nil {
 				t.Fatal(err)
 			}
-			for i := range tg.L {
-				if tg.L[i] != orig[i] {
-					t.Fatalf("cell %d: restored %d, want %d", i, tg.L[i], orig[i])
+			if len(halo) > 0 {
+				if err := tl.CheckHalo(grid, w, halo[:len(halo)-1]); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("tile %d halo has", tl.Index)) {
+					t.Fatalf("tile %d: truncated halo: err = %v", tl.Index, err)
 				}
 			}
-			if err := tg.RestoreHalos(snap[:len(snap)/2]); err == nil && len(snap) > 0 {
-				t.Fatal("RestoreHalos accepted a truncated snapshot")
-			} else if err != nil && !strings.Contains(err.Error(), "halo snapshot") {
-				t.Fatalf("unexpected error text: %v", err)
-			}
 		}
+	}
+	if corners == 0 || edges == 0 {
+		t.Fatalf("checked %d corner and %d edge cells; need both", corners, edges)
 	}
 }

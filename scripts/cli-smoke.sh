@@ -3,8 +3,9 @@
 # every shared run option at once (UQ, fault injection, 2x1 tiles, periodic
 # checkpoints). A checkpointed run must print what a plain run prints; a run
 # cut off by -timeout must leave a snapshot, and resuming from it must print
-# the plain run's output too. Finally an invalid -tfloor must fail instead
-# of being ignored.
+# the plain run's output too. Finally an invalid -tfloor, and a run log that
+# cannot be written (where /dev/full exists), must fail instead of being
+# ignored.
 #
 # Usage: scripts/cli-smoke.sh   (from the repo root; used by `make cli-smoke`
 #        and CI)
@@ -58,4 +59,13 @@ for cmd in "rsu-stereo -tfloor -1" "rsu-segment -tfloor 1"; do
     exit 1
   fi
 done
-echo "OK: the solver CLIs checkpoint and resume bit-exactly and reject a bad -tfloor"
+if [ -e /dev/full ]; then
+  echo "== unwritable -runlog must fail"
+  for app in stereo flow segment; do
+    if "$workdir/rsu-$app" -iters 4 -runlog /dev/full >/dev/null 2>&1; then
+      echo "FAIL: rsu-$app -runlog /dev/full exited 0" >&2
+      exit 1
+    fi
+  done
+fi
+echo "OK: the solver CLIs checkpoint and resume bit-exactly and reject a bad -tfloor or an unwritable -runlog"
