@@ -31,12 +31,14 @@ race:
 	$(GO) test -race ./...
 
 # Focused race pass over the solver runtime (the annealing driver both sweep
-# engines share, the tile-engine executor pool, cancellation, panic-to-error,
-# checkpoint and resume, run log, the row-banded table build, the CLIs'
-# shared flags), repeated to shake out scheduling-dependent interleavings
-# (DESIGN.md §9).
+# engines share, the tile-engine executor pool and its epoch barrier,
+# cancellation, panic-to-error, checkpoint and resume, run log, the
+# row-banded table build, the CLIs' shared flags), repeated to shake out
+# scheduling-dependent interleavings (DESIGN.md §9). The TestBarrier tests
+# force both park paths, run four executors on one P, and cancel or panic
+# while executors park or spin.
 race-runtime:
-	$(GO) test -race -count=3 -run 'TestSolve|TestRunLog|TestOnSweep|TestSchedule|TestSharded|TestCheckpoint|TestSetTemperature|TestResume|TestBuildTablesBandedMatchesDirect|TestBuildTablesConcurrentCallers|TestFlags|TestTimeout|TestStart|TestRegister' ./internal/mrf ./internal/runopt ./internal/apps
+	$(GO) test -race -count=3 -run 'TestSolve|TestBarrier|TestRunLog|TestOnSweep|TestSchedule|TestSharded|TestCheckpoint|TestSetTemperature|TestResume|TestBuildTablesBandedMatchesDirect|TestBuildTablesConcurrentCallers|TestFlags|TestTimeout|TestStart|TestRegister' ./internal/mrf ./internal/runopt ./internal/apps
 
 # The benchmark harness is its own module (perfbench/go.mod), so the root
 # build and test never compile it; vet and test it here so an internal API

@@ -141,7 +141,9 @@ func (zeroRateInjector) PerturbBins([]int, int) {}
 // FuzzLiveKernel compares the cut-off-aware binned kernel with the dense
 // pipeline draw for draw: two LUT units from the same seed, one with a
 // zero-rate fault injector (which forces the dense path), must return the
-// same label and reach the same RNG state and Stats after every call. The
+// same label and reach the same RNG state and Stats after every call. A
+// third unit draws the same vector through SampleBatchMin, given its
+// minimum (−Inf when it holds a NaN), and must keep step with them. The
 // energies, 1-64 of them, come from the raw bytes in one of three modes:
 // arbitrary float64 bit patterns (NaN, ±Inf, subnormals, negatives);
 // fine-grained values across the quantizer's range and just beyond it; or
@@ -187,22 +189,39 @@ func FuzzLiveKernel(f *testing.F) {
 			}
 		}
 
-		xl, xd := rng.NewXoshiro256(seed|1), rng.NewXoshiro256(seed|1)
+		mins := []float64{math.Inf(1)}
+		for _, e := range energies {
+			if math.IsNaN(e) {
+				mins[0] = math.Inf(-1)
+				break
+			}
+			mins[0] = math.Min(mins[0], e)
+		}
+
+		xl, xd, xm := rng.NewXoshiro256(seed|1), rng.NewXoshiro256(seed|1), rng.NewXoshiro256(seed|1)
 		live := core.MustUnit(cfg, xl, true)
 		dense := core.MustUnit(cfg, xd, true)
+		given := core.MustUnit(cfg, xm, true)
 		dense.SetFaultInjector(zeroRateInjector{})
 		core.MustSetTemperature(live, T)
 		core.MustSetTemperature(dense, T)
+		core.MustSetTemperature(given, T)
 		cur := int(seed % uint64(len(energies)))
+		out := make([]int, 1)
 		for i := 0; i < 8; i++ {
 			a, errA := live.Sample(energies, cur)
 			b, errB := dense.Sample(energies, cur)
-			if errA != nil || errB != nil {
-				t.Fatalf("cfg %s T %v: Sample errors %v / %v", cfg.Name, T, errA, errB)
+			errM := given.SampleBatchMin(energies, mins, len(energies), []int{cur}, out)
+			if errA != nil || errB != nil || errM != nil {
+				t.Fatalf("cfg %s T %v: Sample errors %v / %v / %v", cfg.Name, T, errA, errB, errM)
 			}
 			if a != b || xl.State() != xd.State() || live.Stats() != dense.Stats() {
 				t.Fatalf("cfg %s T %v draw %d energies %v: live %d dense %d, rng equal %v\nlive  %+v\ndense %+v",
 					cfg.Name, T, i, energies, a, b, xl.State() == xd.State(), live.Stats(), dense.Stats())
+			}
+			if out[0] != a || xm.State() != xl.State() || given.Stats() != live.Stats() {
+				t.Fatalf("cfg %s T %v draw %d energies %v: supplied minimum %d live %d, rng equal %v\ngiven %+v\nlive  %+v",
+					cfg.Name, T, i, energies, out[0], a, xm.State() == xl.State(), given.Stats(), live.Stats())
 			}
 			cur = a
 		}

@@ -61,6 +61,44 @@ func (u *Unit) SampleBatch(energies []float64, stride int, currents, out []int) 
 	return nil
 }
 
+// MinBatchSampler is a BatchSampler that also takes each pixel's minimum
+// energy from the caller: the new RSU-G's energy stage finds E_min while the
+// energies stream into the FIFO (paper Sec. IV-B), so selection never makes
+// a second minimum pass. The tile engine's gather computes the minima and
+// probes for this interface once per tile, as it probes for BatchSampler.
+//
+// mins[i] must be the smallest of pixel i's energies, or −Inf when any of
+// them is NaN. SampleBatchMin consumes the RNG stream, and moves every
+// counter, exactly as SampleBatch does on the same block.
+type MinBatchSampler interface {
+	BatchSampler
+	SampleBatchMin(energies, mins []float64, stride int, currents, out []int) error
+}
+
+// SampleBatchMin is SampleBatch with the minima supplied. Units that draw
+// through the cut-off-aware kernel take its supplied-minimum case; every
+// other unit (a FaultInjector attached, a boundary converter, continuous
+// time) ignores the minima and runs SampleBatch.
+func (u *Unit) SampleBatchMin(energies, mins []float64, stride int, currents, out []int) error {
+	if !u.liveKernel() {
+		return u.SampleBatch(energies, stride, currents, out)
+	}
+	if err := validateBatch(energies, stride, currents, out); err != nil {
+		return err
+	}
+	if len(mins) < len(currents) {
+		return fmt.Errorf("core: SampleBatchMin has %d minima for %d pixels", len(mins), len(currents))
+	}
+	u.ensureScratch(stride)
+	u.stats.Evaluations += len(currents)
+	u.stats.LabelEvals += len(currents) * stride
+	for i := range currents {
+		base := i * stride
+		out[i] = u.sampleLive(energies[base:base+stride:base+stride], currents[i], mins[i], true)
+	}
+	return nil
+}
+
 // SampleBatch is the software baseline's batched entry point: the Boltzmann
 // weights buffer is sized once per segment and each pixel performs exactly
 // the draws Sample would (one categorical draw per pixel).
@@ -121,6 +159,6 @@ func AsBatch(s LabelSampler) BatchSampler {
 }
 
 var (
-	_ BatchSampler = (*Unit)(nil)
-	_ BatchSampler = (*SoftwareSampler)(nil)
+	_ MinBatchSampler = (*Unit)(nil)
+	_ BatchSampler    = (*SoftwareSampler)(nil)
 )

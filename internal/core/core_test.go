@@ -421,6 +421,9 @@ func TestUnitLUTvsBoundarySameDistribution(t *testing.T) {
 
 func TestStatsCounting(t *testing.T) {
 	u := MustUnit(NewRSUG(), rng.NewXoshiro256(21), true)
+	if u.Stats() != (Stats{}) {
+		t.Fatalf("fresh unit stats = %+v, want zero", u.Stats())
+	}
 	u.SetTemperature(5)
 	for i := 0; i < 10; i++ {
 		u.Sample([]float64{0, 50, 100, 150, 250}, 0)
@@ -429,9 +432,12 @@ func TestStatsCounting(t *testing.T) {
 	if st.Evaluations != 10 || st.LabelEvals != 50 {
 		t.Fatalf("stats = %+v, want 10 evals / 50 label evals", st)
 	}
-	u.ResetStats()
-	if u.Stats() != (Stats{}) {
-		t.Fatal("ResetStats did not clear")
+	// The counters accumulate: three more draws add exactly their own.
+	for i := 0; i < 3; i++ {
+		u.Sample([]float64{0, 50, 100}, 0)
+	}
+	if d := u.Stats(); d.Evaluations-st.Evaluations != 3 || d.LabelEvals-st.LabelEvals != 9 {
+		t.Fatalf("stats %+v -> %+v, want a delta of 3 evals / 9 label evals", st, d)
 	}
 }
 

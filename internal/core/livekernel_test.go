@@ -102,9 +102,25 @@ func liveKernelEnergies() []namedEnergies {
 	return vecs
 }
 
+// refMin is the minimum SampleBatchMin expects for one pixel: the smallest
+// energy, or −Inf when any energy is NaN.
+func refMin(v []float64) float64 {
+	m := math.Inf(1)
+	for _, e := range v {
+		if math.IsNaN(e) {
+			return math.Inf(-1)
+		}
+		m = math.Min(m, e)
+	}
+	return m
+}
+
 // TestLiveKernelMatchesDense runs the cut-off-aware kernel and the dense
 // pipeline side by side from the same seed and requires the same label, RNG
-// state and Stats after every call, over the stereo temperature ladder.
+// state and Stats after every call, over the stereo temperature ladder. A
+// third unit draws each vector through SampleBatchMin with its minimum
+// supplied and must keep step too. The blocks subtests then hold
+// SampleBatchMin to SampleBatch on random blocks.
 func TestLiveKernelMatchesDense(t *testing.T) {
 	firstWins := NewRSUG()
 	firstWins.Tie = TieFirstWins
@@ -133,40 +149,131 @@ func TestLiveKernelMatchesDense(t *testing.T) {
 	vecs := liveKernelEnergies()
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			xl, xd := rng.NewXoshiro256(77), rng.NewXoshiro256(77)
-			var sl, sd rng.Source = xl, xd
+			xl, xd, xm := rng.NewXoshiro256(77), rng.NewXoshiro256(77), rng.NewXoshiro256(77)
+			var sl, sd, sm rng.Source = xl, xd, xm
 			if tc.wrapped {
-				sl, sd = wrappedSource{xl}, wrappedSource{xd}
+				sl, sd, sm = wrappedSource{xl}, wrappedSource{xd}, wrappedSource{xm}
 			}
 			live := MustUnit(tc.cfg, sl, true)
 			dense := MustUnit(tc.cfg, sd, true)
+			given := MustUnit(tc.cfg, sm, true)
 			dense.SetFaultInjector(zeroRateInjector{})
 			if tc.cache {
 				cc := NewConverterCache(0)
 				live.SetConverterCache(cc)
 				dense.SetConverterCache(cc)
+				given.SetConverterCache(cc)
 			}
+			out := make([]int, 1)
 			for ti := 0; ti < len(temps); ti += 7 {
 				T := temps[ti]
 				MustSetTemperature(live, T)
 				MustSetTemperature(dense, T)
+				MustSetTemperature(given, T)
 				if live.lutCut <= 0 {
 					t.Fatalf("T=%v: cut index %d, want the live kernel active", T, live.lutCut)
 				}
 				for _, v := range vecs {
 					cur := 0
+					mins := []float64{refMin(v.e)}
 					for i := 0; i < 6; i++ {
 						a := MustSample(live, v.e, cur)
 						b := MustSample(dense, v.e, cur)
+						if err := given.SampleBatchMin(v.e, mins, len(v.e), []int{cur}, out); err != nil {
+							t.Fatal(err)
+						}
 						if a != b || xl.State() != xd.State() || live.Stats() != dense.Stats() {
 							t.Fatalf("T=%v %s draw %d: live %d dense %d, rng equal %v\nlive  %+v\ndense %+v",
 								T, v.name, i, a, b, xl.State() == xd.State(), live.Stats(), dense.Stats())
+						}
+						if out[0] != a || xm.State() != xl.State() || given.Stats() != live.Stats() {
+							t.Fatalf("T=%v %s draw %d: supplied minimum %d live %d, rng equal %v\ngiven %+v\nlive  %+v",
+								T, v.name, i, out[0], a, xm.State() == xl.State(), given.Stats(), live.Stats())
 						}
 						cur = a
 					}
 				}
 			}
 		})
+	}
+
+	for _, tc := range []struct {
+		name   string
+		cfg    Config
+		useLUT bool
+		fault  bool
+	}{
+		{"blocks/new", NewRSUG(), true, false},
+		{"blocks/prev", PrevRSUG(), true, false},
+		{"blocks/new-fault-injector", NewRSUG(), true, true},
+		{"blocks/new-boundary-converter", NewRSUG(), false, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) { checkBatchMin(t, tc.cfg, tc.useLUT, tc.fault) })
+	}
+}
+
+// checkBatchMin draws random blocks through SampleBatch on one unit and
+// SampleBatchMin on another from the same seed, and requires the same
+// labels, RNG state and Stats after every block. The blocks hold 1-8 pixels
+// of 2-64 labels with NaN, ±Inf, −0 and ties, at temperatures from 32 down
+// to 1e-4. With a fault injector attached, or without a LUT converter, the
+// unit must ignore the minima and take the dense path, so those units get
+// garbage minima.
+func checkBatchMin(t *testing.T, cfg Config, useLUT, fault bool) {
+	gen := rng.NewXoshiro256(91)
+	xa, xb := rng.NewXoshiro256(13), rng.NewXoshiro256(13)
+	a, b := MustUnit(cfg, xa, useLUT), MustUnit(cfg, xb, useLUT)
+	if fault {
+		a.SetFaultInjector(zeroRateInjector{})
+		b.SetFaultInjector(zeroRateInjector{})
+	}
+	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0}
+	for T := 32.0; T >= 1e-4; T /= 2 {
+		MustSetTemperature(a, T)
+		MustSetTemperature(b, T)
+		if live := b.liveKernel(); live == (fault || !useLUT) {
+			t.Fatalf("T=%v: live kernel %v with fault %v, LUT %v", T, live, fault, useLUT)
+		}
+		for trial := 0; trial < 40; trial++ {
+			labels, n := 2+rng.Intn(gen, 63), 1+rng.Intn(gen, 8)
+			energies := make([]float64, n*labels)
+			for i := range energies {
+				switch k := rng.Intn(gen, 40); {
+				case k < len(special):
+					energies[i] = special[k]
+				case k < 20:
+					energies[i] = float64(rng.Intn(gen, 12)) // ties
+				default:
+					energies[i] = rng.Float64(gen)*300 - 10
+				}
+			}
+			mins := make([]float64, n)
+			for i := range mins {
+				mins[i] = refMin(energies[i*labels : (i+1)*labels])
+				if fault || !useLUT {
+					mins[i] = math.NaN()
+				}
+			}
+			cur := make([]int, n)
+			for i := range cur {
+				cur[i] = rng.Intn(gen, labels)
+			}
+			outA, outB := make([]int, n), make([]int, n)
+			if err := a.SampleBatch(energies, labels, cur, outA); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.SampleBatchMin(energies, mins, labels, cur, outB); err != nil {
+				t.Fatal(err)
+			}
+			for i := range outA {
+				if outA[i] != outB[i] {
+					t.Fatalf("T=%v trial %d pixel %d: SampleBatchMin %d, SampleBatch %d", T, trial, i, outB[i], outA[i])
+				}
+			}
+			if xa.State() != xb.State() || a.Stats() != b.Stats() {
+				t.Fatalf("T=%v trial %d: rng equal %v\nbatch %+v\nmin   %+v", T, trial, xa.State() == xb.State(), a.Stats(), b.Stats())
+			}
+		}
 	}
 }
 

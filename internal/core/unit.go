@@ -180,9 +180,6 @@ func (u *Unit) Config() Config { return u.cfg }
 // Stats returns the accumulated counters.
 func (u *Unit) Stats() Stats { return u.stats }
 
-// ResetStats clears the counters.
-func (u *Unit) ResetStats() { u.stats = Stats{} }
-
 // SetTemperature folds the simulated-annealing temperature into the
 // energy-to-lambda conversion, rebuilding the LUT or boundary registers.
 // A non-positive or non-finite temperature is rejected with an error and
@@ -315,11 +312,8 @@ func (u *Unit) sampleOne(energies []float64, current int) int {
 
 	if u.cfg.EnergyBits > 0 && u.cfg.LambdaBits > 0 {
 		// Fully quantized pipeline: stages 1-2 stay in integer energy codes.
-		// Binned units with a LUT whose zeros form a tail take the
-		// cut-off-aware kernel; a FaultInjector needs the dense bins (a dark
-		// count can make a cut-off label fire).
-		if u.lutCut > 0 && u.fault == nil && u.cfg.TimeBits > 0 {
-			return u.sampleLive(energies, current)
+		if u.liveKernel() {
+			return u.sampleLive(energies, current, 0, false)
 		}
 		return u.sampleQuantized(energies, current)
 	}
@@ -444,6 +438,15 @@ func (u *Unit) sampleQuantized(energies []float64, current int) int {
 	return u.sampleContinuousRates(rates, current)
 }
 
+// liveKernel reports whether the unit draws through sampleLive: binned
+// units with a LUT whose zeros form a tail (lutCut is 0 for any other
+// converter, and for configurations that are not fully quantized). A
+// FaultInjector needs the dense bins (a dark count can make a cut-off label
+// fire).
+func (u *Unit) liveKernel() bool {
+	return u.lutCut > 0 && u.fault == nil && u.cfg.TimeBits > 0
+}
+
 // sampleLive is the cut-off-aware binned kernel. With the LUT's cut index K
 // (table[k] == 0 exactly for k >= K), a label fires only if its energy code
 // ec satisfies ec - min < K, where min is the minimum energy code (0 without
@@ -458,15 +461,18 @@ func (u *Unit) sampleQuantized(energies []float64, current int) int {
 // tracks the minimum and keeps as candidates the labels that pass the test
 // against the minimum so far: the bound only falls as the minimum does, so
 // every live label is a candidate. A second pass over the candidates (every
-// label, for short vectors) applies the final bound. The live labels are
+// label, for short vectors) applies the final bound. When the caller
+// supplies the minimum energy fmin (given), the bound is known up front and
+// that second pass over every label is the only one. The live labels are
 // visited in label order and each draws exactly what the dense pipeline
 // draws for it; the cut-off labels draw nothing there either. The fired
 // labels enter the race in label order, as selectBin feeds it the dense
 // bins. So the RNG stream, the chosen label and every Stats counter match
 // the dense pipeline.
-func (u *Unit) sampleLive(energies []float64, current int) int {
+func (u *Unit) sampleLive(energies []float64, current int, fmin float64, given bool) int {
 	scale, emax, maxCode := u.escale, u.cfg.EnergyMax, u.emaxCode
-	cand := u.allLabs[:len(energies)]
+	// The candidates: label cand[k] has energy vals[k].
+	vals, cand := energies, u.allLabs[:len(energies)]
 	var min int
 	var hi float64
 	switch {
@@ -474,6 +480,11 @@ func (u *Unit) sampleLive(energies []float64, current int) int {
 		// The minimum is code 0 and the bound is known up front: every
 		// label is a candidate and the second pass alone filters.
 		hi = u.codeBound(0)
+	case given:
+		// The caller's gather found the minimum as the energies streamed
+		// in; −Inf, its stand-in for a NaN, encodes to NaN's code 0.
+		min = encodeEnergy(fmin, scale, emax, maxCode)
+		hi = u.codeBound(min)
 	case len(energies) <= fewLabels:
 		// Find the minimum first and let the second pass filter every
 		// label. NaN, once seen, stays the minimum: nothing compares below
@@ -488,11 +499,11 @@ func (u *Unit) sampleLive(energies []float64, current int) int {
 		hi = u.codeBound(min)
 	default:
 		// The minimum starts at +Inf, whose code maxCode puts every code
-		// within the cut. The candidates reuse codeBuf, which only the
-		// dense pipeline needs.
+		// within the cut. The candidates reuse effBuf and codeBuf, which
+		// only the other pipelines need.
 		fmin := math.Inf(1)
 		min, hi = maxCode, math.Inf(1)
-		cand = u.codeBuf[:0]
+		vals, cand = u.effBuf[:0], u.codeBuf[:0]
 		for i, e := range energies {
 			if e > hi {
 				continue
@@ -507,7 +518,7 @@ func (u *Unit) sampleLive(energies []float64, current int) int {
 				min = encodeEnergy(fmin, scale, emax, maxCode)
 				hi = u.codeBound(min)
 			}
-			cand = append(cand, i)
+			vals, cand = append(vals, e), append(cand, i)
 		}
 	}
 
@@ -516,11 +527,17 @@ func (u *Unit) sampleLive(energies []float64, current int) int {
 	surv, guide := u.surv, u.guide
 	r := race{bin: math.MaxInt, tied: u.tiedBuf[:0]}
 	live := 0
-	for _, i := range cand {
-		e := energies[i]
-		if e > hi {
-			continue
+	for k := 0; ; k++ {
+		// Skip the cut-off labels in a loop of their own over the
+		// contiguous energies: it keeps k in a register, where the draw
+		// below would spill it to the stack on every label.
+		for k < len(vals) && vals[k] > hi {
+			k++
 		}
+		if k == len(vals) {
+			break
+		}
+		i, e := cand[k], vals[k]
 		live++
 		// ec - min < K, so the LUT index is in range and the code is
 		// non-zero.

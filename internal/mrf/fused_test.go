@@ -89,6 +89,75 @@ func TestLabelEnergiesSegMatchesPerPixel(t *testing.T) {
 	}
 }
 
+// refMin is the minimum a core.MinBatchSampler expects for one slot: the
+// smallest energy, or −Inf when any energy is NaN.
+func refMin(v []float64) float64 {
+	m := math.Inf(1)
+	for _, e := range v {
+		if math.IsNaN(e) {
+			return math.Inf(-1)
+		}
+		m = math.Min(m, e)
+	}
+	return m
+}
+
+// TestLabelEnergiesSegMinMatchesSeg pins the tile engine's gather: the block
+// labelEnergiesSegMin writes must equal LabelEnergiesSeg's bit for bit, and
+// each slot's minimum must be refMin of the slot. Every segment of every row
+// is gathered at steps 1 and 2 from every start, so interior rows, the top
+// and bottom rows, both edge columns and segments that start on an edge are
+// all covered. The tables hold NaN, ±Inf, −0 and ties, and the label counts
+// run past the gather's four-label unroll.
+func TestLabelEnergiesSegMinMatchesSeg(t *testing.T) {
+	r := rand.New(rand.NewSource(62))
+	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0, 3}
+	for trial := 0; trial < 60; trial++ {
+		w, h, labels := 1+r.Intn(11), 1+r.Intn(8), 2+r.Intn(12)
+		singles := make([]float64, w*h*labels)
+		for i := range singles {
+			if r.Intn(25) == 0 {
+				singles[i] = special[r.Intn(len(special))]
+			} else {
+				singles[i] = float64(r.Intn(20)) // small integers: ties
+			}
+		}
+		p := &Problem{
+			W: w, H: h, Labels: labels,
+			Singleton:  func(x, y, l int) float64 { return singles[(y*w+x)*labels+l] },
+			PairWeight: float64(r.Intn(3)),
+			Dist:       DistanceKind(r.Intn(3)),
+		}
+		tab := p.BuildTables()
+		lab := randomLabeling(r, w, h, labels)
+		for y := 0; y < h; y++ {
+			for step := 1; step <= 2; step++ {
+				for x0 := 0; x0 < w; x0++ {
+					for n := 1; x0+(n-1)*step < w; n++ {
+						want := make([]float64, n*labels)
+						got := make([]float64, n*labels)
+						mins := make([]float64, n)
+						tab.LabelEnergiesSeg(want, lab, y, x0, step, n)
+						tab.labelEnergiesSegMin(got, mins, lab, y, x0, step, n)
+						for i := range want {
+							if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+								t.Fatalf("trial %d (%dx%d, %d labels) y %d x0 %d step %d n %d: energy %d = %v, want %v",
+									trial, w, h, labels, y, x0, step, n, i, got[i], want[i])
+							}
+						}
+						for i, m := range mins {
+							if wm := refMin(want[i*labels : (i+1)*labels]); m != wm {
+								t.Fatalf("trial %d (%dx%d, %d labels) y %d x0 %d step %d n %d: slot %d min %v, want %v",
+									trial, w, h, labels, y, x0, step, n, i, m, wm)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestFlipDeltaMatchesTotalEnergy is the incremental-energy invariant at the
 // single-flip level: FlipDelta must equal the TotalEnergy difference of the
 // relabeling, for every distance kind including asymmetric PairDist.

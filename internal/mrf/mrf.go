@@ -294,6 +294,85 @@ func (t *Tables) LabelEnergiesSeg(dst []float64, lab *img.Labels, y, x0, step, n
 	}
 }
 
+// labelEnergiesSegMin is LabelEnergiesSeg that also writes slot i's minimum
+// energy to mins[i], or −Inf when the slot holds a NaN: the tile engine's
+// gather for a core.MinBatchSampler. On interior pixels the minimum is found
+// as the fused sum streams out, with no second pass over the slot; border
+// rows and edge pixels reuse LabelEnergies and LabelEnergiesSeg and take the
+// minimum afterwards. Every energy is summed in LabelEnergiesSeg's order, so
+// the block is bit-identical to it.
+func (t *Tables) labelEnergiesSegMin(dst, mins []float64, lab *img.Labels, y, x0, step, n int) {
+	p := t.p
+	L := p.Labels
+	if y == 0 || y+1 == p.H {
+		t.LabelEnergiesSeg(dst, lab, y, x0, step, n)
+		for i := range mins[:n] {
+			mins[i] = slotMin(dst[i*L : i*L+L])
+		}
+		return
+	}
+	row := y * p.W
+	labs := lab.L
+	up, down := row-p.W, row+p.W
+	for i, x := 0, x0; i < n; i, x = i+1, x+step {
+		d := dst[i*L : i*L+L]
+		if x == 0 || x+1 == p.W {
+			t.LabelEnergies(d, lab, x, y)
+			mins[i] = slotMin(d)
+			continue
+		}
+		base := (row + x) * L
+		s := t.Singles[base : base+L][:len(d)]
+		r1 := t.pairRow(labs[row+x-1])[:len(d)]
+		r2 := t.pairRow(labs[row+x+1])[:len(d)]
+		r3 := t.pairRow(labs[up+x])[:len(d)]
+		r4 := t.pairRow(labs[down+x])[:len(d)]
+		// Four labels per round: the unrolled sum runs faster than the
+		// one-label loop, and the minimum's compares, rarely taken once it
+		// has settled, ride along.
+		m := math.Inf(1)
+		l := 0
+		for ; l+4 <= len(d); l += 4 {
+			d4 := d[l : l+4 : l+4]
+			s4, a4, b4, c4, e4 := s[l:l+4:l+4], r1[l:l+4:l+4], r2[l:l+4:l+4], r3[l:l+4:l+4], r4[l:l+4:l+4]
+			v0 := s4[0] + a4[0] + b4[0] + c4[0] + e4[0]
+			v1 := s4[1] + a4[1] + b4[1] + c4[1] + e4[1]
+			v2 := s4[2] + a4[2] + b4[2] + c4[2] + e4[2]
+			v3 := s4[3] + a4[3] + b4[3] + c4[3] + e4[3]
+			d4[0], d4[1], d4[2], d4[3] = v0, v1, v2, v3
+			m = minStep(minStep(minStep(minStep(m, v0), v1), v2), v3)
+		}
+		for ; l < len(d); l++ {
+			v := s[l] + r1[l] + r2[l] + r3[l] + r4[l]
+			d[l] = v
+			m = minStep(m, v)
+		}
+		mins[i] = m
+	}
+}
+
+// minStep folds e into the running minimum m. A NaN pins m at −Inf, which
+// no later energy compares below.
+func minStep(m, e float64) float64 {
+	if !(e >= m) {
+		m = e
+		if e != e {
+			m = math.Inf(-1)
+		}
+	}
+	return m
+}
+
+// slotMin returns the smallest energy of one slot, or −Inf when it holds a
+// NaN.
+func slotMin(d []float64) float64 {
+	m := math.Inf(1)
+	for _, e := range d {
+		m = minStep(m, e)
+	}
+	return m
+}
+
 // LabelEnergiesRow fills dst (length W×Labels) with the candidate-label
 // energies of every pixel in row y — the serial fused sweep's gather.
 func (t *Tables) LabelEnergiesRow(dst []float64, lab *img.Labels, y int) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"rsu/internal/core"
 	"rsu/internal/img"
@@ -25,18 +26,23 @@ const AutoShardPixels = 1 << 18
 type shardTile struct {
 	t       shard.Tile
 	sampler core.BatchSampler
+	// minSampler is sampler when it takes the gather's per-slot minima
+	// (core.MinBatchSampler), else nil.
+	minSampler core.MinBatchSampler
 	// cells[color] lists owned cells of global parity (gx+gy)%2 == color as
 	// global linear indices y*W+x, row-major — the same order the monolithic
 	// checkerboard visits them.
 	cells [2][]int
 
 	energies []float64
+	mins     []float64
 	currents []int
 	out      []int
 }
 
 func newShardTile(t shard.Tile, w, labels int, sampler core.LabelSampler) *shardTile {
 	st := &shardTile{t: t, sampler: core.AsBatch(sampler)}
+	st.minSampler, _ = sampler.(core.MinBatchSampler)
 	for color := 0; color < 2; color++ {
 		cs := make([]int, 0, (t.W()*t.H()+1)/2)
 		for gy := t.Y0; gy < t.Y1; gy++ {
@@ -53,6 +59,7 @@ func newShardTile(t shard.Tile, w, labels int, sampler core.LabelSampler) *shard
 	}
 	segCap := (t.W() + 1) / 2
 	st.energies = make([]float64, segCap*labels)
+	st.mins = make([]float64, segCap)
 	st.currents = make([]int, segCap)
 	st.out = make([]int, segCap)
 	return st
@@ -60,7 +67,9 @@ func newShardTile(t shard.Tile, w, labels int, sampler core.LabelSampler) *shard
 
 // compute runs one color phase over the tile's owned cells of the global
 // grid: maximal same-row stride-2 segments are gathered with one
-// LabelEnergiesSeg call and drawn with one SampleBatch call. Within a color
+// LabelEnergiesSeg call and drawn with one SampleBatch call — or, for a
+// core.MinBatchSampler, gathered with their minima and drawn with one
+// SampleBatchMin call. Within a color
 // phase no cell's neighbors change (they are all the other color), so
 // batch-gathering a whole segment before drawing it yields exactly the
 // energies — and therefore the RNG draws — of a per-pixel loop. The tile
@@ -89,11 +98,18 @@ func (ts *shardTile) compute(tab *Tables, lab *img.Labels, color int, track bool
 		for n < nmax && cells[i+n] == c+2*n {
 			n++
 		}
-		tab.LabelEnergiesSeg(ts.energies[:n*L], lab, y, x0, 2, n)
 		for j := 0; j < n; j++ {
 			ts.currents[j] = labs[c+2*j]
 		}
-		if serr := ts.sampler.SampleBatch(ts.energies[:n*L], L, ts.currents[:n], ts.out[:n]); serr != nil {
+		var serr error
+		if ts.minSampler != nil {
+			tab.labelEnergiesSegMin(ts.energies[:n*L], ts.mins[:n], lab, y, x0, 2, n)
+			serr = ts.minSampler.SampleBatchMin(ts.energies[:n*L], ts.mins[:n], L, ts.currents[:n], ts.out[:n])
+		} else {
+			tab.LabelEnergiesSeg(ts.energies[:n*L], lab, y, x0, 2, n)
+			serr = ts.sampler.SampleBatch(ts.energies[:n*L], L, ts.currents[:n], ts.out[:n])
+		}
+		if serr != nil {
 			return flips, edelta, fmt.Errorf("mrf: tile %d pixel (%d,%d): %w", ts.t.Index, x0, y, serr)
 		}
 		for j := 0; j < n; j++ {
@@ -113,27 +129,56 @@ func (ts *shardTile) compute(tab *Tables, lab *img.Labels, color int, track bool
 // shardPool is the tile engine. It schedules the tiles over a fixed set of
 // long-lived executor goroutines: executor 0 is the goroutine driving sweep()
 // itself (parking it at the barrier while another thread is woken to do its
-// work would be pure scheduler churn), executors 1..E-1 park on unbuffered
-// command channels. Each sweep has two stages, compute color 0 and compute
-// color 1, each ending at a barrier. Every tile sweeps the one global grid in
-// place: in a color-c stage a tile writes only its own color-c cells and
-// reads only color-(1−c) cells, which no tile writes in that stage, so the
-// sweep is race-free at any executor count, and because tiles (not cells)
-// are the scheduling unit, bit-identical at any executor count too.
+// work would be pure scheduler churn), executors 1..E-1 wait for the next
+// stage. Each sweep has two stages, compute color 0 and compute color 1,
+// each ending at a barrier. Every tile sweeps the one global grid in place:
+// in a color-c stage a tile writes only its own color-c cells and reads only
+// color-(1−c) cells, which no tile writes in that stage, so the sweep is
+// race-free at any executor count, and because tiles (not cells) are the
+// scheduling unit, bit-identical at any executor count too.
+//
+// The barrier is an atomic epoch plus an atomic pending count. The driver
+// sets pending to E-1 and publishes a stage by storing a new epoch, which
+// carries the stage's color (or the stop bit); each executor computes its
+// tiles and decrements pending. Both sides wait by spinning (waitSpins
+// rounds, yielding the processor each round) and then parking on cond, so a
+// short stage costs no OS-thread wake-up and a long wait (a slow hook, a
+// checkpoint) burns no CPU. The atomics order everything: an executor reads
+// the grid after loading the epoch the driver stored after writing it, and
+// the driver reads the tiles' results after loading pending at zero.
 type shardPool struct {
 	r     *run
 	tab   *Tables
 	tiles []*shardTile
 	nexec int
 
-	cmds  []chan int // color commands for executors 1..E-1
-	phase sync.WaitGroup
-	exit  sync.WaitGroup
+	// epoch is stage<<2 | stopBit | color: a new value starts a stage.
+	epoch atomic.Uint64
+	// pending counts executors 1..E-1 still computing the current stage.
+	pending atomic.Int64
+	// cond is where waiters park. A waiter re-checks its condition under mu
+	// before each Wait, and whoever changes a condition broadcasts under mu
+	// afterwards, so no wake-up is lost.
+	mu   sync.Mutex
+	cond *sync.Cond
+	exit sync.WaitGroup
 
 	errs   []error // per-tile first error; owner = whichever executor runs the tile
 	flips  []int
 	edelta []float64
 }
+
+// stopBit in an epoch tells the executors to exit.
+const stopBit = 2
+
+// waitSpins is how many times a barrier waiter checks its condition,
+// yielding the processor after each miss, before it parks: about 0.2 ms on
+// a 2-vCPU Xeon, which covers a stage's tile imbalance and the driver's
+// per-sweep temperature update on stereo-anneal, so there a waiter rarely
+// parks. A longer wait (a checkpoint, a slow OnSweep) parks and burns no
+// CPU. Budgets from 500 to 5000 measured alike on stereo-anneal; 100 was
+// about 10% slower there.
+const waitSpins = 1000
 
 // resolveExecutors maps the SolveOptions.executors seam onto a concrete
 // executor count for the given tile count: <= 0 means min(tiles, NumCPU,
@@ -179,28 +224,82 @@ func newShardPool(r *run, tab *Tables, geom shard.Geometry) (*shardPool, error) 
 	nexec := resolveExecutors(r.opts.executors, len(tiles))
 	pool := &shardPool{
 		r: r, tab: tab, tiles: tiles, nexec: nexec,
-		cmds:   make([]chan int, nexec-1),
 		errs:   make([]error, len(tiles)),
 		flips:  make([]int, len(tiles)),
 		edelta: make([]float64, len(tiles)),
 	}
-	for i := range pool.cmds {
-		pool.cmds[i] = make(chan int)
+	pool.cond = sync.NewCond(&pool.mu)
+	for e := 1; e < nexec; e++ {
 		pool.exit.Add(1)
-		go pool.executor(i + 1)
+		go pool.executor(e)
 	}
 	return pool, nil
 }
 
-// executor is executor e's loop: park on the command channel, compute the
-// commanded color over this executor's contiguous tile block, signal the
-// barrier, repeat until the channel closes.
+// executor is executor e's loop: wait for a new epoch, compute its color
+// over this executor's contiguous tile block, count itself done, repeat
+// until an epoch carries the stop bit.
 func (pool *shardPool) executor(e int) {
 	defer pool.exit.Done()
-	for color := range pool.cmds[e-1] {
-		pool.computeColor(e, color)
-		pool.phase.Done()
+	var seen uint64
+	for {
+		seen = pool.awaitEpoch(seen)
+		if seen&stopBit != 0 {
+			return
+		}
+		pool.computeColor(e, int(seen&1))
+		if pool.pending.Add(-1) == 0 {
+			pool.broadcast()
+		}
 	}
+}
+
+// awaitEpoch returns the first epoch after seen: spinning first, then
+// parked on cond.
+func (pool *shardPool) awaitEpoch(seen uint64) uint64 {
+	for i := 0; i < waitSpins; i++ {
+		if ep := pool.epoch.Load(); ep != seen {
+			return ep
+		}
+		runtime.Gosched()
+	}
+	pool.mu.Lock()
+	defer pool.mu.Unlock()
+	for {
+		if ep := pool.epoch.Load(); ep != seen {
+			return ep
+		}
+		pool.cond.Wait()
+	}
+}
+
+// publish starts the stage the epoch ep names, waking parked executors.
+func (pool *shardPool) publish(ep uint64) {
+	pool.epoch.Store(ep)
+	pool.broadcast()
+}
+
+// broadcast wakes every parked waiter to re-check its condition.
+func (pool *shardPool) broadcast() {
+	pool.mu.Lock()
+	pool.cond.Broadcast()
+	pool.mu.Unlock()
+}
+
+// awaitExecutors returns once every executor has finished the current
+// stage: spinning first, then parked on cond.
+func (pool *shardPool) awaitExecutors() {
+	for i := 0; i < waitSpins; i++ {
+		if pool.pending.Load() == 0 {
+			return
+		}
+		runtime.Gosched()
+	}
+	pool.mu.Lock()
+	for pool.pending.Load() != 0 {
+		pool.cond.Wait()
+	}
+	pool.mu.Unlock()
 }
 
 // computeColor computes one color for executor e's contiguous block of tiles,
@@ -220,16 +319,17 @@ func (pool *shardPool) computeColor(e, color int) {
 	}
 }
 
-// barrier drives one color stage across every executor: commands 1..E-1,
-// runs executor 0 inline, waits. The sends publish the driving goroutine's
-// writes; the Wait publishes the executors' writes back.
+// barrier drives one color stage across every executor: publishes the
+// stage to executors 1..E-1, runs executor 0 inline, waits for the rest.
 func (pool *shardPool) barrier(color int) {
-	pool.phase.Add(len(pool.cmds))
-	for _, cmd := range pool.cmds {
-		cmd <- color
+	if pool.nexec > 1 {
+		pool.pending.Store(int64(pool.nexec - 1))
+		pool.publish((pool.epoch.Load()>>2+1)<<2 | uint64(color))
 	}
 	pool.computeColor(0, color)
-	pool.phase.Wait()
+	if pool.nexec > 1 {
+		pool.awaitExecutors()
+	}
 }
 
 // sweep drives the two color stages of sweep k, adds the sweep's energy
@@ -262,10 +362,8 @@ func (pool *shardPool) sweep(k int) (int, error) {
 	return flips, nil
 }
 
-// stop shuts the executors down and waits for every goroutine to exit.
+// stop publishes the stop epoch and waits for every executor to exit.
 func (pool *shardPool) stop() {
-	for _, cmd := range pool.cmds {
-		close(cmd)
-	}
+	pool.publish((pool.epoch.Load()>>2+1)<<2 | stopBit)
 	pool.exit.Wait()
 }
