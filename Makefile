@@ -30,8 +30,8 @@ fmt-check:
 race:
 	$(GO) test -race ./...
 
-# Focused race pass over the solver runtime (the annealing driver both sweep
-# engines share, the tile-engine executor pool and its epoch barrier,
+# Focused race pass over the solver runtime (the annealing driver and its
+# one sweep engine, the tile-engine executor pool and its epoch barrier,
 # cancellation, panic-to-error, checkpoint and resume, run log, the
 # row-banded table build, the CLIs' shared flags), repeated to shake out
 # scheduling-dependent interleavings (DESIGN.md §9). The TestBarrier tests

@@ -35,17 +35,17 @@ func main() {
 	ropt.Register(flag.CommandLine)
 	flag.Parse()
 
-	var pair *synth.FlowPair
-	switch *dataset {
-	case "venus":
-		pair = synth.Venus(*scale)
-	case "rubberwhale":
-		pair = synth.RubberWhale(*scale)
-	case "dimetrodon":
-		pair = synth.Dimetrodon(*scale)
-	default:
-		log.Fatalf("unknown dataset %q", *dataset)
+	build, err := synth.FlowDataset(*dataset)
+	if err != nil {
+		log.Fatalf("-dataset: %v", err)
 	}
+	switch {
+	case *scale < 1:
+		log.Fatalf("-scale %d: must be >= 1", *scale)
+	case *iters < 0:
+		log.Fatalf("-iters %d: must be >= 0 (0 = the default 300)", *iters)
+	}
+	pair := build(*scale)
 
 	p := flow.DefaultParams()
 	if *iters > 0 {

@@ -39,6 +39,16 @@ func main() {
 	if ropt.TFloor != 0 {
 		log.Fatal("-tfloor does not apply: segmentation samples at a fixed temperature")
 	}
+	switch {
+	case *index < 0 || *index >= 30:
+		log.Fatalf("-image %d: must be in [0,30)", *index)
+	case *k < 2 || *k > 32:
+		log.Fatalf("-k %d: must be in [2,32]", *k)
+	case *scale < 1:
+		log.Fatalf("-scale %d: must be >= 1", *scale)
+	case *iters < 0:
+		log.Fatalf("-iters %d: must be >= 0 (0 = the default 30)", *iters)
+	}
 
 	p := segment.DefaultParams()
 	if *iters > 0 {

@@ -35,17 +35,17 @@ func main() {
 	ropt.Register(flag.CommandLine)
 	flag.Parse()
 
-	var pair *synth.StereoPair
-	switch *dataset {
-	case "teddy":
-		pair = synth.Teddy(*scale)
-	case "poster":
-		pair = synth.Poster(*scale)
-	case "art":
-		pair = synth.Art(*scale)
-	default:
-		log.Fatalf("unknown dataset %q", *dataset)
+	build, err := synth.StereoDataset(*dataset)
+	if err != nil {
+		log.Fatalf("-dataset: %v", err)
 	}
+	switch {
+	case *scale < 1:
+		log.Fatalf("-scale %d: must be >= 1", *scale)
+	case *iters < 0:
+		log.Fatalf("-iters %d: must be >= 0 (0 = the default 500)", *iters)
+	}
+	pair := build(*scale)
 
 	p := stereo.DefaultParams()
 	if *iters > 0 {

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"container/list"
-	"sync"
-)
+import "rsu/internal/lru"
 
 // converterKey identifies one memoizable energy-to-lambda conversion table:
 // the full design point (Config is a comparable value type) plus the
@@ -22,19 +19,10 @@ type converterKey struct {
 // Annealing schedules are deterministic, so every job at a given design
 // point replays the same temperature ladder and hits the same entries.
 //
-// The cache is a strict LRU and safe for concurrent use.
+// The cache is a strict LRU (lru.Cache) and safe for concurrent use: racing
+// first callers of one key share a single build.
 type ConverterCache struct {
-	mu       sync.Mutex
-	capacity int
-	entries  map[converterKey]*list.Element
-	order    *list.List // front = most recently used
-	hits     uint64
-	misses   uint64
-}
-
-type converterEntry struct {
-	key  converterKey
-	conv Converter
+	lru *lru.Cache[converterKey, Converter]
 }
 
 // DefaultConverterCapacity comfortably holds a 500-sweep annealing ladder at
@@ -47,11 +35,7 @@ func NewConverterCache(capacity int) *ConverterCache {
 	if capacity <= 0 {
 		capacity = DefaultConverterCapacity
 	}
-	return &ConverterCache{
-		capacity: capacity,
-		entries:  make(map[converterKey]*list.Element),
-		order:    list.New(),
-	}
+	return &ConverterCache{lru: lru.New[converterKey, Converter](capacity)}
 }
 
 // Get returns the converter for (cfg, useLUT, T), building and caching it on
@@ -59,55 +43,17 @@ func NewConverterCache(capacity int) *ConverterCache {
 // (EnergyBits > 0 and LambdaBits > 0) — the only configurations that have a
 // conversion table at all.
 func (c *ConverterCache) Get(cfg Config, useLUT bool, T float64) Converter {
-	key := converterKey{cfg: cfg, useLUT: useLUT, T: T}
-	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.order.MoveToFront(el)
-		c.hits++
-		conv := el.Value.(*converterEntry).conv
-		c.mu.Unlock()
-		return conv
-	}
-	c.misses++
-	c.mu.Unlock()
-
-	// Build outside the lock: table construction is the expensive part and
-	// two racing builders produce identical read-only tables, so the worst
-	// case of dropping the lock is one redundant build.
-	var conv Converter
-	if useLUT {
-		conv = NewLUTConverter(cfg, T)
-	} else {
-		conv = NewBoundaryConverter(cfg, T)
-	}
-
-	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		// Racing builder won; keep its table so all units share storage.
-		c.order.MoveToFront(el)
-		conv = el.Value.(*converterEntry).conv
-	} else {
-		c.entries[key] = c.order.PushFront(&converterEntry{key: key, conv: conv})
-		for c.order.Len() > c.capacity {
-			back := c.order.Back()
-			delete(c.entries, back.Value.(*converterEntry).key)
-			c.order.Remove(back)
+	conv, _, _ := c.lru.Get(converterKey{cfg: cfg, useLUT: useLUT, T: T}, func() (Converter, error) {
+		if useLUT {
+			return NewLUTConverter(cfg, T), nil
 		}
-	}
-	c.mu.Unlock()
+		return NewBoundaryConverter(cfg, T), nil
+	})
 	return conv
 }
 
 // ConverterCacheStats is a point-in-time snapshot of the cache counters.
-type ConverterCacheStats struct {
-	Entries int
-	Hits    uint64
-	Misses  uint64
-}
+type ConverterCacheStats = lru.Stats
 
 // Stats returns the current entry count and hit/miss counters.
-func (c *ConverterCache) Stats() ConverterCacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return ConverterCacheStats{Entries: c.order.Len(), Hits: c.hits, Misses: c.misses}
-}
+func (c *ConverterCache) Stats() ConverterCacheStats { return c.lru.Stats() }

@@ -47,8 +47,8 @@ type StatefulCollector interface {
 type SolverState struct {
 	// W, H, Labels pin the problem shape the snapshot belongs to.
 	W, H, Labels int
-	// Workers is the RNG stream count: 1 for the serial engine, the tile
-	// count for the tile engine. The executor count is NOT part of solver
+	// Workers is the RNG stream count: the tile count, 1 for the serial
+	// raster scan. The executor count is NOT part of solver
 	// state: any executor count replays the same tiles bit-identically.
 	Workers int
 	// NextSweep is the index of the first sweep that has not run yet; it
@@ -64,8 +64,8 @@ type SolverState struct {
 	// EnergyTracked records whether the captured run maintained the
 	// incremental energy (OnSweep was set).
 	EnergyTracked bool
-	// ShardRows, ShardCols record the tile geometry of a tile-engine run;
-	// both are zero for serial runs and for the version-1 snapshots the
+	// ShardRows, ShardCols record the tile geometry of a multi-tile run;
+	// both are zero for serial (1×1) runs and for the version-1 snapshots the
 	// retired checkerboard worker pool wrote (Workers > 1, no halos), which
 	// resume on workerGeometry(Workers, W, H). When set, Workers equals
 	// ShardRows*ShardCols (one sampler per tile) and Halos carries the
@@ -77,7 +77,7 @@ type SolverState struct {
 	// Grid at capture. They duplicate Grid and keep the version-2 byte
 	// layout; a resume requires each halo's length to match its tile and
 	// its edge cells to equal Grid, and ignores its corners, which no
-	// 4-neighborhood reads. nil for serial runs and version-1 worker
+	// 4-neighborhood reads. nil for serial (1×1) runs and version-1 worker
 	// snapshots.
 	Halos [][]int
 	// Samplers holds one state per stream, in stream (tile) order.
@@ -93,8 +93,8 @@ type SolverState struct {
 // captureState snapshots the complete solver state between sweeps: the
 // run's labeling, the first un-run sweep and its temperature, the
 // incremental energy (zero unless tracked), every stream's sampler state
-// and, on the tile engine, the lattice and every tile's halo read from the
-// labeling.
+// and, for a multi-tile plan, the lattice and every tile's halo read from
+// the labeling. A 1×1 plan writes the serial snapshot: no lattice, no halos.
 func captureState(r *run) (*SolverState, error) {
 	st := &SolverState{
 		W: r.p.W, H: r.p.H, Labels: r.p.Labels,
@@ -108,7 +108,7 @@ func captureState(r *run) (*SolverState, error) {
 	if r.track {
 		st.Energy = r.energy
 	}
-	if plan := r.plan; plan != nil {
+	if plan := r.plan; len(plan.Tiles) > 1 {
 		st.ShardRows, st.ShardCols = plan.Geom.Rows, plan.Geom.Cols
 		st.Halos = make([][]int, len(plan.Tiles))
 		for i, t := range plan.Tiles {
@@ -205,31 +205,28 @@ func applyResume(st *SolverState, sched Schedule, samplers []core.LabelSampler, 
 }
 
 // snapshotGeometry returns the tile lattice a snapshot was captured on: the
-// recorded geometry of a tile-engine run, workerGeometry(Workers, W, H) for a
-// version-1 snapshot of the retired worker pool (whose row bands and streams
-// that geometry reproduces), and the zero geometry for a serial run.
+// recorded geometry of a multi-tile run, else workerGeometry(Workers, W, H),
+// which is 1×1 for a serial run and reproduces the row bands and streams of a
+// version-1 snapshot of the retired worker pool.
 func snapshotGeometry(st *SolverState) shard.Geometry {
 	if st.ShardRows != 0 || st.ShardCols != 0 {
 		return shard.Geometry{Rows: st.ShardRows, Cols: st.ShardCols}
 	}
-	if st.Workers > 1 {
-		return workerGeometry(st.Workers, st.W, st.H)
-	}
-	return shard.Geometry{}
+	return workerGeometry(max(st.Workers, 1), st.W, st.H)
 }
 
 // checkResumeShards rejects a snapshot whose tile lattice differs from the
-// resuming run's (the zero geometry for the serial engine). The stream-count
-// check in applyResume cannot catch every mismatch on its own (2×2 and 4×1
-// tiles both say Workers = 4, yet their draw sequences differ).
+// resuming run's. The stream-count check in applyResume cannot catch every
+// mismatch on its own (2×2 and 4×1 tiles both say Workers = 4, yet their
+// draw sequences differ).
 func checkResumeShards(st *SolverState, geom shard.Geometry) error {
 	got := snapshotGeometry(st)
 	switch {
 	case got == geom:
 		return nil
-	case got.IsZero():
+	case got.Tiles() == 1:
 		return fmt.Errorf("mrf: snapshot captured a serial run, resuming with %s tiles", geom)
-	case geom.IsZero():
+	case geom.Tiles() == 1:
 		return fmt.Errorf("mrf: snapshot captured a %s-tile run, resuming on the serial engine", got)
 	}
 	return fmt.Errorf("mrf: snapshot captured %s tiles, resuming with %s", got, geom)

@@ -9,6 +9,7 @@ import (
 	"rsu/internal/core"
 	"rsu/internal/img"
 	"rsu/internal/rng"
+	"rsu/internal/shard"
 )
 
 // randomProblem builds a randomized MRF instance. Odd widths are the
@@ -401,8 +402,9 @@ func TestTemperatureIterMatchesClosedForm(t *testing.T) {
 }
 
 // TestSerialSweepSteadyStateZeroAlloc is the fused-sweep allocation
-// contract: once the sweeper and the sampler scratch are warm, a full sweep
-// (including incremental energy tracking) performs zero allocations.
+// contract: once the one-tile plan's raster tile and the sampler scratch are
+// warm, a full sweep (including incremental energy tracking) performs zero
+// allocations.
 func TestSerialSweepSteadyStateZeroAlloc(t *testing.T) {
 	p := twoRegionProblem(24, 16)
 	tab := p.BuildTables()
@@ -410,7 +412,11 @@ func TestSerialSweepSteadyStateZeroAlloc(t *testing.T) {
 	u := core.MustUnit(core.NewRSUG(), rng.NewXoshiro256(9), true)
 	core.MustSetTemperature(u, 4)
 	r := &run{p: p, lab: lab, samplers: []core.LabelSampler{u}, track: true, energy: tab.TotalEnergy(lab)}
-	sw := newSerialSweeper(r, tab)
+	sw, err := newShardPool(r, tab, shard.Geometry{Rows: 1, Cols: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sw.stop()
 	if _, err := sw.sweep(0); err != nil {
 		t.Fatalf("warm-up sweep: %v", err)
 	}

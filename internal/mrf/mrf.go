@@ -217,8 +217,8 @@ func (t *Tables) LabelEnergies(dst []float64, lab *img.Labels, x, y int) {
 // LabelEnergiesSeg fills dst with the candidate-label energies of the n
 // pixels (x0, y), (x0+step, y), ..., (x0+(n-1)*step, y) as a dense n×Labels
 // block: slot i (dst[i*Labels:(i+1)*Labels]) holds pixel x0+i*step. The
-// fused sweep engine gathers one whole row (step 1, serial solver) or one
-// same-color row segment (step 2, checkerboard solver) per call, hoisting
+// tile engine gathers one whole row (step 1, the one-tile raster scan) or
+// one same-color row segment (step 2, checkerboard tiles) per call, hoisting
 // the row bases and boundary tests that LabelEnergies re-derives per pixel.
 // Each slot accumulates in exactly LabelEnergies' term order — singles,
 // left, right, up, down — so the block is bit-identical to per-pixel calls.

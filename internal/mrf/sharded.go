@@ -23,6 +23,10 @@ const AutoShardPixels = 1 << 18
 // split by global checkerboard parity. The tile reads and writes the one
 // global label grid through the one global Tables; its scratch buffers are
 // its own, so any executor can run any tile without sharing state.
+//
+// The one tile of a 1×1 plan is the serial raster scan instead: it sweeps
+// the whole grid in raster order in its color-0 stage (raster) and does
+// nothing in color 1, so it holds a row block rather than color lists.
 type shardTile struct {
 	t       shard.Tile
 	sampler core.BatchSampler
@@ -38,10 +42,18 @@ type shardTile struct {
 	mins     []float64
 	currents []int
 	out      []int
+
+	// block is the raster tile's W×Labels row energy block, reused every
+	// row; nil on the tiles of a multi-tile plan.
+	block []float64
 }
 
-func newShardTile(t shard.Tile, w, labels int, sampler core.LabelSampler) *shardTile {
+func newShardTile(t shard.Tile, w, labels int, sampler core.LabelSampler, raster bool) *shardTile {
 	st := &shardTile{t: t, sampler: core.AsBatch(sampler)}
+	if raster {
+		st.block = make([]float64, w*labels)
+		return st
+	}
 	st.minSampler, _ = sampler.(core.MinBatchSampler)
 	for color := 0; color < 2; color++ {
 		cs := make([]int, 0, (t.W()*t.H()+1)/2)
@@ -65,7 +77,22 @@ func newShardTile(t shard.Tile, w, labels int, sampler core.LabelSampler) *shard
 	return st
 }
 
-// compute runs one color phase over the tile's owned cells of the global
+// compute runs the tile's color-c stage of sweep k on run r's grid and
+// returns its flips and, when r.track, its energy delta. The raster tile
+// sweeps the whole grid in color 0, adding each FlipDelta straight into
+// r.energy as the serial scan always has, and returns a +0 delta, which
+// leaves r.energy's bits unchanged (a sum that starts at +0 is never −0).
+func (ts *shardTile) compute(k int, r *run, tab *Tables, color int) (flips int, edelta float64, err error) {
+	if ts.block == nil {
+		return ts.checker(tab, r.lab, color, r.track)
+	}
+	if color == 0 {
+		flips, err = ts.raster(k, r, tab)
+	}
+	return flips, 0, err
+}
+
+// checker runs one color phase over the tile's owned cells of the global
 // grid: maximal same-row stride-2 segments are gathered with one
 // LabelEnergiesSeg call and drawn with one SampleBatch call — or, for a
 // core.MinBatchSampler, gathered with their minima and drawn with one
@@ -78,7 +105,7 @@ func newShardTile(t shard.Tile, w, labels int, sampler core.LabelSampler) *shard
 // becomes the tile's error, so a faulty sampler fails the solve instead of
 // killing the process. Returns the tile's flips and, when track, accumulates
 // the energy delta.
-func (ts *shardTile) compute(tab *Tables, lab *img.Labels, color int, track bool) (flips int, edelta float64, err error) {
+func (ts *shardTile) checker(tab *Tables, lab *img.Labels, color int, track bool) (flips int, edelta float64, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("mrf: tile %d panicked: %v", ts.t.Index, r)
@@ -126,6 +153,50 @@ func (ts *shardTile) compute(tab *Tables, lab *img.Labels, color int, track bool
 	return flips, edelta, nil
 }
 
+// raster runs sweep k as one full raster-scan Gibbs sweep of the grid: per
+// row it gathers the whole W×Labels candidate-energy block with one
+// LabelEnergiesRow call, then draws each pixel from its slot with Sample.
+// The raster scan's only intra-row data dependence is the left neighbor, so
+// a slot is stale only when the immediately preceding pixel flipped — that
+// slot is recomputed through the exact per-pixel LabelEnergies path, keeping
+// every energy vector (and therefore every RNG draw) bit-identical to the
+// unfused loop. A sampler panic becomes an error locating its sweep and row;
+// the recover is armed once per sweep, outside the pixel loop.
+func (ts *shardTile) raster(k int, r *run, tab *Tables) (flips int, err error) {
+	y := 0
+	defer func() {
+		if rec := recover(); rec != nil {
+			err = fmt.Errorf("mrf: sweep %d row %d panicked: %v", k, y, rec)
+		}
+	}()
+	lab := r.lab
+	L := tab.Labels()
+	for ; y < lab.H; y++ {
+		tab.LabelEnergiesRow(ts.block, lab, y)
+		prevFlipped := false
+		for x := 0; x < lab.W; x++ {
+			vec := ts.block[x*L : x*L+L]
+			if prevFlipped {
+				tab.LabelEnergies(vec, lab, x, y)
+			}
+			cur := lab.At(x, y)
+			next, serr := ts.sampler.Sample(vec, cur)
+			if serr != nil {
+				return flips, fmt.Errorf("mrf: sweep %d pixel (%d,%d): %w", k, x, y, serr)
+			}
+			prevFlipped = next != cur
+			if prevFlipped {
+				if r.track {
+					r.energy += tab.FlipDelta(lab, x, y, cur, next)
+				}
+				lab.Set(x, y, next)
+				flips++
+			}
+		}
+	}
+	return flips, nil
+}
+
 // shardPool is the tile engine. It schedules the tiles over a fixed set of
 // long-lived executor goroutines: executor 0 is the goroutine driving sweep()
 // itself (parking it at the barrier while another thread is woken to do its
@@ -163,6 +234,7 @@ type shardPool struct {
 	cond *sync.Cond
 	exit sync.WaitGroup
 
+	k      int     // the sweep in progress, set before its first stage is published
 	errs   []error // per-tile first error; owner = whichever executor runs the tile
 	flips  []int
 	edelta []float64
@@ -217,7 +289,7 @@ func newShardPool(r *run, tab *Tables, geom shard.Geometry) (*shardPool, error) 
 	}
 	tiles := make([]*shardTile, len(plan.Tiles))
 	for i, t := range plan.Tiles {
-		tiles[i] = newShardTile(t, r.p.W, r.p.Labels, r.samplers[i])
+		tiles[i] = newShardTile(t, r.p.W, r.p.Labels, r.samplers[i], len(plan.Tiles) == 1)
 	}
 	r.plan = plan
 
@@ -310,7 +382,7 @@ func (pool *shardPool) computeColor(e, color int) {
 		if pool.errs[i] != nil {
 			continue // tile sits out after an error, but honors barriers
 		}
-		flips, edelta, err := pool.tiles[i].compute(pool.tab, pool.r.lab, color, pool.r.track)
+		flips, edelta, err := pool.tiles[i].compute(pool.k, pool.r, pool.tab, color)
 		pool.flips[i] += flips
 		pool.edelta[i] += edelta
 		if err != nil {
@@ -335,11 +407,13 @@ func (pool *shardPool) barrier(color int) {
 // sweep drives the two color stages of sweep k, adds the sweep's energy
 // delta (summed in tile order, so the tracked energy is deterministic) to
 // run.energy and returns the flip count plus the first tile error, if any.
-// After each barrier the shardPhaseHook test seam, when set, sees the grid.
+// After each barrier of a multi-tile plan the shardPhaseHook test seam, when
+// set, sees the grid; the raster tile has no checkerboard phases to show.
 func (pool *shardPool) sweep(k int) (int, error) {
+	pool.k = k
 	for color := 0; color < 2; color++ {
 		pool.barrier(color)
-		if hook := pool.r.opts.shardPhaseHook; hook != nil {
+		if hook := pool.r.opts.shardPhaseHook; hook != nil && len(pool.tiles) > 1 {
 			hook(k, color, pool.r.lab)
 		}
 	}

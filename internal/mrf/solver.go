@@ -117,11 +117,11 @@ type SolveStats struct {
 
 // Collector receives the labeling after every completed sweep — the hook the
 // uncertainty-quantification subsystem (internal/uq) accumulates posterior
-// samples through. The contract is identical on the serial engine and the
-// tile engine, at every worker count and tile geometry:
+// samples through. The contract is identical at every worker count and tile
+// geometry, the serial one-tile plan included:
 //
 //   - Collect runs on the goroutine driving the solve, after the sweep's
-//     label writes are published (the tile engine's second color barrier)
+//     label writes are published (the second color barrier)
 //     and after the OnSweep hook, so its cost is never charged to
 //     SolveStats.Elapsed.
 //   - The *img.Labels argument is the solver's reused working buffer, exactly
@@ -142,15 +142,15 @@ type SolveOptions struct {
 	// OnSweep, if non-nil, is called after each sweep with the sweep index,
 	// the current labeling, and the sweep's SolveStats record.
 	//
-	// The *img.Labels argument is the solver's working buffer: both engines
-	// (serial and tile) reuse the same storage across sweeps and keep
-	// mutating it after the hook returns. Callers that retain the labeling
-	// beyond the hook invocation MUST take a copy (lab.Clone()); retaining
-	// the pointer observes later sweeps' mutations. The SolveStats value is
-	// safe to retain.
+	// The *img.Labels argument is the solver's working buffer: the solver
+	// reuses the same storage across sweeps and keeps mutating it after the
+	// hook returns. Callers that retain the labeling beyond the hook
+	// invocation MUST take a copy (lab.Clone()); retaining the pointer
+	// observes later sweeps' mutations. The SolveStats value is safe to
+	// retain.
 	OnSweep func(iter int, lab *img.Labels, st SolveStats)
 	// Workers selects the solver parallelism: 0 = GOMAXPROCS, 1 = the exact
-	// serial raster scan on factory(0), n > 1 = the tile engine on n row
+	// serial raster scan on factory(0) (the one-tile plan), n > 1 = n row
 	// bands (n×1 tiles, one sampler each), or on one band of min(n, W)
 	// columns when the grid has fewer than n rows; negative counts are an
 	// error. With Workers 0 a Resume snapshot keeps the geometry it was
@@ -197,8 +197,8 @@ type SolveOptions struct {
 	// checkerboard color per barrier, each tile drawing from its own RNG
 	// stream (factory(tileIndex)). The zero value — the default — leaves the
 	// geometry to Workers; Solve may also shard automatically for grids
-	// of AutoShardPixels pixels or more. A 1×1 geometry runs the serial
-	// engine and is byte-identical to it. Multi-tile output differs
+	// of AutoShardPixels pixels or more. A 1×1 geometry is the serial raster
+	// scan, byte-identical to Workers 1. Multi-tile output differs
 	// from the serial solver only through the sweep order and RNG stream
 	// assignment — the stationary distribution is identical, which
 	// rsu-verify's marginal and sharding-equivalence batteries gate. For a
@@ -223,7 +223,7 @@ type SolveOptions struct {
 
 // attachFaults installs opts.Faults' per-stream models on the samplers and
 // returns the detach func to defer (solvers must not leave a past run's
-// injector on a caller-owned sampler). Serial solves are stream 0.
+// injector on a caller-owned sampler). Sampler i hosts fault stream i.
 func attachFaults(opts SolveOptions, samplers ...core.LabelSampler) func() {
 	if opts.Faults == nil {
 		return func() {}
@@ -252,17 +252,14 @@ func ResolveWorkers(n int) int {
 	return n
 }
 
-// prepare validates the problem, the tile geometry (the zero geometry is the
-// serial engine) and the schedule, clones or allocates the initial labeling,
-// and resolves the lookup tables.
+// prepare validates the problem, the tile geometry and the schedule, clones
+// or allocates the initial labeling, and resolves the lookup tables.
 func prepare(p *Problem, sched Schedule, geom shard.Geometry, opts SolveOptions) (*img.Labels, *Tables, error) {
 	if err := p.Validate(); err != nil {
 		return nil, nil, err
 	}
-	if !geom.IsZero() {
-		if err := geom.Validate(p.W, p.H); err != nil {
-			return nil, nil, fmt.Errorf("mrf: %w", err)
-		}
+	if err := geom.Validate(p.W, p.H); err != nil {
+		return nil, nil, fmt.Errorf("mrf: %w", err)
 	}
 	if err := sched.Validate(); err != nil {
 		return nil, nil, err
@@ -301,19 +298,18 @@ func prepare(p *Problem, sched Schedule, geom shard.Geometry, opts SolveOptions)
 	return lab, tab, nil
 }
 
-// run is the annealing driver's state between sweeps: what the sweep engines
-// advance and what the observers, captureState and the checkpoint hooks read.
+// run is the annealing driver's state between sweeps: what the tile engine
+// advances and what the observers, captureState and the checkpoint hooks read.
 type run struct {
 	p     *Problem
 	opts  SolveOptions
 	iters int // Schedule.Iterations
-	// lab is the global labeling; both engines sweep it in place.
+	// lab is the global labeling; the tiles sweep it in place.
 	lab *img.Labels
-	// samplers holds one sampler per RNG stream: stream 0 on the serial
-	// engine, stream i on tile i.
+	// samplers holds one sampler per RNG stream, stream i on tile i.
 	samplers []core.LabelSampler
-	// plan is the tile engine's decomposition, whose tiles' halos a snapshot
-	// records; nil on the serial engine.
+	// plan is the tile decomposition; a snapshot of a multi-tile plan
+	// records its geometry and its tiles' halos.
 	plan *shard.Plan
 	// next is the first sweep that has not run; ti.t is its temperature.
 	next int
@@ -335,33 +331,21 @@ func (r *run) checkpointDue() bool {
 	return o.OnCheckpoint != nil && o.CheckpointEvery > 0 && r.next%o.CheckpointEvery == 0 && r.next < r.iters
 }
 
-// sweepEngine runs whole sweeps for the annealing driver, which calls it once
-// per sweep. sweep runs sweep k over every variable at the temperature the
-// driver has already set on every stream, adds each accepted flip's
-// FlipDelta to run.energy when run.track, and returns the flip count; both
-// engines sweep run.lab in place, so it is current after every sweep. stop
-// releases the engine's goroutines.
-type sweepEngine interface {
-	sweep(k int) (flips int, err error)
-	stop()
-}
-
 // anneal is the one annealing driver behind Solve: the RSU-G's protocol of
 // setting the temperature once per iteration, sweeping every variable, and
 // moving on. It validates the run, builds one distinct sampler per stream
 // through factory, attaches faults and restores a Resume snapshot;
 // then, per sweep, it checks ctx (capturing the cancellation snapshot), sets
-// the sweep's temperature on every stream, runs one engine sweep, and feeds
-// OnSweep, the Collector and the periodic checkpoint. geom selects the
-// engine: the zero geometry is the serial raster engine, anything else the
-// tile engine with tile i on stream i. An aborted solve hands back the
-// labeling its sweeps left.
+// the sweep's temperature on every stream, runs one tile-engine sweep on
+// geom with tile i on stream i (a 1×1 geom is the serial raster scan), and
+// feeds OnSweep, the Collector and the periodic checkpoint. An aborted solve
+// hands back the labeling its sweeps left.
 func anneal(ctx context.Context, p *Problem, factory func(stream int) core.LabelSampler, sched Schedule, geom shard.Geometry, opts SolveOptions) (*img.Labels, error) {
 	lab, tab, err := prepare(p, sched, geom, opts)
 	if err != nil {
 		return nil, err
 	}
-	samplers := make([]core.LabelSampler, max(geom.Tiles(), 1))
+	samplers := make([]core.LabelSampler, geom.Tiles())
 	for i := range samplers {
 		if samplers[i] = factory(i); samplers[i] == nil {
 			return nil, fmt.Errorf("mrf: nil sampler for stream %d", i)
@@ -395,13 +379,11 @@ func anneal(ctx context.Context, p *Problem, factory func(stream int) core.Label
 		}
 	}
 
-	var eng sweepEngine
-	if geom.IsZero() {
-		eng = newSerialSweeper(r, tab)
-	} else if eng, err = newShardPool(r, tab, geom); err != nil {
+	pool, err := newShardPool(r, tab, geom)
+	if err != nil {
 		return nil, err
 	}
-	defer eng.stop()
+	defer pool.stop()
 
 	for k := r.next; k < r.iters; k++ {
 		if err := ctx.Err(); err != nil {
@@ -414,7 +396,7 @@ func anneal(ctx context.Context, p *Problem, factory func(stream int) core.Label
 				return lab, fmt.Errorf("mrf: sweep %d: %w", k, err)
 			}
 		}
-		flips, err := eng.sweep(k)
+		flips, err := pool.sweep(k)
 		if err != nil {
 			return lab, err
 		}
@@ -435,8 +417,8 @@ func anneal(ctx context.Context, p *Problem, factory func(stream int) core.Label
 }
 
 // distinctSamplers rejects a factory that handed one sampler to two streams:
-// the tile engine would run it on two goroutines at once, and even the
-// serial engine would interleave two streams' draws. Samplers compare by
+// the tile engine would run it on two goroutines at once, and even one
+// executor would interleave two streams' draws. Samplers compare by
 // address, never with == (which panics on an uncomparable dynamic type); a
 // non-pointer sampler is copied into each interface, so this check does not
 // follow what it may point to.
@@ -455,81 +437,9 @@ func distinctSamplers(samplers []core.LabelSampler) error {
 	return nil
 }
 
-// serialSweeper is the fused serial sweep engine: per row it gathers the
-// whole W×Labels candidate-energy block with one LabelEnergiesRow call, then
-// draws each pixel from its slot. The raster scan's only intra-row data
-// dependence is the left neighbor, so a slot is stale only when the
-// immediately preceding pixel flipped — in that case the slot is recomputed
-// through the exact per-pixel LabelEnergies path, keeping every energy
-// vector (and therefore every RNG draw) bit-identical to the unfused loop.
-// The block is allocated once per solve; steady-state sweeps are zero-alloc.
-type serialSweeper struct {
-	r       *run
-	tab     *Tables
-	sampler core.LabelSampler
-	block   []float64 // one row's W×Labels energy block, reused every row
-	row     int       // the row being swept, to locate a sampler panic
-}
-
-func newSerialSweeper(r *run, tab *Tables) *serialSweeper {
-	return &serialSweeper{r: r, tab: tab, sampler: r.samplers[0], block: make([]float64, r.p.W*r.p.Labels)}
-}
-
-// sweep runs one full raster-scan Gibbs sweep; k names the sweep in errors.
-// A sampler panic becomes a located error, as on the tile engine, so a
-// faulty sampler fails the solve instead of killing the process; the recover
-// is armed once per sweep, outside the pixel loop.
-func (s *serialSweeper) sweep(k int) (flips int, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			err = fmt.Errorf("mrf: sweep %d row %d panicked: %v", k, s.row, rec)
-		}
-	}()
-	return s.raster(k)
-}
-
-func (s *serialSweeper) raster(k int) (int, error) {
-	r, tab := s.r, s.tab
-	p, lab := r.p, r.lab
-	L := p.Labels
-	flips := 0
-	for y := 0; y < p.H; y++ {
-		s.row = y
-		tab.LabelEnergiesRow(s.block, lab, y)
-		prevFlipped := false
-		for x := 0; x < p.W; x++ {
-			vec := s.block[x*L : x*L+L]
-			if prevFlipped {
-				// The left neighbor changed after the row gather; recompute
-				// this one slot through the per-pixel path so the energies
-				// match the unfused raster scan bit for bit.
-				tab.LabelEnergies(vec, lab, x, y)
-			}
-			cur := lab.At(x, y)
-			next, err := s.sampler.Sample(vec, cur)
-			if err != nil {
-				return flips, fmt.Errorf("mrf: sweep %d pixel (%d,%d): %w", k, x, y, err)
-			}
-			if next != cur {
-				if r.track {
-					r.energy += tab.FlipDelta(lab, x, y, cur, next)
-				}
-				lab.Set(x, y, next)
-				flips++
-				prevFlipped = true
-			} else {
-				prevFlipped = false
-			}
-		}
-	}
-	return flips, nil
-}
-
-func (s *serialSweeper) stop() {}
-
 // Solve runs simulated-annealing Gibbs sampling on the problem and returns
 // the final labeling. It is the one entry point into the annealing driver:
-// it picks the sweep engine (engineGeometry) and builds one sampler per RNG
+// it picks the tile geometry (engineGeometry) and builds one sampler per RNG
 // stream through factory, called once for each stream index, row-major over
 // the tile lattice. Every stream must get its own sampler; a factory that
 // hands one sampler to two streams is an error. Each sampler's
@@ -566,21 +476,17 @@ func SolveAuto(p *Problem, factory func(stream int) core.LabelSampler, sched Sch
 	return Solve(context.Background(), p, factory, sched, opts)
 }
 
-// engineGeometry is the one place Solve's sweep engine is chosen. It returns
-// the tile lattice to run, or the zero geometry for the serial raster engine:
-// an explicit Shards geometry wins; else a Resume snapshot fixes the lattice
-// it was captured on (snapshotGeometry) when it is a tile run, whatever
-// Workers says, and for any snapshot when Workers is left at 0, so a
-// checkpoint resumes on a host with a different core count; else a grid of
-// AutoShardPixels or more with Workers left at 0 gets shard.Auto (a pure
-// function of the grid shape, so the result stays reproducible and
-// resumable); else Workers = n > 1 runs workerGeometry(n, W, H).
-// checkResumeShards later rejects an explicit Shards value that disagrees
-// with the snapshot, or an explicit Workers value that disagrees with a
-// serial or version-1 one. Any 1×1 lattice is the serial engine: one tile
-// owning the whole grid has the serial solve's cells and single RNG stream,
-// so running the raster scan makes the 1×1-equals-serial contract true by
-// construction.
+// engineGeometry is the one place Solve's tile lattice is chosen, 1×1 being
+// the serial raster scan: an explicit Shards geometry wins; else a Resume
+// snapshot fixes the lattice it was captured on (snapshotGeometry) when it
+// is a multi-tile run, whatever Workers says, and for any snapshot when
+// Workers is left at 0, so a checkpoint resumes on a host with a different
+// core count; else a grid of AutoShardPixels or more with Workers left at 0
+// gets shard.Auto (a pure function of the grid shape, so the result stays
+// reproducible and resumable); else Workers = n runs workerGeometry(n, W,
+// H). checkResumeShards later rejects an explicit Shards value that
+// disagrees with the snapshot, or an explicit Workers value that disagrees
+// with a serial or version-1 one.
 func engineGeometry(p *Problem, opts SolveOptions) (shard.Geometry, error) {
 	if opts.Workers < 0 {
 		return shard.Geometry{}, fmt.Errorf("mrf: SolveOptions.Workers must be >= 0, got %d", opts.Workers)
@@ -593,19 +499,14 @@ func engineGeometry(p *Problem, opts SolveOptions) (shard.Geometry, error) {
 	case opts.Workers == 0 && p.W*p.H >= AutoShardPixels:
 		geom = shard.Auto(p.W, p.H)
 	default:
-		if n := ResolveWorkers(opts.Workers); n > 1 {
-			geom = workerGeometry(n, p.W, p.H)
-		}
-	}
-	if geom.Tiles() == 1 {
-		return shard.Geometry{}, nil
+		geom = workerGeometry(ResolveWorkers(opts.Workers), p.W, p.H)
 	}
 	return geom, nil
 }
 
-// workerGeometry maps a Workers = n > 1 request onto the tile lattice that
-// runs it: n row bands (n×1) when the grid has at least n rows, otherwise one
-// band of min(n, W) columns, so short grids (the 1×2 marginal-battery grid
+// workerGeometry maps a Workers = n request onto the tile lattice that runs
+// it: n row bands (n×1) when the grid has at least n rows — 1×1, the serial
+// raster scan, for n = 1 — otherwise one band of min(n, W) columns, so short grids (the 1×2 marginal-battery grid
 // among them) still run a genuinely multi-tile checkerboard. A pure function
 // of (n, W, H): the same request on the same grid always draws the same
 // streams in the same order, on any host.

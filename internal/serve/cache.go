@@ -1,85 +1,10 @@
 package serve
 
 import (
-	"container/list"
-	"sync"
-
 	"rsu/internal/core"
+	"rsu/internal/lru"
 	"rsu/internal/mrf"
 )
-
-// lru is a string-keyed LRU memo with request coalescing: the first caller
-// of a key builds the artifact while later callers of the same key wait on
-// it (and count as hits — they share the artifact rather than rebuilding
-// it). Entries are immutable once published, so values can be handed to any
-// number of concurrent jobs.
-type lru struct {
-	mu       sync.Mutex
-	capacity int
-	entries  map[string]*list.Element
-	order    *list.List // front = most recently used
-	hits     uint64
-	misses   uint64
-}
-
-type lruEntry struct {
-	key   string
-	ready chan struct{} // closed when val/err are published
-	val   any
-	err   error
-}
-
-func newLRU(capacity int) *lru {
-	if capacity <= 0 {
-		capacity = 64
-	}
-	return &lru{capacity: capacity, entries: make(map[string]*list.Element), order: list.New()}
-}
-
-// getOrBuild returns the artifact for key, invoking build exactly once per
-// resident entry. The second return reports whether this call was a hit
-// (the entry already existed, possibly still being built by another
-// goroutine). A build error is returned to every waiter and the entry is
-// dropped so a later request can retry.
-func (c *lru) getOrBuild(key string, build func() (any, error)) (any, bool, error) {
-	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.order.MoveToFront(el)
-		c.hits++
-		e := el.Value.(*lruEntry)
-		c.mu.Unlock()
-		<-e.ready
-		return e.val, true, e.err
-	}
-	c.misses++
-	e := &lruEntry{key: key, ready: make(chan struct{})}
-	c.entries[key] = c.order.PushFront(e)
-	for c.order.Len() > c.capacity {
-		back := c.order.Back()
-		delete(c.entries, back.Value.(*lruEntry).key)
-		c.order.Remove(back)
-	}
-	c.mu.Unlock()
-
-	e.val, e.err = build()
-	close(e.ready)
-	if e.err != nil {
-		c.mu.Lock()
-		if el, ok := c.entries[key]; ok && el.Value == e {
-			delete(c.entries, key)
-			c.order.Remove(el)
-		}
-		c.mu.Unlock()
-	}
-	return e.val, false, e.err
-}
-
-// counters returns (entries, hits, misses).
-func (c *lru) counters() (int, uint64, uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len(), c.hits, c.misses
-}
 
 // ArtifactCache is the shared-artifact layer of the service: concurrent
 // jobs at the same design point resolve their read-only precomputation here
@@ -96,8 +21,8 @@ func (c *lru) counters() (int, uint64, uint64) {
 //     schedules are deterministic, so jobs at one design point replay the
 //     same temperature ladder.
 type ArtifactCache struct {
-	pairs    *lru
-	datasets *lru
+	pairs    *lru.Cache[string, *mrf.PairLUT]
+	datasets *lru.Cache[string, any]
 	conv     *core.ConverterCache
 }
 
@@ -114,13 +39,16 @@ type CacheConfig struct {
 
 // NewArtifactCache builds the cache.
 func NewArtifactCache(cfg CacheConfig) *ArtifactCache {
-	dc := cfg.DatasetCapacity
+	pc, dc := cfg.PairCapacity, cfg.DatasetCapacity
+	if pc <= 0 {
+		pc = 64
+	}
 	if dc <= 0 {
 		dc = 32
 	}
 	return &ArtifactCache{
-		pairs:    newLRU(cfg.PairCapacity),
-		datasets: newLRU(dc),
+		pairs:    lru.New[string, *mrf.PairLUT](pc),
+		datasets: lru.New[string, any](dc),
 		conv:     core.NewConverterCache(cfg.ConverterCapacity),
 	}
 }
@@ -131,18 +59,9 @@ func (a *ArtifactCache) Converter() *core.ConverterCache { return a.conv }
 // pairLUT memoizes the pairwise LUT for key, building it from the problem
 // on a miss. Returns whether the lookup was a hit.
 func (a *ArtifactCache) pairLUT(key string, prob *mrf.Problem) (*mrf.PairLUT, bool, error) {
-	v, hit, err := a.pairs.getOrBuild(key, func() (any, error) {
+	return a.pairs.Get(key, func() (*mrf.PairLUT, error) {
 		return prob.BuildPairLUT(), nil
 	})
-	if err != nil {
-		return nil, hit, err
-	}
-	return v.(*mrf.PairLUT), hit, nil
-}
-
-// dataset memoizes a synthetic scene under key.
-func (a *ArtifactCache) dataset(key string, build func() (any, error)) (any, bool, error) {
-	return a.datasets.getOrBuild(key, build)
 }
 
 // CacheStats is a point-in-time snapshot of every cache layer's counters.
@@ -169,10 +88,10 @@ func (s CacheStats) PairHitRate() float64 {
 
 // Stats snapshots all cache counters.
 func (a *ArtifactCache) Stats() CacheStats {
-	var s CacheStats
-	s.PairEntries, s.PairHits, s.PairMisses = a.pairs.counters()
-	s.DatasetEntries, s.DatasetHits, s.DatasetMisses = a.datasets.counters()
-	cs := a.conv.Stats()
-	s.ConvEntries, s.ConvHits, s.ConvMisses = cs.Entries, cs.Hits, cs.Misses
-	return s
+	p, d, c := a.pairs.Stats(), a.datasets.Stats(), a.conv.Stats()
+	return CacheStats{
+		PairEntries: p.Entries, PairHits: p.Hits, PairMisses: p.Misses,
+		DatasetEntries: d.Entries, DatasetHits: d.Hits, DatasetMisses: d.Misses,
+		ConvEntries: c.Entries, ConvHits: c.Hits, ConvMisses: c.Misses,
+	}
 }

@@ -127,40 +127,26 @@ func reportFaults(res *JobResult, rep *fault.Report, metrics *Metrics) {
 func buildDataset(cache *ArtifactCache, s JobSpec) (any, bool, error) {
 	switch s.App {
 	case AppStereo:
-		var build func(int) *synth.StereoPair
-		switch s.Dataset {
-		case "teddy":
-			build = synth.Teddy
-		case "poster":
-			build = synth.Poster
-		case "art":
-			build = synth.Art
-		default:
-			return nil, false, fmt.Errorf("serve: unknown stereo dataset %q (want teddy | poster | art)", s.Dataset)
+		build, err := synth.StereoDataset(s.Dataset)
+		if err != nil {
+			return nil, false, err
 		}
 		key := fmt.Sprintf("stereo/%s/%d", s.Dataset, s.Scale)
-		return cache.dataset(key, func() (any, error) { return build(s.Scale), nil })
+		return cache.datasets.Get(key, func() (any, error) { return build(s.Scale), nil })
 	case AppFlow:
-		var build func(int) *synth.FlowPair
-		switch s.Dataset {
-		case "venus":
-			build = synth.Venus
-		case "rubberwhale":
-			build = synth.RubberWhale
-		case "dimetrodon":
-			build = synth.Dimetrodon
-		default:
-			return nil, false, fmt.Errorf("serve: unknown flow dataset %q (want venus | rubberwhale | dimetrodon)", s.Dataset)
+		build, err := synth.FlowDataset(s.Dataset)
+		if err != nil {
+			return nil, false, err
 		}
 		key := fmt.Sprintf("flow/%s/%d", s.Dataset, s.Scale)
-		return cache.dataset(key, func() (any, error) { return build(s.Scale), nil })
+		return cache.datasets.Get(key, func() (any, error) { return build(s.Scale), nil })
 	case AppSegment:
 		idx, err := bsdIndex(s.Dataset)
 		if err != nil {
 			return nil, false, err
 		}
 		key := fmt.Sprintf("segment/%s/%d/%d", s.Dataset, s.Segments, s.Scale)
-		return cache.dataset(key, func() (any, error) { return synth.BSDLike(idx, s.Segments, s.Scale), nil })
+		return cache.datasets.Get(key, func() (any, error) { return synth.BSDLike(idx, s.Segments, s.Scale), nil })
 	default:
 		return nil, false, nil // ising needs no dataset
 	}

@@ -107,7 +107,8 @@ func (j *Job) finish(res *JobResult, status JobStatus, err error) {
 // Service is the embeddable batched-inference engine: a bounded queue in
 // front of a fixed pool of persistent worker goroutines, each draining jobs
 // through runJob (which drives the app's solver through apps.Solve, on the
-// checkerboard tile engine when a job asks for workers or shards). All
+// one-tile serial plan unless the job or Config.SolverWorkers asks for more
+// workers or for shards). All
 // precomputation shared between jobs lives in the ArtifactCache.
 type Service struct {
 	cfg     Config

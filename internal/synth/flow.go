@@ -164,6 +164,20 @@ func Dimetrodon(scale int) *FlowPair {
 	return Flow("dimetrodon", 64*max1(scale), 48*max1(scale), 3, 4, 0xd1e7)
 }
 
+// FlowDataset returns the builder of the named flow scene — venus,
+// rubberwhale or dimetrodon — or an error listing the valid names.
+func FlowDataset(name string) (func(scale int) *FlowPair, error) {
+	switch name {
+	case "venus":
+		return Venus, nil
+	case "rubberwhale":
+		return RubberWhale, nil
+	case "dimetrodon":
+		return Dimetrodon, nil
+	}
+	return nil, fmt.Errorf("synth: unknown flow dataset %q (want venus | rubberwhale | dimetrodon)", name)
+}
+
 // LargeMotion returns a scene whose layer motions all exceed the ±3 window
 // of a single 49-label RSU-G search — beyond the 64-label limit. Solving
 // it requires the image-pyramid method the paper points to for larger

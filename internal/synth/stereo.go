@@ -1,6 +1,10 @@
 package synth
 
-import "rsu/internal/img"
+import (
+	"fmt"
+
+	"rsu/internal/img"
+)
 
 // StereoPair is a rectified synthetic stereo scene with exact ground truth.
 // Disparity follows the Middlebury convention: the world point at left-image
@@ -94,6 +98,20 @@ func Poster(scale int) *StereoPair {
 // Art returns the 28-label stereo scene.
 func Art(scale int) *StereoPair {
 	return Stereo("art", 64*max1(scale), 48*max1(scale), 28, 5, 0xa97)
+}
+
+// StereoDataset returns the builder of the named stereo scene — teddy,
+// poster or art — or an error listing the valid names.
+func StereoDataset(name string) (func(scale int) *StereoPair, error) {
+	switch name {
+	case "teddy":
+		return Teddy, nil
+	case "poster":
+		return Poster, nil
+	case "art":
+		return Art, nil
+	}
+	return nil, fmt.Errorf("synth: unknown stereo dataset %q (want teddy | poster | art)", name)
 }
 
 // StereoPresets returns the three named scenes at the given scale.

@@ -2,6 +2,7 @@ package synth
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -286,5 +287,35 @@ func TestSceneImagesAreViewable(t *testing.T) {
 		if err := img.SavePGM(dir+"/"+name+".pgm", g); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestDatasetLookups: each app's lookup maps every valid name to the builder
+// of that scene and rejects an unknown name with an error listing the valid
+// ones.
+func TestDatasetLookups(t *testing.T) {
+	for _, name := range []string{"teddy", "poster", "art"} {
+		build, err := StereoDataset(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := build(1).Name; got != name {
+			t.Fatalf("StereoDataset(%q) built %q", name, got)
+		}
+	}
+	for _, name := range []string{"venus", "rubberwhale", "dimetrodon"} {
+		build, err := FlowDataset(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := build(1).Name; got != name {
+			t.Fatalf("FlowDataset(%q) built %q", name, got)
+		}
+	}
+	if _, err := StereoDataset("venus"); err == nil || !strings.Contains(err.Error(), "teddy | poster | art") {
+		t.Fatalf("StereoDataset(venus) err = %v, want the valid names listed", err)
+	}
+	if _, err := FlowDataset("teddy"); err == nil || !strings.Contains(err.Error(), "venus | rubberwhale | dimetrodon") {
+		t.Fatalf("FlowDataset(teddy) err = %v, want the valid names listed", err)
 	}
 }
