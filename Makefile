@@ -6,7 +6,7 @@ FUZZTIME ?= 30s
 # Coverage floor for the uncertainty-quantification estimators (DESIGN.md §12).
 UQ_COVER_MIN ?= 85
 
-.PHONY: all build test vet fmt-check race race-runtime perfbench-test verify shard-verify fault-sweep checkpoint-smoke cli-smoke fuzz fuzz-smoke check cover bench bench-once perf perf-check shard-sweep profile
+.PHONY: all build test vet fmt-check race race-runtime perfbench-test verify shard-verify fault-sweep checkpoint-smoke cli-smoke fuzz fuzz-smoke check cover bench bench-once perf perf-check profile
 
 all: check
 
@@ -131,13 +131,6 @@ perf:
 # (-perf-inject-slowdown 2) to prove the gate trips.
 perf-check:
 	$(GO) run ./cmd/rsu-bench -perf-check BENCH_4.json -perf-report perf-check-report.json $(PERFCHECK_FLAGS)
-
-# Tile-sharding sweep on an out-of-cache grid (16x the micro-suite's stereo
-# scene): the worker-count default (Workers x 1 row-band tiles) as the
-# baseline vs each explicit tile geometry. Writes the BENCH_3.json series
-# (DESIGN.md §15).
-shard-sweep:
-	$(GO) run ./cmd/rsu-bench -shard-sweep BENCH_3.json
 
 # CPU + heap profiles of the performance suite (DESIGN.md §11); inspect with
 # `go tool pprof cpu.pprof`.

@@ -10,7 +10,6 @@
 //	rsu-bench -run fig8 -iterscale 0.25   # quick pass
 //	rsu-bench -perf BENCH_4.json          # calibrated kernel micro suite report
 //	rsu-bench -perf-check BENCH_4.json    # regression gate vs the baseline
-//	rsu-bench -shard-sweep BENCH_3.json   # tile-sharding sweep on an out-of-cache grid
 package main
 
 import (
@@ -66,12 +65,9 @@ func startProfiles(cpuPath, memPath string) (func(), error) {
 	}, nil
 }
 
-// writeReport runs a suite and writes its machine-readable report: -perf
-// runs the kernel micro suite (benchkit.Run), -shard-sweep the tile-sharding
-// sweep (benchkit.ShardSweep, the BENCH_3.json series: the sharded solver
-// against the monolithic baseline on a grid 16x the micro suite's, on the
-// host's own GOMAXPROCS, with NumCPU recorded next to it).
-func writeReport(path string, run func() fmt.Stringer) error {
+// writeReport runs the kernel micro suite (benchkit.Run) and writes its
+// machine-readable report to path.
+func writeReport(path string) error {
 	// Fail on an unwritable path before spending time on the suite
 	// (O_CREATE without O_TRUNC leaves any existing report intact).
 	probe, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE, 0o644)
@@ -79,7 +75,7 @@ func writeReport(path string, run func() fmt.Stringer) error {
 		return err
 	}
 	_ = probe.Close()
-	rep := run()
+	rep := benchkit.Run()
 	fmt.Print(rep.String())
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
@@ -151,8 +147,7 @@ func realMain() int {
 		perfCheck  = flag.String("perf-check", "", "re-run the micro suite and gate it against this baseline BENCH_*.json (exit 1 on regression)")
 		perfRep    = flag.String("perf-report", "", "with -perf-check: write the gate report JSON to this path")
 		perfInj    = flag.Float64("perf-inject-slowdown", 1, "with -perf-check: self-test knob slowing every current kernel by this factor")
-		shardSweep = flag.String("shard-sweep", "", "run the tile-sharding sweep and write the JSON report to this path")
-		workers    = flag.Int("workers", 0, "design-point/solver workers: 0 = GOMAXPROCS, 1 = serial")
+		workers    = flag.Int("workers", 0, "design-point workers: 0 = GOMAXPROCS, 1 = serial")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile at exit to this file")
 	)
@@ -174,16 +169,8 @@ func realMain() int {
 	}
 
 	if *perf != "" {
-		if err := writeReport(*perf, func() fmt.Stringer { return benchkit.Run() }); err != nil {
+		if err := writeReport(*perf); err != nil {
 			fmt.Fprintf(os.Stderr, "perf suite failed: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-
-	if *shardSweep != "" {
-		if err := writeReport(*shardSweep, func() fmt.Stringer { return benchkit.ShardSweep(*workers) }); err != nil {
-			fmt.Fprintf(os.Stderr, "shard sweep failed: %v\n", err)
 			return 1
 		}
 		return 0

@@ -26,7 +26,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("rsu-segment: ")
 	var (
-		index   = flag.Int("image", 0, "synthetic image index in [0,30)")
+		index   = flag.Int("image", 0, "synthetic image index (scene bsd00 .. bsd29)")
 		pgmPath = flag.String("pgm", "", "segment this PGM instead of a synthetic image (no quality metrics)")
 		k       = flag.Int("k", 4, "number of segments (2-8 in the paper)")
 		scale   = flag.Int("scale", 1, "synthetic dataset scale factor")
@@ -40,10 +40,8 @@ func main() {
 		log.Fatal("-tfloor does not apply: segmentation samples at a fixed temperature")
 	}
 	switch {
-	case *index < 0 || *index >= 30:
-		log.Fatalf("-image %d: must be in [0,30)", *index)
-	case *k < 2 || *k > 32:
-		log.Fatalf("-k %d: must be in [2,32]", *k)
+	case *k < 2 || *k > synth.MaxSegments:
+		log.Fatalf("-k %d: must be in [2,%d]", *k, synth.MaxSegments)
 	case *scale < 1:
 		log.Fatalf("-scale %d: must be >= 1", *scale)
 	case *iters < 0:
@@ -66,7 +64,11 @@ func main() {
 		scene = &synth.SegScene{Name: filepath.Base(*pgmPath), Image: im,
 			GT: img.NewLabels(im.W, im.H), Segments: *k}
 	} else {
-		scene = synth.BSDLike(*index, *k, *scale)
+		build, err := synth.SegmentDataset(fmt.Sprintf("bsd%02d", *index))
+		if err != nil {
+			log.Fatalf("-image %d: %v", *index, err)
+		}
+		scene = build(*k, *scale)
 	}
 
 	rt, err := ropt.Start("segment", scene.Name)

@@ -38,7 +38,7 @@ func main() {
 		addr          = flag.String("addr", ":8080", "listen address")
 		workers       = flag.Int("workers", 0, "serving workers (concurrent jobs; 0 = GOMAXPROCS)")
 		queueCap      = flag.Int("queue", 64, "queued-job capacity (backpressure beyond this)")
-		solverWorkers = flag.Int("solver-workers", 1, "default per-job checkerboard-solver workers")
+		solverWorkers = flag.Int("solver-workers", 1, "default per-job solver tiles, as n row bands (1 = serial)")
 		defTimeout    = flag.Duration("default-timeout", time.Minute, "job timeout when the spec sets none (0 = unbounded)")
 		maxTimeout    = flag.Duration("max-timeout", 10*time.Minute, "upper bound on any per-job timeout (0 = no cap)")
 		drainTimeout  = flag.Duration("drain-timeout", 30*time.Second, "grace period for in-flight jobs on shutdown")

@@ -33,7 +33,7 @@ func main() {
 	var (
 		n      = flag.Int("n", 24, "lattice side length")
 		shards = flag.String("shards", "",
-			"tile the grid RxC (e.g. 2x2) and run the sharded solver; empty = automatic")
+			"tile the grid RxC (e.g. 2x2) and run the sharded solver; empty = the serial raster scan")
 	)
 	flag.Parse()
 

@@ -27,9 +27,11 @@ type Options struct {
 	// mrf.Solve (the sampler argument is then ignored). See
 	// core.StreamFactory.
 	SamplerFactory func(stream int) core.LabelSampler
-	// Workers selects the checkerboard worker count when SamplerFactory is
-	// set: 0 = GOMAXPROCS, 1 = exact serial behavior. A lone sampler always
-	// runs serially.
+	// Workers selects the tile geometry when SamplerFactory is set (see
+	// mrf.SolveOptions.Workers): 0 = shard.Auto for the grid, 1 = exact
+	// serial behavior, n = n row bands. A lone sampler always runs serially.
+	// It stays a separate field from Shards while the benchmark harness
+	// (perfbench/) sets it by name.
 	Workers int
 	// Shards, when non-zero, splits the grid into Rows x Cols tiles and runs
 	// the domain-decomposed sharded solver (requires SamplerFactory; one RNG

@@ -38,8 +38,9 @@ type Params struct {
 	// Options are the run options every app shares (see apps.Options).
 	// SolvePyramid honors only SamplerFactory, Workers and Ctx: its
 	// per-level problems differ in shape, so one LUT, accumulator, fault
-	// report or snapshot cannot span the run. It gives level l, worker w
-	// the stream l*workers + w, so every level draws from fresh streams.
+	// report or snapshot cannot span the run. Each level draws from its own
+	// block of streams, after the blocks of the finer levels (stream
+	// l*Workers + w for an explicit Workers count).
 	apps.Options
 }
 

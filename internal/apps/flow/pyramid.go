@@ -8,6 +8,7 @@ import (
 	"rsu/internal/img"
 	"rsu/internal/metrics"
 	"rsu/internal/mrf"
+	"rsu/internal/shard"
 	"rsu/internal/synth"
 )
 
@@ -117,8 +118,7 @@ type PyramidResult struct {
 // once per level (samplers hold RNG state); it is ignored (and may be nil)
 // when p.SamplerFactory selects the parallel solver.
 func SolvePyramid(pair *synth.FlowPair, newSampler func(level int) core.LabelSampler, p Params, radius, levels int) (*PyramidResult, error) {
-	// Checked here because the factory path resolves the count itself, and
-	// mrf.ResolveWorkers maps a negative count to GOMAXPROCS.
+	// Checked here because the stream offsets below are sized from the count.
 	if p.Workers < 0 {
 		return nil, fmt.Errorf("mrf: SolveOptions.Workers must be >= 0, got %d", p.Workers)
 	}
@@ -138,6 +138,18 @@ func SolvePyramid(pair *synth.FlowPair, newSampler func(level int) core.LabelSam
 		f0s = append(f0s, downsample2(f0s[l-1]))
 		f1s = append(f1s, downsample2(f1s[l-1]))
 	}
+	// Level l's streams start after those of every finer level, each block
+	// as wide as the tiles that level runs: Workers, or shard.Auto's lattice
+	// for Workers 0 (what mrf.Solve runs). Levels run in sequence, so
+	// reusing streams across levels would correlate them.
+	offset := make([]int, levels)
+	for l := 1; l < levels; l++ {
+		tiles := p.Workers
+		if tiles == 0 {
+			tiles = shard.Auto(f0s[l-1].W, f0s[l-1].H).Tiles()
+		}
+		offset[l] = offset[l-1] + tiles
+	}
 
 	var base *Field
 	for l := levels - 1; l >= 0; l-- {
@@ -150,16 +162,12 @@ func SolvePyramid(pair *synth.FlowPair, newSampler func(level int) core.LabelSam
 		prob := buildResidualProblem(f0, f1, base, radius, p)
 		zero := img.NewLabels(f0.W, f0.H).Fill(synth.VectorToLabel(0, 0, radius))
 		// Only the factory, worker count and context carry over (see Params).
-		lo := apps.Options{Ctx: p.Ctx}
+		lo := apps.Options{Ctx: p.Ctx, Workers: p.Workers}
 		var s core.LabelSampler
 		if p.SamplerFactory != nil {
-			// One fresh stream per (level, worker) pair: levels run in
-			// sequence, so reusing worker streams across levels would
-			// correlate them.
-			level, workers := l, mrf.ResolveWorkers(p.Workers)
-			lo.Workers = workers
+			off := offset[l]
 			lo.SamplerFactory = func(w int) core.LabelSampler {
-				return p.SamplerFactory(level*workers + w)
+				return p.SamplerFactory(off + w)
 			}
 		} else if s = newSampler(l); s == nil {
 			return nil, fmt.Errorf("flow: nil sampler for level %d", l)

@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"sync"
 
@@ -89,10 +90,11 @@ func (o Options) schedule(s mrf.Schedule) mrf.Schedule {
 // write results into preallocated index-addressed slices, so the output is
 // independent of scheduling; the first error (by index) is returned.
 func (o Options) forEach(n int, fn func(i int) error) error {
-	workers := mrf.ResolveWorkers(o.Workers)
-	if workers > n {
-		workers = n
+	workers := o.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
+	workers = min(workers, n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			if err := o.ctx().Err(); err != nil {

@@ -11,6 +11,7 @@ import (
 	"rsu/internal/fault"
 	"rsu/internal/img"
 	"rsu/internal/rng"
+	"rsu/internal/shard"
 	"rsu/internal/uq"
 )
 
@@ -294,47 +295,61 @@ func TestCheckpointResumeAtEnd(t *testing.T) {
 }
 
 // TestResumeWorkersZeroAcrossGOMAXPROCS pins that a Workers-0 checkpoint
-// resumes on a host with more cores: captured at GOMAXPROCS 1, where Workers
-// 0 runs the serial engine, and resumed with Workers 0 at GOMAXPROCS 2, the
-// run must keep the snapshot's geometry and end on the uninterrupted run's
-// labels and sweep records.
+// resumes on a host with more cores: captured at GOMAXPROCS 1 on the Auto
+// lattice and resumed with Workers 0 at GOMAXPROCS 2, the run must end on the
+// uninterrupted run's labels and sweep records. A 2x1 snapshot — what Workers
+// 0 wrote at GOMAXPROCS 2 before it meant shard.Auto — must resume under
+// Workers 0 on its own lattice, not on Auto's.
 func TestResumeWorkersZeroAcrossGOMAXPROCS(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	p := twoRegionProblem(12, 9)
 	sched := Schedule{T0: 4, Alpha: 0.9, Iterations: 12}
-	var fullRecs []sweepRec
-	full, err := Solve(context.Background(), p, sfactory(77), sched, SolveOptions{OnSweep: recordInto(&fullRecs)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap *SolverState
-	if _, err := Solve(context.Background(), p, sfactory(77), sched, SolveOptions{
-		CheckpointEvery: 5,
-		OnCheckpoint: func(st *SolverState) error {
+	for _, c := range []struct {
+		name string
+		opts SolveOptions
+		geom shard.Geometry
+	}{
+		{"Workers 0", SolveOptions{}, shard.Auto(p.W, p.H)},
+		{"2x1", SolveOptions{Workers: 2}, shard.Geometry{Rows: 2, Cols: 1}},
+	} {
+		runtime.GOMAXPROCS(1)
+		var fullRecs []sweepRec
+		opts := c.opts
+		opts.OnSweep = recordInto(&fullRecs)
+		full, err := Solve(context.Background(), p, sfactory(77), sched, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var snap *SolverState
+		opts = c.opts
+		opts.CheckpointEvery = 5
+		opts.OnCheckpoint = func(st *SolverState) error {
 			if snap == nil {
 				snap = st
 			}
 			return nil
-		},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if snap == nil || snap.Workers != 1 {
-		t.Fatalf("Workers-0 capture at GOMAXPROCS 1 is not a serial snapshot: %+v", snap)
-	}
+		}
+		if _, err := Solve(context.Background(), p, sfactory(77), sched, opts); err != nil {
+			t.Fatal(err)
+		}
+		if snap == nil || snapshotGeometry(snap) != c.geom || snap.ShardRows == 0 {
+			t.Fatalf("%s capture at GOMAXPROCS 1 is not a %s tile snapshot: %+v", c.name, c.geom, snap)
+		}
 
-	runtime.GOMAXPROCS(2)
-	var tailRecs []sweepRec
-	got, err := Solve(context.Background(), p, sfactory(77), sched, SolveOptions{Resume: snap, OnSweep: recordInto(&tailRecs)})
-	if err != nil {
-		t.Fatalf("Workers-0 resume at GOMAXPROCS 2: %v", err)
-	}
-	ckptLabelsEqual(t, "Workers-0 resume at GOMAXPROCS 2", full, got)
-	recsEqual(t, "Workers-0 resume tail", fullRecs[snap.NextSweep:], tailRecs)
+		runtime.GOMAXPROCS(2)
+		var tailRecs []sweepRec
+		got, err := Solve(context.Background(), p, sfactory(77), sched, SolveOptions{Resume: snap, OnSweep: recordInto(&tailRecs)})
+		if err != nil {
+			t.Fatalf("%s: Workers-0 resume at GOMAXPROCS 2: %v", c.name, err)
+		}
+		ckptLabelsEqual(t, c.name+": Workers-0 resume at GOMAXPROCS 2", full, got)
+		recsEqual(t, c.name+": Workers-0 resume tail", fullRecs[snap.NextSweep:], tailRecs)
 
-	// An explicit Workers value that disagrees with the snapshot still fails.
-	if _, err := Solve(context.Background(), p, sfactory(77), sched, SolveOptions{Resume: snap, Workers: 2}); err == nil {
-		t.Fatal("Workers 2 resumed a serial snapshot")
+		// An explicit geometry that disagrees with the snapshot still fails.
+		other := shard.Geometry{Rows: 3, Cols: 1}
+		if _, err := Solve(context.Background(), p, sfactory(77), sched, SolveOptions{Resume: snap, Shards: other}); err == nil {
+			t.Fatalf("Shards %s resumed a %s snapshot", other, c.geom)
+		}
 	}
 }
 

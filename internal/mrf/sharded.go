@@ -11,11 +11,10 @@ import (
 	"rsu/internal/shard"
 )
 
-// AutoShardPixels is the grid size (W*H) at or above which Solve picks
-// shard.Auto's tile geometry when the caller left both Shards and Workers
-// unset: past this point the grid plus its W×H×Labels singleton table no
-// longer fits any reasonable last-level cache, and tiling wins back locality.
-// Explicit Workers or an explicit geometry always override the heuristic.
+// AutoShardPixels is a grid size (W*H) that Solve does not read: Workers 0
+// is shard.Auto on every grid. It stays only because the benchmark harness
+// (perfbench/) reads it to count the tiles of its Workers-0 solves, which
+// all run on grids this large.
 const AutoShardPixels = 1 << 18
 
 // shardTile is one tile's compute state: its owned rect, its own sampler

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"runtime"
 	"time"
 
 	"rsu/internal/core"
@@ -149,12 +148,15 @@ type SolveOptions struct {
 	// observes later sweeps' mutations. The SolveStats value is safe to
 	// retain.
 	OnSweep func(iter int, lab *img.Labels, st SolveStats)
-	// Workers selects the solver parallelism: 0 = GOMAXPROCS, 1 = the exact
+	// Workers selects the tile geometry when Shards is unset: 0 =
+	// shard.Auto(W, H), a pure function of the grid shape, 1 = the exact
 	// serial raster scan on factory(0) (the one-tile plan), n > 1 = n row
-	// bands (n×1 tiles, one sampler each), or on one band of min(n, W)
-	// columns when the grid has fewer than n rows; negative counts are an
-	// error. With Workers 0 a Resume snapshot keeps the geometry it was
-	// captured on, whatever GOMAXPROCS is now.
+	// bands (n×1 tiles, one sampler each), or one band of min(n, W) columns
+	// when the grid has fewer than n rows; negative counts are an error. The
+	// host's core count never enters the geometry: GOMAXPROCS only sizes the
+	// executor pool. With Workers 0 a Resume snapshot keeps the geometry it
+	// was captured on. Workers and Shards stay two fields while the
+	// benchmark harness (perfbench/) sets them by name.
 	Workers int
 	// executors caps how many goroutines run the tile engine's tiles; 0 =
 	// min(tiles, NumCPU, GOMAXPROCS). Tiles fix the output and executors only
@@ -196,9 +198,8 @@ type SolveOptions struct {
 	// Shards.Cols tiles that sweep the one label grid in place, one
 	// checkerboard color per barrier, each tile drawing from its own RNG
 	// stream (factory(tileIndex)). The zero value — the default — leaves the
-	// geometry to Workers; Solve may also shard automatically for grids
-	// of AutoShardPixels pixels or more. A 1×1 geometry is the serial raster
-	// scan, byte-identical to Workers 1. Multi-tile output differs
+	// geometry to Workers (shard.Auto when that is 0 too). A 1×1 geometry is
+	// the serial raster scan, byte-identical to Workers 1. Multi-tile output differs
 	// from the serial solver only through the sweep order and RNG stream
 	// assignment — the stationary distribution is identical, which
 	// rsu-verify's marginal and sharding-equivalence batteries gate. For a
@@ -239,17 +240,6 @@ func attachFaults(opts SolveOptions, samplers ...core.LabelSampler) func() {
 			d()
 		}
 	}
-}
-
-// ResolveWorkers maps the SolveOptions.Workers knob onto a concrete worker
-// count: 0 (the default) means GOMAXPROCS, a positive count is used as given.
-// Negative counts also resolve to GOMAXPROCS here; Solve rejects them
-// before resolving.
-func ResolveWorkers(n int) int {
-	if n <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return n
 }
 
 // prepare validates the problem, the tile geometry and the schedule, clones
@@ -446,12 +436,11 @@ func distinctSamplers(samplers []core.LabelSampler) error {
 // SetTemperature is invoked at the start of every sweep, mirroring the
 // RSU-G's per-iteration LUT/boundary update.
 //
-// Workers = 1 runs the exact serial raster scan on factory(0) — a caller
-// with a single sampler passes a factory that returns it. Workers = n > 1
-// runs the tile engine on workerGeometry(n, W, H); an explicit Shards
-// geometry, a Resume snapshot, or a grid of AutoShardPixels or more with
-// Workers left at 0 select their geometry instead. Negative Workers is an
-// error.
+// Workers = 0 (the default) runs shard.Auto(W, H); Workers = 1 runs the
+// exact serial raster scan on factory(0) — a caller with a single sampler
+// passes a factory that returns it; Workers = n > 1 runs the tile engine on
+// workerGeometry(n, W, H). An explicit Shards geometry or a Resume snapshot
+// selects its geometry instead. Negative Workers is an error.
 //
 // The context is checked between sweeps (never mid-sweep, so a finished
 // sweep is always a consistent labeling); on cancellation or deadline expiry
@@ -480,13 +469,13 @@ func SolveAuto(p *Problem, factory func(stream int) core.LabelSampler, sched Sch
 // the serial raster scan: an explicit Shards geometry wins; else a Resume
 // snapshot fixes the lattice it was captured on (snapshotGeometry) when it
 // is a multi-tile run, whatever Workers says, and for any snapshot when
-// Workers is left at 0, so a checkpoint resumes on a host with a different
-// core count; else a grid of AutoShardPixels or more with Workers left at 0
-// gets shard.Auto (a pure function of the grid shape, so the result stays
-// reproducible and resumable); else Workers = n runs workerGeometry(n, W,
-// H). checkResumeShards later rejects an explicit Shards value that
-// disagrees with the snapshot, or an explicit Workers value that disagrees
-// with a serial or version-1 one.
+// Workers is left at 0, so a snapshot written before Workers 0 meant
+// shard.Auto still resumes on its own lattice; else Workers 0 gets
+// shard.Auto and Workers = n runs workerGeometry(n, W, H), both pure
+// functions of the grid shape, so the result never depends on the host.
+// checkResumeShards later rejects an explicit Shards value that disagrees
+// with the snapshot, or an explicit Workers value that disagrees with a
+// serial or version-1 one.
 func engineGeometry(p *Problem, opts SolveOptions) (shard.Geometry, error) {
 	if opts.Workers < 0 {
 		return shard.Geometry{}, fmt.Errorf("mrf: SolveOptions.Workers must be >= 0, got %d", opts.Workers)
@@ -496,10 +485,10 @@ func engineGeometry(p *Problem, opts SolveOptions) (shard.Geometry, error) {
 	case !geom.IsZero():
 	case st != nil && (opts.Workers == 0 || st.ShardRows*st.ShardCols > 1):
 		geom = snapshotGeometry(st)
-	case opts.Workers == 0 && p.W*p.H >= AutoShardPixels:
+	case opts.Workers == 0:
 		geom = shard.Auto(p.W, p.H)
 	default:
-		geom = workerGeometry(ResolveWorkers(opts.Workers), p.W, p.H)
+		geom = workerGeometry(opts.Workers, p.W, p.H)
 	}
 	return geom, nil
 }

@@ -213,12 +213,3 @@ func TestSolveOptionsTablesReuse(t *testing.T) {
 		t.Error("tables from a different problem must be rejected")
 	}
 }
-
-func TestResolveWorkers(t *testing.T) {
-	if ResolveWorkers(3) != 3 {
-		t.Error("explicit worker count must pass through")
-	}
-	if ResolveWorkers(0) < 1 {
-		t.Error("0 must resolve to GOMAXPROCS >= 1")
-	}
-}

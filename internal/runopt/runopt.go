@@ -1,5 +1,5 @@
 // Package runopt holds the command-line flags shared by the rsu-* solver
-// tools: the sampler, seed and worker count, tile sharding, posterior (UQ)
+// tools: the sampler, seed, tile geometry, posterior (UQ)
 // collection, device-fault injection, checkpoint/resume, wall-clock timeouts
 // (context cancellation), CPU profiling, the JSONL per-sweep run log, and the
 // annealing temperature floor. Each binary registers them with one Register
@@ -35,10 +35,8 @@ type Flags struct {
 	Sampler string
 	// Seed is the master random seed (RNG streams, and faults by default).
 	Seed uint64
-	// Workers is the solver worker count: 0 = GOMAXPROCS, 1 = serial.
-	Workers int
-	// Shards is the "RxC" tile geometry; empty leaves sharding to the
-	// solver's auto-dispatch (large grids shard themselves).
+	// Shards is the "RxC" tile geometry ("1x1" = the serial raster scan);
+	// empty runs shard.Auto's lattice for the grid, whatever the host.
 	Shards string
 
 	// Timeout bounds the whole run; 0 means unbounded. On expiry the solver
@@ -80,9 +78,8 @@ type Flags struct {
 func (f *Flags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&f.Sampler, "sampler", "new", "software | new | prev")
 	fs.Uint64Var(&f.Seed, "seed", 1, "random seed")
-	fs.IntVar(&f.Workers, "workers", 0, "solver workers: 0 = GOMAXPROCS, 1 = serial")
 	fs.StringVar(&f.Shards, "shards", "",
-		"tile the grid RxC (e.g. 2x2) and run the sharded solver; empty = automatic")
+		"tile the grid RxC (e.g. 2x2; 1x1 = serial raster scan); empty = automatic from the grid size")
 
 	fs.DurationVar(&f.Timeout, "timeout", 0,
 		"abort the solve after this duration (e.g. 30s, 2m; 0 = no limit)")
@@ -177,7 +174,7 @@ func (f *Flags) plan(app string) (*checkpoint.Plan, error) {
 // be written is a failed run.
 type Runtime struct {
 	// Options are the run options for the app's Params (p.Options =
-	// rt.Options): sampler factory, Workers, Shards, the deadline context,
+	// rt.Options): sampler factory, Shards, the deadline context,
 	// the run-log OnSweep hook, UQ, Faults and the checkpoint Plan.
 	Options apps.Options
 
@@ -234,7 +231,6 @@ func (f *Flags) Start(app, run string) (*Runtime, error) {
 		return nil, err
 	}
 	o.SamplerFactory = core.StreamFactory(f.Seed, build)
-	o.Workers = f.Workers
 	if f.Shards != "" {
 		if o.Shards, err = shard.Parse(f.Shards); err != nil {
 			return nil, fmt.Errorf("runopt: -shards: %w", err)

@@ -50,12 +50,11 @@ func TestRegisterInstallsSharedFlags(t *testing.T) {
 		{"runlog", "", "stream per-sweep stats as JSON Lines to this file (\"-\" = stdout)"},
 		{"sampler", "new", "software | new | prev"},
 		{"seed", "1", "random seed"},
-		{"shards", "", "tile the grid RxC (e.g. 2x2) and run the sharded solver; empty = automatic"},
+		{"shards", "", "tile the grid RxC (e.g. 2x2; 1x1 = serial raster scan); empty = automatic from the grid size"},
 		{"tfloor", "0", "annealing temperature floor (0 = default 0.0001)"},
 		{"thin", "1", "collect every Nth post-burn-in sweep"},
 		{"timeout", "0s", "abort the solve after this duration (e.g. 30s, 2m; 0 = no limit)"},
 		{"uq", "false", "collect posterior samples; report confidence/entropy maps and a UQ summary"},
-		{"workers", "0", "solver workers: 0 = GOMAXPROCS, 1 = serial"},
 	}
 	var f Flags
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
@@ -114,7 +113,7 @@ func TestFlagsInvalidTFloorFailsValidate(t *testing.T) {
 // complete apps.Options a CLI installs on its params.
 func TestStartMapsFlagsToOptions(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
-	f := parse(t, "-seed", "7", "-workers", "3", "-shards", "2x1",
+	f := parse(t, "-seed", "7", "-shards", "2x1",
 		"-uq", "-burnin", "4", "-thin", "2", "-fault-dark", "1e-3",
 		"-checkpoint", ckpt, "-checkpoint-every", "5", "-resume")
 	rt, err := f.Start("stereo", "teddy")
@@ -126,8 +125,8 @@ func TestStartMapsFlagsToOptions(t *testing.T) {
 	if o.SamplerFactory == nil || o.SamplerFactory(0) == nil {
 		t.Fatal("no sampler factory")
 	}
-	if o.Workers != 3 || o.Shards != (shard.Geometry{Rows: 2, Cols: 1}) {
-		t.Errorf("Workers %d, Shards %+v; want 3 and 2x1", o.Workers, o.Shards)
+	if o.Workers != 0 || o.Shards != (shard.Geometry{Rows: 2, Cols: 1}) {
+		t.Errorf("Workers %d, Shards %+v; want 0 and 2x1", o.Workers, o.Shards)
 	}
 	if o.UQ == nil || o.UQ.BurnIn != 4 || o.UQ.Thin != 2 {
 		t.Errorf("UQ = %+v, want burn-in 4, thin 2", o.UQ)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"strconv"
 	"strings"
 
 	"rsu/internal/apps"
@@ -141,25 +140,15 @@ func buildDataset(cache *ArtifactCache, s JobSpec) (any, bool, error) {
 		key := fmt.Sprintf("flow/%s/%d", s.Dataset, s.Scale)
 		return cache.datasets.Get(key, func() (any, error) { return build(s.Scale), nil })
 	case AppSegment:
-		idx, err := bsdIndex(s.Dataset)
+		build, err := synth.SegmentDataset(s.Dataset)
 		if err != nil {
 			return nil, false, err
 		}
 		key := fmt.Sprintf("segment/%s/%d/%d", s.Dataset, s.Segments, s.Scale)
-		return cache.datasets.Get(key, func() (any, error) { return synth.BSDLike(idx, s.Segments, s.Scale), nil })
+		return cache.datasets.Get(key, func() (any, error) { return build(s.Segments, s.Scale), nil })
 	default:
 		return nil, false, nil // ising needs no dataset
 	}
-}
-
-// bsdIndex parses the segment dataset name bsd00 .. bsd29.
-func bsdIndex(name string) (int, error) {
-	if n, ok := strings.CutPrefix(name, "bsd"); ok {
-		if i, err := strconv.Atoi(n); err == nil && i >= 0 && i < 30 {
-			return i, nil
-		}
-	}
-	return 0, fmt.Errorf("serve: unknown segment dataset %q (want bsd00 .. bsd29)", name)
 }
 
 // runJob executes one job on the calling worker goroutine: resolve the

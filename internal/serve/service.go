@@ -31,10 +31,10 @@ type Config struct {
 	// jobs. Default 64. Submissions beyond Workers+QueueCap get
 	// ErrQueueFull.
 	QueueCap int
-	// SolverWorkers is the default per-job checkerboard-solver parallelism
-	// (JobSpec.Workers overrides it). Default 1: the service gets its
-	// throughput from running jobs concurrently, not from splitting one
-	// job across cores.
+	// SolverWorkers is the default per-job tile geometry as a band count:
+	// n runs n×1 row-band tiles (JobSpec.Workers overrides it). Default 1,
+	// the serial one-tile plan: the service gets its throughput from
+	// running jobs concurrently, not from splitting one job across cores.
 	SolverWorkers int
 	// DefaultTimeout applies to jobs that set no timeout_ms; 0 means no
 	// default bound.

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http/httptest"
 	"runtime"
 	"strconv"
@@ -95,13 +96,29 @@ func TestSpecValidation(t *testing.T) {
 func TestUnknownDatasetFailsJob(t *testing.T) {
 	svc := New(Config{Workers: 1, QueueCap: 4})
 	defer shutdownOrFail(t, svc)
-	job, err := svc.Submit(context.Background(), JobSpec{App: AppStereo, Dataset: "nonesuch"})
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
+	// Other spellings of a valid segment index are unknown names too, not
+	// aliases of a real scene under their own dataset-cache keys.
+	for _, spec := range []JobSpec{
+		{App: AppStereo, Dataset: "nonesuch"},
+		{App: AppFlow, Dataset: "teddy"},
+		{App: AppSegment, Dataset: "bsd30"},
+		{App: AppSegment, Dataset: "bsd5"},
+		{App: AppSegment, Dataset: "bsd005"},
+		{App: AppSegment, Dataset: "bsd+5"},
+		{App: AppSegment, Dataset: "bsd-0"},
+	} {
+		job, err := svc.Submit(context.Background(), spec)
+		if err != nil {
+			t.Fatalf("Submit(%s %q): %v", spec.App, spec.Dataset, err)
+		}
+		_, status, jerr := job.Wait(context.Background())
+		want := fmt.Sprintf("unknown %s dataset %q", spec.App, spec.Dataset)
+		if status != StatusError || jerr == nil || !strings.Contains(jerr.Error(), want) {
+			t.Fatalf("%s %q: status = %v, err = %v; want StatusError naming %s", spec.App, spec.Dataset, status, jerr, want)
+		}
 	}
-	_, status, jerr := job.Wait(context.Background())
-	if status != StatusError || jerr == nil {
-		t.Fatalf("status = %v, err = %v; want StatusError with dataset error", status, jerr)
+	if st := svc.cache.Stats(); st.DatasetEntries != 0 || st.DatasetMisses != 0 {
+		t.Fatalf("unknown datasets reached the dataset cache: %+v", st)
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 
 	"rsu/internal/fault"
 	"rsu/internal/shard"
+	"rsu/internal/synth"
 	"rsu/internal/uq"
 )
 
@@ -49,8 +50,9 @@ type JobSpec struct {
 	Scale int `json:"scale,omitempty"`
 	// Iterations overrides the app's sweep count (0 = app default).
 	Iterations int `json:"iterations,omitempty"`
-	// Workers is the per-job checkerboard-solver worker count. 0 keeps the
-	// service default (Config.SolverWorkers); the service serves many jobs
+	// Workers selects the job's tile geometry as n×1 row-band tiles, one
+	// RNG stream each (1 = the serial raster scan). 0 keeps the service
+	// default (Config.SolverWorkers); the service serves many jobs
 	// concurrently, so per-job parallelism defaults low.
 	Workers int `json:"workers,omitempty"`
 	// Shards, when non-empty, is an "RxC" tile geometry (e.g. "2x2"): the job
@@ -172,8 +174,8 @@ func (s JobSpec) Validate() error {
 			return fmt.Errorf("serve: shards: %w", err)
 		}
 	}
-	if s.App == AppSegment && s.Segments != 0 && (s.Segments < 2 || s.Segments > 32) {
-		return fmt.Errorf("serve: segments %d out of [2,32]", s.Segments)
+	if s.App == AppSegment && s.Segments != 0 && (s.Segments < 2 || s.Segments > synth.MaxSegments) {
+		return fmt.Errorf("serve: segments %d out of [2,%d]", s.Segments, synth.MaxSegments)
 	}
 	if s.App == AppIsing {
 		if s.N != 0 && (s.N < 4 || s.N > 256) {

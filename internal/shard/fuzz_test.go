@@ -6,7 +6,8 @@ import "testing"
 // counts and label counts. Degenerate geometries must fail Validate with a
 // clean error (never a panic); valid ones must produce a plan that covers
 // every pixel exactly once, keeps every extended rect inside the grid, and
-// gives every tile a halo of HaloCells() cells that matches the grid.
+// gives every tile a halo of HaloCells() cells that matches the grid. Auto's
+// pick must validate on every non-empty grid.
 func FuzzShardGeometry(f *testing.F) {
 	f.Add(5, 4, 1, 1, 2)
 	f.Add(7, 5, 2, 2, 3)
@@ -23,6 +24,11 @@ func FuzzShardGeometry(f *testing.F) {
 		}
 		if h > 1<<9 {
 			h = h % (1 << 9)
+		}
+		if w >= 1 && h >= 1 {
+			if err := Auto(w, h).Validate(w, h); err != nil {
+				t.Fatalf("Auto(%d,%d) = %v does not validate on its own grid: %v", w, h, Auto(w, h), err)
+			}
 		}
 		g := Geometry{Rows: rows, Cols: cols}
 		plan, err := NewPlan(g, w, h)

@@ -92,17 +92,20 @@ func (g Geometry) Validate(w, h int) error {
 const DefaultTileSide = 256
 
 // Auto picks a geometry for a w×h grid: the smallest lattice whose tiles are
-// at most DefaultTileSide on each edge. Grids within a single tile yield 1×1.
-// The choice is a pure function of (w, h), so auto-sharded runs are
-// reproducible and resumable without recording the geometry out of band.
+// at most DefaultTileSide on each edge, except that a grid within a single
+// tile is halved along its longer side (into two columns on a square), so
+// only a 1×1-pixel grid gets the one-tile serial plan. The choice is a
+// pure function of (w, h), so auto-sharded runs are reproducible on any
+// host and resumable without recording the geometry out of band.
 func Auto(w, h int) Geometry {
-	ceilDiv := func(a, b int) int { return (a + b - 1) / b }
+	ceilDiv := func(a, b int) int { return max((a+b-1)/b, 1) }
 	g := Geometry{Rows: ceilDiv(h, DefaultTileSide), Cols: ceilDiv(w, DefaultTileSide)}
-	if g.Rows < 1 {
-		g.Rows = 1
-	}
-	if g.Cols < 1 {
-		g.Cols = 1
+	switch {
+	case g.Tiles() > 1 || max(w, h) < 2:
+	case w >= h:
+		g.Cols = 2
+	default:
+		g.Rows = 2
 	}
 	return g
 }

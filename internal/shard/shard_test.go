@@ -59,17 +59,39 @@ func TestValidate(t *testing.T) {
 }
 
 func TestAuto(t *testing.T) {
-	if g := Auto(100, 80); g != (Geometry{1, 1}) {
-		t.Fatalf("Auto(100,80) = %v, want 1x1", g)
+	for _, c := range []struct {
+		w, h int
+		want Geometry
+	}{
+		{1, 1, Geometry{1, 1}},
+		{100, 80, Geometry{1, 2}}, // within one tile: halved along the longer side
+		{80, 100, Geometry{2, 1}},
+		{64, 64, Geometry{1, 2}}, // a square splits into columns
+		{1, 2, Geometry{2, 1}},
+		{9, 1, Geometry{1, 2}},
+		{256, 256, Geometry{1, 2}},
+		{257, 1, Geometry{1, 2}},
+		{512, 512, Geometry{2, 2}},
+		{513, 256, Geometry{1, 3}},
+		{640, 480, Geometry{2, 3}},
+	} {
+		if g := Auto(c.w, c.h); g != c.want {
+			t.Errorf("Auto(%d,%d) = %v, want %v", c.w, c.h, g, c.want)
+		}
 	}
-	if g := Auto(512, 512); g != (Geometry{2, 2}) {
-		t.Fatalf("Auto(512,512) = %v, want 2x2", g)
-	}
-	if g := Auto(513, 256); g != (Geometry{1, 3}) {
-		t.Fatalf("Auto(513,256) = %v, want 1x3", g)
+	// Wherever the plain DefaultTileSide lattice already has more than one
+	// tile, Auto is exactly that lattice.
+	ceilDiv := func(a int) int { return (a + DefaultTileSide - 1) / DefaultTileSide }
+	for _, w := range []int{1, 2, 255, 256, 257, 511, 512, 513, 640, 1000, 2048} {
+		for _, h := range []int{1, 2, 255, 256, 257, 480, 512, 513, 1000, 4096} {
+			old := Geometry{Rows: ceilDiv(h), Cols: ceilDiv(w)}
+			if old.Tiles() > 1 && Auto(w, h) != old {
+				t.Errorf("Auto(%d,%d) = %v, want the tile-side lattice %v", w, h, Auto(w, h), old)
+			}
+		}
 	}
 	// Auto's pick always validates on its own grid.
-	for _, d := range [][2]int{{1, 1}, {7, 1000}, {2048, 3}, {4096, 4096}} {
+	for _, d := range [][2]int{{1, 1}, {1, 2}, {2, 1}, {7, 1000}, {2048, 3}, {4096, 4096}} {
 		g := Auto(d[0], d[1])
 		if err := g.Validate(d[0], d[1]); err != nil {
 			t.Fatalf("Auto(%d,%d) = %v does not validate: %v", d[0], d[1], g, err)

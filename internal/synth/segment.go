@@ -19,14 +19,21 @@ type SegScene struct {
 	Sigma    float64 // noise level baked into Image
 }
 
+// MaxSegments is the largest segment count a scene renders; the smallest is
+// 2.
+const MaxSegments = 32
+
+// bsdImages is how many BSDLike scenes there are, bsd00 .. bsd29.
+const bsdImages = 30
+
 // Segments renders a k-region mosaic of size w×h. Regions are the Voronoi
 // cells of deterministic random sites, which yields irregular curved-ish
 // boundaries like natural image segmentations. Region means are spread over
 // [30, 225] and shuffled so adjacent regions contrast.
 func Segments(name string, w, h, k int, sigma float64, seed uint64) *SegScene {
 	checkSize(w, h)
-	if k < 2 || k > 32 {
-		panic(fmt.Sprintf("synth: segment count %d out of [2,32]", k))
+	if k < 2 || k > MaxSegments {
+		panic(fmt.Sprintf("synth: segment count %d out of [2,%d]", k, MaxSegments))
 	}
 	src := rng.NewXoshiro256(seed)
 	type site struct {
@@ -84,9 +91,25 @@ func permuted(i, k int, seed uint64) int {
 // selected BSD300 images, rendered with k ground-truth segments. Image
 // content varies with i; size and noise follow the experiment defaults.
 func BSDLike(i, k, scale int) *SegScene {
-	if i < 0 || i >= 30 {
-		panic(fmt.Sprintf("synth: BSDLike index %d out of [0,30)", i))
+	if i < 0 || i >= bsdImages {
+		panic(fmt.Sprintf("synth: BSDLike index %d out of [0,%d)", i, bsdImages))
 	}
-	return Segments(fmt.Sprintf("bsd%02d", i), 48*max1(scale), 32*max1(scale), k, 18,
+	return Segments(bsdName(i), 48*max1(scale), 32*max1(scale), k, 18,
 		0xb5d000+uint64(i)*7919)
+}
+
+// bsdName is the dataset name of BSDLike scene i.
+func bsdName(i int) string { return fmt.Sprintf("bsd%02d", i) }
+
+// SegmentDataset returns the builder of the named segmentation scene —
+// exactly bsd00 .. bsd29, BSDLike's scenes — or an error listing the valid
+// names. The builder takes the segment count k, in [2, MaxSegments], and the
+// scale.
+func SegmentDataset(name string) (func(k, scale int) *SegScene, error) {
+	for i := range bsdImages {
+		if name == bsdName(i) {
+			return func(k, scale int) *SegScene { return BSDLike(i, k, scale) }, nil
+		}
+	}
+	return nil, fmt.Errorf("synth: unknown segment dataset %q (want bsd00 .. bsd%02d)", name, bsdImages-1)
 }

@@ -2,6 +2,7 @@ package synth
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -310,6 +311,23 @@ func TestDatasetLookups(t *testing.T) {
 		}
 		if got := build(1).Name; got != name {
 			t.Fatalf("FlowDataset(%q) built %q", name, got)
+		}
+	}
+	for i, name := range []string{"bsd00", "bsd07", "bsd29"} {
+		build, err := SegmentDataset(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := build(3+i, 1), BSDLike([]int{0, 7, 29}[i], 3+i, 1)
+		if got.Name != name || got.Segments != 3+i || !reflect.DeepEqual(got, want) {
+			t.Fatalf("SegmentDataset(%q) built %q (k %d), want BSDLike's scene", name, got.Name, got.Segments)
+		}
+	}
+	// Only the exact two-digit names: Atoi-style spellings of a valid index
+	// are not aliases.
+	for _, name := range []string{"bsd30", "bsd5", "bsd005", "bsd+5", "bsd-0", "bsd-1", "BSD00", "bsd0x", "bsd", ""} {
+		if _, err := SegmentDataset(name); err == nil || !strings.Contains(err.Error(), "bsd00 .. bsd29") {
+			t.Fatalf("SegmentDataset(%q) err = %v, want the valid names listed", name, err)
 		}
 	}
 	if _, err := StereoDataset("venus"); err == nil || !strings.Contains(err.Error(), "teddy | poster | art") {

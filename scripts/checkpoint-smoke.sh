@@ -20,7 +20,7 @@ go build -race -o "$workdir/rsu-stereo" ./cmd/rsu-stereo
 
 # One job, three runs. 150 sweeps at a 5-sweep checkpoint cadence leaves a
 # long window between the first snapshot and completion to land the SIGKILL.
-args=(-dataset teddy -scale 1 -iters 150 -sampler new -seed 7 -workers 2)
+args=(-dataset teddy -scale 1 -iters 150 -sampler new -seed 7 -shards 2x1)
 ckpt="$workdir/run.ckpt"
 
 echo "== reference run (uninterrupted)"

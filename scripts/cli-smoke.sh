@@ -1,11 +1,14 @@
 #!/usr/bin/env bash
 # CLI smoke: build rsu-stereo, rsu-flow and rsu-segment and run each with
 # every shared run option at once (UQ, fault injection, periodic
-# checkpoints), once on 2x1 tiles and once with -workers 1 (the serial
+# checkpoints), once on 2x1 tiles and once on -shards 1x1 (the serial
 # one-tile plan, whose snapshots stay version 1). A checkpointed run must
 # print what a plain run prints; a run cut off by -timeout must leave a
 # snapshot of the expected format version, and resuming from it must print
-# the plain run's output too. Finally invalid input (a bad -tfloor, scene
+# the plain run's output too. With no geometry flag the tiles come from the
+# grid alone, so runs at GOMAXPROCS 1 and 2 must print the same bytes and
+# leave the same snapshot bytes, and a snapshot cut off at one must resume at
+# the other. Finally invalid input (a bad -tfloor, scene
 # flag or iteration count) must exit 1 with an error, never a panic, and a
 # run log that cannot be written (where /dev/full exists) must fail instead
 # of being ignored.
@@ -23,7 +26,7 @@ for app in stereo flow segment; do
   bin="$workdir/rsu-$app"
   go build -o "$bin" "./cmd/rsu-$app"
   # Each leg: its engine flags, then the snapshot format version it writes.
-  for leg in "-shards 2x1 2" "-workers 1 1"; do
+  for leg in "-shards 2x1 2" "-shards 1x1 1"; do
     read -r engflag engval version <<<"$leg"
     out="$workdir/$app-$engval"
     echo "== rsu-$app $engflag $engval"
@@ -62,6 +65,36 @@ for app in stereo flow segment; do
       exit 1
     fi
   done
+
+  echo "== rsu-$app with no geometry flag at GOMAXPROCS 1 and 2"
+  args=(-iters 4 -uq -checkpoint-every 2)
+  for procs in 1 2; do
+    out="$workdir/$app-auto-p$procs"
+    GOMAXPROCS=$procs "$bin" "${args[@]}" -checkpoint "$out.ckpt" >"$out.out"
+    if GOMAXPROCS=$procs "$bin" "${args[@]}" -checkpoint "$out.ckpt" -timeout 1ns >/dev/null 2>&1; then
+      echo "FAIL: rsu-$app -timeout 1ns at GOMAXPROCS $procs exited 0" >&2
+      exit 1
+    fi
+  done
+  p1="$workdir/$app-auto-p1" p2="$workdir/$app-auto-p2"
+  if ! cmp -s "$p1.out" "$p2.out"; then
+    echo "FAIL: rsu-$app output depends on GOMAXPROCS" >&2
+    diff "$p1.out" "$p2.out" >&2 || true
+    exit 1
+  fi
+  if ! cmp -s "$p1.ckpt" "$p2.ckpt"; then
+    echo "FAIL: rsu-$app snapshot bytes depend on GOMAXPROCS" >&2
+    exit 1
+  fi
+  GOMAXPROCS=2 "$bin" "${args[@]}" -checkpoint "$p1.ckpt" -resume >"$p1.res"
+  if ! grep -q '^resuming ' "$p1.res"; then
+    echo "FAIL: rsu-$app -resume at GOMAXPROCS 2 did not resume from the snapshot" >&2
+    exit 1
+  fi
+  if ! grep -v '^resuming ' "$p1.res" | cmp -s "$p1.out" -; then
+    echo "FAIL: rsu-$app snapshot cut off at GOMAXPROCS 1 resumed at 2 differs from the uninterrupted run" >&2
+    exit 1
+  fi
 done
 
 # must_fail NAME ARGS...: rsu-NAME -iters 4 ARGS... must exit 1 — an error,
@@ -103,4 +136,4 @@ if [ -e /dev/full ]; then
     fi
   done
 fi
-echo "OK: the solver CLIs checkpoint and resume bit-exactly on tiles and on the serial plan, and reject invalid input or an unwritable -runlog"
+echo "OK: the solver CLIs checkpoint and resume bit-exactly on tiles and on the serial plan, print the same bytes at any GOMAXPROCS, and reject invalid input or an unwritable -runlog"
