@@ -38,7 +38,7 @@ race:
 # force both park paths, run four executors on one P, and cancel or panic
 # while executors park or spin.
 race-runtime:
-	$(GO) test -race -count=3 -run 'TestSolve|TestBarrier|TestRunLog|TestOnSweep|TestSchedule|TestSharded|TestCheckpoint|TestSetTemperature|TestResume|TestBuildTablesBandedMatchesDirect|TestBuildTablesConcurrentCallers|TestFlags|TestTimeout|TestStart|TestRegister' ./internal/mrf ./internal/runopt ./internal/apps
+	$(GO) test -race -count=3 -run 'TestSolve|TestBarrier|TestRunLog|TestOnSweep|TestSchedule|TestSharded|TestCheckpoint|TestSetTemperature|TestResume|TestBuildTablesBandedMatchesDirect|TestBuildTablesConcurrentCallers|TestBuildTablesColorRuns|TestFlags|TestTimeout|TestStart|TestRegister' ./internal/mrf ./internal/runopt ./internal/apps
 
 # The benchmark harness is its own module (perfbench/go.mod), so the root
 # build and test never compile it; vet and test it here so an internal API

@@ -69,7 +69,7 @@ func TestTablesMatchDirectEvaluation(t *testing.T) {
 		for y := 0; y < p.H; y++ {
 			for x := 0; x < p.W; x++ {
 				tab.LabelEnergies(fast, lab, x, y)
-				p.LabelEnergies(direct, tab.Singles, lab, x, y)
+				p.LabelEnergies(direct, lab, x, y)
 				for l := range fast {
 					if fast[l] != direct[l] {
 						t.Fatalf("trial %d (%dx%d, %d labels, dist %v, custom %v, trunc %v): pixel (%d,%d) label %d: LUT %v != direct %v",

@@ -96,9 +96,9 @@ func streamCachingFactory(seed uint64, next *int) func(stream int) core.LabelSam
 // by pixel — color 0 then color 1, each in raster order, all on one sampler —
 // from the all-zero labeling, with energies from the direct evaluator. It is
 // the sharding battery's reference arm: the tile engine's transition kernel
-// written without tiles, halos, batching or the energy LUT, so the battery
-// compares the tile engine against code it does not share.
-func checkerboardChain(prob *mrf.Problem, singles []float64, s core.LabelSampler, sched mrf.Schedule) (*img.Labels, error) {
+// written without tiles, batching or the tables, so the battery compares the
+// tile engine against code it does not share.
+func checkerboardChain(prob *mrf.Problem, s core.LabelSampler, sched mrf.Schedule) (*img.Labels, error) {
 	lab := img.NewLabels(prob.W, prob.H)
 	vec := make([]float64, prob.Labels)
 	for k := 0; k < sched.Iterations; k++ {
@@ -108,7 +108,7 @@ func checkerboardChain(prob *mrf.Problem, singles []float64, s core.LabelSampler
 		for color := 0; color < 2; color++ {
 			for y := 0; y < prob.H; y++ {
 				for x := (y + color) % 2; x < prob.W; x += 2 {
-					prob.LabelEnergies(vec, singles, lab, x, y)
+					prob.LabelEnergies(vec, lab, x, y)
 					next, err := s.Sample(vec, lab.At(x, y))
 					if err != nil {
 						return nil, err
@@ -161,9 +161,8 @@ func RunShardBattery(designs []ShardDesign, o ShardOptions) (*Report, error) {
 		// Reference arm: the whole-grid checkerboard loop on one stream.
 		ref := core.MustUnit(core.NewRSUG(), rng.NewXoshiro256(core.StreamSeed(o.Seed, stream)), true)
 		stream++
-		singles := prob.BuildTables().Singles
 		for ri := 0; ri < o.Replicates; ri++ {
-			lab, err := checkerboardChain(prob, singles, ref, sched)
+			lab, err := checkerboardChain(prob, ref, sched)
 			if err != nil {
 				return nil, fmt.Errorf("conformance: sharding %s reference: %w", d.Name, err)
 			}

@@ -113,6 +113,15 @@ func (p *Problem) pairDist(a, b int) float64 {
 	return d
 }
 
+// base returns the index in Tables.Singles of pixel (x, y)'s first entry:
+// row y's block starts at y*W pixels, the pixel sits x>>1 pixels into its
+// color's run, and the color-1 run starts after the row's (W+1-y%2)/2
+// color-0 pixels. Branch-free, so the per-pixel paths pay a few integer ops;
+// the row and segment gathers compute it once per run and step by Labels.
+func (p *Problem) base(x, y int) int {
+	return (y*p.W + x>>1 + ((x+y)&1)*((p.W+1-y&1)>>1)) * p.Labels
+}
+
 // Tables caches the per-Solve lookup structures of a Problem: the singleton
 // (data-term) table and a Labels×Labels pairwise LUT with PairWeight and
 // TruncateDist folded in. With the tables built, the energy stage is pure
@@ -123,7 +132,12 @@ func (p *Problem) pairDist(a, b int) float64 {
 // safe to share across the parallel solver's workers.
 type Tables struct {
 	p *Problem
-	// Singles is the cached data term: index (y*W+x)*Labels + l.
+	// Singles is the cached data term, W·H·Labels entries in an order that
+	// belongs to the engine: each grid row is one block of W·Labels entries,
+	// holding its pixels of checkerboard color 0 ((x+y)%2 == 0) in x order
+	// and then its pixels of color 1, each pixel's Labels entries
+	// contiguous. A checkerboard color stage thus streams one contiguous run
+	// per row segment. Read it through LabelEnergies, not by index.
 	Singles []float64
 	// Pair holds the smoothness energies: Pair[nb*Labels+l] is the doubleton
 	// energy of label l against neighbor label nb (weight and truncation
@@ -195,22 +209,47 @@ func addRow(dst, row []float64) {
 
 // LabelEnergies fills dst (length Labels) with the energy of every candidate
 // label at pixel (x, y) under the current labeling, using the precomputed
-// tables — the fast path of Problem.LabelEnergies.
+// tables — the fast path of Problem.LabelEnergies. An interior pixel sums
+// its five terms in one pass (sum5); a border pixel copies its singles and
+// adds one pairwise row per neighbor. Both evaluate singles, left, right,
+// up, down left to right, so they agree bit for bit.
 func (t *Tables) LabelEnergies(dst []float64, lab *img.Labels, x, y int) {
 	p := t.p
-	base := (y*p.W + x) * p.Labels
-	copy(dst, t.Singles[base:base+p.Labels])
+	L := p.Labels
+	base := p.base(x, y)
+	s := t.Singles[base : base+L]
+	labs := lab.L
+	i := y*p.W + x
+	if x > 0 && x+1 < p.W && y > 0 && y+1 < p.H {
+		sum5(dst[:L], s, t.pairRow(labs[i-1]), t.pairRow(labs[i+1]), t.pairRow(labs[i-p.W]), t.pairRow(labs[i+p.W]))
+		return
+	}
+	copy(dst, s)
 	if x > 0 {
-		addRow(dst, t.pairRow(lab.At(x-1, y)))
+		addRow(dst, t.pairRow(labs[i-1]))
 	}
 	if x+1 < p.W {
-		addRow(dst, t.pairRow(lab.At(x+1, y)))
+		addRow(dst, t.pairRow(labs[i+1]))
 	}
 	if y > 0 {
-		addRow(dst, t.pairRow(lab.At(x, y-1)))
+		addRow(dst, t.pairRow(labs[i-p.W]))
 	}
 	if y+1 < p.H {
-		addRow(dst, t.pairRow(lab.At(x, y+1)))
+		addRow(dst, t.pairRow(labs[i+p.W]))
+	}
+}
+
+// sum5 writes d[l] = s[l]+a[l]+b[l]+c[l]+e[l]: an interior pixel's singles
+// plus its left, right, up and down pairwise rows. The sum evaluates left to
+// right, the exact order (and therefore the exact bits) of a copy followed
+// by four addRow passes, with one store per label instead of one copy plus
+// four read-modify-write passes.
+func sum5(d, s, a, b, c, e []float64) {
+	// Reslicing every operand to len(d) lets the compiler drop the
+	// per-iteration bounds checks.
+	s, a, b, c, e = s[:len(d)], a[:len(d)], b[:len(d)], c[:len(d)], e[:len(d)]
+	for l := range d {
+		d[l] = s[l] + a[l] + b[l] + c[l] + e[l]
 	}
 }
 
@@ -218,49 +257,44 @@ func (t *Tables) LabelEnergies(dst []float64, lab *img.Labels, x, y int) {
 // pixels (x0, y), (x0+step, y), ..., (x0+(n-1)*step, y) as a dense n×Labels
 // block: slot i (dst[i*Labels:(i+1)*Labels]) holds pixel x0+i*step. The
 // tile engine gathers one whole row (step 1, the one-tile raster scan) or
-// one same-color row segment (step 2, checkerboard tiles) per call, hoisting
-// the row bases and boundary tests that LabelEnergies re-derives per pixel.
-// Each slot accumulates in exactly LabelEnergies' term order — singles,
-// left, right, up, down — so the block is bit-identical to per-pixel calls.
+// one same-color row segment (step 2, checkerboard tiles) per call; step
+// must be 1 or 2. A step-2 segment is one contiguous run of Singles, and a
+// step-1 row is gathered as its two color runs, one after the other (slots
+// 0, 2, 4, ... then 1, 3, 5, ...): each run's Singles index is computed
+// once and then advances by Labels per slot. Each slot accumulates in
+// exactly LabelEnergies' term order — singles, left, right, up, down — so
+// the block is bit-identical to per-pixel calls.
 func (t *Tables) LabelEnergiesSeg(dst []float64, lab *img.Labels, y, x0, step, n int) {
+	if step != 1 && step != 2 {
+		panic("mrf: LabelEnergiesSeg step must be 1 or 2")
+	}
 	p := t.p
 	L := p.Labels
 	row := y * p.W
 	labs := lab.L
+	// runs is the segment's color-run count and the slot stride within one.
+	runs := 2 / step
 	if y > 0 && y+1 < p.H {
 		// Interior row: every pixel off the vertical edges has all four
-		// neighbors, so the five accumulation passes fuse into one —
-		// d[l] = s[l]+left[l]+right[l]+up[l]+down[l] evaluates left to
-		// right, the exact order (and therefore the exact bits) of the
-		// per-direction addRow sequence, with one store per slot instead
-		// of one copy plus four read-modify-write passes.
+		// neighbors, so its five accumulation passes fuse into one (sum5).
 		up, down := row-p.W, row+p.W
-		for i, x := 0, x0; i < n; i, x = i+1, x+step {
-			d := dst[i*L : i*L+L]
-			if x == 0 || x+1 == p.W {
-				t.LabelEnergies(d, lab, x, y)
-				continue
-			}
-			base := (row + x) * L
-			// Reslicing every operand to len(d) lets the compiler drop the
-			// per-iteration bounds checks inside the fused loop.
-			s := t.Singles[base : base+L][:len(d)]
-			r1 := t.pairRow(labs[row+x-1])[:len(d)]
-			r2 := t.pairRow(labs[row+x+1])[:len(d)]
-			r3 := t.pairRow(labs[up+x])[:len(d)]
-			r4 := t.pairRow(labs[down+x])[:len(d)]
-			for l := range d {
-				d[l] = s[l] + r1[l] + r2[l] + r3[l] + r4[l]
+		for r := 0; r < runs && r < n; r++ {
+			base := p.base(x0+r, y)
+			for i, x := r, x0+r; i < n; i, x, base = i+runs, x+2, base+L {
+				d := dst[i*L : i*L+L]
+				if x == 0 || x+1 == p.W {
+					t.LabelEnergies(d, lab, x, y)
+					continue
+				}
+				sum5(d, t.Singles[base:base+L], t.pairRow(labs[row+x-1]), t.pairRow(labs[row+x+1]),
+					t.pairRow(labs[up+x]), t.pairRow(labs[down+x]))
 			}
 		}
 		return
 	}
-	if step == 1 {
-		base := (row + x0) * L
-		copy(dst[:n*L], t.Singles[base:base+n*L])
-	} else {
-		for i, x := 0, x0; i < n; i, x = i+1, x+step {
-			base := (row + x) * L
+	for r := 0; r < runs && r < n; r++ {
+		base := p.base(x0+r, y)
+		for i := r; i < n; i, base = i+runs, base+L {
 			copy(dst[i*L:i*L+L], t.Singles[base:base+L])
 		}
 	}
@@ -299,8 +333,9 @@ func (t *Tables) LabelEnergiesSeg(dst []float64, lab *img.Labels, y, x0, step, n
 // gather for a core.MinBatchSampler. On interior pixels the minimum is found
 // as the fused sum streams out, with no second pass over the slot; border
 // rows and edge pixels reuse LabelEnergies and LabelEnergiesSeg and take the
-// minimum afterwards. Every energy is summed in LabelEnergiesSeg's order, so
-// the block is bit-identical to it.
+// minimum afterwards. It walks the color runs as LabelEnergiesSeg does and
+// sums every energy in LabelEnergiesSeg's order, so the block is
+// bit-identical to it.
 func (t *Tables) labelEnergiesSegMin(dst, mins []float64, lab *img.Labels, y, x0, step, n int) {
 	p := t.p
 	L := p.Labels
@@ -314,40 +349,43 @@ func (t *Tables) labelEnergiesSegMin(dst, mins []float64, lab *img.Labels, y, x0
 	row := y * p.W
 	labs := lab.L
 	up, down := row-p.W, row+p.W
-	for i, x := 0, x0; i < n; i, x = i+1, x+step {
-		d := dst[i*L : i*L+L]
-		if x == 0 || x+1 == p.W {
-			t.LabelEnergies(d, lab, x, y)
-			mins[i] = slotMin(d)
-			continue
+	runs := 2 / step
+	for r := 0; r < runs && r < n; r++ {
+		base := p.base(x0+r, y)
+		for i, x := r, x0+r; i < n; i, x, base = i+runs, x+2, base+L {
+			d := dst[i*L : i*L+L]
+			if x == 0 || x+1 == p.W {
+				t.LabelEnergies(d, lab, x, y)
+				mins[i] = slotMin(d)
+				continue
+			}
+			s := t.Singles[base : base+L][:len(d)]
+			r1 := t.pairRow(labs[row+x-1])[:len(d)]
+			r2 := t.pairRow(labs[row+x+1])[:len(d)]
+			r3 := t.pairRow(labs[up+x])[:len(d)]
+			r4 := t.pairRow(labs[down+x])[:len(d)]
+			// Four labels per round: the unrolled sum runs faster than the
+			// one-label loop, and the minimum's compares, rarely taken once
+			// it has settled, ride along.
+			m := math.Inf(1)
+			l := 0
+			for ; l+4 <= len(d); l += 4 {
+				d4 := d[l : l+4 : l+4]
+				s4, a4, b4, c4, e4 := s[l:l+4:l+4], r1[l:l+4:l+4], r2[l:l+4:l+4], r3[l:l+4:l+4], r4[l:l+4:l+4]
+				v0 := s4[0] + a4[0] + b4[0] + c4[0] + e4[0]
+				v1 := s4[1] + a4[1] + b4[1] + c4[1] + e4[1]
+				v2 := s4[2] + a4[2] + b4[2] + c4[2] + e4[2]
+				v3 := s4[3] + a4[3] + b4[3] + c4[3] + e4[3]
+				d4[0], d4[1], d4[2], d4[3] = v0, v1, v2, v3
+				m = minStep(minStep(minStep(minStep(m, v0), v1), v2), v3)
+			}
+			for ; l < len(d); l++ {
+				v := s[l] + r1[l] + r2[l] + r3[l] + r4[l]
+				d[l] = v
+				m = minStep(m, v)
+			}
+			mins[i] = m
 		}
-		base := (row + x) * L
-		s := t.Singles[base : base+L][:len(d)]
-		r1 := t.pairRow(labs[row+x-1])[:len(d)]
-		r2 := t.pairRow(labs[row+x+1])[:len(d)]
-		r3 := t.pairRow(labs[up+x])[:len(d)]
-		r4 := t.pairRow(labs[down+x])[:len(d)]
-		// Four labels per round: the unrolled sum runs faster than the
-		// one-label loop, and the minimum's compares, rarely taken once it
-		// has settled, ride along.
-		m := math.Inf(1)
-		l := 0
-		for ; l+4 <= len(d); l += 4 {
-			d4 := d[l : l+4 : l+4]
-			s4, a4, b4, c4, e4 := s[l:l+4:l+4], r1[l:l+4:l+4], r2[l:l+4:l+4], r3[l:l+4:l+4], r4[l:l+4:l+4]
-			v0 := s4[0] + a4[0] + b4[0] + c4[0] + e4[0]
-			v1 := s4[1] + a4[1] + b4[1] + c4[1] + e4[1]
-			v2 := s4[2] + a4[2] + b4[2] + c4[2] + e4[2]
-			v3 := s4[3] + a4[3] + b4[3] + c4[3] + e4[3]
-			d4[0], d4[1], d4[2], d4[3] = v0, v1, v2, v3
-			m = minStep(minStep(minStep(minStep(m, v0), v1), v2), v3)
-		}
-		for ; l < len(d); l++ {
-			v := s[l] + r1[l] + r2[l] + r3[l] + r4[l]
-			d[l] = v
-			m = minStep(m, v)
-		}
-		mins[i] = m
 	}
 }
 
@@ -393,40 +431,39 @@ func (t *Tables) Labels() int { return t.p.Labels }
 // energy as init + Σ FlipDelta makes per-sweep observability O(flips)
 // instead of a full O(W·H·deg) TotalEnergy recomputation.
 func (t *Tables) FlipDelta(lab *img.Labels, x, y, from, to int) float64 {
-	p := t.p
-	L := p.Labels
-	row := y * p.W
+	w, h, L := t.p.W, t.p.H, t.p.Labels
+	i := y*w + x
 	labs := lab.L
-	base := (row + x) * L
+	pair := t.Pair
+	base := t.p.base(x, y)
 	d := t.Singles[base+to] - t.Singles[base+from]
 	if x > 0 {
-		nb := labs[row+x-1]
-		d += t.Pair[to*L+nb] - t.Pair[from*L+nb]
+		nb := labs[i-1]
+		d += pair[to*L+nb] - pair[from*L+nb]
 	}
-	if x+1 < p.W {
-		nb := labs[row+x+1]
-		d += t.Pair[nb*L+to] - t.Pair[nb*L+from]
+	if x+1 < w {
+		nb := labs[i+1]
+		d += pair[nb*L+to] - pair[nb*L+from]
 	}
 	if y > 0 {
-		nb := labs[row-p.W+x]
-		d += t.Pair[to*L+nb] - t.Pair[from*L+nb]
+		nb := labs[i-w]
+		d += pair[to*L+nb] - pair[from*L+nb]
 	}
-	if y+1 < p.H {
-		nb := labs[row+p.W+x]
-		d += t.Pair[nb*L+to] - t.Pair[nb*L+from]
+	if y+1 < h {
+		nb := labs[i+w]
+		d += pair[nb*L+to] - pair[nb*L+from]
 	}
 	return d
 }
 
 // LabelEnergies fills dst with the energy of every candidate label at pixel
 // (x, y) under the current labeling — the quantity the RSU-G energy stage
-// computes (Eq. 1). Exposed for tests and the cycle-level simulator; the
-// solvers use the Tables fast path, which the tests check against this
-// direct evaluation.
-func (p *Problem) LabelEnergies(dst []float64, singles []float64, lab *img.Labels, x, y int) {
-	base := (y*p.W + x) * p.Labels
+// computes (Eq. 1), from the Singleton and distance functions themselves:
+// it reads no table, so the tests and the sharding battery's reference arm
+// that check the Tables fast path against it share no code with it.
+func (p *Problem) LabelEnergies(dst []float64, lab *img.Labels, x, y int) {
 	for l := 0; l < p.Labels; l++ {
-		e := singles[base+l]
+		e := p.Singleton(x, y, l)
 		if x > 0 {
 			e += p.PairWeight * p.pairDist(l, lab.At(x-1, y))
 		}
@@ -458,7 +495,7 @@ func (t *Tables) TotalEnergy(lab *img.Labels) float64 {
 	for y := 0; y < p.H; y++ {
 		for x := 0; x < p.W; x++ {
 			l := lab.At(x, y)
-			e += t.Singles[(y*p.W+x)*L+l]
+			e += t.Singles[p.base(x, y)+l]
 			if x+1 < p.W {
 				e += t.Pair[lab.At(x+1, y)*L+l]
 			}

@@ -268,9 +268,8 @@ func TestLabelEnergiesMatchesDefinition(t *testing.T) {
 	lab.Set(2, 1, 1)
 	lab.Set(1, 0, 2)
 	lab.Set(1, 2, 0)
-	singles := p.singletonTable()
 	dst := make([]float64, 3)
-	p.LabelEnergies(dst, singles, lab, 1, 1)
+	p.LabelEnergies(dst, lab, 1, 1)
 	// Energy of label l at (1,1): singleton l*2 + 1.5*(|l-2|+|l-1|+|l-2|+|l-0|).
 	for l := 0; l < 3; l++ {
 		want := float64(l*2) + 1.5*(math.Abs(float64(l-2))+math.Abs(float64(l-1))+math.Abs(float64(l-2))+math.Abs(float64(l)))
@@ -282,12 +281,11 @@ func TestLabelEnergiesMatchesDefinition(t *testing.T) {
 
 func TestLabelEnergiesBorderPixels(t *testing.T) {
 	p := twoRegionProblem(3, 3)
-	singles := p.singletonTable()
 	lab := img.NewLabels(3, 3)
 	dst := make([]float64, 2)
 	// Corner pixel has only 2 neighbors; with all-zero labels, the energy of
 	// label 1 is singleton + 2*PairWeight (binary distance 1 to both).
-	p.LabelEnergies(dst, singles, lab, 0, 0)
+	p.LabelEnergies(dst, lab, 0, 0)
 	if want := 10 + 2*2.0; dst[1] != want {
 		t.Fatalf("corner energy = %v, want %v", dst[1], want)
 	}

@@ -8,13 +8,14 @@ import "sync"
 // DESIGN.md §7 for how it was measured.
 const tableBandFloor = 1 << 14
 
-// singletonTable caches the data term: index (y*W+x)*Labels + l. At or
-// above tableBandFloor entries it fills contiguous row bands concurrently,
-// one per executor of resolveExecutors' rule with H as the tile count; the
-// calling goroutine fills band 0 and waits for the rest. Every entry is the
-// same pure call Singleton(x, y, l) written to the same slot, so the table
-// is bit-identical for any band count. A panic in any band is re-raised on
-// the calling goroutine after every band has stopped, as from a serial fill.
+// singletonTable caches the data term in the color-run layout of
+// Tables.Singles (see Problem.base). At or above tableBandFloor entries it
+// fills contiguous row bands concurrently, one per executor of
+// resolveExecutors' rule with H as the tile count; the calling goroutine
+// fills band 0 and waits for the rest. Every entry is the same pure call
+// Singleton(x, y, l) written to the same slot, so the table is
+// bit-identical for any band count. A panic in any band is re-raised on the
+// calling goroutine after every band has stopped, as from a serial fill.
 func (p *Problem) singletonTable() []float64 {
 	tab := make([]float64, p.W*p.H*p.Labels)
 	bands := 1
@@ -48,14 +49,18 @@ func (p *Problem) singletonTable() []float64 {
 	return tab
 }
 
-// fillSingles writes the singleton entries of rows [y0, y1) into tab.
+// fillSingles writes the singleton entries of rows [y0, y1) into tab. Each
+// row's block is its own, so the block is written front to back: the
+// row's color-0 pixels in x order, then its color-1 pixels.
 func (p *Problem) fillSingles(tab []float64, y0, y1 int) {
 	i := y0 * p.W * p.Labels
 	for y := y0; y < y1; y++ {
-		for x := 0; x < p.W; x++ {
-			for l := 0; l < p.Labels; l++ {
-				tab[i] = p.Singleton(x, y, l)
-				i++
+		for color := 0; color < 2; color++ {
+			for x := (y + color) & 1; x < p.W; x += 2 {
+				for l := 0; l < p.Labels; l++ {
+					tab[i] = p.Singleton(x, y, l)
+					i++
+				}
 			}
 		}
 	}

@@ -17,23 +17,77 @@ func hashSingleton(x, y, l int) float64 {
 }
 
 // checkSinglesDirect fails unless tab.Singles holds Singleton(x, y, l) at
-// (y*W+x)*Labels + l, bit for bit, for every entry.
+// base(x, y) + l, bit for bit, for every entry.
 func checkSinglesDirect(t *testing.T, name string, p *Problem, tab *Tables) {
 	t.Helper()
 	if len(tab.Singles) != p.W*p.H*p.Labels {
 		t.Fatalf("%s: %d singles, want %d", name, len(tab.Singles), p.W*p.H*p.Labels)
 	}
-	i := 0
 	for y := 0; y < p.H; y++ {
 		for x := 0; x < p.W; x++ {
 			for l := 0; l < p.Labels; l++ {
-				if got, want := tab.Singles[i], p.Singleton(x, y, l); math.Float64bits(got) != math.Float64bits(want) {
+				if got, want := tab.Singles[p.base(x, y)+l], p.Singleton(x, y, l); math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("%s: single (%d,%d,%d) = %v, direct %v", name, x, y, l, got, want)
 				}
-				i++
 			}
 		}
 	}
+}
+
+// TestBuildTablesColorRuns pins the color-run layout of Tables.Singles.
+// For each shape the entry indices base(x, y)+l are a permutation of
+// [0, W·H·Labels); every entry equals Singleton(x, y, l) bit for bit from
+// the one-goroutine fill and from the banded fill (a row-multiplied copy of
+// the shape pushes the table past tableBandFloor), at GOMAXPROCS 1 and 4;
+// and every same-color stride-2 run of every row (the segments a checker
+// tile gathers) is one contiguous run of the table, color 0 first.
+func TestBuildTablesColorRuns(t *testing.T) {
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("gomaxprocs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			for _, w := range []int{1, 2, 3, 8, 9} {
+				for _, h := range []int{1, 2, 5} {
+					for _, labels := range []int{2, 3, 56} {
+						banded := h * (tableBandFloor/(w*labels) + 1)
+						for _, hh := range []int{h, banded} {
+							p := &Problem{W: w, H: hh, Labels: labels, Singleton: hashSingleton, PairWeight: 1, Dist: Absolute}
+							checkColorRuns(t, fmt.Sprintf("%dx%dx%d", w, hh, labels), p)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// checkColorRuns checks one shape for TestBuildTablesColorRuns.
+func checkColorRuns(t *testing.T, name string, p *Problem) {
+	t.Helper()
+	n := p.W * p.H * p.Labels
+	seen := make([]bool, n)
+	for y := 0; y < p.H; y++ {
+		for x := 0; x < p.W; x++ {
+			for l := 0; l < p.Labels; l++ {
+				i := p.base(x, y) + l
+				if i < 0 || i >= n || seen[i] {
+					t.Fatalf("%s: entry (%d,%d,%d) at index %d: out of range or taken twice", name, x, y, l, i)
+				}
+				seen[i] = true
+			}
+		}
+		// Color c's run starts where the previous color's ended; each
+		// stride-2 step advances one pixel's Labels entries.
+		next := y * p.W * p.Labels
+		for color := 0; color < 2; color++ {
+			for x := (y + color) & 1; x < p.W; x += 2 {
+				if b := p.base(x, y); b != next {
+					t.Fatalf("%s: pixel (%d,%d) color %d at %d, want %d (runs not contiguous)", name, x, y, color, b, next)
+				}
+				next += p.Labels
+			}
+		}
+	}
+	checkSinglesDirect(t, name, p, p.BuildTables())
 }
 
 // tableBuildShapes returns grid shapes (W, H, Labels) for the banded build:

@@ -63,12 +63,11 @@ func TestTablesLabelEnergiesMatchDirect(t *testing.T) {
 		for i := range lab.L {
 			lab.L[i] = (i*7 + 3) % p.Labels
 		}
-		singles := p.singletonTable()
 		direct := make([]float64, p.Labels)
 		fast := make([]float64, p.Labels)
 		for y := 0; y < p.H; y++ {
 			for x := 0; x < p.W; x++ {
-				p.LabelEnergies(direct, singles, lab, x, y)
+				p.LabelEnergies(direct, lab, x, y)
 				tab.LabelEnergies(fast, lab, x, y)
 				for l := 0; l < p.Labels; l++ {
 					if direct[l] != fast[l] {
