@@ -38,7 +38,7 @@ race:
 # force both park paths, run four executors on one P, and cancel or panic
 # while executors park or spin.
 race-runtime:
-	$(GO) test -race -count=3 -run 'TestSolve|TestBarrier|TestRunLog|TestOnSweep|TestSchedule|TestSharded|TestCheckpoint|TestSetTemperature|TestResume|TestBuildTablesBandedMatchesDirect|TestBuildTablesConcurrentCallers|TestBuildTablesColorRuns|TestFlags|TestTimeout|TestStart|TestRegister' ./internal/mrf ./internal/runopt ./internal/apps
+	$(GO) test -race -count=3 -run 'TestSolve|TestBarrier|TestRunLog|TestOnSweep|TestSchedule|TestSharded|TestCheckpoint|TestSetTemperature|TestResume|TestBuildTablesBandedMatchesDirect|TestBuildTablesConcurrentCallers|TestBuildTablesColorRuns|TestTablesFirstUse|TestFlags|TestTimeout|TestStart|TestRegister' ./internal/mrf ./internal/runopt ./internal/apps
 
 # The benchmark harness is its own module (perfbench/go.mod), so the root
 # build and test never compile it; vet and test it here so an internal API
@@ -95,15 +95,17 @@ cover:
 
 # Native Go fuzzing of the sampling pipeline, the cut-off-aware sampling
 # kernel against the dense pipeline (draw for draw), the lambda converter, the
-# checkpoint snapshot decoder (truncation, bit flips, version skew), and the
+# checkpoint snapshot decoder (truncation, bit flips, version skew), the
 # shard-plan geometry (exclusive full-grid tile coverage under arbitrary
-# dimensions). FUZZTIME sets the budget per target (default 30s above).
+# dimensions), and the 8-bit code form of the data term (its exactness
+# margin). FUZZTIME sets the budget per target (default 30s above).
 fuzz:
 	$(GO) test ./internal/conformance -run '^$$' -fuzz FuzzUnitSample -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/conformance -run '^$$' -fuzz FuzzLiveKernel -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/conformance -run '^$$' -fuzz FuzzLambdaCode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/checkpoint -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/shard -run '^$$' -fuzz FuzzShardGeometry -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/mrf -run '^$$' -fuzz FuzzCompactSingles -fuzztime $(FUZZTIME)
 
 # Short-budget fuzz pass for CI — the same recipe, smaller budget.
 fuzz-smoke:

@@ -96,6 +96,7 @@ func benchLabelEnergies(b *testing.B, tables bool) {
 	b.Helper()
 	prob := stereo.BuildProblem(synth.Poster(1), stereo.DefaultParams())
 	tab := prob.BuildTables()
+	tab.FloatSingles()
 	lab := img.NewLabels(prob.W, prob.H)
 	for i := range lab.L {
 		lab.L[i] = i % prob.Labels
@@ -116,16 +117,27 @@ func benchLabelEnergies(b *testing.B, tables bool) {
 func BenchmarkLabelEnergiesTables(b *testing.B) { benchLabelEnergies(b, true) }
 func BenchmarkLabelEnergiesDirect(b *testing.B) { benchLabelEnergies(b, false) }
 
-// BenchmarkBuildTablesStereo times the full table build of the teddy ×4
-// stereo problem (256×192 pixels, 56 labels, 2.75 M singleton entries):
-// the data-term closure and the row-banded fill behind BuildTables. Run it
-// at -cpu 1,2 to see the single-core cost next to the banded one.
+// BenchmarkBuildTablesStereo times the table build of the teddy ×4 stereo
+// problem (256×192 pixels, 56 labels, 2.75 M singleton entries) with each
+// form of the data term built on first use: the data-term closure and the
+// row-banded fill, writing 8-byte floats (float) or 1-byte codes (code).
+// Run it at -cpu 1,2 to see the single-core cost next to the banded one.
 func BenchmarkBuildTablesStereo(b *testing.B) {
 	prob := stereo.BuildProblem(synth.Teddy(4), stereo.DefaultParams())
-	b.ReportAllocs()
-	for b.Loop() {
-		prob.BuildTables()
-	}
+	b.Run("float", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			prob.BuildTables().FloatSingles()
+		}
+	})
+	b.Run("code", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			if prob.BuildTables().CodeSingles() == nil {
+				b.Fatal("teddy x4 does not qualify for the code form")
+			}
+		}
+	})
 }
 
 // BenchmarkLabelEnergiesRow times the fused row gather the serial sweep
@@ -134,6 +146,7 @@ func BenchmarkBuildTablesStereo(b *testing.B) {
 func BenchmarkLabelEnergiesRow(b *testing.B) {
 	prob := stereo.BuildProblem(synth.Poster(1), stereo.DefaultParams())
 	tab := prob.BuildTables()
+	tab.FloatSingles()
 	lab := img.NewLabels(prob.W, prob.H)
 	for i := range lab.L {
 		lab.L[i] = i % prob.Labels
@@ -172,6 +185,7 @@ func BenchmarkSampleBatch(b *testing.B) {
 func BenchmarkFlipDelta(b *testing.B) {
 	prob := stereo.BuildProblem(synth.Poster(1), stereo.DefaultParams())
 	tab := prob.BuildTables()
+	tab.FloatSingles() // FlipDelta reads the float form once it is built
 	lab := img.NewLabels(prob.W, prob.H)
 	for i := range lab.L {
 		lab.L[i] = i % prob.Labels
@@ -330,9 +344,11 @@ func BenchmarkSolveWithoutCollector(b *testing.B) { benchSolveWithCollector(b, f
 
 // BenchmarkSolveTeddyX10 times two sweeps of the teddy ×10 stereo problem
 // (640×480 pixels, 56 labels) on the default geometry (Workers 0,
-// shard.Auto: 2×3 tiles) from prebuilt tables. Its 138 MB singleton table
-// is far past L2, so this is the suite's one solve that streams the table
-// from memory: the benchmark for the gather's layout.
+// shard.Auto: 2×3 tiles) from prebuilt tables. The new RSU-G reads the
+// 17 MB code form of the data term, which is still far past L2, so this is
+// the suite's one solve that streams the table from memory: the benchmark
+// for the gather's layout. It reports the bytes of each form the solves
+// built (float_B, code_B); the float form would be 138 MB.
 func BenchmarkSolveTeddyX10(b *testing.B) {
 	prob := stereo.BuildProblem(synth.Teddy(10), stereo.DefaultParams())
 	opts := mrf.SolveOptions{Tables: prob.BuildTables()}
@@ -340,6 +356,10 @@ func BenchmarkSolveTeddyX10(b *testing.B) {
 	factory := core.StreamFactory(1, func(src rng.Source) core.LabelSampler {
 		return core.MustUnit(core.NewRSUG(), src, true)
 	})
+	// A warm-up solve builds the form of the data term the solves read.
+	if _, err := mrf.Solve(context.Background(), prob, factory, sched, opts); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -347,6 +367,8 @@ func BenchmarkSolveTeddyX10(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(len(opts.Tables.Singles)*8), "float_B")
+	b.ReportMetric(float64(len(opts.Tables.Codes)), "code_B")
 }
 
 func BenchmarkPerfModel(b *testing.B) {

@@ -139,7 +139,7 @@ func TestLabelEnergiesSegMinMatchesSeg(t *testing.T) {
 						got := make([]float64, n*labels)
 						mins := make([]float64, n)
 						tab.LabelEnergiesSeg(want, lab, y, x0, step, n)
-						tab.labelEnergiesSegMin(got, mins, lab, y, x0, step, n)
+						tab.floatGather().labelEnergiesSegMin(got, mins, lab, y, x0, step, n)
 						for i := range want {
 							if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 								t.Fatalf("trial %d (%dx%d, %d labels) y %d x0 %d step %d n %d: energy %d = %v, want %v",
@@ -411,8 +411,9 @@ func TestSerialSweepSteadyStateZeroAlloc(t *testing.T) {
 	lab := img.NewLabels(p.W, p.H)
 	u := core.MustUnit(core.NewRSUG(), rng.NewXoshiro256(9), true)
 	core.MustSetTemperature(u, 4)
-	r := &run{p: p, lab: lab, samplers: []core.LabelSampler{u}, track: true, energy: tab.TotalEnergy(lab)}
-	sw, err := newShardPool(r, tab, shard.Geometry{Rows: 1, Cols: 1})
+	r := &run{p: p, lab: lab, samplers: []core.LabelSampler{u}, tab: tab, gather: tab.gatherFor([]core.LabelSampler{u}),
+		track: true, energy: tab.TotalEnergy(lab)}
+	sw, err := newShardPool(r, shard.Geometry{Rows: 1, Cols: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

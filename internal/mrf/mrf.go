@@ -10,6 +10,8 @@ package mrf
 import (
 	"fmt"
 	"math"
+	"sync"
+	"sync/atomic"
 
 	"rsu/internal/img"
 )
@@ -65,10 +67,11 @@ type Problem struct {
 	W, H   int
 	Labels int
 	// Singleton returns the data-term energy of label l at pixel (x, y).
-	// It is evaluated once per (pixel, label) and cached by the solver.
-	// BuildTables and BuildTablesShared may call it from several goroutines
-	// at once, so it must be a pure function of (x, y, l): no writes to
-	// shared state, no dependence on call order.
+	// The tables cache it, evaluating it once per (pixel, label) for each
+	// form of the data term they build; FlipDelta and TotalEnergy call it
+	// again when only the code form is built. The table builds may call it
+	// from several goroutines at once, so it must be a pure function of
+	// (x, y, l): no writes to shared state, no dependence on call order.
 	Singleton func(x, y, l int) float64
 	// PairWeight scales the doubleton term.
 	PairWeight float64
@@ -93,8 +96,10 @@ func (p *Problem) Validate() error {
 		return fmt.Errorf("mrf: need at least 2 labels, got %d", p.Labels)
 	case p.Singleton == nil:
 		return fmt.Errorf("mrf: nil Singleton function")
-	case p.PairWeight < 0:
-		return fmt.Errorf("mrf: negative PairWeight")
+	case !(p.PairWeight >= 0) || math.IsInf(p.PairWeight, 1):
+		// The !(>= 0) form also rejects NaN, which would fill the pair LUT
+		// with NaN energies that a quantized sampler encodes as 0.
+		return fmt.Errorf("mrf: PairWeight must be non-negative and finite, got %v", p.PairWeight)
 	}
 	return nil
 }
@@ -128,21 +133,43 @@ func (p *Problem) base(x, y int) int {
 // table lookups — no per-call distance dispatch, math.Abs, or truncation
 // branches in the Gibbs inner loop. Solve builds them once per run;
 // multi-restart callers can build them once and reuse them across solves
-// via SolveOptions.Tables. Tables are read-only after construction and
-// safe to share across the parallel solver's workers.
+// via SolveOptions.Tables. Tables are safe to share across concurrent
+// solves and the parallel solver's workers.
+//
+// The data term has two forms, each built at most once, on first use, by
+// the row-banded fill of tablebuild.go: the float form (Singles) and the
+// 8-bit code form (Codes). BuildTables allocates only the pair LUT, and a
+// solve builds the one form it reads: the code form when every sampler sees
+// the energies only through a step-1 quantizer of at most 8 bits and the
+// problem qualifies (see singleCode and pairsQualify), the float form
+// otherwise. Both give every quantized sampler the same energy codes
+// (DESIGN.md §15).
 type Tables struct {
 	p *Problem
-	// Singles is the cached data term, W·H·Labels entries in an order that
-	// belongs to the engine: each grid row is one block of W·Labels entries,
-	// holding its pixels of checkerboard color 0 ((x+y)%2 == 0) in x order
-	// and then its pixels of color 1, each pixel's Labels entries
+	// Singles is the float form of the data term, nil until FloatSingles
+	// (or a solve that reads it) builds it: W·H·Labels entries in an order
+	// that belongs to the engine. Each grid row is one block of W·Labels
+	// entries, holding its pixels of checkerboard color 0 ((x+y)%2 == 0) in
+	// x order and then its pixels of color 1, each pixel's Labels entries
 	// contiguous. A checkerboard color stage thus streams one contiguous run
 	// per row segment. Read it through LabelEnergies, not by index.
 	Singles []float64
+	// Codes is the code form: each single s stored as its 8-bit energy code
+	// min(255, RoundPos(s)), in the layout of Singles. It is nil until
+	// CodeSingles (or a solve that reads it) builds it, and stays nil when
+	// the problem does not qualify for it.
+	Codes []uint8
 	// Pair holds the smoothness energies: Pair[nb*Labels+l] is the doubleton
 	// energy of label l against neighbor label nb (weight and truncation
 	// applied), laid out so one neighbor's row is contiguous.
 	Pair []float64
+
+	// mu serializes the form builds. floatBuilt is stored after Singles is
+	// written and codesDone after Codes is (left nil when the problem does
+	// not qualify), so a reader that loads them sees the finished form.
+	mu         sync.Mutex
+	floatBuilt atomic.Bool
+	codesDone  atomic.Bool
 }
 
 // PairLUT is the standalone pairwise (doubleton) lookup table of a Problem:
@@ -171,17 +198,19 @@ func (p *Problem) BuildPairLUT() *PairLUT {
 	return lut
 }
 
-// BuildTables precomputes the lookup tables for p.
+// BuildTables precomputes the pair LUT of p; each form of the data term is
+// built on first use.
 func (p *Problem) BuildTables() *Tables {
-	return &Tables{p: p, Singles: p.singletonTable(), Pair: p.BuildPairLUT().Pair}
+	return &Tables{p: p, Pair: p.BuildPairLUT().Pair}
 }
 
-// BuildTablesShared builds the tables for p reusing a prebuilt pairwise LUT,
-// recomputing only the input-dependent singleton table. The LUT must have
-// been built from a Problem with the same smoothness model (same Labels,
-// PairWeight, distance function and truncation) — the label count is checked
-// here, the semantic match is the caller's contract (the serving cache keys
-// LUTs by the full smoothness model for exactly this reason).
+// BuildTablesShared builds the tables for p reusing a prebuilt pairwise LUT;
+// only the input-dependent data term is left to build, on first use. The
+// LUT must have been built from a Problem with the same smoothness model
+// (same Labels, PairWeight, distance function and truncation) — the label
+// count is checked here, the semantic match is the caller's contract (the
+// serving cache keys LUTs by the full smoothness model for exactly this
+// reason).
 func (p *Problem) BuildTablesShared(lut *PairLUT) (*Tables, error) {
 	if lut == nil {
 		return p.BuildTables(), nil
@@ -189,7 +218,105 @@ func (p *Problem) BuildTablesShared(lut *PairLUT) (*Tables, error) {
 	if lut.Labels != p.Labels || len(lut.Pair) != p.Labels*p.Labels {
 		return nil, fmt.Errorf("mrf: shared pair LUT built for %d labels, problem has %d", lut.Labels, p.Labels)
 	}
-	return &Tables{p: p, Singles: p.singletonTable(), Pair: lut.Pair}, nil
+	return &Tables{p: p, Pair: lut.Pair}, nil
+}
+
+// FloatSingles returns the float form of the data term (Singles), building
+// it on first use. A Singleton panic reaches the caller and leaves the form
+// unbuilt, so the next call builds it again.
+func (t *Tables) FloatSingles() []float64 {
+	if t.floatBuilt.Load() {
+		return t.Singles
+	}
+	return t.buildFloats()
+}
+
+// buildFloats is FloatSingles' first use, kept apart so the built case
+// inlines.
+func (t *Tables) buildFloats() []float64 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if !t.floatBuilt.Load() {
+		t.Singles = t.p.singletonTable()
+		t.floatBuilt.Store(true)
+	}
+	return t.Singles
+}
+
+// CodeSingles returns the 8-bit code form of the data term (Codes),
+// building it on first use, or nil when the problem does not qualify for
+// it. A Singleton panic reaches the caller and leaves the form unbuilt, as
+// in FloatSingles.
+func (t *Tables) CodeSingles() []uint8 {
+	if t.codesDone.Load() {
+		return t.Codes
+	}
+	return t.buildCodes()
+}
+
+// buildCodes is CodeSingles' first use, kept apart so the decided case
+// inlines.
+func (t *Tables) buildCodes() []uint8 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if !t.codesDone.Load() {
+		if pairsQualify(t.Pair) {
+			t.Codes = t.p.codeTable()
+		}
+		t.codesDone.Store(true)
+	}
+	return t.Codes
+}
+
+// builtFloats returns the float form when it has been built, else nil.
+func (t *Tables) builtFloats() []float64 {
+	if t.floatBuilt.Load() {
+		return t.Singles
+	}
+	return nil
+}
+
+// single is the element type of a stored form of the data term.
+type single interface{ float64 | uint8 }
+
+// The gathers (labelEnergies, labelEnergiesSeg, labelEnergiesSegMin) are
+// generic over the form of the data term they read: s is t's Singles or
+// Codes, in the color-run layout. Every sum reads a single as
+// float64(s[i]), which for the float form is the stored value itself, so
+// the float gathers' energies keep their bits. Their per-label loops are
+// written out rather than calling a generic helper: with Go 1.24 an inlined
+// generic helper's loop reloads its dictionary on every label, which cost
+// the float row gather about 20%.
+
+// gather binds the gathers to one form of the data term.
+type gather[E single] struct {
+	t *Tables
+	s []E
+}
+
+// energyGather is the gather one solve's sweeps read: gather[float64] or
+// gather[uint8], picked once per solve (Tables.gatherFor).
+type energyGather interface {
+	labelEnergies(dst []float64, lab *img.Labels, x, y int)
+	labelEnergiesSeg(dst []float64, lab *img.Labels, y, x0, step, n int)
+	labelEnergiesSegMin(dst, mins []float64, lab *img.Labels, y, x0, step, n int)
+}
+
+func (g gather[E]) labelEnergies(dst []float64, lab *img.Labels, x, y int) {
+	labelEnergies(g.t, g.s, dst, lab, x, y)
+}
+
+func (g gather[E]) labelEnergiesSeg(dst []float64, lab *img.Labels, y, x0, step, n int) {
+	labelEnergiesSeg(g.t, g.s, dst, lab, y, x0, step, n)
+}
+
+func (g gather[E]) labelEnergiesSegMin(dst, mins []float64, lab *img.Labels, y, x0, step, n int) {
+	labelEnergiesSegMin(g.t, g.s, dst, mins, lab, y, x0, step, n)
+}
+
+// floatGather is the gather over the float form, building it on first use.
+func (t *Tables) floatGather() gather[float64] {
+	return gather[float64]{t: t, s: t.FloatSingles()}
 }
 
 // pairRow returns the contiguous row of pairwise energies against neighbor
@@ -209,22 +336,35 @@ func addRow(dst, row []float64) {
 
 // LabelEnergies fills dst (length Labels) with the energy of every candidate
 // label at pixel (x, y) under the current labeling, using the precomputed
-// tables — the fast path of Problem.LabelEnergies. An interior pixel sums
-// its five terms in one pass (sum5); a border pixel copies its singles and
-// adds one pairwise row per neighbor. Both evaluate singles, left, right,
-// up, down left to right, so they agree bit for bit.
+// tables — the fast path of Problem.LabelEnergies. It reads the float form,
+// building it on first use.
 func (t *Tables) LabelEnergies(dst []float64, lab *img.Labels, x, y int) {
+	labelEnergies(t, t.FloatSingles(), dst, lab, x, y)
+}
+
+// labelEnergies is one pixel's gather. An interior pixel sums its five terms
+// in one pass, d[l] = s[l]+a[l]+b[l]+c[l]+e[l] (its singles plus its left,
+// right, up and down pairwise rows), with one store per label; a border
+// pixel copies its singles and adds one pairwise row per neighbor. Both
+// evaluate singles, left, right, up, down left to right, so they agree bit
+// for bit.
+func labelEnergies[E single](t *Tables, s []E, dst []float64, lab *img.Labels, x, y int) {
 	p := t.p
 	L := p.Labels
 	base := p.base(x, y)
-	s := t.Singles[base : base+L]
+	s = s[base : base+L]
 	labs := lab.L
 	i := y*p.W + x
 	if x > 0 && x+1 < p.W && y > 0 && y+1 < p.H {
-		sum5(dst[:L], s, t.pairRow(labs[i-1]), t.pairRow(labs[i+1]), t.pairRow(labs[i-p.W]), t.pairRow(labs[i+p.W]))
+		d, a, b, c, e := dst[:L], t.pairRow(labs[i-1])[:L], t.pairRow(labs[i+1])[:L], t.pairRow(labs[i-p.W])[:L], t.pairRow(labs[i+p.W])[:L]
+		for l := range d {
+			d[l] = float64(s[l]) + a[l] + b[l] + c[l] + e[l]
+		}
 		return
 	}
-	copy(dst, s)
+	for l, v := range s {
+		dst[l] = float64(v)
+	}
 	if x > 0 {
 		addRow(dst, t.pairRow(labs[i-1]))
 	}
@@ -239,32 +379,24 @@ func (t *Tables) LabelEnergies(dst []float64, lab *img.Labels, x, y int) {
 	}
 }
 
-// sum5 writes d[l] = s[l]+a[l]+b[l]+c[l]+e[l]: an interior pixel's singles
-// plus its left, right, up and down pairwise rows. The sum evaluates left to
-// right, the exact order (and therefore the exact bits) of a copy followed
-// by four addRow passes, with one store per label instead of one copy plus
-// four read-modify-write passes.
-func sum5(d, s, a, b, c, e []float64) {
-	// Reslicing every operand to len(d) lets the compiler drop the
-	// per-iteration bounds checks.
-	s, a, b, c, e = s[:len(d)], a[:len(d)], b[:len(d)], c[:len(d)], e[:len(d)]
-	for l := range d {
-		d[l] = s[l] + a[l] + b[l] + c[l] + e[l]
-	}
-}
-
 // LabelEnergiesSeg fills dst with the candidate-label energies of the n
 // pixels (x0, y), (x0+step, y), ..., (x0+(n-1)*step, y) as a dense n×Labels
-// block: slot i (dst[i*Labels:(i+1)*Labels]) holds pixel x0+i*step. The
-// tile engine gathers one whole row (step 1, the one-tile raster scan) or
-// one same-color row segment (step 2, checkerboard tiles) per call; step
-// must be 1 or 2. A step-2 segment is one contiguous run of Singles, and a
-// step-1 row is gathered as its two color runs, one after the other (slots
-// 0, 2, 4, ... then 1, 3, 5, ...): each run's Singles index is computed
-// once and then advances by Labels per slot. Each slot accumulates in
-// exactly LabelEnergies' term order — singles, left, right, up, down — so
-// the block is bit-identical to per-pixel calls.
+// block: slot i (dst[i*Labels:(i+1)*Labels]) holds pixel x0+i*step. It reads
+// the float form, building it on first use.
 func (t *Tables) LabelEnergiesSeg(dst []float64, lab *img.Labels, y, x0, step, n int) {
+	labelEnergiesSeg(t, t.FloatSingles(), dst, lab, y, x0, step, n)
+}
+
+// labelEnergiesSeg is the segment gather behind LabelEnergiesSeg. The tile
+// engine gathers one whole row (step 1, the one-tile raster scan) or one
+// same-color row segment (step 2, checkerboard tiles) per call; step must
+// be 1 or 2. A step-2 segment is one contiguous run of the singles, and a
+// step-1 row is gathered as its two color runs, one after the other (slots
+// 0, 2, 4, ... then 1, 3, 5, ...): each run's index is computed once and
+// then advances by Labels per slot. Each slot accumulates in exactly
+// labelEnergies' term order — singles, left, right, up, down — so the block
+// is bit-identical to per-pixel calls.
+func labelEnergiesSeg[E single](t *Tables, s []E, dst []float64, lab *img.Labels, y, x0, step, n int) {
 	if step != 1 && step != 2 {
 		panic("mrf: LabelEnergiesSeg step must be 1 or 2")
 	}
@@ -276,18 +408,21 @@ func (t *Tables) LabelEnergiesSeg(dst []float64, lab *img.Labels, y, x0, step, n
 	runs := 2 / step
 	if y > 0 && y+1 < p.H {
 		// Interior row: every pixel off the vertical edges has all four
-		// neighbors, so its five accumulation passes fuse into one (sum5).
+		// neighbors, so its five accumulation passes fuse into one.
 		up, down := row-p.W, row+p.W
 		for r := 0; r < runs && r < n; r++ {
 			base := p.base(x0+r, y)
 			for i, x := r, x0+r; i < n; i, x, base = i+runs, x+2, base+L {
 				d := dst[i*L : i*L+L]
 				if x == 0 || x+1 == p.W {
-					t.LabelEnergies(d, lab, x, y)
+					labelEnergies(t, s, d, lab, x, y)
 					continue
 				}
-				sum5(d, t.Singles[base:base+L], t.pairRow(labs[row+x-1]), t.pairRow(labs[row+x+1]),
-					t.pairRow(labs[up+x]), t.pairRow(labs[down+x]))
+				sl, a, b, c, e := s[base : base+L][:L], t.pairRow(labs[row+x-1])[:L], t.pairRow(labs[row+x+1])[:L],
+					t.pairRow(labs[up+x])[:L], t.pairRow(labs[down+x])[:L]
+				for l := range d {
+					d[l] = float64(sl[l]) + a[l] + b[l] + c[l] + e[l]
+				}
 			}
 		}
 		return
@@ -295,7 +430,9 @@ func (t *Tables) LabelEnergiesSeg(dst []float64, lab *img.Labels, y, x0, step, n
 	for r := 0; r < runs && r < n; r++ {
 		base := p.base(x0+r, y)
 		for i := r; i < n; i, base = i+runs, base+L {
-			copy(dst[i*L:i*L+L], t.Singles[base:base+L])
+			for l, v := range s[base : base+L] {
+				dst[i*L+l] = float64(v)
+			}
 		}
 	}
 	// Only the first slot can sit on the left edge and only the last on the
@@ -328,19 +465,19 @@ func (t *Tables) LabelEnergiesSeg(dst []float64, lab *img.Labels, y, x0, step, n
 	}
 }
 
-// labelEnergiesSegMin is LabelEnergiesSeg that also writes slot i's minimum
+// labelEnergiesSegMin is labelEnergiesSeg that also writes slot i's minimum
 // energy to mins[i], or −Inf when the slot holds a NaN: the tile engine's
 // gather for a core.MinBatchSampler. On interior pixels the minimum is found
 // as the fused sum streams out, with no second pass over the slot; border
-// rows and edge pixels reuse LabelEnergies and LabelEnergiesSeg and take the
-// minimum afterwards. It walks the color runs as LabelEnergiesSeg does and
-// sums every energy in LabelEnergiesSeg's order, so the block is
+// rows and edge pixels reuse labelEnergies and labelEnergiesSeg and take the
+// minimum afterwards. It walks the color runs as labelEnergiesSeg does and
+// sums every energy in labelEnergiesSeg's order, so the block is
 // bit-identical to it.
-func (t *Tables) labelEnergiesSegMin(dst, mins []float64, lab *img.Labels, y, x0, step, n int) {
+func labelEnergiesSegMin[E single](t *Tables, s []E, dst, mins []float64, lab *img.Labels, y, x0, step, n int) {
 	p := t.p
 	L := p.Labels
 	if y == 0 || y+1 == p.H {
-		t.LabelEnergiesSeg(dst, lab, y, x0, step, n)
+		labelEnergiesSeg(t, s, dst, lab, y, x0, step, n)
 		for i := range mins[:n] {
 			mins[i] = slotMin(dst[i*L : i*L+L])
 		}
@@ -355,11 +492,11 @@ func (t *Tables) labelEnergiesSegMin(dst, mins []float64, lab *img.Labels, y, x0
 		for i, x := r, x0+r; i < n; i, x, base = i+runs, x+2, base+L {
 			d := dst[i*L : i*L+L]
 			if x == 0 || x+1 == p.W {
-				t.LabelEnergies(d, lab, x, y)
+				labelEnergies(t, s, d, lab, x, y)
 				mins[i] = slotMin(d)
 				continue
 			}
-			s := t.Singles[base : base+L][:len(d)]
+			sl := s[base : base+L][:len(d)]
 			r1 := t.pairRow(labs[row+x-1])[:len(d)]
 			r2 := t.pairRow(labs[row+x+1])[:len(d)]
 			r3 := t.pairRow(labs[up+x])[:len(d)]
@@ -371,16 +508,16 @@ func (t *Tables) labelEnergiesSegMin(dst, mins []float64, lab *img.Labels, y, x0
 			l := 0
 			for ; l+4 <= len(d); l += 4 {
 				d4 := d[l : l+4 : l+4]
-				s4, a4, b4, c4, e4 := s[l:l+4:l+4], r1[l:l+4:l+4], r2[l:l+4:l+4], r3[l:l+4:l+4], r4[l:l+4:l+4]
-				v0 := s4[0] + a4[0] + b4[0] + c4[0] + e4[0]
-				v1 := s4[1] + a4[1] + b4[1] + c4[1] + e4[1]
-				v2 := s4[2] + a4[2] + b4[2] + c4[2] + e4[2]
-				v3 := s4[3] + a4[3] + b4[3] + c4[3] + e4[3]
+				s4, a4, b4, c4, e4 := sl[l:l+4:l+4], r1[l:l+4:l+4], r2[l:l+4:l+4], r3[l:l+4:l+4], r4[l:l+4:l+4]
+				v0 := float64(s4[0]) + a4[0] + b4[0] + c4[0] + e4[0]
+				v1 := float64(s4[1]) + a4[1] + b4[1] + c4[1] + e4[1]
+				v2 := float64(s4[2]) + a4[2] + b4[2] + c4[2] + e4[2]
+				v3 := float64(s4[3]) + a4[3] + b4[3] + c4[3] + e4[3]
 				d4[0], d4[1], d4[2], d4[3] = v0, v1, v2, v3
 				m = minStep(minStep(minStep(minStep(m, v0), v1), v2), v3)
 			}
 			for ; l < len(d); l++ {
-				v := s[l] + r1[l] + r2[l] + r3[l] + r4[l]
+				v := float64(sl[l]) + r1[l] + r2[l] + r3[l] + r4[l]
 				d[l] = v
 				m = minStep(m, v)
 			}
@@ -412,9 +549,10 @@ func slotMin(d []float64) float64 {
 }
 
 // LabelEnergiesRow fills dst (length W×Labels) with the candidate-label
-// energies of every pixel in row y — the serial fused sweep's gather.
+// energies of every pixel in row y — the serial fused sweep's gather. It
+// reads the float form, building it on first use.
 func (t *Tables) LabelEnergiesRow(dst []float64, lab *img.Labels, y int) {
-	t.LabelEnergiesSeg(dst, lab, y, 0, 1, t.p.W)
+	labelEnergiesSeg(t, t.FloatSingles(), dst, lab, y, 0, 1, t.p.W)
 }
 
 // Labels returns the label count of the problem the tables were built from.
@@ -429,14 +567,22 @@ func (t *Tables) Labels() int { return t.p.Labels }
 // distance function is assumed. The caller may invoke it before or after
 // writing the flip (only the neighbors are read). Maintaining the running
 // energy as init + Σ FlipDelta makes per-sweep observability O(flips)
-// instead of a full O(W·H·deg) TotalEnergy recomputation.
+// instead of a full O(W·H·deg) TotalEnergy recomputation. It reads the two
+// singles it needs from the float form when that has been built, and
+// otherwise evaluates Singleton for them: the same values, so it never
+// builds a form and a solve on the code form tracks the same energies.
 func (t *Tables) FlipDelta(lab *img.Labels, x, y, from, to int) float64 {
 	w, h, L := t.p.W, t.p.H, t.p.Labels
 	i := y*w + x
 	labs := lab.L
 	pair := t.Pair
-	base := t.p.base(x, y)
-	d := t.Singles[base+to] - t.Singles[base+from]
+	var d float64
+	if fs := t.builtFloats(); fs != nil {
+		base := t.p.base(x, y)
+		d = fs[base+to] - fs[base+from]
+	} else {
+		d = t.p.Singleton(x, y, to) - t.p.Singleton(x, y, from)
+	}
 	if x > 0 {
 		nb := labs[i-1]
 		d += pair[to*L+nb] - pair[from*L+nb]
@@ -481,21 +627,28 @@ func (p *Problem) LabelEnergies(dst []float64, lab *img.Labels, x, y int) {
 }
 
 // TotalEnergy returns the full MRF energy of a labeling from the cached
-// tables — the same quantity as Problem.TotalEnergy, evaluated without
-// calling the Singleton closure or the distance dispatch. Terms are
-// accumulated in the same order as Problem.TotalEnergy, so for tables whose
-// entries equal the directly-computed terms the result is bit-identical.
+// tables — the same quantity as Problem.TotalEnergy, evaluated without the
+// distance dispatch. Terms are accumulated in the same order as
+// Problem.TotalEnergy, so for tables whose entries equal the
+// directly-computed terms the result is bit-identical. Like FlipDelta it
+// reads the float form when that has been built and otherwise evaluates
+// Singleton.
 func (t *Tables) TotalEnergy(lab *img.Labels) float64 {
 	p := t.p
 	if lab.W != p.W || lab.H != p.H {
 		panic("mrf: labeling size mismatch")
 	}
+	fs := t.builtFloats()
 	L := p.Labels
 	var e float64
 	for y := 0; y < p.H; y++ {
 		for x := 0; x < p.W; x++ {
 			l := lab.At(x, y)
-			e += t.Singles[p.base(x, y)+l]
+			if fs != nil {
+				e += fs[p.base(x, y)+l]
+			} else {
+				e += p.Singleton(x, y, l)
+			}
 			if x+1 < p.W {
 				e += t.Pair[lab.At(x+1, y)*L+l]
 			}

@@ -176,6 +176,11 @@ func TestProblemValidate(t *testing.T) {
 		{W: 4, H: 4, Labels: 1, Singleton: ok.Singleton},
 		{W: 4, H: 4, Labels: 2},
 		{W: 4, H: 4, Labels: 2, Singleton: ok.Singleton, PairWeight: -1},
+		// A NaN weight would fill the pair LUT with NaN energies, which a
+		// quantized sampler encodes as 0; ±Inf is no usable weight either.
+		{W: 4, H: 4, Labels: 2, Singleton: ok.Singleton, PairWeight: math.NaN()},
+		{W: 4, H: 4, Labels: 2, Singleton: ok.Singleton, PairWeight: math.Inf(1)},
+		{W: 4, H: 4, Labels: 2, Singleton: ok.Singleton, PairWeight: math.Inf(-1)},
 	}
 	for i, p := range bad {
 		if p.Validate() == nil {

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"rsu/internal/core"
-	"rsu/internal/img"
 	"rsu/internal/shard"
 )
 
@@ -81,19 +80,19 @@ func newShardTile(t shard.Tile, w, labels int, sampler core.LabelSampler, raster
 // sweeps the whole grid in color 0, adding each FlipDelta straight into
 // r.energy as the serial scan always has, and returns a +0 delta, which
 // leaves r.energy's bits unchanged (a sum that starts at +0 is never −0).
-func (ts *shardTile) compute(k int, r *run, tab *Tables, color int) (flips int, edelta float64, err error) {
+func (ts *shardTile) compute(k int, r *run, color int) (flips int, edelta float64, err error) {
 	if ts.block == nil {
-		return ts.checker(tab, r.lab, color, r.track)
+		return ts.checker(r, color)
 	}
 	if color == 0 {
-		flips, err = ts.raster(k, r, tab)
+		flips, err = ts.raster(k, r)
 	}
 	return flips, 0, err
 }
 
 // checker runs one color phase over the tile's owned cells of the global
 // grid: maximal same-row stride-2 segments are gathered with one
-// LabelEnergiesSeg call and drawn with one SampleBatch call — or, for a
+// labelEnergiesSeg call and drawn with one SampleBatch call — or, for a
 // core.MinBatchSampler, gathered with their minima and drawn with one
 // SampleBatchMin call. Within a color
 // phase no cell's neighbors change (they are all the other color), so
@@ -102,15 +101,16 @@ func (ts *shardTile) compute(k int, r *run, tab *Tables, color int) (flips int, 
 // writes only its own cells of this color and reads only their neighbors of
 // the other color, which no tile writes in this phase. A sampler panic
 // becomes the tile's error, so a faulty sampler fails the solve instead of
-// killing the process. Returns the tile's flips and, when track, accumulates
+// killing the process. Returns the tile's flips and, when r.track, accumulates
 // the energy delta.
-func (ts *shardTile) checker(tab *Tables, lab *img.Labels, color int, track bool) (flips int, edelta float64, err error) {
+func (ts *shardTile) checker(r *run, color int) (flips int, edelta float64, err error) {
 	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("mrf: tile %d panicked: %v", ts.t.Index, r)
+		if rec := recover(); rec != nil {
+			err = fmt.Errorf("mrf: tile %d panicked: %v", ts.t.Index, rec)
 		}
 	}()
-	L := tab.Labels()
+	lab, g := r.lab, r.gather
+	L := r.p.Labels
 	w := lab.W
 	labs := lab.L
 	cells := ts.cells[color]
@@ -129,10 +129,10 @@ func (ts *shardTile) checker(tab *Tables, lab *img.Labels, color int, track bool
 		}
 		var serr error
 		if ts.minSampler != nil {
-			tab.labelEnergiesSegMin(ts.energies[:n*L], ts.mins[:n], lab, y, x0, 2, n)
+			g.labelEnergiesSegMin(ts.energies[:n*L], ts.mins[:n], lab, y, x0, 2, n)
 			serr = ts.minSampler.SampleBatchMin(ts.energies[:n*L], ts.mins[:n], L, ts.currents[:n], ts.out[:n])
 		} else {
-			tab.LabelEnergiesSeg(ts.energies[:n*L], lab, y, x0, 2, n)
+			g.labelEnergiesSeg(ts.energies[:n*L], lab, y, x0, 2, n)
 			serr = ts.sampler.SampleBatch(ts.energies[:n*L], L, ts.currents[:n], ts.out[:n])
 		}
 		if serr != nil {
@@ -140,8 +140,8 @@ func (ts *shardTile) checker(tab *Tables, lab *img.Labels, color int, track bool
 		}
 		for j := 0; j < n; j++ {
 			if next := ts.out[j]; next != ts.currents[j] {
-				if track {
-					edelta += tab.FlipDelta(lab, x0+2*j, y, ts.currents[j], next)
+				if r.track {
+					edelta += r.tab.FlipDelta(lab, x0+2*j, y, ts.currents[j], next)
 				}
 				labs[c+2*j] = next
 				flips++
@@ -153,30 +153,30 @@ func (ts *shardTile) checker(tab *Tables, lab *img.Labels, color int, track bool
 }
 
 // raster runs sweep k as one full raster-scan Gibbs sweep of the grid: per
-// row it gathers the whole W×Labels candidate-energy block with one
-// LabelEnergiesRow call, then draws each pixel from its slot with Sample.
+// row it gathers the whole W×Labels candidate-energy block with one step-1
+// labelEnergiesSeg call, then draws each pixel from its slot with Sample.
 // The raster scan's only intra-row data dependence is the left neighbor, so
 // a slot is stale only when the immediately preceding pixel flipped — that
-// slot is recomputed through the exact per-pixel LabelEnergies path, keeping
+// slot is recomputed through the exact per-pixel labelEnergies path, keeping
 // every energy vector (and therefore every RNG draw) bit-identical to the
 // unfused loop. A sampler panic becomes an error locating its sweep and row;
 // the recover is armed once per sweep, outside the pixel loop.
-func (ts *shardTile) raster(k int, r *run, tab *Tables) (flips int, err error) {
+func (ts *shardTile) raster(k int, r *run) (flips int, err error) {
 	y := 0
 	defer func() {
 		if rec := recover(); rec != nil {
 			err = fmt.Errorf("mrf: sweep %d row %d panicked: %v", k, y, rec)
 		}
 	}()
-	lab := r.lab
-	L := tab.Labels()
+	lab, g := r.lab, r.gather
+	L := r.p.Labels
 	for ; y < lab.H; y++ {
-		tab.LabelEnergiesRow(ts.block, lab, y)
+		g.labelEnergiesSeg(ts.block, lab, y, 0, 1, lab.W)
 		prevFlipped := false
 		for x := 0; x < lab.W; x++ {
 			vec := ts.block[x*L : x*L+L]
 			if prevFlipped {
-				tab.LabelEnergies(vec, lab, x, y)
+				g.labelEnergies(vec, lab, x, y)
 			}
 			cur := lab.At(x, y)
 			next, serr := ts.sampler.Sample(vec, cur)
@@ -186,7 +186,7 @@ func (ts *shardTile) raster(k int, r *run, tab *Tables) (flips int, err error) {
 			prevFlipped = next != cur
 			if prevFlipped {
 				if r.track {
-					r.energy += tab.FlipDelta(lab, x, y, cur, next)
+					r.energy += r.tab.FlipDelta(lab, x, y, cur, next)
 				}
 				lab.Set(x, y, next)
 				flips++
@@ -218,7 +218,6 @@ func (ts *shardTile) raster(k int, r *run, tab *Tables) (flips int, err error) {
 // the driver reads the tiles' results after loading pending at zero.
 type shardPool struct {
 	r     *run
-	tab   *Tables
 	tiles []*shardTile
 	nexec int
 
@@ -267,7 +266,7 @@ func resolveExecutors(requested, tiles int) int {
 // tile i draws from run.samplers[i] — records its plan in run.plan and starts
 // the executors. Resuming a tile-engine snapshot checks every tile's recorded
 // halo against the restored grid first.
-func newShardPool(r *run, tab *Tables, geom shard.Geometry) (*shardPool, error) {
+func newShardPool(r *run, geom shard.Geometry) (*shardPool, error) {
 	plan, err := shard.NewPlan(geom, r.p.W, r.p.H)
 	if err != nil {
 		return nil, fmt.Errorf("mrf: %w", err)
@@ -294,7 +293,7 @@ func newShardPool(r *run, tab *Tables, geom shard.Geometry) (*shardPool, error) 
 
 	nexec := resolveExecutors(r.opts.executors, len(tiles))
 	pool := &shardPool{
-		r: r, tab: tab, tiles: tiles, nexec: nexec,
+		r: r, tiles: tiles, nexec: nexec,
 		errs:   make([]error, len(tiles)),
 		flips:  make([]int, len(tiles)),
 		edelta: make([]float64, len(tiles)),
@@ -381,7 +380,7 @@ func (pool *shardPool) computeColor(e, color int) {
 		if pool.errs[i] != nil {
 			continue // tile sits out after an error, but honors barriers
 		}
-		flips, edelta, err := pool.tiles[i].compute(pool.k, pool.r, pool.tab, color)
+		flips, edelta, err := pool.tiles[i].compute(pool.k, pool.r, color)
 		pool.flips[i] += flips
 		pool.edelta[i] += edelta
 		if err != nil {

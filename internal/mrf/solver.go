@@ -288,6 +288,41 @@ func prepare(p *Problem, sched Schedule, geom shard.Geometry, opts SolveOptions)
 	return lab, tab, nil
 }
 
+// gatherFor picks the form of the data term a solve with these samplers
+// reads and builds it on first use: the code form when every sampler takes
+// codes (takesCodes) and the problem qualifies for it, else the float form.
+// Either way every energy a sampler encodes gets the code it gets from the
+// float form, so the choice never shows in a draw.
+func (t *Tables) gatherFor(samplers []core.LabelSampler) energyGather {
+	if takesCodes(samplers) {
+		if codes := t.CodeSingles(); codes != nil {
+			return gather[uint8]{t: t, s: codes}
+		}
+	}
+	return t.floatGather()
+}
+
+// takesCodes reports whether every sampler sees its energies only as the
+// codes of a step-1 quantizer of at most 8 bits: a core.Config, reported
+// through a Config method, with EnergyBits in [1, 8] and EnergyMax
+// 2^EnergyBits − 1. A quantized core.Unit reads an energy only through its
+// encode, whatever its λ and time stages, so it draws the same from two
+// energies with one code. A sampler without the method (the software
+// baseline, or a wrapper that does not forward it) takes the float form.
+func takesCodes(samplers []core.LabelSampler) bool {
+	for _, s := range samplers {
+		c, ok := s.(interface{ Config() core.Config })
+		if !ok {
+			return false
+		}
+		cfg := c.Config()
+		if cfg.EnergyBits < 1 || cfg.EnergyBits > 8 || cfg.EnergyMax != float64(int(1)<<cfg.EnergyBits-1) {
+			return false
+		}
+	}
+	return true
+}
+
 // run is the annealing driver's state between sweeps: what the tile engine
 // advances and what the observers, captureState and the checkpoint hooks read.
 type run struct {
@@ -296,6 +331,10 @@ type run struct {
 	iters int // Schedule.Iterations
 	// lab is the global labeling; the tiles sweep it in place.
 	lab *img.Labels
+	// tab is the solve's tables and gather the energy stage its sweeps read
+	// (Tables.gatherFor).
+	tab    *Tables
+	gather energyGather
 	// samplers holds one sampler per RNG stream, stream i on tile i.
 	samplers []core.LabelSampler
 	// plan is the tile decomposition; a snapshot of a multi-tile plan
@@ -348,8 +387,8 @@ func anneal(ctx context.Context, p *Problem, factory func(stream int) core.Label
 	// executor count.
 	defer attachFaults(opts, samplers...)()
 
-	r := &run{p: p, opts: opts, iters: sched.Iterations, lab: lab, samplers: samplers,
-		ti: sched.iter(), track: opts.OnSweep != nil}
+	r := &run{p: p, opts: opts, iters: sched.Iterations, lab: lab, tab: tab, gather: tab.gatherFor(samplers),
+		samplers: samplers, ti: sched.iter(), track: opts.OnSweep != nil}
 	if r.track {
 		r.energy = tab.TotalEnergy(lab)
 	}
@@ -369,7 +408,7 @@ func anneal(ctx context.Context, p *Problem, factory func(stream int) core.Label
 		}
 	}
 
-	pool, err := newShardPool(r, tab, geom)
+	pool, err := newShardPool(r, geom)
 	if err != nil {
 		return nil, err
 	}

@@ -16,17 +16,19 @@ func hashSingleton(x, y, l int) float64 {
 	return math.Sin(float64(x*131+y*71+l*17)) * 97.3
 }
 
-// checkSinglesDirect fails unless tab.Singles holds Singleton(x, y, l) at
-// base(x, y) + l, bit for bit, for every entry.
+// checkSinglesDirect builds the float form of tab on first use and fails
+// unless it holds Singleton(x, y, l) at base(x, y) + l, bit for bit, for
+// every entry.
 func checkSinglesDirect(t *testing.T, name string, p *Problem, tab *Tables) {
 	t.Helper()
-	if len(tab.Singles) != p.W*p.H*p.Labels {
-		t.Fatalf("%s: %d singles, want %d", name, len(tab.Singles), p.W*p.H*p.Labels)
+	singles := tab.FloatSingles()
+	if len(singles) != p.W*p.H*p.Labels {
+		t.Fatalf("%s: %d singles, want %d", name, len(singles), p.W*p.H*p.Labels)
 	}
 	for y := 0; y < p.H; y++ {
 		for x := 0; x < p.W; x++ {
 			for l := 0; l < p.Labels; l++ {
-				if got, want := tab.Singles[p.base(x, y)+l], p.Singleton(x, y, l); math.Float64bits(got) != math.Float64bits(want) {
+				if got, want := singles[p.base(x, y)+l], p.Singleton(x, y, l); math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("%s: single (%d,%d,%d) = %v, direct %v", name, x, y, l, got, want)
 				}
 			}
@@ -34,10 +36,39 @@ func checkSinglesDirect(t *testing.T, name string, p *Problem, tab *Tables) {
 	}
 }
 
-// TestBuildTablesColorRuns pins the color-run layout of Tables.Singles.
-// For each shape the entry indices base(x, y)+l are a permutation of
-// [0, W·H·Labels); every entry equals Singleton(x, y, l) bit for bit from
-// the one-goroutine fill and from the banded fill (a row-multiplied copy of
+// codeSingleton is a pure data term that qualifies for the code form: the
+// magnitude of hashSingleton scaled to [0, 291.9], so about an eighth of its
+// entries saturate at 255.
+func codeSingleton(x, y, l int) float64 {
+	return math.Abs(hashSingleton(x, y, l)) * 3
+}
+
+// checkCodesDirect builds the code form of tab on first use and fails
+// unless it holds singleCode(Singleton(x, y, l)) at base(x, y) + l for
+// every entry.
+func checkCodesDirect(t *testing.T, name string, p *Problem, tab *Tables) {
+	t.Helper()
+	codes := tab.CodeSingles()
+	if len(codes) != p.W*p.H*p.Labels {
+		t.Fatalf("%s: %d codes, want %d", name, len(codes), p.W*p.H*p.Labels)
+	}
+	for y := 0; y < p.H; y++ {
+		for x := 0; x < p.W; x++ {
+			for l := 0; l < p.Labels; l++ {
+				want, ok := singleCode(p.Singleton(x, y, l))
+				if got := codes[p.base(x, y)+l]; !ok || got != want {
+					t.Fatalf("%s: code (%d,%d,%d) = %d, direct %d (qualifies %v)", name, x, y, l, got, want, ok)
+				}
+			}
+		}
+	}
+}
+
+// TestBuildTablesColorRuns pins the color-run layout of both forms of the
+// data term. For each shape the entry indices base(x, y)+l are a
+// permutation of [0, W·H·Labels); every float entry equals Singleton(x, y,
+// l) bit for bit, and every code entry its singleCode, from the
+// one-goroutine fill and from the banded fill (a row-multiplied copy of
 // the shape pushes the table past tableBandFloor), at GOMAXPROCS 1 and 4;
 // and every same-color stride-2 run of every row (the segments a checker
 // tile gathers) is one contiguous run of the table, color 0 first.
@@ -88,6 +119,9 @@ func checkColorRuns(t *testing.T, name string, p *Problem) {
 		}
 	}
 	checkSinglesDirect(t, name, p, p.BuildTables())
+	cp := *p
+	cp.Singleton = codeSingleton
+	checkCodesDirect(t, name+" codes", &cp, cp.BuildTables())
 }
 
 // tableBuildShapes returns grid shapes (W, H, Labels) for the banded build:
@@ -106,10 +140,10 @@ func tableBuildShapes(r *rand.Rand) [][3]int {
 	return shapes
 }
 
-// TestBuildTablesBandedMatchesDirect: the singles of BuildTables and
-// BuildTablesShared equal a direct per-entry evaluation bit for bit on
-// every shape, at GOMAXPROCS 1 and 4 — the band count never shows in the
-// table.
+// TestBuildTablesBandedMatchesDirect: both forms of the data term, from
+// BuildTables and from BuildTablesShared, equal a direct per-entry
+// evaluation on every shape, at GOMAXPROCS 1 and 4 — the band count never
+// shows in either table.
 func TestBuildTablesBandedMatchesDirect(t *testing.T) {
 	const seed = 1808
 	t.Logf("shape seed %d", seed)
@@ -126,49 +160,63 @@ func TestBuildTablesBandedMatchesDirect(t *testing.T) {
 					t.Fatal(err)
 				}
 				checkSinglesDirect(t, name+" shared", p, shared)
+				cp := *p
+				cp.Singleton = codeSingleton
+				checkCodesDirect(t, name+" codes", &cp, cp.BuildTables())
 			}
 		})
 	}
 }
 
-// TestBuildTablesConcurrentCallers: several goroutines building tables of
-// one problem at once each get a complete, correct table (run under -race by
-// make race-runtime).
+// TestBuildTablesConcurrentCallers: several goroutines first using both
+// forms of one shared Tables at once, built by BuildTables and by
+// BuildTablesShared, all get the one complete, correct form, built once
+// (run under -race by make race-runtime).
 func TestBuildTablesConcurrentCallers(t *testing.T) {
-	p := &Problem{W: 97, H: 61, Labels: 9, Singleton: hashSingleton, PairWeight: 1, Dist: Absolute}
+	p := &Problem{W: 97, H: 61, Labels: 9, Singleton: codeSingleton, PairWeight: 1, Dist: Absolute}
 	if p.W*p.H*p.Labels < tableBandFloor {
 		t.Fatal("problem below tableBandFloor would not exercise the banded build")
 	}
-	const callers = 4
-	tabs := make([]*Tables, callers)
+	shared, err := p.BuildTablesShared(p.BuildPairLUT())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tabs := []*Tables{p.BuildTables(), shared}
+	const callers = 8
+	floats := make([][]float64, callers)
+	codes := make([][]uint8, callers)
 	var wg sync.WaitGroup
-	for c := range tabs {
+	for c := 0; c < callers; c++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if c%2 == 0 {
-				tabs[c] = p.BuildTables()
-				return
+			tab := tabs[c%2]
+			if c%4 < 2 {
+				floats[c] = tab.FloatSingles()
+			} else {
+				codes[c] = tab.CodeSingles()
 			}
-			tab, err := p.BuildTablesShared(p.BuildPairLUT())
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			tabs[c] = tab
 		}()
 	}
 	wg.Wait()
-	if t.Failed() {
-		return
+	for c := 0; c < callers; c++ {
+		tab := tabs[c%2]
+		if c%4 < 2 && &floats[c][0] != &tab.Singles[0] {
+			t.Fatalf("caller %d got a float form other than the one the tables kept", c)
+		}
+		if c%4 >= 2 && &codes[c][0] != &tab.Codes[0] {
+			t.Fatalf("caller %d got a code form other than the one the tables kept", c)
+		}
 	}
-	for c, tab := range tabs {
-		checkSinglesDirect(t, fmt.Sprintf("caller %d", c), p, tab)
+	for i, tab := range tabs {
+		checkSinglesDirect(t, fmt.Sprintf("tables %d", i), p, tab)
+		checkCodesDirect(t, fmt.Sprintf("tables %d", i), p, tab)
 	}
 }
 
 // TestBuildTablesBandPanicReachesCaller: a Singleton panic in any band
-// surfaces on the goroutine that called BuildTables, as from a serial fill.
+// surfaces on the goroutine that first uses the form, as from a serial
+// fill.
 func TestBuildTablesBandPanicReachesCaller(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	p := &Problem{W: 97, H: 61, Labels: 9, PairWeight: 1, Dist: Absolute,
@@ -183,5 +231,5 @@ func TestBuildTablesBandPanicReachesCaller(t *testing.T) {
 			t.Fatalf("recovered %v, want the Singleton panic", r)
 		}
 	}()
-	p.BuildTables()
+	p.BuildTables().FloatSingles()
 }
