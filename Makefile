@@ -34,11 +34,13 @@ race:
 # one sweep engine, the tile-engine executor pool and its epoch barrier,
 # cancellation, panic-to-error, checkpoint and resume, run log, the
 # row-banded table build, the CLIs' shared flags), repeated to shake out
-# scheduling-dependent interleavings (DESIGN.md §9). The TestBarrier tests
+# scheduling-dependent interleavings (DESIGN.md §9), with the checker
+# tiles' steady-state allocation test and the windowed code gather's
+# exactness property on both gathers. The TestBarrier tests
 # force both park paths, run four executors on one P, and cancel or panic
 # while executors park or spin.
 race-runtime:
-	$(GO) test -race -count=3 -run 'TestSolve|TestBarrier|TestRunLog|TestOnSweep|TestSchedule|TestSharded|TestCheckpoint|TestSetTemperature|TestResume|TestBuildTablesBandedMatchesDirect|TestBuildTablesConcurrentCallers|TestBuildTablesColorRuns|TestTablesFirstUse|TestFlags|TestTimeout|TestStart|TestRegister' ./internal/mrf ./internal/runopt ./internal/apps
+	$(GO) test -race -count=3 -run 'TestSolve|TestBarrier|TestRunLog|TestOnSweep|TestSchedule|TestSharded|TestCheckpoint|TestSetTemperature|TestResume|TestBuildTablesBandedMatchesDirect|TestBuildTablesConcurrentCallers|TestBuildTablesColorRuns|TestTablesFirstUse|TestCheckerSweep|TestWindowedGather|TestFlags|TestTimeout|TestStart|TestRegister' ./internal/mrf ./internal/runopt ./internal/apps
 
 # The benchmark harness is its own module (perfbench/go.mod), so the root
 # build and test never compile it; vet and test it here so an internal API
@@ -97,8 +99,10 @@ cover:
 # kernel against the dense pipeline (draw for draw), the lambda converter, the
 # checkpoint snapshot decoder (truncation, bit flips, version skew), the
 # shard-plan geometry (exclusive full-grid tile coverage under arbitrary
-# dimensions), and the 8-bit code form of the data term (its exactness
-# margin). FUZZTIME sets the budget per target (default 30s above).
+# dimensions), the 8-bit code form of the data term (its exactness
+# margin), and the windowed code gather against the dense one (live sets,
+# codes and minima). FUZZTIME sets the budget per target (default 30s
+# above).
 fuzz:
 	$(GO) test ./internal/conformance -run '^$$' -fuzz FuzzUnitSample -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/conformance -run '^$$' -fuzz FuzzLiveKernel -fuzztime $(FUZZTIME)
@@ -106,6 +110,7 @@ fuzz:
 	$(GO) test ./internal/checkpoint -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/shard -run '^$$' -fuzz FuzzShardGeometry -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mrf -run '^$$' -fuzz FuzzCompactSingles -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/mrf -run '^$$' -fuzz FuzzWindowedGather -fuzztime $(FUZZTIME)
 
 # Short-budget fuzz pass for CI — the same recipe, smaller budget.
 fuzz-smoke:

@@ -14,6 +14,7 @@ import (
 	"rsu/internal/ret"
 	"rsu/internal/rng"
 	"rsu/internal/rsim"
+	"rsu/internal/shard"
 	"rsu/internal/synth"
 	"rsu/internal/uq"
 )
@@ -348,7 +349,8 @@ func BenchmarkSolveWithoutCollector(b *testing.B) { benchSolveWithCollector(b, f
 // 17 MB code form of the data term, which is still far past L2, so this is
 // the suite's one solve that streams the table from memory: the benchmark
 // for the gather's layout. It reports the bytes of each form the solves
-// built (float_B, code_B); the float form would be 138 MB.
+// built (float_B, code_B) and of the code form's window tables (window_B,
+// mostly one minimum single per pixel); the float form would be 138 MB.
 func BenchmarkSolveTeddyX10(b *testing.B) {
 	prob := stereo.BuildProblem(synth.Teddy(10), stereo.DefaultParams())
 	opts := mrf.SolveOptions{Tables: prob.BuildTables()}
@@ -367,8 +369,43 @@ func BenchmarkSolveTeddyX10(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(len(opts.Tables.Singles)*8), "float_B")
-	b.ReportMetric(float64(len(opts.Tables.Codes)), "code_B")
+	reportFormBytes(b, opts.Tables)
+}
+
+// BenchmarkSolveTeddyAnneal times the stereo app's whole solve of teddy ×1
+// (64×48 pixels, 56 labels, the app's 500-sweep schedule from T0 32) on
+// 2×1 tiles from prebuilt tables: the table fits in cache, so the
+// sampler, the gather and the barriers dominate. Most of its sweeps run
+// at temperatures where the cut-off leaves a few labels live, which the
+// checker tiles' windowed code gather exploits. It reports the same form
+// bytes as BenchmarkSolveTeddyX10.
+func BenchmarkSolveTeddyAnneal(b *testing.B) {
+	params := stereo.DefaultParams()
+	prob := stereo.BuildProblem(synth.Teddy(1), params)
+	opts := mrf.SolveOptions{Tables: prob.BuildTables(), Shards: shard.Geometry{Rows: 2, Cols: 1}}
+	factory := core.StreamFactory(1, func(src rng.Source) core.LabelSampler {
+		return core.MustUnit(core.NewRSUG(), src, true)
+	})
+	// A warm-up solve builds the form of the data term the solves read.
+	if _, err := mrf.Solve(context.Background(), prob, factory, params.Schedule, opts); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := mrf.Solve(context.Background(), prob, factory, params.Schedule, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportFormBytes(b, opts.Tables)
+}
+
+// reportFormBytes reports the bytes of each form of the data term tab has
+// built (float_B, code_B) and of the code form's window tables (window_B).
+func reportFormBytes(b *testing.B, tab *mrf.Tables) {
+	b.ReportMetric(float64(len(tab.Singles)*8), "float_B")
+	b.ReportMetric(float64(len(tab.Codes)), "code_B")
+	b.ReportMetric(float64(tab.WindowBytes()), "window_B")
 }
 
 func BenchmarkPerfModel(b *testing.B) {

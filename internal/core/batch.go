@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"rsu/internal/quant"
 	"rsu/internal/rng"
 )
 
@@ -99,6 +100,120 @@ func (u *Unit) SampleBatchMin(energies, mins []float64, stride int, currents, ou
 	return nil
 }
 
+// LiveCodeSampler is a sampler that takes each pixel's live labels from the
+// caller as 8-bit energy codes: the entry for a gather that finds the live
+// set itself (the tile engine's windowed code gather, DESIGN.md §15). The
+// tile engine probes for it once per tile, as it probes for
+// MinBatchSampler.
+type LiveCodeSampler interface {
+	// LiveCodeLimit returns the largest energy code that can still fire
+	// when a pixel's smallest energy code is min: min+K−1 under decay-rate
+	// scaling and K−1 without, where K is the LUT's cut index, or 255 when
+	// every code up to the quantizer's maximum can fire. A min above the
+	// maximum code reads as the maximum. ok is false when the unit does not
+	// draw through the cut-off-aware kernel (a FaultInjector attached, a
+	// boundary converter, continuous time, a LUT with interior zeros) or
+	// its codes do not fit in 8 bits; the caller then keeps SampleBatchMin.
+	LiveCodeLimit(min int) (limit int, ok bool)
+	// SampleLiveCodes draws one label per pixel from its live candidates.
+	// Pixel i's candidates are labels[ends[i-1]:ends[i]] (from 0 for pixel
+	// 0) in increasing label order, codes holds their energy codes (a code
+	// above the maximum reads as the maximum), mins[i] is the pixel's
+	// smallest energy code and stride its label count. Every candidate must
+	// be live, code ≤ LiveCodeLimit(mins[i]), and every live label a
+	// candidate. It consumes the RNG stream, and moves every counter,
+	// exactly as SampleBatchMin does on the pixels' dense energy block.
+	SampleLiveCodes(labels []int32, codes []uint8, ends []int32, mins []uint8, stride int, currents, out []int) error
+}
+
+// LiveCodeLimit implements LiveCodeSampler.
+func (u *Unit) LiveCodeLimit(min int) (limit int, ok bool) {
+	if !u.liveKernel() || u.emaxCode > 255 {
+		return 0, false
+	}
+	if !u.cfg.scalesEnergy() {
+		min = 0
+	}
+	if limit = quant.ClampInt(min, 0, u.emaxCode) + u.lutCut - 1; limit >= u.emaxCode {
+		return 255, true
+	}
+	return limit, true
+}
+
+// SampleLiveCodes implements LiveCodeSampler. Each candidate converts and
+// draws what sampleLive draws for it, in label order, and the cut-off
+// labels draw nothing, so the race, the RNG stream and every Stats counter
+// match SampleBatchMin.
+func (u *Unit) SampleLiveCodes(labels []int32, codes []uint8, ends []int32, mins []uint8, stride int, currents, out []int) error {
+	if _, ok := u.LiveCodeLimit(0); !ok {
+		return fmt.Errorf("core: SampleLiveCodes needs the cut-off-aware kernel with at most 8-bit energy codes")
+	}
+	switch {
+	case stride <= 0:
+		return fmt.Errorf("core: SampleLiveCodes stride must be positive, got %d", stride)
+	case len(out) != len(currents) || len(ends) < len(currents) || len(mins) < len(currents):
+		return fmt.Errorf("core: SampleLiveCodes has %d currents, %d outputs, %d ends and %d minima", len(currents), len(out), len(ends), len(mins))
+	case len(codes) != len(labels):
+		return fmt.Errorf("core: SampleLiveCodes has %d codes for %d labels", len(codes), len(labels))
+	}
+	u.ensureScratch(stride)
+	u.stats.Evaluations += len(currents)
+	u.stats.LabelEvals += len(currents) * stride
+	scales, maxCode, lt := u.cfg.scalesEnergy(), u.emaxCode, u.lutTable
+	start := 0
+	for i := range currents {
+		end := int(ends[i])
+		if end < start || end > len(labels) || end-start > stride {
+			return fmt.Errorf("core: SampleLiveCodes pixel %d candidates [%d, %d) out of range", i, start, end)
+		}
+		min := 0
+		if scales {
+			min = quant.ClampInt(int(mins[i]), 0, maxCode)
+		}
+		r := race{bin: math.MaxInt, tied: u.tiedBuf[:0]}
+		for k := start; k < end; k++ {
+			idx := quant.ClampInt(int(codes[k]), 0, maxCode) - min
+			if uint(idx) >= uint(u.lutCut) {
+				return fmt.Errorf("core: SampleLiveCodes pixel %d label %d: code %d is not live above minimum %d", i, labels[k], codes[k], min)
+			}
+			if b := u.liveBin(lt[idx]); b != 0 {
+				r.fire(int(labels[k]), b)
+			}
+		}
+		u.stats.Cutoffs += stride - (end - start)
+		out[i] = u.settle(&r, currents[i])
+		start = end
+	}
+	return nil
+}
+
+// liveBin is sampleLive's draw for one live label of decay-rate code c:
+// drawBinCode, inlined on the devirtualized xoshiro source when there is
+// one, so both draw the same bin from the same uniform.
+func (u *Unit) liveBin(c int) int {
+	x := u.srcX
+	if x == nil || c >= len(u.surv) || u.surv[c] == nil {
+		return u.drawBinCode(c)
+	}
+	s, g := u.surv[c], u.guide[c]
+	var v float64
+	for {
+		v = float64(x.Uint64()>>11) / (1 << 53)
+		if v > 0 {
+			break
+		}
+	}
+	b := int(g[int(v*(1<<guideBits))])
+	for b < len(s) && v < s[b] {
+		b++
+	}
+	if b == len(s) {
+		u.stats.Truncated++
+		return 0
+	}
+	return b
+}
+
 // SampleBatch is the software baseline's batched entry point: the Boltzmann
 // weights buffer is sized once per segment and each pixel performs exactly
 // the draws Sample would (one categorical draw per pixel).
@@ -160,5 +275,6 @@ func AsBatch(s LabelSampler) BatchSampler {
 
 var (
 	_ MinBatchSampler = (*Unit)(nil)
+	_ LiveCodeSampler = (*Unit)(nil)
 	_ BatchSampler    = (*SoftwareSampler)(nil)
 )

@@ -419,3 +419,138 @@ func boolInt(b bool) int {
 	}
 	return 0
 }
+
+// TestSampleLiveCodesMatchesBatchMin draws random blocks of integer
+// energies (the code form's sums, up to past saturation) through
+// SampleBatchMin on one unit and, as live sets filtered against
+// LiveCodeLimit, through SampleLiveCodes on another from the same seed, and
+// requires the same labels, RNG state and Stats after every block, over
+// temperatures from 32 down to 1e-4: every live code limit from "all live"
+// (255) down to the minimum alone. The 4-bit case saturates its codes
+// below the 255 the caller saturates at.
+func TestSampleLiveCodesMatchesBatchMin(t *testing.T) {
+	firstWins := NewRSUG()
+	firstWins.Tie = TieFirstWins
+	noScale := NewRSUG()
+	noScale.Mode = ConvertCutoffNoScale
+	fourBit := NewRSUG()
+	fourBit.EnergyBits, fourBit.EnergyMax = 4, 15
+	hiRes := Config{Name: "hi-res", EnergyBits: 8, EnergyMax: 255,
+		LambdaBits: 6, Mode: ConvertScaledCutoff, TimeBits: 8, Truncation: 0.1, Tie: TieRandom}
+	for _, tc := range []struct {
+		name    string
+		cfg     Config
+		wrapped bool
+	}{
+		{"new", NewRSUG(), false},
+		{"new-wrapped-source", NewRSUG(), true},
+		{"new-first-wins", firstWins, false},
+		{"cutoff-no-scale", noScale, false},
+		{"four-bit", fourBit, false},
+		{"hi-res", hiRes, false},
+		{"prev-all-live", PrevRSUG(), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			gen := rng.NewXoshiro256(17)
+			xa, xb := rng.NewXoshiro256(5), rng.NewXoshiro256(5)
+			var sa, sb rng.Source = xa, xb
+			if tc.wrapped {
+				sa, sb = wrappedSource{xa}, wrappedSource{xb}
+			}
+			a, b := MustUnit(tc.cfg, sa, true), MustUnit(tc.cfg, sb, true)
+			partial := 0
+			for T := 32.0; T >= 1e-4; T /= 2 {
+				MustSetTemperature(a, T)
+				MustSetTemperature(b, T)
+				for trial := 0; trial < 40; trial++ {
+					labels, n := 2+rng.Intn(gen, 63), 1+rng.Intn(gen, 8)
+					energies := make([]float64, n*labels)
+					spread := 1 + rng.Intn(gen, 400)
+					for i := range energies {
+						energies[i] = float64(rng.Intn(gen, spread))
+					}
+					mins := make([]float64, n)
+					var cands []int32
+					var codes []uint8
+					ends, minCodes := make([]int32, n), make([]uint8, n)
+					for i := range mins {
+						vec := energies[i*labels : (i+1)*labels]
+						mins[i] = refMin(vec)
+						minCodes[i] = uint8(min(mins[i], 255))
+						limit, ok := a.LiveCodeLimit(int(minCodes[i]))
+						if !ok {
+							t.Fatalf("T=%v: LiveCodeLimit reports no live kernel", T)
+						}
+						for l, e := range vec {
+							if limit >= 255 || e <= float64(limit) {
+								cands, codes = append(cands, int32(l)), append(codes, uint8(min(e, 255)))
+							}
+						}
+						if limit < 255 {
+							partial++
+						}
+						ends[i] = int32(len(cands))
+					}
+					cur := make([]int, n)
+					for i := range cur {
+						cur[i] = rng.Intn(gen, labels)
+					}
+					outA, outB := make([]int, n), make([]int, n)
+					if err := a.SampleLiveCodes(cands, codes, ends, minCodes, labels, cur, outA); err != nil {
+						t.Fatal(err)
+					}
+					if err := b.SampleBatchMin(energies, mins, labels, cur, outB); err != nil {
+						t.Fatal(err)
+					}
+					for i := range outA {
+						if outA[i] != outB[i] {
+							t.Fatalf("T=%v trial %d pixel %d: SampleLiveCodes %d, SampleBatchMin %d", T, trial, i, outA[i], outB[i])
+						}
+					}
+					if xa.State() != xb.State() || a.Stats() != b.Stats() {
+						t.Fatalf("T=%v trial %d: rng equal %v\nlive codes %+v\nbatch min  %+v", T, trial, xa.State() == xb.State(), a.Stats(), b.Stats())
+					}
+				}
+			}
+			if tc.name != "prev-all-live" && partial == 0 {
+				t.Fatal("no pixel had a live code limit below 255")
+			}
+		})
+	}
+}
+
+// TestLiveCodeLimitOnlyLiveKernel checks that LiveCodeLimit reports false
+// for every unit that does not draw through the cut-off-aware kernel or
+// whose codes pass 8 bits, and that SampleLiveCodes rejects a cut-off
+// candidate.
+func TestLiveCodeLimitOnlyLiveKernel(t *testing.T) {
+	wide := NewRSUG()
+	wide.EnergyBits, wide.EnergyMax = 10, 1023
+	continuous := NewRSUG()
+	continuous.TimeBits = 0
+	faulty := MustUnit(NewRSUG(), rng.NewXoshiro256(1), true)
+	faulty.SetFaultInjector(zeroRateInjector{})
+	for name, u := range map[string]*Unit{
+		"boundary-converter": MustUnit(NewRSUG(), rng.NewXoshiro256(1), false),
+		"fault-injector":     faulty,
+		"continuous-time":    MustUnit(continuous, rng.NewXoshiro256(1), true),
+		"10-bit":             MustUnit(wide, rng.NewXoshiro256(1), true),
+	} {
+		if _, ok := u.LiveCodeLimit(0); ok {
+			t.Errorf("%s: LiveCodeLimit ok, want false", name)
+		}
+		if err := u.SampleLiveCodes(nil, nil, []int32{0}, []uint8{0}, 4, []int{0}, []int{0}); err == nil {
+			t.Errorf("%s: SampleLiveCodes accepted a unit without the live kernel", name)
+		}
+	}
+	u := MustUnit(NewRSUG(), rng.NewXoshiro256(1), true)
+	MustSetTemperature(u, 0.5)
+	limit, ok := u.LiveCodeLimit(10)
+	if !ok || limit >= 255 {
+		t.Fatalf("T=0.5: LiveCodeLimit(10) = %d, %v; want a cut", limit, ok)
+	}
+	err := u.SampleLiveCodes([]int32{0, 1}, []uint8{10, uint8(limit + 1)}, []int32{2}, []uint8{10}, 4, []int{0}, []int{0})
+	if err == nil {
+		t.Fatal("SampleLiveCodes accepted a candidate past the live code limit")
+	}
+}

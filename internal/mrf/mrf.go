@@ -143,7 +143,10 @@ func (p *Problem) base(x, y int) int {
 // the energies only through a step-1 quantizer of at most 8 bits and the
 // problem qualifies (see singleCode and pairsQualify), the float form
 // otherwise. Both give every quantized sampler the same energy codes
-// (DESIGN.md §15).
+// (DESIGN.md §15). When the pair LUT is narrow, every row constant outside
+// a span of under a quarter of the labels, the code form is built with
+// window tables, through which a multi-tile solve's checker tiles sum and
+// scan only the labels that can be live; the draws stay exact.
 type Tables struct {
 	p *Problem
 	// Singles is the float form of the data term, nil until FloatSingles
@@ -163,6 +166,11 @@ type Tables struct {
 	// energy of label l against neighbor label nb (weight and truncation
 	// applied), laid out so one neighbor's row is contiguous.
 	Pair []float64
+	// win holds the window tables, built with Codes when the pair LUT is
+	// narrow (narrowWindow): each pair row's constant and the span where it
+	// differs from it, the pair LUT as bytes, and each pixel's minimum
+	// single code. nil otherwise.
+	win *window
 
 	// mu serializes the form builds. floatBuilt is stored after Singles is
 	// written and codesDone after Codes is (left nil when the problem does
@@ -261,11 +269,25 @@ func (t *Tables) buildCodes() []uint8 {
 	defer t.mu.Unlock()
 	if !t.codesDone.Load() {
 		if pairsQualify(t.Pair) {
-			t.Codes = t.p.codeTable()
+			w, widest := pairWindow(t.Pair, t.p.Labels)
+			narrow := narrowWindow(widest, t.p.Labels)
+			t.Codes, w.minS = t.p.codeTable(narrow)
+			if narrow && t.Codes != nil {
+				t.win = w
+			}
 		}
 		t.codesDone.Store(true)
 	}
 	return t.Codes
+}
+
+// WindowBytes returns the size of the window tables the code form was
+// built with, or 0 when it has none (or is not built).
+func (t *Tables) WindowBytes() int {
+	if !t.codesDone.Load() || t.win == nil {
+		return 0
+	}
+	return t.win.bytes()
 }
 
 // builtFloats returns the float form when it has been built, else nil.

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"rsu/internal/core"
 	"rsu/internal/shard"
@@ -31,6 +32,14 @@ type shardTile struct {
 	// minSampler is sampler when it takes the gather's per-slot minima
 	// (core.MinBatchSampler), else nil.
 	minSampler core.MinBatchSampler
+	// win is the run's windowed code gather and live the sampler, when the
+	// run has one and the sampler takes live sets (core.LiveCodeSampler);
+	// both nil otherwise. limits memoizes live's limits over a stage and
+	// cand is the segment's live sets.
+	win    *windowed
+	live   core.LiveCodeSampler
+	limits liveLimits
+	cand   candidates
 	// cells[color] lists owned cells of global parity (gx+gy)%2 == color as
 	// global linear indices y*W+x, row-major — the same order the monolithic
 	// checkerboard visits them.
@@ -46,13 +55,17 @@ type shardTile struct {
 	block []float64
 }
 
-func newShardTile(t shard.Tile, w, labels int, sampler core.LabelSampler, raster bool) *shardTile {
+func newShardTile(t shard.Tile, w, labels int, sampler core.LabelSampler, raster bool, win *windowed) *shardTile {
 	st := &shardTile{t: t, sampler: core.AsBatch(sampler)}
 	if raster {
 		st.block = make([]float64, w*labels)
 		return st
 	}
 	st.minSampler, _ = sampler.(core.MinBatchSampler)
+	if live, ok := sampler.(core.LiveCodeSampler); ok && win != nil {
+		st.win, st.live, st.limits.s = win, live, live
+		st.cand = newCandidates((t.W()+1)/2, labels)
+	}
 	for color := 0; color < 2; color++ {
 		cs := make([]int, 0, (t.W()*t.H()+1)/2)
 		for gy := t.Y0; gy < t.Y1; gy++ {
@@ -68,11 +81,21 @@ func newShardTile(t shard.Tile, w, labels int, sampler core.LabelSampler, raster
 		st.cells[color] = cs
 	}
 	segCap := (t.W() + 1) / 2
-	st.energies = make([]float64, segCap*labels)
-	st.mins = make([]float64, segCap)
-	st.currents = make([]int, segCap)
-	st.out = make([]int, segCap)
+	st.energies = tileScratch[float64](segCap * labels)
+	st.mins = tileScratch[float64](segCap)
+	st.currents = tileScratch[int](segCap)
+	st.out = tileScratch[int](segCap)
 	return st
+}
+
+// tileScratch returns n zero Ts in an allocation of whole cache lines. Go
+// serves a request of whole 64-byte lines from a size class of whole lines,
+// so one tile's scratch never shares a line with another's: executors
+// write their tiles' scratch at once, and on small tiles two buffers in one
+// line made the checker sweep measurably slower.
+func tileScratch[T int | int32 | uint8 | float64](n int) []T {
+	size := int(unsafe.Sizeof(T(0)))
+	return make([]T, n, (n*size+63)/64*64/size)
 }
 
 // compute runs the tile's color-c stage of sweep k on run r's grid and
@@ -94,7 +117,10 @@ func (ts *shardTile) compute(k int, r *run, color int) (flips int, edelta float6
 // grid: maximal same-row stride-2 segments are gathered with one
 // labelEnergiesSeg call and drawn with one SampleBatch call — or, for a
 // core.MinBatchSampler, gathered with their minima and drawn with one
-// SampleBatchMin call. Within a color
+// SampleBatchMin call, or, with a windowed gather whose sampler's cut-off
+// leaves some labels out at this temperature (a live code limit below 255
+// at minimum code 0), gathered as their live sets and drawn with one
+// SampleLiveCodes call. Within a color
 // phase no cell's neighbors change (they are all the other color), so
 // batch-gathering a whole segment before drawing it yields exactly the
 // energies — and therefore the RNG draws — of a per-pixel loop. The tile
@@ -114,6 +140,12 @@ func (ts *shardTile) checker(r *run, color int) (flips int, edelta float64, err 
 	w := lab.W
 	labs := lab.L
 	cells := ts.cells[color]
+	windowed := false
+	if ts.live != nil {
+		limit, ok := ts.live.LiveCodeLimit(0)
+		windowed = ok && limit < 255
+		ts.limits.reset()
+	}
 	for i := 0; i < len(cells); {
 		c := cells[i]
 		x0, y := c%w, c/w
@@ -128,10 +160,16 @@ func (ts *shardTile) checker(r *run, color int) (flips int, edelta float64, err 
 			ts.currents[j] = labs[c+2*j]
 		}
 		var serr error
-		if ts.minSampler != nil {
+		switch {
+		case windowed:
+			cd := &ts.cand
+			ts.win.segment(cd, lab, y, x0, n, &ts.limits)
+			k := cd.ends[n-1]
+			serr = ts.live.SampleLiveCodes(cd.labels[:k], cd.codes[:k], cd.ends[:n], cd.mins[:n], L, ts.currents[:n], ts.out[:n])
+		case ts.minSampler != nil:
 			g.labelEnergiesSegMin(ts.energies[:n*L], ts.mins[:n], lab, y, x0, 2, n)
 			serr = ts.minSampler.SampleBatchMin(ts.energies[:n*L], ts.mins[:n], L, ts.currents[:n], ts.out[:n])
-		} else {
+		default:
 			g.labelEnergiesSeg(ts.energies[:n*L], lab, y, x0, 2, n)
 			serr = ts.sampler.SampleBatch(ts.energies[:n*L], L, ts.currents[:n], ts.out[:n])
 		}
@@ -287,7 +325,7 @@ func newShardPool(r *run, geom shard.Geometry) (*shardPool, error) {
 	}
 	tiles := make([]*shardTile, len(plan.Tiles))
 	for i, t := range plan.Tiles {
-		tiles[i] = newShardTile(t, r.p.W, r.p.Labels, r.samplers[i], len(plan.Tiles) == 1)
+		tiles[i] = newShardTile(t, r.p.W, r.p.Labels, r.samplers[i], len(plan.Tiles) == 1, r.win)
 	}
 	r.plan = plan
 

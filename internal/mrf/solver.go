@@ -206,6 +206,11 @@ type SolveOptions struct {
 	// fixed geometry and seed the result is bit-exactly reproducible at any
 	// executor count. Workers is ignored when Shards is set.
 	Shards shard.Geometry
+	// denseCodes turns the windowed code gather off, so the checker tiles
+	// gather every label even when the code form has window tables — an
+	// in-package test seam the exactness tests compare the two gathers
+	// through.
+	denseCodes bool
 	// shardPhaseHook, when non-nil, observes the labeling after every
 	// color-phase barrier of the tile engine — a test-only seam the property
 	// test uses to compare against a whole-grid checkerboard reference at
@@ -302,6 +307,17 @@ func (t *Tables) gatherFor(samplers []core.LabelSampler) energyGather {
 	return t.floatGather()
 }
 
+// windowFor returns the windowed gather the checker tiles of a solve that
+// reads g take, or nil: it needs the code form with window tables, and
+// opts not to turn it off.
+func (t *Tables) windowFor(g energyGather, opts SolveOptions) *windowed {
+	cg, ok := g.(gather[uint8])
+	if !ok || t.win == nil || opts.denseCodes {
+		return nil
+	}
+	return &windowed{t: t, codes: cg.s, w: t.win}
+}
+
 // takesCodes reports whether every sampler sees its energies only as the
 // codes of a step-1 quantizer of at most 8 bits: a core.Config, reported
 // through a Config method, with EnergyBits in [1, 8] and EnergyMax
@@ -335,6 +351,8 @@ type run struct {
 	// (Tables.gatherFor).
 	tab    *Tables
 	gather energyGather
+	// win is the checker tiles' windowed gather (Tables.windowFor), or nil.
+	win *windowed
 	// samplers holds one sampler per RNG stream, stream i on tile i.
 	samplers []core.LabelSampler
 	// plan is the tile decomposition; a snapshot of a multi-tile plan
@@ -389,6 +407,7 @@ func anneal(ctx context.Context, p *Problem, factory func(stream int) core.Label
 
 	r := &run{p: p, opts: opts, iters: sched.Iterations, lab: lab, tab: tab, gather: tab.gatherFor(samplers),
 		samplers: samplers, ti: sched.iter(), track: opts.OnSweep != nil}
+	r.win = tab.windowFor(r.gather, opts)
 	if r.track {
 		r.energy = tab.TotalEnergy(lab)
 	}

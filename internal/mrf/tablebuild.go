@@ -79,39 +79,48 @@ func (p *Problem) fillSingles(tab []float64, y0, y1 int) {
 }
 
 // codeTable builds the code form of the data term, each single s stored as
-// singleCode(s) in the layout of singletonTable, in row bands. It returns
-// nil when some single does not qualify; every band then stops at its next
-// row.
-func (p *Problem) codeTable() []uint8 {
-	tab := make([]uint8, p.W*p.H*p.Labels)
+// singleCode(s) in the layout of singletonTable, in row bands, and, when
+// withMins, each pixel's minimum code in the same pixel order (window.minS).
+// It returns nil tables when some single does not qualify; every band then
+// stops at its next row.
+func (p *Problem) codeTable(withMins bool) (tab, mins []uint8) {
+	tab = make([]uint8, p.W*p.H*p.Labels)
+	if withMins {
+		mins = make([]uint8, p.W*p.H)
+	}
 	var rejected atomic.Bool
 	p.inBands(func(y0, y1 int) {
 		for y := y0; y < y1 && !rejected.Load(); y++ {
-			if !p.fillCodes(tab, y) {
+			if !p.fillCodes(tab, mins, y) {
 				rejected.Store(true)
 			}
 		}
 	})
 	if rejected.Load() {
-		return nil
+		return nil, nil
 	}
-	return tab
+	return tab, mins
 }
 
-// fillCodes writes the codes of row y into tab in fillSingles' order and
-// reports whether every single of the row qualifies, stopping at the first
-// that does not.
-func (p *Problem) fillCodes(tab []uint8, y int) bool {
+// fillCodes writes the codes of row y into tab in fillSingles' order, and
+// each pixel's minimum code into mins unless it is nil, and reports whether
+// every single of the row qualifies, stopping at the first that does not.
+func (p *Problem) fillCodes(tab, mins []uint8, y int) bool {
 	i := y * p.W * p.Labels
 	for color := 0; color < 2; color++ {
 		for x := (y + color) & 1; x < p.W; x += 2 {
+			m := uint8(255)
 			for l := 0; l < p.Labels; l++ {
 				c, ok := singleCode(p.Singleton(x, y, l))
 				if !ok {
 					return false
 				}
 				tab[i] = c
+				m = min(m, c)
 				i++
+			}
+			if mins != nil {
+				mins[i/p.Labels-1] = m
 			}
 		}
 	}
