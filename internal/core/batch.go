@@ -106,38 +106,51 @@ func (u *Unit) SampleBatchMin(energies, mins []float64, stride int, currents, ou
 // tile engine probes for it once per tile, as it probes for
 // MinBatchSampler.
 type LiveCodeSampler interface {
-	// LiveCodeLimit returns the largest energy code that can still fire
-	// when a pixel's smallest energy code is min: min+K−1 under decay-rate
-	// scaling and K−1 without, where K is the LUT's cut index, or 255 when
-	// every code up to the quantizer's maximum can fire. A min above the
-	// maximum code reads as the maximum. ok is false when the unit does not
-	// draw through the cut-off-aware kernel (a FaultInjector attached, a
-	// boundary converter, continuous time, a LUT with interior zeros) or
+	// LiveCut returns the unit's cut-off at its present temperature, which
+	// holds until the temperature changes. ok is false when the unit does
+	// not draw through the cut-off-aware kernel (a FaultInjector attached,
+	// a boundary converter, continuous time, a LUT with interior zeros) or
 	// its codes do not fit in 8 bits; the caller then keeps SampleBatchMin.
-	LiveCodeLimit(min int) (limit int, ok bool)
+	LiveCut() (cut LiveCut, ok bool)
 	// SampleLiveCodes draws one label per pixel from its live candidates.
 	// Pixel i's candidates are labels[ends[i-1]:ends[i]] (from 0 for pixel
 	// 0) in increasing label order, codes holds their energy codes (a code
 	// above the maximum reads as the maximum), mins[i] is the pixel's
 	// smallest energy code and stride its label count. Every candidate must
-	// be live, code ≤ LiveCodeLimit(mins[i]), and every live label a
+	// be live, code ≤ LiveCut().Limit(mins[i]), and every live label a
 	// candidate. It consumes the RNG stream, and moves every counter,
 	// exactly as SampleBatchMin does on the pixels' dense energy block.
 	SampleLiveCodes(labels []int32, codes []uint8, ends []int32, mins []uint8, stride int, currents, out []int) error
 }
 
-// LiveCodeLimit implements LiveCodeSampler.
-func (u *Unit) LiveCodeLimit(min int) (limit int, ok bool) {
-	if !u.liveKernel() || u.emaxCode > 255 {
-		return 0, false
-	}
-	if !u.cfg.scalesEnergy() {
+// LiveCut is a unit's probability cut-off on energy codes: K is its LUT's
+// cut index, MaxCode its quantizer's maximum code, and Scales whether it
+// subtracts the minimum code before the LUT (decay-rate scaling).
+type LiveCut struct {
+	K, MaxCode int
+	Scales     bool
+}
+
+// Limit returns the largest energy code that can still fire when a pixel's
+// smallest energy code is min ≥ 0: min+K−1 under decay-rate scaling and
+// K−1 without, or 255 when every code up to MaxCode can fire. A min above
+// MaxCode reads as MaxCode.
+func (c LiveCut) Limit(min int) int {
+	if !c.Scales {
 		min = 0
 	}
-	if limit = quant.ClampInt(min, 0, u.emaxCode) + u.lutCut - 1; limit >= u.emaxCode {
-		return 255, true
+	if limit := quant.ClampInt(min, 0, c.MaxCode) + c.K - 1; limit < c.MaxCode {
+		return limit
 	}
-	return limit, true
+	return 255
+}
+
+// LiveCut implements LiveCodeSampler.
+func (u *Unit) LiveCut() (LiveCut, bool) {
+	if !u.liveKernel() || u.emaxCode > 255 {
+		return LiveCut{}, false
+	}
+	return LiveCut{K: u.lutCut, MaxCode: u.emaxCode, Scales: u.cfg.scalesEnergy()}, true
 }
 
 // SampleLiveCodes implements LiveCodeSampler. Each candidate converts and
@@ -145,7 +158,7 @@ func (u *Unit) LiveCodeLimit(min int) (limit int, ok bool) {
 // labels draw nothing, so the race, the RNG stream and every Stats counter
 // match SampleBatchMin.
 func (u *Unit) SampleLiveCodes(labels []int32, codes []uint8, ends []int32, mins []uint8, stride int, currents, out []int) error {
-	if _, ok := u.LiveCodeLimit(0); !ok {
+	if _, ok := u.LiveCut(); !ok {
 		return fmt.Errorf("core: SampleLiveCodes needs the cut-off-aware kernel with at most 8-bit energy codes")
 	}
 	switch {
@@ -187,9 +200,10 @@ func (u *Unit) SampleLiveCodes(labels []int32, codes []uint8, ends []int32, mins
 	return nil
 }
 
-// liveBin is sampleLive's draw for one live label of decay-rate code c:
-// drawBinCode, inlined on the devirtualized xoshiro source when there is
-// one, so both draw the same bin from the same uniform.
+// liveBin is the draw of one live label of decay-rate code c, for
+// sampleLive and SampleLiveCodes alike: drawBinCode, inlined on the
+// devirtualized xoshiro source when there is one (the same uniform, guided
+// scan and bin), and 0 when the label does not fire.
 func (u *Unit) liveBin(c int) int {
 	x := u.srcX
 	if x == nil || c >= len(u.surv) || u.surv[c] == nil {

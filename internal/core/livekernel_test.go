@@ -423,7 +423,7 @@ func boolInt(b bool) int {
 // TestSampleLiveCodesMatchesBatchMin draws random blocks of integer
 // energies (the code form's sums, up to past saturation) through
 // SampleBatchMin on one unit and, as live sets filtered against
-// LiveCodeLimit, through SampleLiveCodes on another from the same seed, and
+// LiveCut, through SampleLiveCodes on another from the same seed, and
 // requires the same labels, RNG state and Stats after every block, over
 // temperatures from 32 down to 1e-4: every live code limit from "all live"
 // (255) down to the minimum alone. The 4-bit case saturates its codes
@@ -477,10 +477,11 @@ func TestSampleLiveCodesMatchesBatchMin(t *testing.T) {
 						vec := energies[i*labels : (i+1)*labels]
 						mins[i] = refMin(vec)
 						minCodes[i] = uint8(min(mins[i], 255))
-						limit, ok := a.LiveCodeLimit(int(minCodes[i]))
+						cut, ok := a.LiveCut()
 						if !ok {
-							t.Fatalf("T=%v: LiveCodeLimit reports no live kernel", T)
+							t.Fatalf("T=%v: LiveCut reports no live kernel", T)
 						}
+						limit := cut.Limit(int(minCodes[i]))
 						for l, e := range vec {
 							if limit >= 255 || e <= float64(limit) {
 								cands, codes = append(cands, int32(l)), append(codes, uint8(min(e, 255)))
@@ -519,11 +520,11 @@ func TestSampleLiveCodesMatchesBatchMin(t *testing.T) {
 	}
 }
 
-// TestLiveCodeLimitOnlyLiveKernel checks that LiveCodeLimit reports false
+// TestLiveCutOnlyLiveKernel checks that LiveCut reports false
 // for every unit that does not draw through the cut-off-aware kernel or
 // whose codes pass 8 bits, and that SampleLiveCodes rejects a cut-off
 // candidate.
-func TestLiveCodeLimitOnlyLiveKernel(t *testing.T) {
+func TestLiveCutOnlyLiveKernel(t *testing.T) {
 	wide := NewRSUG()
 	wide.EnergyBits, wide.EnergyMax = 10, 1023
 	continuous := NewRSUG()
@@ -536,8 +537,8 @@ func TestLiveCodeLimitOnlyLiveKernel(t *testing.T) {
 		"continuous-time":    MustUnit(continuous, rng.NewXoshiro256(1), true),
 		"10-bit":             MustUnit(wide, rng.NewXoshiro256(1), true),
 	} {
-		if _, ok := u.LiveCodeLimit(0); ok {
-			t.Errorf("%s: LiveCodeLimit ok, want false", name)
+		if _, ok := u.LiveCut(); ok {
+			t.Errorf("%s: LiveCut ok, want false", name)
 		}
 		if err := u.SampleLiveCodes(nil, nil, []int32{0}, []uint8{0}, 4, []int{0}, []int{0}); err == nil {
 			t.Errorf("%s: SampleLiveCodes accepted a unit without the live kernel", name)
@@ -545,10 +546,11 @@ func TestLiveCodeLimitOnlyLiveKernel(t *testing.T) {
 	}
 	u := MustUnit(NewRSUG(), rng.NewXoshiro256(1), true)
 	MustSetTemperature(u, 0.5)
-	limit, ok := u.LiveCodeLimit(10)
-	if !ok || limit >= 255 {
-		t.Fatalf("T=0.5: LiveCodeLimit(10) = %d, %v; want a cut", limit, ok)
+	cut, ok := u.LiveCut()
+	if limit := cut.Limit(10); !ok || limit >= 255 {
+		t.Fatalf("T=0.5: LiveCut() = %+v, %v, limit %d at 10; want a cut", cut, ok, limit)
 	}
+	limit := cut.Limit(10)
 	err := u.SampleLiveCodes([]int32{0, 1}, []uint8{10, uint8(limit + 1)}, []int32{2}, []uint8{10}, 4, []int{0}, []int{0})
 	if err == nil {
 		t.Fatal("SampleLiveCodes accepted a candidate past the live code limit")

@@ -523,50 +523,23 @@ func (u *Unit) sampleLive(energies []float64, current int, fmin float64, given b
 	}
 
 	lt := u.lutTable
-	x := u.srcX
-	surv, guide := u.surv, u.guide
 	r := race{bin: math.MaxInt, tied: u.tiedBuf[:0]}
 	live := 0
 	for k := 0; ; k++ {
 		// Skip the cut-off labels in a loop of their own over the
-		// contiguous energies: it keeps k in a register, where the draw
-		// below would spill it to the stack on every label.
+		// contiguous energies: it keeps k in a register, where the draw's
+		// call below would spill it to the stack on every label.
 		for k < len(vals) && vals[k] > hi {
 			k++
 		}
 		if k == len(vals) {
 			break
 		}
-		i, e := cand[k], vals[k]
 		live++
 		// ec - min < K, so the LUT index is in range and the code is
 		// non-zero.
-		c := lt[encodeEnergy(e, scale, emax, maxCode)-min]
-		var b int
-		if x != nil && c < len(surv) && surv[c] != nil {
-			// drawBinCode inlined on the devirtualized xoshiro source:
-			// same uniform construction, same guided scan, same bin.
-			s, g := surv[c], guide[c]
-			var v float64
-			for {
-				v = float64(x.Uint64()>>11) / (1 << 53)
-				if v > 0 {
-					break
-				}
-			}
-			b = int(g[int(v*(1<<guideBits))])
-			for b < len(s) && v < s[b] {
-				b++
-			}
-			if b == len(s) {
-				u.stats.Truncated++
-				b = 0
-			}
-		} else {
-			b = u.drawBinCode(c)
-		}
-		if b != 0 {
-			r.fire(i, b)
+		if b := u.liveBin(lt[encodeEnergy(vals[k], scale, emax, maxCode)-min]); b != 0 {
+			r.fire(cand[k], b)
 		}
 	}
 	u.stats.Cutoffs += len(energies) - live

@@ -143,10 +143,9 @@ func (p *Problem) base(x, y int) int {
 // the energies only through a step-1 quantizer of at most 8 bits and the
 // problem qualifies (see singleCode and pairsQualify), the float form
 // otherwise. Both give every quantized sampler the same energy codes
-// (DESIGN.md §15). When the pair LUT is narrow, every row constant outside
-// a span of under a quarter of the labels, the code form is built with
-// window tables, through which a multi-tile solve's checker tiles sum and
-// scan only the labels that can be live; the draws stay exact.
+// (DESIGN.md §15). The code form is built with window tables, through
+// which a multi-tile solve's checker tiles sum and scan only the labels
+// that can be live; the draws stay exact.
 type Tables struct {
 	p *Problem
 	// Singles is the float form of the data term, nil until FloatSingles
@@ -166,10 +165,9 @@ type Tables struct {
 	// energy of label l against neighbor label nb (weight and truncation
 	// applied), laid out so one neighbor's row is contiguous.
 	Pair []float64
-	// win holds the window tables, built with Codes when the pair LUT is
-	// narrow (narrowWindow): each pair row's constant and the span where it
-	// differs from it, the pair LUT as bytes, and each pixel's minimum
-	// single code. nil otherwise.
+	// win holds the window tables, built with Codes: each pair row's
+	// constant and the span where it differs from it, the pair LUT as
+	// bytes, and each pixel's minimum single code. nil while Codes is.
 	win *window
 
 	// mu serializes the form builds. floatBuilt is stored after Singles is
@@ -269,10 +267,8 @@ func (t *Tables) buildCodes() []uint8 {
 	defer t.mu.Unlock()
 	if !t.codesDone.Load() {
 		if pairsQualify(t.Pair) {
-			w, widest := pairWindow(t.Pair, t.p.Labels)
-			narrow := narrowWindow(widest, t.p.Labels)
-			t.Codes, w.minS = t.p.codeTable(narrow)
-			if narrow && t.Codes != nil {
+			w := pairWindow(t.Pair, t.p.Labels)
+			if t.Codes, w.minS = t.p.codeTable(); t.Codes != nil {
 				t.win = w
 			}
 		}
@@ -282,7 +278,7 @@ func (t *Tables) buildCodes() []uint8 {
 }
 
 // WindowBytes returns the size of the window tables the code form was
-// built with, or 0 when it has none (or is not built).
+// built with, or 0 when the code form is not built.
 func (t *Tables) WindowBytes() int {
 	if !t.codesDone.Load() || t.win == nil {
 		return 0

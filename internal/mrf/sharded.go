@@ -34,12 +34,10 @@ type shardTile struct {
 	minSampler core.MinBatchSampler
 	// win is the run's windowed code gather and live the sampler, when the
 	// run has one and the sampler takes live sets (core.LiveCodeSampler);
-	// both nil otherwise. limits memoizes live's limits over a stage and
-	// cand is the segment's live sets.
-	win    *windowed
-	live   core.LiveCodeSampler
-	limits liveLimits
-	cand   candidates
+	// both nil otherwise. cand is the segment's live sets.
+	win  *windowed
+	live core.LiveCodeSampler
+	cand candidates
 	// cells[color] lists owned cells of global parity (gx+gy)%2 == color as
 	// global linear indices y*W+x, row-major — the same order the monolithic
 	// checkerboard visits them.
@@ -63,7 +61,7 @@ func newShardTile(t shard.Tile, w, labels int, sampler core.LabelSampler, raster
 	}
 	st.minSampler, _ = sampler.(core.MinBatchSampler)
 	if live, ok := sampler.(core.LiveCodeSampler); ok && win != nil {
-		st.win, st.live, st.limits.s = win, live, live
+		st.win, st.live = win, live
 		st.cand = newCandidates((t.W()+1)/2, labels)
 	}
 	for color := 0; color < 2; color++ {
@@ -140,11 +138,14 @@ func (ts *shardTile) checker(r *run, color int) (flips int, edelta float64, err 
 	w := lab.W
 	labs := lab.L
 	cells := ts.cells[color]
+	// The sampler's temperature, and so its cut-off, stays put over the
+	// stage.
+	var cut core.LiveCut
 	windowed := false
 	if ts.live != nil {
-		limit, ok := ts.live.LiveCodeLimit(0)
-		windowed = ok && limit < 255
-		ts.limits.reset()
+		var ok bool
+		cut, ok = ts.live.LiveCut()
+		windowed = ok && cut.Limit(0) < 255
 	}
 	for i := 0; i < len(cells); {
 		c := cells[i]
@@ -163,7 +164,7 @@ func (ts *shardTile) checker(r *run, color int) (flips int, edelta float64, err 
 		switch {
 		case windowed:
 			cd := &ts.cand
-			ts.win.segment(cd, lab, y, x0, n, &ts.limits)
+			ts.win.segment(cd, lab, y, x0, n, cut)
 			k := cd.ends[n-1]
 			serr = ts.live.SampleLiveCodes(cd.labels[:k], cd.codes[:k], cd.ends[:n], cd.mins[:n], L, ts.currents[:n], ts.out[:n])
 		case ts.minSampler != nil:

@@ -79,15 +79,13 @@ func (p *Problem) fillSingles(tab []float64, y0, y1 int) {
 }
 
 // codeTable builds the code form of the data term, each single s stored as
-// singleCode(s) in the layout of singletonTable, in row bands, and, when
-// withMins, each pixel's minimum code in the same pixel order (window.minS).
-// It returns nil tables when some single does not qualify; every band then
-// stops at its next row.
-func (p *Problem) codeTable(withMins bool) (tab, mins []uint8) {
+// singleCode(s) in the layout of singletonTable, in row bands, and each
+// pixel's minimum code in the same pixel order (window.minS). It returns nil
+// tables when some single does not qualify; every band then stops at its
+// next row.
+func (p *Problem) codeTable() (tab, mins []uint8) {
 	tab = make([]uint8, p.W*p.H*p.Labels)
-	if withMins {
-		mins = make([]uint8, p.W*p.H)
-	}
+	mins = make([]uint8, p.W*p.H)
 	var rejected atomic.Bool
 	p.inBands(func(y0, y1 int) {
 		for y := y0; y < y1 && !rejected.Load(); y++ {
@@ -103,7 +101,7 @@ func (p *Problem) codeTable(withMins bool) (tab, mins []uint8) {
 }
 
 // fillCodes writes the codes of row y into tab in fillSingles' order, and
-// each pixel's minimum code into mins unless it is nil, and reports whether
+// each pixel's minimum code into mins, and reports whether
 // every single of the row qualifies, stopping at the first that does not.
 func (p *Problem) fillCodes(tab, mins []uint8, y int) bool {
 	i := y * p.W * p.Labels
@@ -119,9 +117,7 @@ func (p *Problem) fillCodes(tab, mins []uint8, y int) bool {
 				m = min(m, c)
 				i++
 			}
-			if mins != nil {
-				mins[i/p.Labels-1] = m
-			}
+			mins[i/p.Labels-1] = m
 		}
 	}
 	return true

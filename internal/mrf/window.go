@@ -31,13 +31,12 @@ type window struct {
 type windowRow struct{ c, lo, hi int32 }
 
 // pairWindow returns the window tables of a qualifying pair LUT with L
-// labels, minS left unset, and the widest row span.
-func pairWindow(pair []float64, L int) (*window, int) {
+// labels, minS left unset.
+func pairWindow(pair []float64, L int) *window {
 	w := &window{rows: make([]windowRow, L), pair: make([]uint8, len(pair))}
 	for i, v := range pair {
 		w.pair[i] = uint8(v)
 	}
-	widest := 0
 	for nb := 0; nb < L; nb++ {
 		row := w.pair[nb*L : nb*L+L]
 		c := row[0]
@@ -51,18 +50,9 @@ func pairWindow(pair []float64, L int) (*window, int) {
 			}
 		}
 		w.rows[nb] = windowRow{c: int32(c), lo: int32(lo), hi: int32(hi)}
-		widest = max(widest, hi-lo+1)
 	}
-	return w, widest
+	return w
 }
-
-// narrowWindow reports whether a pair LUT whose widest row span is widest
-// earns the windowed gather on L labels: a pixel's union span then covers
-// under all L labels even when its four rows' spans are disjoint. Stereo's
-// truncated linear rows (span 11 of 56) qualify; 4-label Potts (span 1),
-// Ising and flow do not (DESIGN.md §15 has the measured segmentation
-// crossover).
-func narrowWindow(widest, L int) bool { return 4*widest < L }
 
 // bytes returns the window tables' size.
 func (w *window) bytes() int {
@@ -99,37 +89,11 @@ func newCandidates(slots, labels int) candidates {
 	}
 }
 
-// liveLimits memoizes a sampler's live code limits (LiveCodeLimit) for
-// minimum codes 0..255 over one color stage, during which the sampler's
-// temperature, and so its limits, stay put: a pixel then pays a table load
-// instead of an interface call.
-type liveLimits struct {
-	s core.LiveCodeSampler
-	// memo[m] is LiveCodeLimit(m)+1, or 0 when not yet asked.
-	memo [256]int16
-}
-
-// reset forgets the memoized limits, for a new stage.
-func (ll *liveLimits) reset() { ll.memo = [256]int16{} }
-
-// at returns the live code limit for minimum energy m ≥ 0; a minimum past
-// 255 reads as 255, as the sampler reads it.
-func (ll *liveLimits) at(m int32) int32 {
-	m = min(m, 255)
-	v := ll.memo[m]
-	if v == 0 {
-		limit, _ := ll.s.LiveCodeLimit(int(m))
-		v = int16(limit + 1)
-		ll.memo[m] = v
-	}
-	return int32(v - 1)
-}
-
 // segment writes the live sets of the n same-color pixels (x0, y),
-// (x0+2, y), ... into c against the live code limits ll. Interior pixels
+// (x0+2, y), ... into c against the sampler's cut-off cut. Interior pixels
 // take the window (pixel); border pixels and the pixels the window cannot
 // decide take the dense code gather (densePixel).
-func (g *windowed) segment(c *candidates, lab *img.Labels, y, x0, n int, ll *liveLimits) {
+func (g *windowed) segment(c *candidates, lab *img.Labels, y, x0, n int, cut core.LiveCut) {
 	p := g.t.p
 	L := p.Labels
 	labs := lab.L
@@ -142,10 +106,10 @@ func (g *windowed) segment(c *candidates, lab *img.Labels, y, x0, n int, ll *liv
 		ok := false
 		if interior && x > 0 && x+1 < p.W {
 			k, ok = g.w.pixel(c, i, k, g.codes[base:base+L], int32(g.w.minS[px]),
-				labs[row+x-1], labs[row+x+1], labs[row+x-p.W], labs[row+x+p.W], ll)
+				labs[row+x-1], labs[row+x+1], labs[row+x-p.W], labs[row+x+p.W], cut)
 		}
 		if !ok {
-			k = g.densePixel(c, i, k, lab, x, y, ll)
+			k = g.densePixel(c, i, k, lab, x, y, cut)
 		}
 		c.ends[i] = int32(k)
 	}
@@ -162,9 +126,9 @@ func (g *windowed) segment(c *candidates, lab *img.Labels, y, x0, n int, ll *liv
 // outside U each row is its constant, so a label's energy is s_l + C. When
 // minS + C ≥ m_U no label outside U is below m_U, so m_U is the pixel's
 // minimum m; otherwise the singles outside U give theirs. A label is live
-// iff its energy is at most limit = LiveCodeLimit(m), and outside U that
+// iff its energy is at most limit = cut.Limit(m), and outside U that
 // is s_l ≤ limit − C, which no label meets when minS + C > limit.
-func (w *window) pixel(c *candidates, i, k int, s []uint8, minS int32, a, b, u, d int, ll *liveLimits) (int, bool) {
+func (w *window) pixel(c *candidates, i, k int, s []uint8, minS int32, a, b, u, d int, cut core.LiveCut) (int, bool) {
 	wa, wb, wu, wd := w.rows[a], w.rows[b], w.rows[u], w.rows[d]
 	lo, hi := min(wa.lo, wb.lo, wu.lo, wd.lo), max(wa.hi, wb.hi, wu.hi, wd.hi)
 	if lo > hi {
@@ -196,7 +160,7 @@ func (w *window) pixel(c *candidates, i, k int, s []uint8, minS int32, a, b, u, 
 		}
 		m = min(m, mo+C)
 	}
-	limit := ll.at(m)
+	limit := int32(cut.Limit(int(m)))
 	if limit >= 255 {
 		return k, false
 	}
@@ -234,7 +198,7 @@ func (w *window) pixel(c *candidates, i, k int, s []uint8, minS int32, a, b, u, 
 // (labelEnergies), their minimum and, against its live code limit, the
 // labels at or below it, or every label when all are live. Energies and
 // codes saturate at 255, which the sampler reads as its maximum code.
-func (g *windowed) densePixel(c *candidates, i, k int, lab *img.Labels, x, y int, ll *liveLimits) int {
+func (g *windowed) densePixel(c *candidates, i, k int, lab *img.Labels, x, y int, cut core.LiveCut) int {
 	d := c.dense
 	labelEnergies(g.t, g.codes, d, lab, x, y)
 	m := d[0]
@@ -242,7 +206,7 @@ func (g *windowed) densePixel(c *candidates, i, k int, lab *img.Labels, x, y int
 		m = min(m, e)
 	}
 	m = min(m, 255)
-	limit := ll.at(int32(m))
+	limit := cut.Limit(int(m))
 	live := float64(limit)
 	if limit >= 255 {
 		live = math.Inf(1)

@@ -12,20 +12,17 @@ import (
 	"rsu/internal/shard"
 )
 
-// windowTestRows draws a narrow integer pair LUT for L labels as rows[nb][l],
-// every row constant outside a span of at most (L−1)/4 labels: Potts,
-// truncated linear or truncated quadratic rows (whose spans reach the first
-// or last label near the ends: no constant tail there), or a mix of
-// arbitrary sparse rows, rows whose span touches an end, and all-constant
-// rows.
+// windowTestRows draws an integer pair LUT for L labels as rows[nb][l]:
+// Potts, truncated linear or truncated quadratic rows (whose spans reach
+// the first or last label near the ends, and span every label when the
+// truncation is past L: no constant tail there), or a mix of arbitrary
+// sparse rows, rows whose span touches an end, and all-constant rows.
 func windowTestRows(r *rand.Rand, L int) ([][]uint8, string) {
-	maxSpan := (L - 1) / 4
 	rows := make([][]uint8, L)
 	kinds := []string{"potts", "linear", "quadratic", "mixed"}
 	kind := kinds[r.Intn(len(kinds))]
 	w := 1 + r.Intn(40)
-	// A truncated row's span is 2·trunc−1 ≤ maxSpan labels.
-	trunc := 1 + r.Intn((maxSpan+1)/2)
+	trunc := 1 + r.Intn(L)
 	for nb := range rows {
 		row := make([]uint8, L)
 		rows[nb] = row
@@ -50,7 +47,7 @@ func windowTestRows(r *rand.Rand, L int) ([][]uint8, string) {
 			for l := range row {
 				row[l] = uint8(c)
 			}
-			span := 1 + r.Intn(maxSpan)
+			span := 1 + r.Intn(L)
 			var lo int
 			switch r.Intn(4) {
 			case 0:
@@ -102,10 +99,10 @@ func windowTestSingle(r *rand.Rand) float64 {
 }
 
 // windowTestProblem draws a problem whose code form has window tables:
-// 9 to 60 labels, a narrow pair LUT from windowTestRows and singles from
+// 2 to 60 labels, a pair LUT from windowTestRows and singles from
 // windowTestSingle, stored in raster order.
 func windowTestProblem(r *rand.Rand) (*Problem, string) {
-	w, h, labels := 3+r.Intn(12), 3+r.Intn(8), 9+r.Intn(52)
+	w, h, labels := 3+r.Intn(12), 3+r.Intn(8), 2+r.Intn(59)
 	rows, kind := windowTestRows(r, labels)
 	singles := make([]float64, w*h*labels)
 	for i := range singles {
@@ -119,10 +116,17 @@ func windowTestProblem(r *rand.Rand) (*Problem, string) {
 	}, kind
 }
 
-// windowTestConfigs are the hardware units the windowed gather serves:
-// step-1 quantizers of 8 and 4 bits, with and without decay-rate scaling,
-// under both tie-break policies.
-func windowTestConfigs() map[string]core.Config {
+// windowTestConfig is one hardware unit the windowed gather serves.
+type windowTestConfig struct {
+	name string
+	cfg  core.Config
+}
+
+// windowTestConfigs are the hardware units the windowed gather serves, in
+// a fixed order so a seed replays the same draws: step-1 quantizers of 8
+// and 4 bits, with and without decay-rate scaling, under both tie-break
+// policies.
+func windowTestConfigs() []windowTestConfig {
 	firstWins := core.NewRSUG()
 	firstWins.Tie = core.TieFirstWins
 	noScale := core.NewRSUG()
@@ -131,9 +135,9 @@ func windowTestConfigs() map[string]core.Config {
 	fourBit.EnergyBits, fourBit.EnergyMax = 4, 15
 	cutoff := core.NewRSUG()
 	cutoff.Mode = core.ConvertScaledCutoff
-	return map[string]core.Config{
-		"new": core.NewRSUG(), "first-wins": firstWins, "cutoff-no-scale": noScale,
-		"four-bit": fourBit, "scaled-cutoff": cutoff,
+	return []windowTestConfig{
+		{"new", core.NewRSUG()}, {"first-wins", firstWins}, {"cutoff-no-scale", noScale},
+		{"four-bit", fourBit}, {"scaled-cutoff", cutoff},
 	}
 }
 
@@ -164,10 +168,13 @@ func checkWindowSegments(tb testing.TB, tab *Tables, lab *img.Labels, lim core.L
 	L := p.Labels
 	g := tab.windowFor(tab.gatherFor([]core.LabelSampler{lim.(core.LabelSampler)}), SolveOptions{})
 	if g == nil {
-		tb.Fatal("no windowed gather for a narrow code-form problem")
+		tb.Fatal("no windowed gather for a code-form problem")
+	}
+	cut, ok := lim.LiveCut()
+	if !ok {
+		tb.Fatal("LiveCut reports no live kernel")
 	}
 	c := newCandidates((p.W+1)/2, L)
-	ll := &liveLimits{s: lim}
 	dense := make([]float64, L)
 	for y := 0; y < p.H; y++ {
 		for color := 0; color < 2; color++ {
@@ -176,7 +183,7 @@ func checkWindowSegments(tb testing.TB, tab *Tables, lab *img.Labels, lim core.L
 			if n == 0 {
 				continue
 			}
-			g.segment(&c, lab, y, x0, n, ll)
+			g.segment(&c, lab, y, x0, n, cut)
 			start := int32(0)
 			for i := 0; i < n; i++ {
 				x := x0 + 2*i
@@ -186,7 +193,7 @@ func checkWindowSegments(tb testing.TB, tab *Tables, lab *img.Labels, lim core.L
 					m = math.Min(m, e)
 				}
 				m = math.Min(m, 255)
-				limit, _ := lim.LiveCodeLimit(int(m))
+				limit := cut.Limit(int(m))
 				var wantLabels []int32
 				var wantCodes []uint8
 				for l, e := range dense {
@@ -208,7 +215,7 @@ func checkWindowSegments(tb testing.TB, tab *Tables, lab *img.Labels, lim core.L
 				}
 				start = end
 				if x > 0 && x+1 < p.W && y > 0 && y+1 < p.H {
-					tally[windowCase(tab, g, lab, x, y, dense, lim)]++
+					tally[windowCase(tab, g, lab, x, y, dense, cut)]++
 				}
 			}
 		}
@@ -217,7 +224,7 @@ func checkWindowSegments(tb testing.TB, tab *Tables, lab *img.Labels, lim core.L
 
 // windowCase classifies interior pixel (x, y), whose dense energies are
 // dense, by the case the window meets it in.
-func windowCase(tab *Tables, g *windowed, lab *img.Labels, x, y int, dense []float64, lim core.LiveCodeSampler) int {
+func windowCase(tab *Tables, g *windowed, lab *img.Labels, x, y int, dense []float64, cut core.LiveCut) int {
 	p, w := tab.p, g.w
 	L := p.Labels
 	i := y*p.W + x
@@ -241,7 +248,7 @@ func windowCase(tab *Tables, g *windowed, lab *img.Labels, x, y int, dense []flo
 	if float64(minS+C) < mU {
 		return caseMinS
 	}
-	limit, _ := lim.LiveCodeLimit(int(mU))
+	limit := cut.Limit(int(mU))
 	switch {
 	case limit >= 255:
 		return caseAllLive
@@ -288,7 +295,7 @@ func windowSolve(t *testing.T, p *Problem, tab *Tables, cfg core.Config, seed ui
 }
 
 // TestWindowedGatherExact is the windowed code gather's exactness property.
-// On random problems with narrow integer pair LUTs (windowTestRows) and
+// On random problems with integer pair LUTs (windowTestRows) and
 // singles at 0, 255, saturating and small, it solves each problem on a
 // random multi-tile geometry with every unit of windowTestConfigs twice,
 // through the windowed gather and through the dense one, and requires the
@@ -315,8 +322,9 @@ func TestWindowedGatherExact(t *testing.T) {
 		}
 		init := randomLabeling(r, p.W, p.H, p.Labels)
 		sched := Schedule{T0: 0.5 + 64*r.Float64(), Alpha: 0.5 + 0.45*r.Float64(), Iterations: 6 + r.Intn(6), TFloor: 1e-3}
-		for name, cfg := range configs {
-			useed := uint64(trial*100 + len(name))
+		for ci, c := range configs {
+			name, cfg := c.name, c.cfg
+			useed := uint64(trial*100 + ci)
 			dense := windowSolve(t, p, tab, cfg, useed, geom, sched, init, true)
 			win := windowSolve(t, p, tab, cfg, useed, geom, sched, init, false)
 			for i := range dense.labels {
@@ -359,7 +367,6 @@ func FuzzWindowedGather(f *testing.F) {
 		f.Add(s, 0.5, uint8(0))
 	}
 	configs := windowTestConfigs()
-	names := []string{"new", "first-wins", "cutoff-no-scale", "four-bit", "scaled-cutoff"}
 	f.Fuzz(func(t *testing.T, seed int64, T float64, unit uint8) {
 		if !(T > 0) || math.IsInf(T, 1) {
 			return
@@ -370,7 +377,7 @@ func FuzzWindowedGather(f *testing.F) {
 		if tab.CodeSingles() == nil {
 			t.Fatal("no code form")
 		}
-		u := core.MustUnit(configs[names[int(unit)%len(names)]], rng.NewXoshiro256(1), true)
+		u := core.MustUnit(configs[int(unit)%len(configs)].cfg, rng.NewXoshiro256(1), true)
 		core.MustSetTemperature(u, T)
 		var tally [windowCases]int
 		checkWindowSegments(t, tab, randomLabeling(r, p.W, p.H, p.Labels), u, &tally)
