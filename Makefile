@@ -35,12 +35,13 @@ race:
 # cancellation, panic-to-error, checkpoint and resume, run log, the
 # row-banded table build, the CLIs' shared flags), repeated to shake out
 # scheduling-dependent interleavings (DESIGN.md §9), with the checker
-# tiles' steady-state allocation test and the windowed code gather's
-# exactness property on both gathers. The TestBarrier tests
+# tiles' steady-state allocation test, the windowed code gather's
+# exactness property on both gathers and its live-set memo's tests (a
+# raised cut index, a 2×2 checkpoint resume). The TestBarrier tests
 # force both park paths, run four executors on one P, and cancel or panic
 # while executors park or spin.
 race-runtime:
-	$(GO) test -race -count=3 -run 'TestSolve|TestBarrier|TestRunLog|TestOnSweep|TestSchedule|TestSharded|TestCheckpoint|TestSetTemperature|TestResume|TestBuildTablesBandedMatchesDirect|TestBuildTablesConcurrentCallers|TestBuildTablesColorRuns|TestTablesFirstUse|TestCheckerSweep|TestWindowedGather|TestFlags|TestTimeout|TestStart|TestRegister' ./internal/mrf ./internal/runopt ./internal/apps
+	$(GO) test -race -count=3 -run 'TestSolve|TestBarrier|TestRunLog|TestOnSweep|TestSchedule|TestSharded|TestCheckpoint|TestSetTemperature|TestResume|TestBuildTablesBandedMatchesDirect|TestBuildTablesConcurrentCallers|TestBuildTablesColorRuns|TestTablesFirstUse|TestCheckerSweep|TestWindowedGather|TestLiveMemo|TestFlags|TestTimeout|TestStart|TestRegister' ./internal/mrf ./internal/runopt ./internal/apps
 
 # The benchmark harness is its own module (perfbench/go.mod), so the root
 # build and test never compile it; vet and test it here so an internal API
@@ -101,7 +102,7 @@ cover:
 # shard-plan geometry (exclusive full-grid tile coverage under arbitrary
 # dimensions), the 8-bit code form of the data term (its exactness
 # margin), and the windowed code gather against the dense one (live sets,
-# codes and minima). FUZZTIME sets the budget per target (default 30s
+# codes and minima, over four passes on one live-set memo). FUZZTIME sets the budget per target (default 30s
 # above).
 fuzz:
 	$(GO) test ./internal/conformance -run '^$$' -fuzz FuzzUnitSample -fuzztime $(FUZZTIME)

@@ -377,8 +377,10 @@ func BenchmarkSolveTeddyX10(b *testing.B) {
 // 2×1 tiles from prebuilt tables: the table fits in cache, so the
 // sampler, the gather and the barriers dominate. Most of its sweeps run
 // at temperatures where the cut-off leaves a few labels live, which the
-// checker tiles' windowed code gather exploits. It reports the same form
-// bytes as BenchmarkSolveTeddyX10.
+// checker tiles' windowed code gather exploits; from about sweep 100 on
+// few pixels flip and most keep one live label, so most visits take that
+// label from the live-set memo and skip the gather. It reports the same
+// form bytes as BenchmarkSolveTeddyX10.
 func BenchmarkSolveTeddyAnneal(b *testing.B) {
 	params := stereo.DefaultParams()
 	prob := stereo.BuildProblem(synth.Teddy(1), params)

@@ -87,3 +87,54 @@ func TestCachedUnitSamplesMatch(t *testing.T) {
 		t.Fatalf("cache recorded no activity: %+v", st)
 	}
 }
+
+// TestStreamFactorySharesConverters: the units a StreamFactory builds
+// without a ConverterCache share the factory's own, so a temperature that
+// every stream sets builds one conversion table between them, and they
+// draw exactly what units without the cache draw. A unit built with its
+// own cache keeps it.
+func TestStreamFactorySharesConverters(t *testing.T) {
+	factory := StreamFactory(7, func(src rng.Source) LabelSampler { return MustUnit(NewRSUG(), src, true) })
+	a, b := factory(0).(*Unit), factory(1).(*Unit)
+	if a.convCache == nil || a.convCache != b.convCache {
+		t.Fatalf("streams hold converter caches %p and %p, want one shared cache", a.convCache, b.convCache)
+	}
+	plain := func(stream int) *Unit {
+		return MustUnit(NewRSUG(), rng.NewXoshiro256(StreamSeed(7, stream)), true)
+	}
+	c, d := plain(0), plain(1)
+	energies := []float64{3, 0, 7, 1, 40, 2, 9, 5}
+	for k, T := range []float64{8, 4, 4, 2, 1, 0.5} {
+		for _, u := range []*Unit{a, b, c, d} {
+			MustSetTemperature(u, T)
+		}
+		if a.conv != b.conv {
+			t.Fatalf("sweep %d: the streams built separate conversion tables", k)
+		}
+		for i := 0; i < 50; i++ {
+			for _, pair := range [][2]*Unit{{a, c}, {b, d}} {
+				got, err := pair[0].Sample(energies, i%len(energies))
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, _ := pair[1].Sample(energies, i%len(energies))
+				if got != want {
+					t.Fatalf("sweep %d draw %d: cached unit drew %d, plain unit %d", k, i, got, want)
+				}
+			}
+		}
+	}
+	if a.Stats() != c.Stats() || b.Stats() != d.Stats() {
+		t.Fatalf("stats differ: %+v %+v against %+v %+v", a.Stats(), b.Stats(), c.Stats(), d.Stats())
+	}
+
+	own := NewConverterCache(8)
+	kept := StreamFactory(7, func(src rng.Source) LabelSampler {
+		u := MustUnit(NewRSUG(), src, true)
+		u.SetConverterCache(own)
+		return u
+	})(0).(*Unit)
+	if kept.convCache != own {
+		t.Fatal("StreamFactory replaced a unit's own converter cache")
+	}
+}

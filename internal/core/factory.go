@@ -18,11 +18,26 @@ func StreamSeed(seed uint64, stream int) uint64 {
 // StreamFactory adapts a sampler constructor into the per-worker factory the
 // checkerboard-parallel solver needs: stream i receives its own xoshiro256**
 // source seeded with StreamSeed(seed, i). build is invoked once per stream.
+//
+// Every *Unit it builds without a ConverterCache gets the factory's own
+// small one, so the streams of a solve, which the driver sets to one
+// temperature per sweep, build that sweep's conversion table once between
+// them instead of once each. Cached tables are read-only, so every draw is
+// unchanged.
 func StreamFactory(seed uint64, build func(src rng.Source) LabelSampler) func(stream int) LabelSampler {
+	cc := NewConverterCache(streamConverters)
 	return func(stream int) LabelSampler {
-		return build(rng.NewXoshiro256(StreamSeed(seed, stream)))
+		s := build(rng.NewXoshiro256(StreamSeed(seed, stream)))
+		if u, ok := s.(*Unit); ok && u.convCache == nil {
+			u.SetConverterCache(cc)
+		}
+		return s
 	}
 }
+
+// streamConverters is the capacity of a StreamFactory's ConverterCache: the
+// streams of a solve share one temperature at a time.
+const streamConverters = 4
 
 // SamplerBuilder maps the sampler name the command-line drivers share
 // ("software" | "new" | "prev") to a constructor over an RNG source, ready

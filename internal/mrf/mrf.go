@@ -169,6 +169,10 @@ type Tables struct {
 	// constant and the span where it differs from it, the pair LUT as
 	// bytes, and each pixel's minimum single code. nil while Codes is.
 	win *window
+	// memo is a spare live-set memo (windowed.memo), W·H words: a solve
+	// that keeps one takes it, or allocates its own while another solve
+	// holds it, and gives it back when it ends.
+	memo atomic.Pointer[[]uint64]
 
 	// mu serializes the form builds. floatBuilt is stored after Singles is
 	// written and codesDone after Codes is (left nil when the problem does

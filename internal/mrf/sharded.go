@@ -329,6 +329,9 @@ func newShardPool(r *run, geom shard.Geometry) (*shardPool, error) {
 		tiles[i] = newShardTile(t, r.p.W, r.p.Labels, r.samplers[i], len(plan.Tiles) == 1, r.win)
 	}
 	r.plan = plan
+	if r.win != nil && len(tiles) > 1 && r.p.Labels <= memoMaxLabels && scalingTile(tiles) {
+		r.win.memo = r.tab.takeMemo()
+	}
 
 	nexec := resolveExecutors(r.opts.executors, len(tiles))
 	pool := &shardPool{
@@ -473,8 +476,26 @@ func (pool *shardPool) sweep(k int) (int, error) {
 	return flips, nil
 }
 
-// stop publishes the stop epoch and waits for every executor to exit.
+// stop publishes the stop epoch, waits for every executor to exit and
+// gives the run's live-set memo back to its tables.
 func (pool *shardPool) stop() {
 	pool.publish((pool.epoch.Load()>>2+1)<<2 | stopBit)
 	pool.exit.Wait()
+	if w := pool.r.win; w != nil && w.memo != nil {
+		pool.r.tab.putMemo(w.memo)
+		w.memo = nil
+	}
+}
+
+// scalingTile reports whether some tile takes live sets from a unit with
+// decay-rate scaling, the only kind the live-set memo serves.
+func scalingTile(tiles []*shardTile) bool {
+	for _, ts := range tiles {
+		if ts.live != nil {
+			if cut, ok := ts.live.LiveCut(); ok && cut.Scales {
+				return true
+			}
+		}
+	}
+	return false
 }

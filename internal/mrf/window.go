@@ -60,12 +60,51 @@ func (w *window) bytes() int {
 }
 
 // windowed is a checker tile's gather over the code form when it has
-// window tables: tables t, their code form and window.
+// window tables: tables t, their code form and window, and the solve's
+// live-set memo, or nil when the solve keeps none.
+//
+// memo holds one word per pixel, indexed like window.minS, recording a
+// gather that left exactly one label live: bits 0–31 the four neighbor
+// labels (left, right, up, down; memoNone for a neighbor off the grid),
+// 32–39 the cut index K it ran at, 40–47 the pixel's minimum code, and
+// 48–55 the live label. A gather that leaves any other number live clears
+// the word. A visit under decay-rate scaling whose neighbors match a word
+// and whose K is at most the word's takes that one label at its minimum
+// code as the live set, skipping the gather: the energies depend only on
+// the neighbors, and a lower K lowers limit = m + K − 1 but keeps the
+// minimum m live, so the one label stays the only one (DESIGN.md §15). A
+// zero word is empty, as every stage that reads the memo has K ≥ 1.
 type windowed struct {
 	t     *Tables
 	codes []uint8
 	w     *window
+	memo  []uint64
 }
+
+// The live-set memo's word layout (windowed.memo).
+const (
+	memoKShift     = 32
+	memoMinShift   = 40
+	memoLabelShift = 48
+	memoKMask      = 0xff << memoKShift
+	// memoNone stands for a neighbor off the grid. A solve keeps the memo
+	// only on at most memoMaxLabels labels, so no label is memoNone.
+	memoNone      = 255
+	memoMaxLabels = 255
+)
+
+// takeMemo returns a cleared live-set memo for the tables' grid: the spare
+// one, or a new one while another solve holds it.
+func (t *Tables) takeMemo() []uint64 {
+	if m := t.memo.Swap(nil); m != nil {
+		clear(*m)
+		return *m
+	}
+	return make([]uint64, t.p.W*t.p.H)
+}
+
+// putMemo keeps m as the spare memo unless the tables already keep one.
+func (t *Tables) putMemo(m []uint64) { t.memo.CompareAndSwap(nil, &m) }
 
 // candidates is one segment's live sets, as a core.LiveCodeSampler takes
 // them: pixel i's live labels are labels[ends[i-1]:ends[i]] (from 0 for
@@ -90,28 +129,67 @@ func newCandidates(slots, labels int) candidates {
 }
 
 // segment writes the live sets of the n same-color pixels (x0, y),
-// (x0+2, y), ... into c against the sampler's cut-off cut. Interior pixels
-// take the window (pixel); border pixels and the pixels the window cannot
-// decide take the dense code gather (densePixel).
+// (x0+2, y), ... into c against the sampler's cut-off cut. A pixel whose
+// memo word holds (scaling units only) takes its one live label from it;
+// otherwise interior pixels take the window (pixel), and border pixels and
+// the pixels the window cannot decide take the dense code gather
+// (densePixel), and the memo word records the result.
 func (g *windowed) segment(c *candidates, lab *img.Labels, y, x0, n int, cut core.LiveCut) {
 	p := g.t.p
 	L := p.Labels
 	labs := lab.L
 	row := y * p.W
 	base := p.base(x0, y)
-	px := base / L // the pixel's index in window.minS
+	px := base / L // the pixel's index in window.minS and memo
 	k := 0
 	interior := y > 0 && y+1 < p.H
+	memo := g.memo
+	if !cut.Scales {
+		memo = nil
+	}
+	kw := uint64(cut.K) << memoKShift
 	for i, x := 0, x0; i < n; i, x, base, px = i+1, x+2, base+L, px+1 {
+		a, b, u, d := memoNone, memoNone, memoNone, memoNone
+		if x > 0 {
+			a = labs[row+x-1]
+		}
+		if x+1 < p.W {
+			b = labs[row+x+1]
+		}
+		if y > 0 {
+			u = labs[row+x-p.W]
+		}
+		if y+1 < p.H {
+			d = labs[row+x+p.W]
+		}
+		var key uint64
+		if memo != nil {
+			key = uint64(a) | uint64(b)<<8 | uint64(u)<<16 | uint64(d)<<24
+			if w := memo[px]; uint32(w) == uint32(key) && kw <= w&memoKMask {
+				m := uint8(w >> memoMinShift)
+				c.labels[k], c.codes[k], c.mins[i] = int32(uint8(w>>memoLabelShift)), m, m
+				k++
+				c.ends[i] = int32(k)
+				continue
+			}
+		}
+		start := k
 		ok := false
 		if interior && x > 0 && x+1 < p.W {
-			k, ok = g.w.pixel(c, i, k, g.codes[base:base+L], int32(g.w.minS[px]),
-				labs[row+x-1], labs[row+x+1], labs[row+x-p.W], labs[row+x+p.W], cut)
+			k, ok = g.w.pixel(c, i, k, g.codes[base:base+L], int32(g.w.minS[px]), a, b, u, d, cut)
 		}
 		if !ok {
 			k = g.densePixel(c, i, k, lab, x, y, cut)
 		}
 		c.ends[i] = int32(k)
+		if memo != nil {
+			// The one live label is the minimum's, so its code is mins[i].
+			var w uint64
+			if k == start+1 {
+				w = key | kw | uint64(c.mins[i])<<memoMinShift | uint64(c.labels[start])<<memoLabelShift
+			}
+			memo[px] = w
+		}
 	}
 }
 
